@@ -171,6 +171,35 @@ let retailer_fairness outcome ~n_sites =
 let reduction_pct ~proposed ~conventional =
   100. *. (1. -. (float_of_int proposed /. float_of_int (Stdlib.max 1 conventional)))
 
+(* Exact summaries of a sample list, folded in list order (the mean of
+   no samples is [nan]). *)
+let mean xs = List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
+
+let stddev xs =
+  let m = mean xs in
+  sqrt (List.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0. xs
+        /. float_of_int (List.length xs))
+
+let min_of xs = List.fold_left Float.min Float.infinity xs
+let max_of xs = List.fold_left Float.max Float.neg_infinity xs
+
+(* Linear interpolation between order statistics, [p] in [0, 100]. *)
+let percentile p xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let rank = p /. 100. *. float_of_int (Array.length a - 1) in
+  let lo = int_of_float (floor rank) and hi = int_of_float (ceil rank) in
+  let frac = rank -. float_of_int lo in
+  (a.(lo) *. (1. -. frac)) +. (a.(hi) *. frac)
+
+(* The sketch [metric] picks from each site at index [from] or above,
+   skipping sites that recorded nothing. *)
+let site_sketches ?(from = 0) cluster metric =
+  List.filteri (fun i _ -> i >= from) (Array.to_list (Cluster.sites cluster))
+  |> List.filter_map (fun s ->
+         let h = metric (Site.metrics s) in
+         if Sketch.count h > 0 then Some h else None)
+
 (* --- fig6 --- *)
 
 let exp_fig6 () =
@@ -233,14 +262,11 @@ let exp_ablation_strategy () =
         { Avdb_av.Strategy.selection = Avdb_av.Strategy.Selection.Richest_known; granting }
       in
       let cluster, outcome = run_scm { default_setup with strategy } in
-      let rounds = Histogram.create () in
-      Array.iter
-        (fun s ->
-          let m = Site.metrics s in
-          let h = m.Update.Metrics.transfer_rounds in
-          if Sketch.count h > 0 then Histogram.add rounds (Sketch.mean h))
-        (Cluster.sites cluster);
-      let avg_rounds = if Histogram.count rounds = 0 then 0. else Histogram.mean rounds in
+      let rounds =
+        List.map Sketch.mean
+          (site_sketches cluster (fun m -> m.Update.Metrics.transfer_rounds))
+      in
+      let avg_rounds = if rounds = [] then 0. else mean rounds in
       Ascii_table.add_row table
         [
           Avdb_av.Strategy.Granting.name granting;
@@ -381,16 +407,18 @@ let exp_ablation_prefetch () =
     (fun prefetch_low ->
       let cluster, outcome = run_scm { default_setup with prefetch_low } in
       let transfers = ref 0 and prefetches = ref 0 in
-      let p99s = Histogram.create () in
-      Array.iteri
-        (fun i s ->
+      Array.iter
+        (fun s ->
           let m = Site.metrics s in
           transfers := !transfers + m.Update.Metrics.applied_transfer;
-          prefetches := !prefetches + m.Update.Metrics.prefetch_requests;
-          (* pool retailers' p99 latencies; the maker is always local *)
-          if i > 0 && Sketch.count m.Update.Metrics.latency > 0 then
-            Histogram.add p99s (Sketch.percentile m.Update.Metrics.latency 99.))
+          prefetches := !prefetches + m.Update.Metrics.prefetch_requests)
         (Cluster.sites cluster);
+      (* pool retailers' p99 latencies; the maker is always local *)
+      let p99s =
+        List.map
+          (fun h -> Sketch.percentile h 99.)
+          (site_sketches ~from:1 cluster (fun m -> m.Update.Metrics.latency))
+      in
       Ascii_table.add_row table
         [
           (match prefetch_low with None -> "off (paper)" | Some l -> string_of_int l);
@@ -398,7 +426,7 @@ let exp_ablation_prefetch () =
           string_of_int !transfers;
           string_of_int !prefetches;
           Printf.sprintf "%.1fms"
-            (if Histogram.count p99s = 0 then 0. else Histogram.mean p99s);
+            (if p99s = [] then 0. else mean p99s);
         ])
     [ None; Some 5; Some 10; Some 20 ];
   print_endline (Ascii_table.render table)
@@ -551,12 +579,9 @@ let exp_immediate () =
         (site, "custom", if site = 0 then 2 else -1)
       in
       let outcome = Runner.run cluster ~nth_update ~total_updates:total () in
-      let lat = Histogram.create () in
-      Array.iter
-        (fun s ->
-          let h = (Site.metrics s).Update.Metrics.latency in
-          if Sketch.count h > 0 then Histogram.add lat (Sketch.mean h))
-        (Cluster.sites cluster);
+      let lat =
+        List.map Sketch.mean (site_sketches cluster (fun m -> m.Update.Metrics.latency))
+      in
       let corr = final_corr outcome in
       Ascii_table.add_row table
         [
@@ -565,7 +590,7 @@ let exp_immediate () =
           string_of_int corr;
           Printf.sprintf "%.1f" (float_of_int corr /. float_of_int total);
           string_of_int (2 * (n_sites - 1));
-          Printf.sprintf "%.1fms" (Histogram.mean lat);
+          Printf.sprintf "%.1fms" (mean lat);
           Printf.sprintf "%d%%" (100 * outcome.Runner.final.Runner.applied / total);
         ])
     [ 2; 3; 5; 9 ];
@@ -625,7 +650,7 @@ let exp_staleness () =
       in
       let cluster = Cluster.create config in
       let workload = Scm.create (Scm.paper_spec ()) ~seed:2000 in
-      let divergence = Histogram.create () in
+      let divergence = ref [] in
       let engine = Cluster.engine cluster in
       let items = List.map (fun p -> p.Product.name) config.Config.products in
       let sample () =
@@ -637,7 +662,7 @@ let exp_staleness () =
             let mn = List.fold_left Stdlib.min max_int amounts in
             worst := Stdlib.max !worst (mx - mn))
           items;
-        Histogram.add divergence (float_of_int !worst)
+        divergence := float_of_int !worst :: !divergence
       in
       (* Probes across the whole 30s (3000 updates x 10ms) run. *)
       for k = 1 to 600 do
@@ -648,12 +673,13 @@ let exp_staleness () =
       done;
       ignore
         (Runner.run cluster ~nth_update:(Scm.generator workload) ~total_updates:3000 ());
+      let divergence = List.rev !divergence in
       Ascii_table.add_row table
         [
           label;
-          Printf.sprintf "%.1f" (Histogram.mean divergence);
-          Printf.sprintf "%.0f" (Histogram.percentile divergence 99.);
-          Printf.sprintf "%.0f" (Histogram.max divergence);
+          Printf.sprintf "%.1f" (mean divergence);
+          Printf.sprintf "%.0f" (percentile 99. divergence);
+          Printf.sprintf "%.0f" (max_of divergence);
           string_of_int (Avdb_net.Stats.total_sent (Cluster.net_stats cluster));
         ])
     [
@@ -692,18 +718,11 @@ let exp_wan () =
         ignore
           (Runner.run cluster ~nth_update:(Scm.generator workload) ~total_updates:1500
              ~interval:(Avdb_sim.Time.of_ms (Stdlib.max 10. (ms *. 4.))) ());
-        let means = Histogram.create () and p99s = Histogram.create () in
-        Array.iteri
-          (fun i s ->
-            if i > 0 then begin
-              let h = (Site.metrics s).Update.Metrics.latency in
-              if Sketch.count h > 0 then begin
-                Histogram.add means (Sketch.mean h);
-                Histogram.add p99s (Sketch.percentile h 99.)
-              end
-            end)
-          (Cluster.sites cluster);
-        (Histogram.mean means, Histogram.mean p99s)
+        let retailers =
+          site_sketches ~from:1 cluster (fun m -> m.Update.Metrics.latency)
+        in
+        ( mean (List.map Sketch.mean retailers),
+          mean (List.map (fun h -> Sketch.percentile h 99.) retailers) )
       in
       let p_mean, p_p99 = retailer_latency Config.Autonomous in
       let c_mean, c_p99 = retailer_latency Config.Centralized in
@@ -723,22 +742,20 @@ let exp_wan () =
 let exp_seeds () =
   section "Robustness - headline reduction across 10 seeds";
   note "The 86%% reduction is not a lucky seed: mean +/- stddev over reruns.";
-  let reductions = Histogram.create () in
-  let fairnesses = Histogram.create () in
-  List.iter
-    (fun seed ->
-      let _, autonomous = run_scm { default_setup with seed } in
-      let _, central = run_scm { default_setup with seed; mode = Config.Centralized } in
-      Histogram.add reductions
-        (reduction_pct ~proposed:(final_corr autonomous) ~conventional:(final_corr central));
-      Histogram.add fairnesses
-        (Fairness.jain_index (retailer_corrs autonomous ~n_sites:default_setup.n_sites)))
-    (List.init 10 (fun i -> 1000 + (i * 37)));
-  note "reduction: mean %.1f%%, stddev %.1f, min %.1f%%, max %.1f%%"
-    (Histogram.mean reductions) (Histogram.stddev reductions) (Histogram.min reductions)
-    (Histogram.max reductions);
-  note "retailer Jain fairness: mean %.3f, min %.3f" (Histogram.mean fairnesses)
-    (Histogram.min fairnesses)
+  let reductions, fairnesses =
+    List.split
+      (List.map
+         (fun seed ->
+           let _, autonomous = run_scm { default_setup with seed } in
+           let _, central = run_scm { default_setup with seed; mode = Config.Centralized } in
+           ( reduction_pct ~proposed:(final_corr autonomous)
+               ~conventional:(final_corr central),
+             Fairness.jain_index (retailer_corrs autonomous ~n_sites:default_setup.n_sites) ))
+         (List.init 10 (fun i -> 1000 + (i * 37))))
+  in
+  note "reduction: mean %.1f%%, stddev %.1f, min %.1f%%, max %.1f%%" (mean reductions)
+    (stddev reductions) (min_of reductions) (max_of reductions);
+  note "retailer Jain fairness: mean %.3f, min %.3f" (mean fairnesses) (min_of fairnesses)
 
 (* --- elasticity (dynamic membership) --- *)
 
@@ -1162,6 +1179,20 @@ let write_throughput_json n =
 
 (* Tolerant field extraction so the check needs no JSON parser: find
    '"name":' and read the number after it. *)
+(* A gate's committed baseline. A missing or malformed file is a named
+   failure, not an uncaught exception. *)
+let read_baseline ~check path =
+  let fail what =
+    Printf.eprintf "FAIL %s: baseline %s %s\n%!" check path what;
+    exit 1
+  in
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error _ -> fail "missing"
+  | contents -> (
+      match Avdb_obs.Json.of_string contents with
+      | Ok (Avdb_obs.Json.Obj _) -> contents
+      | Ok _ | Error _ -> fail "malformed")
+
 let json_number contents name =
   let needle = Printf.sprintf "%S:" name in
   match
@@ -1269,13 +1300,7 @@ let exp_alloc_probe () =
 
 let exp_throughput_check () =
   section "Throughput check (vs committed baseline)";
-  let baseline =
-    let ic = open_in throughput_json_path in
-    let len = in_channel_length ic in
-    let contents = really_input_string ic len in
-    close_in ic;
-    contents
-  in
+  let baseline = read_baseline ~check:"throughput-check" throughput_json_path in
   let fresh = measure_throughput () in
   let failures = ref [] in
   let check name ~fresh ~baseline ~higher_is_better =
@@ -1427,13 +1452,7 @@ let exp_parallel () =
 
 let exp_parallel_check () =
   section "Parallel check (vs committed baseline)";
-  let baseline =
-    let ic = open_in parallel_json_path in
-    let len = in_channel_length ic in
-    let contents = really_input_string ic len in
-    close_in ic;
-    contents
-  in
+  let baseline = read_baseline ~check:"parallel-check" parallel_json_path in
   let fresh = measure_parallel () in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
@@ -1735,13 +1754,7 @@ let exp_scale () =
 
 let exp_scale_check () =
   section "Scale check (vs committed baseline + structural claims)";
-  let baseline =
-    let ic = open_in scale_json_path in
-    let len = in_channel_length ic in
-    let contents = really_input_string ic len in
-    close_in ic;
-    contents
-  in
+  let baseline = read_baseline ~check:"scale-check" scale_json_path in
   let fresh = measure_scale () in
   let failures = ref [] in
   let check name ~fresh =
@@ -1968,13 +1981,7 @@ let exp_epoch () =
 
 let exp_epoch_check () =
   section "Epoch check (vs committed baseline + structural claims)";
-  let baseline =
-    let ic = open_in epoch_json_path in
-    let len = in_channel_length ic in
-    let contents = really_input_string ic len in
-    close_in ic;
-    contents
-  in
+  let baseline = read_baseline ~check:"epoch-check" epoch_json_path in
   let fresh = measure_epoch () in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in

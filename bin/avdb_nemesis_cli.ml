@@ -31,47 +31,51 @@ let run_seed ~cfg ~verbose ~out seed =
 let run seeds start seed_opt sites regular non_regular epoch ops horizon_ms crashes
     partitions net_windows no_crash_base oracle spread hierarchy disk_faults domains
     mutations verbose out =
-  Avdb_core.Mutation.reset ();
-  List.iter Avdb_core.Mutation.enable mutations;
-  if mutations <> [] then
-    Printf.eprintf "warning: mutations enabled (%s) — failures are expected\n%!"
-      (String.concat ", " (List.map Avdb_core.Mutation.name mutations));
-  let cfg =
-    {
-      (Nemesis.default ~seed:0) with
-      Nemesis.n_sites = sites;
-      n_regular = regular;
-      n_non_regular = non_regular;
-      n_epoch = epoch;
-      n_ops = ops;
-      horizon_ms;
-      max_crashes = crashes;
-      max_partitions = partitions;
-      max_net_windows = net_windows;
-      crash_base = not no_crash_base;
-      oracle;
-      spread;
-      hierarchy;
-      disk_faults;
-      domains;
-    }
-  in
-  let seed_list =
-    match seed_opt with
-    | Some s -> [ s ]
-    | None -> List.init seeds (fun i -> start + i)
-  in
-  let failures =
-    List.filter (fun seed -> not (run_seed ~cfg ~verbose ~out seed)) seed_list
-  in
-  match failures with
-  | [] ->
-      Format.printf "all %d seeds passed@." (List.length seed_list);
-      0
-  | fs ->
-      Format.printf "FAILING SEEDS: %s@."
-        (String.concat " " (List.map string_of_int fs));
-      1
+  if disk_faults && domains > 1 then
+    `Error (true, "--disk-faults cannot be combined with --domains greater than 1")
+  else begin
+    Avdb_core.Mutation.reset ();
+    List.iter Avdb_core.Mutation.enable mutations;
+    if mutations <> [] then
+      Printf.eprintf "warning: mutations enabled (%s) — failures are expected\n%!"
+        (String.concat ", " (List.map Avdb_core.Mutation.name mutations));
+    let cfg =
+      {
+        (Nemesis.default ~seed:0) with
+        Nemesis.n_sites = sites;
+        n_regular = regular;
+        n_non_regular = non_regular;
+        n_epoch = epoch;
+        n_ops = ops;
+        horizon_ms;
+        max_crashes = crashes;
+        max_partitions = partitions;
+        max_net_windows = net_windows;
+        crash_base = not no_crash_base;
+        oracle;
+        spread;
+        hierarchy;
+        disk_faults;
+        domains;
+      }
+    in
+    let seed_list =
+      match seed_opt with
+      | Some s -> [ s ]
+      | None -> List.init seeds (fun i -> start + i)
+    in
+    let failures =
+      List.filter (fun seed -> not (run_seed ~cfg ~verbose ~out seed)) seed_list
+    in
+    match failures with
+    | [] ->
+        Format.printf "all %d seeds passed@." (List.length seed_list);
+        `Ok 0
+    | fs ->
+        Format.printf "FAILING SEEDS: %s@."
+          (String.concat " " (List.map string_of_int fs));
+        `Ok 1
+  end
 
 let seeds_arg =
   Arg.(value & opt int 20 & info [ "seeds" ] ~docv:"N" ~doc:"Number of seeds to sweep.")
@@ -164,14 +168,13 @@ let disk_faults_arg =
 
 let domains_arg =
   Arg.(
-    value & opt int 1
+    value & opt Avdb_cli.positive_int 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Run the system under test on the parallel engine with $(docv) OCaml domains: \
-           site faults land on their owning shards, network knobs are mirrored into every \
-           shard, and the oracle (with --oracle) merges one history per shard. \
-           Deterministic per seed. Incompatible with --disk-faults. 1 (default) is the \
-           sequential engine.")
+          "Run the system under test on $(docv) OCaml domains: site faults land on their \
+           owning shards, network knobs are mirrored into every shard, and the oracle \
+           (with --oracle) merges one history per shard. Deterministic per seed. Values \
+           above 1 are incompatible with --disk-faults.")
 
 let mutation_conv =
   let parse s =
@@ -202,9 +205,10 @@ let cmd =
   Cmd.v
     (Cmd.info "avdb-nemesis" ~doc)
     Term.(
-      const run $ seeds_arg $ start_arg $ seed_arg $ sites_arg $ regular_arg
-      $ non_regular_arg $ epoch_arg $ ops_arg $ horizon_arg $ crashes_arg $ partitions_arg
-      $ net_windows_arg $ no_crash_base_arg $ oracle_arg $ spread_arg $ hierarchy_arg
-      $ disk_faults_arg $ domains_arg $ mutate_arg $ verbose_arg $ out_arg)
+      ret
+        (const run $ seeds_arg $ start_arg $ seed_arg $ sites_arg $ regular_arg
+        $ non_regular_arg $ epoch_arg $ ops_arg $ horizon_arg $ crashes_arg $ partitions_arg
+        $ net_windows_arg $ no_crash_base_arg $ oracle_arg $ spread_arg $ hierarchy_arg
+        $ disk_faults_arg $ domains_arg $ mutate_arg $ verbose_arg $ out_arg))
 
 let () = exit (Cmd.eval' cmd)

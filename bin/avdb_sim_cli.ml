@@ -129,136 +129,112 @@ let run retailers items initial updates update_class mode allocation selection g
       maker_weight;
     }
   in
-  if domains > 1 then begin
-    (* The parallel engine: sites sharded across OCaml domains, run by
-       Runner.run_parallel. No mid-run checkpoints (cross-shard stats are
-       only readable at quiescence); exports use the merged JSONL entry
-       points regardless of suffix. *)
-    let pc = Pcluster.create config in
-    let topo = Pcluster.topology pc in
-    let workload =
-      match spread with
-      | None -> Scm.create spec ~seed
-      | Some _ ->
-          let subscribers item =
-            let base = Topology.base_index topo ~item in
-            Array.of_list
-              (base
-              :: List.filter (fun i -> i <> base) (Topology.subscribers topo ~item))
-          in
-          Scm.create_sharded spec ~subscribers ~seed
-    in
-    let recorders =
-      if not check then None
-      else
-        Some
-          (Array.map
-             (fun tr ->
-               let h = Avdb_check.History.create () in
-               ignore (Avdb_check.History.attach_trace h tr);
-               h)
-             (Pcluster.traces pc))
-    in
-    let submit =
-      Option.map
-        (fun hs ->
-          let engines = Pcluster.engines pc in
-          fun ~shard site ~item ~delta k ->
-            Avdb_check.History.submit_update hs.(shard) ~engine:engines.(shard) site
-              ~item ~delta k)
-        recorders
-    in
-    let outcome =
-      Runner.run_parallel pc ~nth_update:(Scm.generator workload) ~total_updates:updates
-        ?submit ()
-    in
-    let final = outcome.Runner.final in
-    if csv then begin
-      let table =
-        Ascii_table.create
-          ~headers:([ "updates"; "correspondences" ]
-                   @ List.init n_sites (fun i -> Printf.sprintf "site%d" i))
-      in
-      Ascii_table.add_int_row table
-        (string_of_int final.Runner.updates_done)
-        (final.Runner.total_correspondences
-        :: List.init n_sites (fun i ->
-               try List.assoc i final.Runner.per_site_correspondences with Not_found -> 0));
-      print_endline (Ascii_table.to_csv table)
-    end
-    else begin
-      Format.printf "%a@." Config.pp config;
-      Printf.printf "parallel engine: %d shards, window %.1f ms, %d rounds\n"
-        (Pcluster.n_domains pc)
-        (Avdb_sim.Time.to_ms (Pcluster.window pc))
-        (Pcluster.rounds pc);
-      Printf.printf "correspondences: %d\n" final.Runner.total_correspondences;
-      Printf.printf "applied %d / rejected %d of %d updates\n" final.Runner.applied
-        final.Runner.rejected updates;
-      if config.Config.mode = Config.Autonomous then begin
-        Pcluster.flush_all_syncs pc;
-        match Pcluster.check_invariants pc with
-        | Ok () -> print_endline "invariants: OK (replicas agree; AV conserved)"
-        | Error e -> Printf.printf "invariants: VIOLATED - %s\n" e
-      end
-    end;
-    let module Exporter = Avdb_obs.Exporter in
-    Option.iter
-      (fun path ->
-        let spans = Pcluster.spans pc in
-        Exporter.write_file ~path (Exporter.spans_jsonl spans);
-        Printf.eprintf "wrote %d spans (merged, jsonl) to %s\n%!" (List.length spans) path)
-      trace_out;
-    Option.iter
-      (fun path ->
-        if config.Config.snapshot_interval = None then Pcluster.snapshot_now pc;
-        let samples = Pcluster.metric_samples pc in
-        Exporter.write_file ~path (Exporter.metrics_jsonl samples);
-        Printf.eprintf "wrote %d metric samples (merged, jsonl) to %s\n%!"
-          (List.length samples) path)
-      metrics_out;
-    match recorders with
-    | None -> 0
-    | Some hs ->
-        if config.Config.mode = Config.Autonomous then Pcluster.flush_all_syncs pc;
-        let history = Avdb_check.History.merge (Array.to_list hs) in
-        let snapshot = Avdb_check.Checker.snapshot_of_pcluster pc in
-        let verdict = Avdb_check.Checker.check ~quiescent:true ~history snapshot in
-        Format.printf "%a@." Avdb_check.Checker.pp_verdict verdict;
-        if Avdb_check.Checker.ok verdict then 0 else 1
-  end
-  else begin
-  let cluster = Cluster.create config in
+  let pc = Pcluster.create config in
+  let topo = Pcluster.topology pc in
   let workload =
     match spread with
     | None -> Scm.create spec ~seed
     | Some _ ->
         let subscribers item =
-          let topo = Cluster.topology cluster in
           let base = Topology.base_index topo ~item in
           Array.of_list
-            (base :: List.filter (fun i -> i <> base) (Cluster.subscribers cluster ~item))
+            (base :: List.filter (fun i -> i <> base) (Topology.subscribers topo ~item))
         in
         Scm.create_sharded spec ~subscribers ~seed
   in
   (* --check threads every submission through the oracle's history
-     recorder; the verdict prints after quiescence. *)
-  let recorder =
-    if not check then None
-    else begin
-      let h = Avdb_check.History.create () in
-      ignore (Avdb_check.History.attach_trace h (Cluster.trace cluster));
-      Some h
-    end
+     recorder — one per shard, each written only by its own shard — and
+     the verdict prints after quiescence. *)
+  let recorders =
+    if not check then [||]
+    else
+      Array.map
+        (fun tr ->
+          let h = Avdb_check.History.create () in
+          ignore (Avdb_check.History.attach_trace h tr);
+          h)
+        (Pcluster.traces pc)
   in
-  let submit =
-    match recorder with
-    | None -> fun site ~item ~delta k -> Site.submit_update site ~item ~delta k
-    | Some h -> Avdb_check.History.submit_update h ~engine:(Cluster.engine cluster)
+  let engines = Pcluster.engines pc in
+  let submit ~shard site ~item ~delta k =
+    if check then
+      Avdb_check.History.submit_update recorders.(shard) ~engine:engines.(shard) site ~item
+        ~delta k
+    else Site.submit_update site ~item ~delta k
   in
-  let outcome =
-    Runner.run cluster ~nth_update:(Scm.generator workload) ~total_updates:updates
-      ~checkpoint_every:(Stdlib.max 1 (updates / checkpoints)) ~submit ()
+  (* One shard may be read mid-run: it reports progress checkpoints and
+     per-site rows, and writes a Chrome trace / CSV (line-delimited JSON
+     for a .jsonl suffix). More shards report only the final tally and
+     write their merged views as JSONL whatever the suffix. *)
+  let module Exporter = Avdb_obs.Exporter in
+  let jsonl path = Filename.check_suffix path ".jsonl" in
+  let rows, report, write_trace, write_metrics =
+    match (Pcluster.tracers pc, Pcluster.registries pc) with
+    | [| tracer |], [| registry |] ->
+        let outcome =
+          Runner.run pc ~nth_update:(Scm.generator workload) ~total_updates:updates
+            ~checkpoint_every:(Stdlib.max 1 (updates / checkpoints)) ~submit:(submit ~shard:0) ()
+        in
+        let report table =
+          print_endline (Ascii_table.render table);
+          Printf.printf "\napplied %d / rejected %d of %d updates\n"
+            outcome.Runner.final.Runner.applied outcome.Runner.final.Runner.rejected updates;
+          Array.iter
+            (fun s ->
+              let m = Site.metrics s in
+              Printf.printf
+                "%s: submitted=%d local=%d transfer=%d immediate=%d central=%d rejected=%d \
+                 av_req=%d p99_latency=%.1fms\n"
+                (Avdb_net.Address.to_string (Site.addr s))
+                m.Update.Metrics.submitted m.Update.Metrics.applied_local
+                m.Update.Metrics.applied_transfer m.Update.Metrics.applied_immediate
+                m.Update.Metrics.applied_central m.Update.Metrics.rejected
+                m.Update.Metrics.av_requests_sent
+                (let h = m.Update.Metrics.latency in
+                 if Sketch.count h = 0 then 0. else Sketch.percentile h 99.))
+            (Pcluster.sites pc)
+        in
+        let write_trace path =
+          Exporter.write_file ~path
+            (if jsonl path then Exporter.spans_to_jsonl tracer else Exporter.chrome_trace tracer);
+          Printf.eprintf "wrote %d spans to %s\n%!" (Avdb_obs.Tracer.length tracer) path
+        in
+        let write_metrics path =
+          Exporter.write_file ~path
+            (if jsonl path then Exporter.metrics_to_jsonl registry
+             else Exporter.metrics_csv ?wide:(if metrics_wide then Some true else None) registry);
+          Printf.eprintf "wrote %d metric snapshots to %s\n%!"
+            (Avdb_obs.Registry.snapshot_count registry)
+            path
+        in
+        (outcome.Runner.checkpoints, report, write_trace, write_metrics)
+    | _ ->
+        let final =
+          (Runner.run_parallel pc ~nth_update:(Scm.generator workload) ~total_updates:updates
+             ~submit ())
+            .Runner.final
+        in
+        let report _table =
+          Printf.printf "parallel engine: %d shards, window %.1f ms, %d rounds\n"
+            (Pcluster.n_domains pc)
+            (Avdb_sim.Time.to_ms (Pcluster.window pc))
+            (Pcluster.rounds pc);
+          Printf.printf "correspondences: %d\n" final.Runner.total_correspondences;
+          Printf.printf "applied %d / rejected %d of %d updates\n" final.Runner.applied
+            final.Runner.rejected updates
+        in
+        let write_trace path =
+          let spans = Pcluster.spans pc in
+          Exporter.write_file ~path (Exporter.spans_jsonl spans);
+          Printf.eprintf "wrote %d spans (merged, jsonl) to %s\n%!" (List.length spans) path
+        in
+        let write_metrics path =
+          let samples = Pcluster.metric_samples pc in
+          Exporter.write_file ~path (Exporter.metrics_jsonl samples);
+          Printf.eprintf "wrote %d metric samples (merged, jsonl) to %s\n%!"
+            (List.length samples) path
+        in
+        ([ final ], report, write_trace, write_metrics)
   in
   let table =
     Ascii_table.create
@@ -272,73 +248,36 @@ let run retailers items initial updates update_class mode allocation selection g
         (c.Runner.total_correspondences
         :: List.init n_sites (fun i ->
                try List.assoc i c.Runner.per_site_correspondences with Not_found -> 0)))
-    outcome.Runner.checkpoints;
+    rows;
   if csv then print_endline (Ascii_table.to_csv table)
   else begin
     Format.printf "%a@." Config.pp config;
-    print_endline (Ascii_table.render table);
-    let final = outcome.Runner.final in
-    Printf.printf "\napplied %d / rejected %d of %d updates\n" final.Runner.applied
-      final.Runner.rejected updates;
-    Array.iter
-      (fun s ->
-        let m = Site.metrics s in
-        Printf.printf
-          "%s: submitted=%d local=%d transfer=%d immediate=%d central=%d rejected=%d \
-           av_req=%d p99_latency=%.1fms\n"
-          (Avdb_net.Address.to_string (Site.addr s))
-          m.Update.Metrics.submitted m.Update.Metrics.applied_local
-          m.Update.Metrics.applied_transfer m.Update.Metrics.applied_immediate
-          m.Update.Metrics.applied_central m.Update.Metrics.rejected
-          m.Update.Metrics.av_requests_sent
-          (let h = m.Update.Metrics.latency in
-           if Sketch.count h = 0 then 0. else Sketch.percentile h 99.))
-      (Cluster.sites cluster);
+    report table;
     if config.Config.mode = Config.Autonomous then begin
-      Cluster.flush_all_syncs cluster;
-      match Cluster.check_invariants cluster with
+      Pcluster.flush_all_syncs pc;
+      match Pcluster.check_invariants pc with
       | Ok () -> print_endline "invariants: OK (replicas agree; AV conserved)"
       | Error e -> Printf.printf "invariants: VIOLATED - %s\n" e
     end
   end;
-  (* Observability artifacts; a .jsonl suffix selects line-delimited JSON
-     over the default Chrome trace / CSV shape. *)
-  let module Exporter = Avdb_obs.Exporter in
+  Option.iter write_trace trace_out;
   Option.iter
     (fun path ->
-      let contents =
-        if Filename.check_suffix path ".jsonl" then
-          Exporter.spans_to_jsonl (Cluster.tracer cluster)
-        else Exporter.chrome_trace (Cluster.tracer cluster)
-      in
-      Exporter.write_file ~path contents;
-      Printf.eprintf "wrote %d spans to %s\n%!"
-        (Avdb_obs.Tracer.length (Cluster.tracer cluster))
-        path)
-    trace_out;
-  Option.iter
-    (fun path ->
-      if config.Config.snapshot_interval = None then Cluster.snapshot_now cluster;
-      let contents =
-        if Filename.check_suffix path ".jsonl" then
-          Exporter.metrics_to_jsonl (Cluster.registry cluster)
-        else
-          let wide = if metrics_wide then Some true else None in
-          Exporter.metrics_csv ?wide (Cluster.registry cluster)
-      in
-      Exporter.write_file ~path contents;
-      Printf.eprintf "wrote %d metric snapshots to %s\n%!"
-        (Avdb_obs.Registry.snapshot_count (Cluster.registry cluster))
-        path)
+      if config.Config.snapshot_interval = None then Pcluster.snapshot_now pc;
+      write_metrics path)
     metrics_out;
-  match recorder with
-  | None -> 0
-  | Some h ->
-      if config.Config.mode = Config.Autonomous then Cluster.flush_all_syncs cluster;
-      let snapshot = Avdb_check.Checker.snapshot_of_cluster cluster in
-      let verdict = Avdb_check.Checker.check ~quiescent:true ~history:h snapshot in
-      Format.printf "%a@." Avdb_check.Checker.pp_verdict verdict;
-      if Avdb_check.Checker.ok verdict then 0 else 1
+  if not check then 0
+  else begin
+    if config.Config.mode = Config.Autonomous then Pcluster.flush_all_syncs pc;
+    let history =
+      match Array.to_list recorders with
+      | [ h ] -> h
+      | hs -> Avdb_check.History.merge hs
+    in
+    let snapshot = Avdb_check.Checker.snapshot_of_cluster pc in
+    let verdict = Avdb_check.Checker.check ~quiescent:true ~history snapshot in
+    Format.printf "%a@." Avdb_check.Checker.pp_verdict verdict;
+    if Avdb_check.Checker.ok verdict then 0 else 1
   end
 
 let cmd =
@@ -406,13 +345,14 @@ let cmd =
                subscribers toward its base instead of flat peer selection.")
   in
   let domains =
-    Arg.(value & opt int 1
+    Arg.(value & opt Avdb_cli.positive_int 1
         & info [ "domains" ] ~docv:"N"
             ~doc:
-              "Run the simulation on $(docv) OCaml domains (parallel engine): sites are \
-               sharded across domains and stepped in conservative barrier windows of one \
-               latency lower bound. Deterministic for a given seed at any $(docv). 1 \
-               (default) is the sequential engine.")
+              "Run the simulation on $(docv) OCaml domains: sites are sharded across \
+               domains and stepped in conservative barrier windows of one latency lower \
+               bound. Deterministic for a given seed at any $(docv). With 1 (default) the \
+               single shard runs straight through, without windows, and the report adds \
+               progress checkpoints and per-site rows.")
   in
   let latency_ms =
     Arg.(value & opt float 1. & info [ "latency-ms" ] ~docv:"MS" ~doc:"Constant link latency.")

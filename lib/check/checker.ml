@@ -88,12 +88,6 @@ let snapshot_of_cluster cluster =
     ~topology:(Cluster.topology cluster)
     ~sites:(Cluster.sites cluster)
 
-let snapshot_of_pcluster pcluster =
-  snapshot_of_parts
-    ~config:(Pcluster.config pcluster)
-    ~topology:(Pcluster.topology pcluster)
-    ~sites:(Pcluster.sites pcluster)
-
 type violation =
   | Double_response of { entry : History.entry }
   | Non_linearizable of { item : string; ops : History.entry list }

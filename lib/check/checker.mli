@@ -77,12 +77,9 @@ type snapshot = {
 }
 
 val snapshot_of_cluster : Avdb_core.Cluster.t -> snapshot
-(** Reads replicas, AV ledgers and grant-flow counters from a cluster —
-    take it at quiescence (after {!Avdb_core.Cluster.flush_all_syncs}). *)
-
-val snapshot_of_pcluster : Avdb_core.Pcluster.t -> snapshot
-(** Same, over a parallel cluster — quiescent-only (the domains must
-    have joined; take it after {!Avdb_core.Pcluster.flush_all_syncs}). *)
+(** Reads replicas, AV ledgers and grant-flow counters from a cluster at
+    any shard count — take it at quiescence, with the domains joined
+    (after {!Avdb_core.Pcluster.flush_all_syncs}). *)
 
 val snapshot_of_parts :
   config:Avdb_core.Config.t ->

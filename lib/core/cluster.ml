@@ -1,306 +1,19 @@
-open Avdb_sim
-open Avdb_net
-module Obs_registry = Avdb_obs.Registry
-module Tracer = Avdb_obs.Tracer
-
-type t = {
-  config : Config.t;
-  engine : Engine.t;
-  rpc : (Protocol.request, Protocol.response, Protocol.notice) Rpc.t;
-  shared : Site.shared;
-  topology : Topology.t;
-  (* Geometric-growth site store: [add_retailer] appends in amortised O(1)
-     instead of copying the whole array per join (1000 sequential joins
-     used to allocate O(N^2) words). *)
-  mutable store : Site.t array;
-  mutable len : int;
-  trace : Trace.t;
-  tracer : Tracer.t;
-  registry : Obs_registry.t;
-  violations : Obs_registry.counter;
-  (* One free-running snapshot chain at a time; it parks itself when the
-     event queue drains so quiescence still terminates [run]. *)
-  mutable snapshots_armed : bool;
-}
-
-let iter_sites t f =
-  for i = 0 to t.len - 1 do
-    f t.store.(i)
-  done
-
-let push_site t site =
-  if t.len = Array.length t.store then begin
-    let grown = Array.make (Stdlib.max 8 (2 * Array.length t.store)) site in
-    Array.blit t.store 0 grown 0 t.len;
-    t.store <- grown
-  end;
-  t.store.(t.len) <- site;
-  t.len <- t.len + 1
-
-(* Initial AV for one regular product at one of its subscribers, by the
-   site's rank among them (base = rank 0, [count] subscribers total). The
-   remainder of an uneven split goes to rank 0 so no volume is lost. Under
-   full replication rank/count coincide with site index / N, reproducing
-   the legacy allocation exactly. *)
-let initial_av config ~rank ~count ~initial_amount =
-  match config.Config.allocation with
-  | Config.All_at_base -> if rank = 0 then initial_amount else 0
-  | Config.Even ->
-      let share = initial_amount / count in
-      if rank = 0 then initial_amount - (share * (count - 1)) else share
-  | Config.Retailers_only ->
-      if count = 1 then if rank = 0 then initial_amount else 0
-      else begin
-        let retailers = count - 1 in
-        let share = initial_amount / retailers in
-        if rank = 0 then 0
-        else if rank = 1 then initial_amount - (share * (retailers - 1))
-        else share
-      end
-
-(* Gauge/sketch registration lives in {!Site_metrics}, shared with the
-   parallel cluster; the sequential cluster resolves every peer site
-   (single domain — a snapshot may read anything). *)
-let register_site_metrics t site =
-  Site_metrics.register_site ~registry:t.registry ~engine:t.engine ~config:t.config
-    ~topology:t.topology ~net_stats:(Rpc.stats t.rpc)
-    ~resolve:(fun i -> if i >= 0 && i < t.len then Some t.store.(i) else None)
-    site
-
-let register_cluster_metrics t =
-  Site_metrics.register_aggregates ~registry:t.registry ~tracer:t.tracer
-    ~iter_sites:(fun f -> iter_sites t f)
-
-(* Initial per-site AV ledger: a subscriber's slice of every regular item
-   in its interest set. Non-subscribers get no entry at all — their ledger,
-   like their stock table, is bounded by the interest set. *)
-let av_init_for config topology ~site_index =
-  List.filter_map
-    (fun product ->
-      let item = product.Product.name in
-      if Product.is_regular product && Topology.interested topology ~site:site_index ~item
-      then
-        let count = Topology.subscriber_count topology ~item in
-        let rank =
-          match Topology.rank topology ~site:site_index ~item with
-          | Some r -> r
-          | None -> 0 (* unreachable: interested implies ranked *)
-        in
-        Some
-          (item, initial_av config ~rank ~count ~initial_amount:product.Product.initial_amount)
-      else None)
-    config.Config.products
+include Pcluster
 
 let create config =
   (match Config.validate config with
   | Ok () -> ()
   | Error e -> invalid_arg ("Cluster.create: " ^ e));
-  let engine = Engine.create ~seed:config.Config.seed () in
-  let tracer =
-    Tracer.create ~enabled:config.Config.tracing
-      ~sample_rate:config.Config.trace_sample ?slow:config.Config.trace_slow
-      ~seed:config.Config.seed ()
-  in
-  let rpc =
-    Rpc.create ~engine ~latency:config.Config.latency
-      ~drop_probability:config.Config.drop_probability
-      ~duplicate_probability:config.Config.duplicate_probability
-      ~reorder_probability:config.Config.reorder_probability
-      ?bandwidth_bytes_per_sec:config.Config.bandwidth_bytes_per_sec
-      ~default_timeout:config.Config.rpc_timeout
-      ~request_size:Protocol.wire_size_request ~response_size:Protocol.wire_size_response
-      ~notice_size:Protocol.wire_size_notice ~tracer
-      ~request_label:Protocol.request_label ()
-  in
-  let topology =
-    Topology.create config.Config.topology ~n_sites:config.Config.n_sites
-      ~items:(List.map (fun p -> p.Product.name) config.Config.products)
-  in
-  let trace = Trace.create () in
-  let shared =
-    { Site.engine; rpc; config; topology; n_members = config.Config.n_sites; trace; tracer }
-  in
-  let store =
-    Array.init config.Config.n_sites (fun site_index ->
-        Site.create shared
-          ~addr:(Address.of_int site_index)
-          ~av_init:(av_init_for config topology ~site_index))
-  in
-  let registry = Obs_registry.create ~retention:config.Config.metrics_retention () in
-  let violations = Obs_registry.counter registry "invariant.violations" in
-  let t =
-    {
-      config;
-      engine;
-      rpc;
-      shared;
-      topology;
-      store;
-      len = Array.length store;
-      trace;
-      tracer;
-      registry;
-      violations;
-      snapshots_armed = false;
-    }
-  in
-  register_cluster_metrics t;
-  Array.iter (register_site_metrics t) store;
-  t
+  Pcluster.create { config with Config.domains = 1 }
 
-let config t = t.config
-let engine t = t.engine
-let topology t = t.topology
-let sites t = Array.sub t.store 0 t.len
+let only name per_shard t =
+  match per_shard t with
+  | [| x |] -> x
+  | _ -> invalid_arg ("Cluster." ^ name ^ ": more than one shard")
 
-let site t i =
-  if i < 0 || i >= t.len then invalid_arg "Cluster.site: index out of range";
-  t.store.(i)
-
-let base_site t = t.store.(0)
-let base_site_for t ~item = t.store.(Topology.base_index t.topology ~item)
-let n_sites t = t.len
-let net_stats t = Rpc.stats t.rpc
-let trace t = t.trace
-let tracer t = t.tracer
-let registry t = t.registry
-let subscribers t ~item = Topology.subscribers t.topology ~item
-let interested t ~site ~item = Topology.interested t.topology ~site ~item
-
-let replica_amounts t ~item =
-  System_checks.replica_amounts ~topology:t.topology ~site:(fun i -> t.store.(i)) ~item
-
-let av_sum t ~item =
-  System_checks.av_sum ~topology:t.topology ~site:(fun i -> t.store.(i)) ~item
-
-let av_conservation t ~item =
-  System_checks.av_conservation ~topology:t.topology ~site:(fun i -> t.store.(i)) ~item
-
-(* --- invariant probes + periodic snapshots --- *)
-
-let violation t name detail =
-  Obs_registry.inc t.violations 1;
-  Trace.record t.trace ~at:(Engine.now t.engine) ~level:Trace.Warn ~category:"invariant"
-    detail;
-  ignore
-    (Tracer.instant t.tracer ~at:(Engine.now t.engine) ~status:Avdb_obs.Span.Warn
-       ~fields:[ ("detail", detail) ]
-       ~category:"invariant" name)
-
-let run_probes t =
-  (* AV conservation is only meaningful between grants: a grant response in
-     flight carries volume that is on neither ledger yet. *)
-  if t.config.Config.mode = Config.Autonomous && Rpc.pending_calls t.rpc = 0 then
-    List.iter
-      (fun product ->
-        if Product.is_regular product then
-          match av_conservation t ~item:product.Product.name with
-          | Ok () -> ()
-          | Error msg -> violation t "invariant.av_conservation" msg)
-      t.config.Config.products;
-  match System_checks.net_conservation [ net_stats t ] with
-  | Ok () -> ()
-  | Error msg -> violation t "invariant.net_conservation" msg
-
-let snapshot_now t =
-  run_probes t;
-  Obs_registry.snapshot t.registry ~at:(Engine.now t.engine)
-
-let arm_snapshots t =
-  match t.config.Config.snapshot_interval with
-  | None -> ()
-  | Some interval ->
-      if not t.snapshots_armed then begin
-        t.snapshots_armed <- true;
-        let rec tick () =
-          snapshot_now t;
-          (* Reschedule only while other work is queued: the chain parks
-             itself at quiescence instead of keeping the engine alive
-             forever, and [run] re-arms it. *)
-          if Engine.pending t.engine > 0 then
-            ignore (Engine.schedule t.engine ~delay:interval tick)
-          else t.snapshots_armed <- false
-        in
-        ignore (Engine.schedule t.engine ~delay:interval tick)
-      end
-
-let run ?until t =
-  arm_snapshots t;
-  ignore (Engine.run ?until t.engine)
-
-(* A retailer entering the live system (the dynamic cooperation of the
-   paper's introduction): declare an interest set to the shared topology,
-   register on the network, bootstrap the interest-scoped catalogue locally
-   with zero AV, then fetch the current data and sync state from each
-   interest item's base. AV arrives on demand through the ordinary
-   circulation. The membership event itself is O(interest): a topology
-   version bump plus a member-count bump — no address-list copy, no
-   broadcast to existing sites. *)
-let add_retailer ?interest t callback =
-  let site_index = t.len in
-  let items = List.map (fun p -> p.Product.name) t.config.Config.products in
-  let interest =
-    match interest with
-    | Some l -> l
-    | None -> Topology.default_joiner_interest t.topology ~site:site_index ~items
-  in
-  Topology.register_joiner t.topology ~site:site_index ~items:interest;
-  t.shared.Site.n_members <- site_index + 1;
-  let addr = Address.of_int site_index in
-  let av_init =
-    List.filter_map
-      (fun product ->
-        if
-          Product.is_regular product
-          && Topology.interested t.topology ~site:site_index ~item:product.Product.name
-        then Some (product.Product.name, 0)
-        else None)
-      t.config.Config.products
-  in
-  let site = Site.create t.shared ~addr ~av_init in
-  push_site t site;
-  register_site_metrics t site;
-  Site.join site (fun result -> callback (site_index, result));
-  site_index
-
-let partition t i j =
-  Network.partition (Rpc.network t.rpc) (Address.of_int i) (Address.of_int j)
-
-let heal t i j = Network.heal (Rpc.network t.rpc) (Address.of_int i) (Address.of_int j)
-
-(* Runtime fault knobs, so scripted scenarios can open and close lossy /
-   duplicating / reordering windows mid-run. *)
-let set_drop_probability t p = Network.set_drop_probability (Rpc.network t.rpc) p
-let set_duplicate_probability t p = Network.set_duplicate_probability (Rpc.network t.rpc) p
-let set_reorder_probability t p = Network.set_reorder_probability (Rpc.network t.rpc) p
-
-let total_correspondences t = Stats.total_correspondences (net_stats t)
-
-let per_site_correspondences t =
-  List.map
-    (fun (a, s) -> (Address.to_int a, s.Stats.correspondences))
-    (Stats.sites (net_stats t))
-  |> List.sort compare
-
-let live_words_per_site t =
-  List.init t.len (fun i -> (i, Site.live_words t.store.(i)))
-
-let flush_all_syncs t =
-  iter_sites t (Site.flush_sync ~force:true);
-  iter_sites t Site.flush_epochs;
-  run t
-
-(* The whole-system checks live in {!System_checks}, shared with the
-   parallel cluster. *)
-let decision_agreement t = System_checks.decision_agreement ~iter_sites:(iter_sites t)
-
-let in_doubt_total t = System_checks.in_doubt_total ~iter_sites:(iter_sites t)
-
-let sealed_epoch_agreement t =
-  System_checks.sealed_epoch_agreement ~iter_sites:(iter_sites t)
-
-let unsealed_intent_total t = System_checks.unsealed_intent_total ~iter_sites:(iter_sites t)
-
-let check_invariants t =
-  System_checks.check_invariants ~config:t.config ~topology:t.topology ~site:(fun i ->
-      t.store.(i))
+let engine = only "engine" Pcluster.engines
+let net_stats = only "net_stats" Pcluster.net_stats
+let trace = only "trace" Pcluster.traces
+let tracer = only "tracer" Pcluster.tracers
+let registry = only "registry" Pcluster.registries
+let base_site t = Pcluster.site t 0

@@ -1,165 +1,32 @@
-(** Builds and owns a whole simulated system (Fig. 2): one engine, one
-    network, site 0 as the base (maker) plus retailers, with the product
-    catalogue replicated to every local database "initially from the base"
-    and the initial AV distributed per the configured allocation. *)
+(** The single-domain view of {!Pcluster}: the same system built with
+    one shard, plus accessors for that shard's engine, network stats and
+    instruments. Everything not redeclared below is {!Pcluster}'s, with
+    its documentation. *)
 
-type t
+include module type of Pcluster with type t = Pcluster.t
 
 val create : Config.t -> t
-(** Raises [Invalid_argument] if {!Config.validate} fails. Always builds
-    the sequential (single-domain) system; [config.domains] is ignored
-    here — callers that honour it construct a {!Pcluster} instead. *)
+(** Raises [Invalid_argument] if {!Config.validate} fails. Always builds a
+    single shard: [config.domains] is ignored here — callers that honour
+    it use {!Pcluster.create}. *)
 
-val av_init_for : Config.t -> Topology.t -> site_index:int -> (string * int) list
-(** The initial AV ledger for one site under the configured allocation:
-    its slice of every regular item in its interest set (the remainder of
-    an uneven split goes to the base). Shared with {!Pcluster} so both
-    engines seed identical ledgers. *)
-
-val config : t -> Config.t
-val engine : t -> Avdb_sim.Engine.t
-
-val sites : t -> Site.t array
-(** A copy of the current membership, in site order. *)
-
-val site : t -> int -> Site.t
 val base_site : t -> Site.t
 (** Site 0 — the base of every item under the legacy flat topology. Under
     per-item sharding prefer {!base_site_for}. *)
 
-val base_site_for : t -> item:string -> Site.t
-(** The item's base (primary) site under the configured topology. *)
+(** {2 The single shard}
 
-val n_sites : t -> int
+    Each raises [Invalid_argument] on a cluster with more than one
+    shard. *)
 
-val topology : t -> Topology.t
-(** The resolved shared topology: per-item bases, interest sets, AV
-    hierarchy. *)
-
-val subscribers : t -> item:string -> int list
-(** Sorted indices of the sites replicating the item (base included);
-    every site under full replication. *)
-
-val interested : t -> site:int -> item:string -> bool
-
-val run : ?until:Avdb_sim.Time.t -> t -> unit
-(** Drains the event queue (bounded by [until] if given). *)
-
+val engine : t -> Avdb_sim.Engine.t
 val net_stats : t -> Avdb_net.Stats.t
 
 val trace : t -> Avdb_sim.Trace.t
-(** The shared structured trace: sites record AV transfers ("av"),
-    Immediate Update decisions ("2pc") and crash/recovery ("fault"). *)
-
-(** {2 Observability} *)
+(** The shard's structured trace ({!Pcluster.traces}). *)
 
 val tracer : t -> Avdb_obs.Tracer.t
-(** The shared causal span collector: update roots ("update"), AV
-    acquisition and grants ("av"), RPC call/serve pairs linked across the
-    wire ("rpc"), 2PC phases ("2pc"), lazy sync ("sync"), faults ("fault"),
-    invariant violations ("invariant"). Export with {!Avdb_obs.Exporter}. *)
+(** The shard's causal span collector ({!Pcluster.tracers}). *)
 
 val registry : t -> Avdb_obs.Registry.t
-(** The unified metrics registry: every site's update counters, AV flow
-    volumes and per-item AV levels, plus per-site network stats — all
-    registered at construction and sampled by {!snapshot_now} or the
-    periodic snapshot when [snapshot_interval] is configured. *)
-
-val snapshot_now : t -> unit
-(** Runs the invariant probes (AV conservation per regular item — skipped
-    while grant responses are in flight — and network stats conservation),
-    recording any violation as a Warn span, a Warn trace event and a bump
-    of the ["invariant.violations"] counter; then appends one sample of
-    every registered metric at the current sim-time. The periodic snapshot
-    calls exactly this. *)
-
-val total_correspondences : t -> int
-(** Sum of per-site RPC correspondences (the paper's metric). *)
-
-val per_site_correspondences : t -> (int * int) list
-(** [(site_index, correspondences)], sorted. *)
-
-val live_words_per_site : t -> (int * int) list
-(** [(site_index, {!Site.live_words})] for every site — the scale bench's
-    per-site footprint probe. *)
-
-val flush_all_syncs : t -> unit
-(** Forces every site to broadcast its pending Delay Update deltas and
-    pump its epoch-class state ({!Site.flush_epochs}), then drains the
-    network — afterwards (absent message loss or down sites) replicas
-    agree. The epoch pump keeps the event queue alive while any live
-    site still holds unsealed intents, so the drain doubles as the epoch
-    convergence wait. *)
-
-val add_retailer :
-  ?interest:string list -> t -> (int * (unit, Update.reason) result -> unit) -> int
-(** Adds a retailer to the {e live} system: declares its interest set to
-    the shared topology, registers it on the network, bootstraps its local
-    database from the (interest-scoped) catalogue with zero AV, and
-    asynchronously fetches current data and sync state from each interest
-    item's base ({!Site.join}). Returns the new site index immediately;
-    the callback fires with the join outcome once the snapshot round-trips
-    complete (run the cluster). The newcomer acquires AV on demand through
-    ordinary circulation. [interest] defaults to
-    {!Topology.default_joiner_interest} (the whole catalogue under full
-    replication). The membership event is O(|interest|): no address-list
-    copy, no broadcast to existing sites, amortised O(1) appends. *)
-
-(** {2 Fault injection} *)
-
-val partition : t -> int -> int -> unit
-(** Cuts both directions between two sites (by index). *)
-
-val heal : t -> int -> int -> unit
-
-val set_drop_probability : t -> float -> unit
-(** Change the per-message loss rate mid-run; scripted fault scenarios use
-    these to open and close a lossy window. *)
-
-val set_duplicate_probability : t -> float -> unit
-val set_reorder_probability : t -> float -> unit
-
-(** {2 Whole-system introspection for invariant checks} *)
-
-val replica_amounts : t -> item:string -> int list
-(** The item's amount at each {e subscribed} site, in site order — every
-    site under full replication. *)
-
-val av_sum : t -> item:string -> int
-(** Σ over the item's subscribers of (available + held) AV. At quiescence
-    with no in-flight grants this equals the item's globally-agreed amount
-    when the initial AV equals the initial stock. *)
-
-val av_conservation : t -> item:string -> (unit, string) result
-(** Σ over sites of live AV (available + held) plus consumed volume, minus
-    locally minted volume, must equal the initially defined volume. Grants
-    move volume between sites without changing the sum, so — unlike replica
-    agreement — this holds even before convergence, as long as no grant
-    response is currently in flight or was permanently lost. *)
-
-val decision_agreement : t -> (unit, string) result
-(** Across every site's durable protocol log, each transaction id carries
-    at most one outcome — a txid both committed somewhere and aborted
-    somewhere else is a 2PC safety violation. Outcomes are logged before
-    they are acted on, so this holds at {e every} instant, including
-    mid-fault — no quiescence required. *)
-
-val in_doubt_total : t -> int
-(** Transactions without a logged outcome, summed over all sites' protocol
-    logs. Zero at true quiescence with every site up. *)
-
-val sealed_epoch_agreement : t -> (unit, string) result
-(** Across every site's durable protocol log, each (item, epoch) carries
-    at most one seal value ({!System_checks.sealed_epoch_agreement}).
-    Holds at every instant, including mid-fault. *)
-
-val unsealed_intent_total : t -> int
-(** Epoch-class intents no seal contains yet, summed over all sites
-    (quarantined items excluded). Zero at true quiescence with every
-    subscriber quorum reachable. *)
-
-val check_invariants : t -> (unit, string) result
-(** At quiescence after {!flush_all_syncs} (no crashes, no message loss):
-    for every regular item, all replicas agree (autonomous mode — in
-    centralized mode only the base copy is authoritative) and the AV sum
-    equals the replicated amount; AV entries are non-negative. *)
+(** The shard's metrics registry ({!Pcluster.registries}). *)

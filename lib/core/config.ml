@@ -41,7 +41,7 @@ type t = {
           debounce and takeover escalation all tick at this interval *)
   epoch_batch : int;  (** intents that close an epoch early, before the tick *)
   repair_interval : Time.t;  (** pacing of corruption-repair retries and watches *)
-  domains : int;  (** execution domains; > 1 selects the parallel engine *)
+  domains : int;  (** execution domains: the shard count of {!Pcluster.create} *)
   seed : int;
 }
 

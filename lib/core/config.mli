@@ -120,14 +120,14 @@ type t = {
       (** pacing of corruption-repair donor retries and pending-transaction
           watch polls after a storage fault. Must be positive. *)
   domains : int;
-      (** how many OCaml domains execute the simulation (≥ 1, default 1).
-          [1] is the sequential engine. [> 1] selects the parallel engine
-          ({!Pcluster}): sites are sharded across domains by
-          {!Placement}, each domain runs its own event queue, and shards
-          synchronise in conservative barrier-stepped windows derived
-          from the latency lower bound — which must therefore be
-          positive ({!Avdb_net.Latency.lower_bound}); validation rejects
-          e.g. Gaussian latency with [domains > 1]. Same-seed runs are
+      (** how many OCaml domains execute the simulation (≥ 1, default 1):
+          {!Pcluster.create} shards the sites across that many domains by
+          {!Placement} ({!Cluster.create} always builds one). Each shard
+          runs its own event queue; several shards synchronise in
+          conservative barrier-stepped windows derived from the latency
+          lower bound — which must therefore be positive
+          ({!Avdb_net.Latency.lower_bound}); validation rejects e.g.
+          Gaussian latency with [domains > 1]. Same-seed runs are
           deterministic at any domain count. *)
   seed : int;
 }

@@ -1,7 +1,7 @@
-(* The parallel (multi-domain) cluster: the same simulated system as
-   {!Cluster}, with the sites sharded across OCaml domains by
-   {!Placement} and executed by {!Avdb_sim.Parallel} in conservative
-   barrier-stepped windows.
+(* The cluster: the whole simulated system, with the sites sharded across
+   OCaml domains by {!Placement} and executed by {!Avdb_sim.Parallel} in
+   conservative barrier-stepped windows. {!Cluster} is its single-shard
+   view.
 
    Each shard is a self-contained single-domain world — engine, RPC
    stack, trace, tracer, metrics registry — so no hot-path state is ever
@@ -19,9 +19,9 @@
    mailbox drain are all pure functions of (config, topology), so a
    same-seed run produces byte-identical state and exports at any domain
    interleaving. With the default constant latency and no fault
-   injection it also reproduces the sequential cluster's outcomes
-   exactly: the per-site RNG streams differ, but no default-strategy
-   code path consumes them in a behaviour-affecting way. *)
+   injection every domain count also reaches the same outcomes: the
+   per-site RNG streams differ, but no default-strategy code path
+   consumes them in a behaviour-affecting way. *)
 
 open Avdb_sim
 open Avdb_net
@@ -38,15 +38,15 @@ type shard = {
   rank : int;
   engine : Engine.t;
   rpc : (Protocol.request, Protocol.response, Protocol.notice) Rpc.t;
-  trace : Trace.t;
-  tracer : Tracer.t;
+  shared : Site.shared;  (* what every site of this shard runs against *)
   registry : Obs_registry.t;
   violations : Obs_registry.counter;
   inbox : xmsg Mailbox.t;
   mutable senders : xmsg Mailbox.sender array;
       (** [senders.(d)]: this shard's push handle into shard [d]'s inbox;
           only touched by the domain currently running this shard *)
-  site_ixs : int array;
+  mutable owned : Site.t array;  (* ascending site index; first [n_owned] live *)
+  mutable n_owned : int;
   mutable snapshots_armed : bool;
 }
 
@@ -55,15 +55,83 @@ type t = {
   topology : Topology.t;
   placement : Placement.t;
   shards : shard array;
-  store : Site.t array;  (* by global site index *)
+  mutable store : Site.t array;  (* by global site index; first [len] live *)
+  mutable len : int;
   window : Time.t;
   mutable next_probe : Time.t;
   mutable probes_run : int;
-  mutable last_stats : Parallel.stats option;
+  mutable rounds : int;
 }
 
+(* Geometric growth: a live join appends in amortised O(1) instead of
+   copying the whole array (1000 sequential joins would otherwise
+   allocate O(N^2) words). Returns the array to keep. *)
+let push store len site =
+  let store =
+    if len < Array.length store then store
+    else begin
+      let grown = Array.make (Stdlib.max 8 (2 * len)) site in
+      Array.blit store 0 grown 0 len;
+      grown
+    end
+  in
+  store.(len) <- site;
+  store
+
+(* Initial AV for one regular product at one of its subscribers, by the
+   site's rank among them (base = rank 0, [count] subscribers total). The
+   remainder of an uneven split goes to rank 0 so no volume is lost. Under
+   full replication rank/count coincide with site index / N, reproducing
+   the legacy allocation exactly. *)
+let initial_av config ~rank ~count ~initial_amount =
+  match config.Config.allocation with
+  | Config.All_at_base -> if rank = 0 then initial_amount else 0
+  | Config.Even ->
+      let share = initial_amount / count in
+      if rank = 0 then initial_amount - (share * (count - 1)) else share
+  | Config.Retailers_only ->
+      if count = 1 then if rank = 0 then initial_amount else 0
+      else begin
+        let retailers = count - 1 in
+        let share = initial_amount / retailers in
+        if rank = 0 then 0
+        else if rank = 1 then initial_amount - (share * (retailers - 1))
+        else share
+      end
+
+(* Initial per-site AV ledger: a subscriber's slice of every regular item
+   in its interest set. Non-subscribers get no entry at all — their ledger,
+   like their stock table, is bounded by the interest set. *)
+let av_init_for config topology ~site_index =
+  List.filter_map
+    (fun product ->
+      let item = product.Product.name in
+      if Product.is_regular product && Topology.interested topology ~site:site_index ~item
+      then
+        let count = Topology.subscriber_count topology ~item in
+        let rank =
+          match Topology.rank topology ~site:site_index ~item with
+          | Some r -> r
+          | None -> 0 (* unreachable: interested implies ranked *)
+        in
+        Some
+          (item, initial_av config ~rank ~count ~initial_amount:product.Product.initial_amount)
+      else None)
+    config.Config.products
+
+(* A site's gauges go to its own shard's registry; snapshots are
+   per-shard, so the lag gauge never resolves a peer across a domain. *)
+let register_site_metrics t sh site =
+  Site_metrics.register_site ~registry:sh.registry ~engine:sh.engine ~config:t.config
+    ~topology:t.topology ~net_stats:(Rpc.stats sh.rpc)
+    ~resolve:(fun peer ->
+      if peer >= 0 && peer < t.len && Placement.domain_of t.placement peer = sh.rank then
+        Some t.store.(peer)
+      else None)
+    site
+
 (* Decorrelate the shard engines' RNG streams; shard 0 keeps the config
-   seed so a single-domain Pcluster replays the sequential cluster. *)
+   seed itself. *)
 let shard_seed config rank = config.Config.seed lxor (rank * 0x2545F4914F6CDD1D)
 
 let create config =
@@ -103,56 +171,25 @@ let create config =
           rank;
           engine;
           rpc;
-          trace = Trace.create ();
-          tracer;
+          shared =
+            {
+              Site.engine;
+              rpc;
+              config;
+              topology;
+              n_members = config.Config.n_sites;
+              trace = Trace.create ();
+              tracer;
+            };
           registry;
           violations = Obs_registry.counter registry "invariant.violations";
-          inbox = Mailbox.create ();
+          (* a lone shard is never routed to: keep its ring minimal *)
+          inbox = Mailbox.create ~ring_capacity:(if n_domains > 1 then 1024 else 2) ();
           senders = [||];
-          site_ixs = Placement.sites_of placement rank;
+          owned = [||];
+          n_owned = 0;
           snapshots_armed = false;
         })
-  in
-  Array.iter
-    (fun sh ->
-      sh.senders <-
-        Array.map (fun peer -> Mailbox.sender peer.inbox ~rank:sh.rank) shards)
-    shards;
-  (* Cross-shard routing: a send to a site owned elsewhere resolves to a
-     push into the owner's inbox. *)
-  Array.iter
-    (fun sh ->
-      Network.set_remote_route (Rpc.network sh.rpc) (fun dst ->
-          let di = Address.to_int dst in
-          if di < 0 || di >= config.Config.n_sites then None
-          else
-            let owner = Placement.domain_of placement di in
-            if owner = sh.rank then None
-            else
-              Some
-                (fun ~at ~src env ->
-                  Mailbox.push sh.senders.(owner)
-                    { x_at = at; x_src = src; x_dst = dst; x_env = env })))
-    shards;
-  (* Sites, in global index order (per shard this is ascending site
-     order — each shard's creation only draws from its own engine). *)
-  let store =
-    Array.init config.Config.n_sites (fun site_index ->
-        let sh = shards.(Placement.domain_of placement site_index) in
-        let shared =
-          {
-            Site.engine = sh.engine;
-            rpc = sh.rpc;
-            config;
-            topology;
-            n_members = config.Config.n_sites;
-            trace = sh.trace;
-            tracer = sh.tracer;
-          }
-        in
-        Site.create shared
-          ~addr:(Address.of_int site_index)
-          ~av_init:(Cluster.av_init_for config topology ~site_index))
   in
   let t =
     {
@@ -160,31 +197,53 @@ let create config =
       topology;
       placement;
       shards;
-      store;
+      store = [||];
+      len = 0;
       window;
       next_probe = Time.zero;
       probes_run = 0;
-      last_stats = None;
+      rounds = 0;
     }
   in
+  (* Cross-shard routing: a send to a site owned elsewhere resolves to a
+     push into the owner's inbox. Ownership is read from the placement at
+     send time, so sites that join later are routed too. A lone shard owns
+     every address and needs no route. *)
+  if n_domains > 1 then
+    Array.iter
+      (fun sh ->
+        sh.senders <- Array.map (fun peer -> Mailbox.sender peer.inbox ~rank:sh.rank) shards;
+        Network.set_remote_route (Rpc.network sh.rpc) (fun dst ->
+            let di = Address.to_int dst in
+            if di < 0 || di >= Placement.n_sites placement then None
+            else
+              let owner = Placement.domain_of placement di in
+              if owner = sh.rank then None
+              else
+                Some
+                  (fun ~at ~src env ->
+                    Mailbox.push sh.senders.(owner)
+                      { x_at = at; x_src = src; x_dst = dst; x_env = env })))
+      shards;
+  (* Sites, in global index order (per shard this is ascending site
+     order — each shard's creation only draws from its own engine). *)
+  t.store <-
+    Array.init config.Config.n_sites (fun site_index ->
+        let sh = shards.(Placement.domain_of placement site_index) in
+        Site.create sh.shared
+          ~addr:(Address.of_int site_index)
+          ~av_init:(av_init_for config topology ~site_index));
+  t.len <- config.Config.n_sites;
   Array.iter
     (fun sh ->
-      Site_metrics.register_aggregates ~registry:sh.registry ~tracer:sh.tracer
-        ~iter_sites:(fun f -> Array.iter (fun i -> f store.(i)) sh.site_ixs);
-      Array.iter
-        (fun i ->
-          Site_metrics.register_site ~registry:sh.registry ~engine:sh.engine ~config
-            ~topology ~net_stats:(Rpc.stats sh.rpc)
-            ~resolve:(fun peer ->
-              (* snapshots are per-shard: never read across a domain *)
-              if
-                peer >= 0
-                && peer < Array.length store
-                && Placement.domain_of placement peer = sh.rank
-              then Some store.(peer)
-              else None)
-            store.(i))
-        sh.site_ixs)
+      sh.owned <- Array.map (fun i -> t.store.(i)) (Placement.sites_of placement sh.rank);
+      sh.n_owned <- Array.length sh.owned;
+      Site_metrics.register_aggregates ~registry:sh.registry ~tracer:sh.shared.Site.tracer
+        ~iter_sites:(fun f ->
+          for i = 0 to sh.n_owned - 1 do
+            f sh.owned.(i)
+          done);
+      Array.iter (register_site_metrics t sh) sh.owned)
     shards;
   t
 
@@ -192,25 +251,21 @@ let config t = t.config
 let topology t = t.topology
 let placement t = t.placement
 let n_domains t = Array.length t.shards
-let n_sites t = Array.length t.store
+let n_sites t = t.len
 let window t = t.window
-let sites t = Array.copy t.store
+let sites t = Array.sub t.store 0 t.len
 
 let site t i =
-  if i < 0 || i >= Array.length t.store then invalid_arg "Pcluster.site: index out of range";
+  if i < 0 || i >= t.len then invalid_arg "Pcluster.site: index out of range";
   t.store.(i)
 
 let domain_of_site t i =
-  if i < 0 || i >= Array.length t.store then
-    invalid_arg "Pcluster.domain_of_site: index out of range";
+  if i < 0 || i >= t.len then invalid_arg "Pcluster.domain_of_site: index out of range";
   Placement.domain_of t.placement i
 
 let shard_of_site t i = t.shards.(domain_of_site t i)
-
 let now t = Engine.now t.shards.(0).engine
-
-let rounds t = match t.last_stats with Some s -> s.Parallel.rounds | None -> 0
-
+let rounds t = t.rounds
 let subscribers t ~item = Topology.subscribers t.topology ~item
 let interested t ~site ~item = Topology.interested t.topology ~site ~item
 let base_site_for t ~item = t.store.(Topology.base_index t.topology ~item)
@@ -268,8 +323,8 @@ let set_reorder_probability_at t ~at p =
 
 let engines t = Array.map (fun sh -> sh.engine) t.shards
 let net_stats t = Array.map (fun sh -> Rpc.stats sh.rpc) t.shards
-let traces t = Array.map (fun sh -> sh.trace) t.shards
-let tracers t = Array.map (fun sh -> sh.tracer) t.shards
+let traces t = Array.map (fun sh -> sh.shared.Site.trace) t.shards
+let tracers t = Array.map (fun sh -> sh.shared.Site.tracer) t.shards
 let registries t = Array.map (fun sh -> sh.registry) t.shards
 
 let trace_events ?category ?min_level t =
@@ -284,32 +339,36 @@ let total_correspondences t =
 (* A site's sends count on its own shard's stats and its receives on the
    delivering shard's, so per-site rows merge by summing across shards. *)
 let per_site_correspondences t =
-  let acc = Hashtbl.create 64 in
-  Array.iter
-    (fun stats ->
-      List.iter
-        (fun (a, s) ->
-          let i = Address.to_int a in
-          let prev = Option.value (Hashtbl.find_opt acc i) ~default:0 in
-          Hashtbl.replace acc i (prev + s.Stats.correspondences))
-        (Stats.sites stats))
-    (net_stats t);
-  Hashtbl.fold (fun i c rows -> (i, c) :: rows) acc [] |> List.sort compare
+  Array.to_list (net_stats t)
+  |> List.concat_map (fun stats ->
+         List.map (fun (a, s) -> (Address.to_int a, s.Stats.correspondences)) (Stats.sites stats))
+  |> List.sort compare
+  |> List.fold_left
+       (fun acc (i, n) ->
+         match acc with (j, m) :: rest when i = j -> (i, m + n) :: rest | _ -> (i, n) :: acc)
+       []
+  |> List.rev
 
-let live_words_per_site t =
-  Array.to_list (Array.mapi (fun i s -> (i, Site.live_words s)) t.store)
+let live_words_per_site t = List.init t.len (fun i -> (i, Site.live_words t.store.(i)))
 
-(* --- invariant probes (barrier-only: they read across shards) --- *)
+(* --- invariant probes (they read across shards: barrier-only when
+   there is more than one) --- *)
 
-let iter_sites t f = Array.iter f t.store
+let iter_sites t f =
+  for i = 0 to t.len - 1 do
+    f t.store.(i)
+  done
+
+let site_at t i = t.store.(i)
 
 let violation t name detail =
   let sh = t.shards.(0) in
   Obs_registry.inc sh.violations 1;
-  Trace.record sh.trace ~at:(Engine.now sh.engine) ~level:Trace.Warn ~category:"invariant"
-    detail;
+  Trace.record sh.shared.Site.trace ~at:(Engine.now sh.engine) ~level:Trace.Warn
+    ~category:"invariant" detail;
   ignore
-    (Tracer.instant sh.tracer ~at:(Engine.now sh.engine) ~status:Avdb_obs.Span.Warn
+    (Tracer.instant sh.shared.Site.tracer ~at:(Engine.now sh.engine)
+       ~status:Avdb_obs.Span.Warn
        ~fields:[ ("detail", detail) ]
        ~category:"invariant" name)
 
@@ -318,13 +377,14 @@ let run_probes t =
   let pending =
     Array.fold_left (fun acc sh -> acc + Rpc.pending_calls sh.rpc) 0 t.shards
   in
+  (* AV conservation is only meaningful between grants: a grant response
+     in flight carries volume that is on neither ledger yet. *)
   if t.config.Config.mode = Config.Autonomous && pending = 0 then
     List.iter
       (fun product ->
         if Product.is_regular product then
           match
-            System_checks.av_conservation ~topology:t.topology
-              ~site:(fun i -> t.store.(i))
+            System_checks.av_conservation ~topology:t.topology ~site:(site_at t)
               ~item:product.Product.name
           with
           | Ok () -> ()
@@ -338,18 +398,21 @@ let snapshot_now t =
   run_probes t;
   Array.iter (fun sh -> Obs_registry.snapshot sh.registry ~at:(Engine.now sh.engine)) t.shards
 
-(* Per-shard periodic registry snapshots, exactly like the sequential
-   cluster's chain: self-parking at shard quiescence, re-armed by [run].
-   Only the shard's own registry is sampled here — the cross-shard
-   probes run at barriers instead (see [run]). *)
+(* Per-shard periodic registry snapshots: self-parking at shard
+   quiescence, re-armed by [run]. A lone shard may read every site from
+   its own events, so its tick runs the invariant probes too; with more
+   shards only the shard's own registry is sampled here and the probes
+   run at barriers instead (see [run]). *)
 let arm_snapshots t sh =
   match t.config.Config.snapshot_interval with
   | None -> ()
   | Some interval ->
       if not sh.snapshots_armed then begin
         sh.snapshots_armed <- true;
+        let lone = Array.length t.shards = 1 in
         let rec tick () =
-          Obs_registry.snapshot sh.registry ~at:(Engine.now sh.engine);
+          if lone then snapshot_now t
+          else Obs_registry.snapshot sh.registry ~at:(Engine.now sh.engine);
           if Engine.pending sh.engine > 0 then
             ignore (Engine.schedule sh.engine ~delay:interval tick)
           else sh.snapshots_armed <- false
@@ -365,47 +428,108 @@ let drain sh =
     (Mailbox.drain sh.inbox)
 
 let run ?until ?on_round t =
-  Array.iter (fun sh -> arm_snapshots t sh) t.shards;
-  let shards =
-    Array.map
-      (fun sh -> { Parallel.engine = sh.engine; drain = (fun () -> drain sh) })
-      t.shards
-  in
-  let probe_interval = t.config.Config.snapshot_interval in
-  let hook ~at =
-    (match probe_interval with
-    | Some interval when Time.compare at t.next_probe >= 0 ->
-        run_probes t;
-        t.next_probe <- Time.add at interval
-    | _ -> ());
-    match on_round with Some f -> f ~at | None -> ()
-  in
-  let stats = Parallel.run ~window:t.window ?until ~on_round:hook shards in
-  t.last_stats <- Some stats;
-  (* Quiescence-time probe pass: the periodic hook only fires when a
-     barrier crosses the probe grid, so a run shorter than one window —
-     or one with no snapshot interval configured — would otherwise end
-     without a single conservation check. The domains are joined here, so
-     the cross-shard reads are safe. *)
+  Array.iter (arm_snapshots t) t.shards;
+  (match (t.shards, on_round) with
+  | [| sh |], None ->
+      (* One shard and no barrier hook: there is nothing to synchronise,
+         so the engine runs straight through. Stepped in windows instead,
+         a 3-site Delay firehose with one update per window ran at
+         0.55-0.90x (median 0.66x) of this over 5 pairs on a 2-vCPU
+         host. *)
+      t.rounds <- 0;
+      ignore (Engine.run ?until sh.engine)
+  | shards, _ ->
+      let multi = Array.length shards > 1 in
+      let hook ~at =
+        (match t.config.Config.snapshot_interval with
+        | Some interval when multi && Time.compare at t.next_probe >= 0 ->
+            run_probes t;
+            t.next_probe <- Time.add at interval
+        | _ -> ());
+        match on_round with Some f -> f ~at | None -> ()
+      in
+      let stats =
+        Parallel.run ~window:t.window ?until ~on_round:hook
+          (Array.map
+             (fun sh -> { Parallel.engine = sh.engine; drain = (fun () -> drain sh) })
+             shards)
+      in
+      t.rounds <- stats.Parallel.rounds);
+  (* Quiescence-time probe pass: the periodic probes only fire on the
+     snapshot grid, so a run shorter than one interval — or one with no
+     snapshot interval configured — would otherwise end without a single
+     conservation check. The domains are joined here, so the cross-shard
+     reads are safe. *)
   run_probes t
 
 let probes_run t = t.probes_run
 
+(* A retailer entering the live system (the dynamic cooperation of the
+   paper's introduction): declare an interest set to the shared topology,
+   place the newcomer on the shard owning the base of its first interest
+   item, register it on that shard's network, bootstrap the
+   interest-scoped catalogue locally with zero AV, then fetch the current
+   data and sync state from each interest item's base. AV arrives on
+   demand through the ordinary circulation. The membership event itself is
+   O(interest + shards): a topology version bump plus a member-count bump
+   on every shard — no address-list copy, no broadcast to existing
+   sites. *)
+let add_retailer ?interest t callback =
+  let site_index = t.len in
+  let items = List.map (fun p -> p.Product.name) t.config.Config.products in
+  let interest =
+    match interest with
+    | Some l -> l
+    | None -> Topology.default_joiner_interest t.topology ~site:site_index ~items
+  in
+  Topology.register_joiner t.topology ~site:site_index ~items:interest;
+  let rank =
+    match interest with
+    | item :: _ -> Placement.domain_of t.placement (Topology.base_index t.topology ~item)
+    | [] -> 0
+  in
+  ignore (Placement.add_site t.placement ~domain:rank);
+  Array.iter (fun sh -> sh.shared.Site.n_members <- site_index + 1) t.shards;
+  let sh = t.shards.(rank) in
+  let av_init =
+    List.filter_map
+      (fun product ->
+        if
+          Product.is_regular product
+          && Topology.interested t.topology ~site:site_index ~item:product.Product.name
+        then Some (product.Product.name, 0)
+        else None)
+      t.config.Config.products
+  in
+  let site = Site.create sh.shared ~addr:(Address.of_int site_index) ~av_init in
+  t.store <- push t.store t.len site;
+  t.len <- t.len + 1;
+  sh.owned <- push sh.owned sh.n_owned site;
+  sh.n_owned <- sh.n_owned + 1;
+  register_site_metrics t sh site;
+  (* The join's first requests leave from the joiner's own engine at the
+     current instant, inside the next run's first window, so a request to
+     a base on another shard travels through the mailboxes like any
+     mid-run send. *)
+  ignore
+    (Engine.schedule_at sh.engine ~at:(Engine.now sh.engine) (fun () ->
+         Site.join site (fun result -> callback (site_index, result))));
+  site_index
+
 (* --- quiescent whole-system operations (domains joined) --- *)
 
 let flush_all_syncs t =
-  Array.iter (Site.flush_sync ~force:true) t.store;
-  Array.iter Site.flush_epochs t.store;
+  iter_sites t (Site.flush_sync ~force:true);
+  iter_sites t Site.flush_epochs;
   run t
 
 let replica_amounts t ~item =
-  System_checks.replica_amounts ~topology:t.topology ~site:(fun i -> t.store.(i)) ~item
+  System_checks.replica_amounts ~topology:t.topology ~site:(site_at t) ~item
 
-let av_sum t ~item =
-  System_checks.av_sum ~topology:t.topology ~site:(fun i -> t.store.(i)) ~item
+let av_sum t ~item = System_checks.av_sum ~topology:t.topology ~site:(site_at t) ~item
 
 let av_conservation t ~item =
-  System_checks.av_conservation ~topology:t.topology ~site:(fun i -> t.store.(i)) ~item
+  System_checks.av_conservation ~topology:t.topology ~site:(site_at t) ~item
 
 let decision_agreement t = System_checks.decision_agreement ~iter_sites:(iter_sites t)
 let in_doubt_total t = System_checks.in_doubt_total ~iter_sites:(iter_sites t)
@@ -416,5 +540,4 @@ let sealed_epoch_agreement t =
 let unsealed_intent_total t = System_checks.unsealed_intent_total ~iter_sites:(iter_sites t)
 
 let check_invariants t =
-  System_checks.check_invariants ~config:t.config ~topology:t.topology ~site:(fun i ->
-      t.store.(i))
+  System_checks.check_invariants ~config:t.config ~topology:t.topology ~site:(site_at t)

@@ -12,33 +12,49 @@
 
    The result is a pure function of (topology, n_domains) — no RNG, no
    iteration-order dependence — so every run of a seeded configuration
-   shards identically. *)
+   shards identically. Live joins append to it ([add_site]). *)
 
 type t = {
   n_domains : int;
-  domain_of : int array;
-  sites_of : int array array;
+  (* Geometric-growth owner table: the first [n_sites] slots are live, so
+     a join appends in amortised O(1). *)
+  mutable domain_of : int array;
+  mutable n_sites : int;
   cross_items : int;
 }
 
 let n_domains t = t.n_domains
+let n_sites t = t.n_sites
 
 let domain_of t site =
-  if site < 0 || site >= Array.length t.domain_of then
-    invalid_arg "Placement.domain_of: site out of range";
+  if site < 0 || site >= t.n_sites then invalid_arg "Placement.domain_of: site out of range";
   t.domain_of.(site)
 
 let sites_of t domain =
   if domain < 0 || domain >= t.n_domains then
     invalid_arg "Placement.sites_of: domain out of range";
-  t.sites_of.(domain)
+  let owned = ref [] in
+  for s = t.n_sites - 1 downto 0 do
+    if t.domain_of.(s) = domain then owned := s :: !owned
+  done;
+  Array.of_list !owned
 
 let cross_items t = t.cross_items
 
-let create topology ~n_domains ~items =
-  let n_sites = Topology.n_sites topology in
-  if n_domains < 1 then invalid_arg "Placement.create: n_domains must be >= 1";
-  let n_domains = Stdlib.min n_domains n_sites in
+let add_site t ~domain =
+  if domain < 0 || domain >= t.n_domains then
+    invalid_arg "Placement.add_site: domain out of range";
+  if t.n_sites = Array.length t.domain_of then begin
+    let grown = Array.make (Stdlib.max 8 (2 * t.n_sites)) 0 in
+    Array.blit t.domain_of 0 grown 0 t.n_sites;
+    t.domain_of <- grown
+  end;
+  t.domain_of.(t.n_sites) <- domain;
+  t.n_sites <- t.n_sites + 1;
+  t.n_sites - 1
+
+(* The greedy pass proper; one domain owns everything without it. *)
+let assign topology ~n_domains ~items ~n_sites =
   (* Per-item subscriber arrays and the reverse index: which items each
      site subscribes to. Built once; the greedy pass below only walks
      these. *)
@@ -82,18 +98,6 @@ let create topology ~n_domains ~items =
     domain_of.(s) <- !best;
     load.(!best) <- load.(!best) + 1
   done;
-  let sites_of =
-    Array.init n_domains (fun d ->
-        let out = Array.make load.(d) 0 in
-        let k = ref 0 in
-        for s = 0 to n_sites - 1 do
-          if domain_of.(s) = d then begin
-            out.(!k) <- s;
-            incr k
-          end
-        done;
-        out)
-  in
   let cross_items =
     Array.fold_left
       (fun acc ss ->
@@ -104,13 +108,22 @@ let create topology ~n_domains ~items =
             if Array.exists (fun s -> domain_of.(s) <> d0) ss then acc + 1 else acc)
       0 subs
   in
-  { n_domains; domain_of; sites_of; cross_items }
+  (domain_of, cross_items)
+
+let create topology ~n_domains ~items =
+  let n_sites = Topology.n_sites topology in
+  if n_domains < 1 then invalid_arg "Placement.create: n_domains must be >= 1";
+  let n_domains = Stdlib.min n_domains n_sites in
+  let domain_of, cross_items =
+    if n_domains = 1 then (Array.make n_sites 0, 0)
+    else assign topology ~n_domains ~items ~n_sites
+  in
+  { n_domains; domain_of; n_sites; cross_items }
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>%d domains over %d sites (%d cross-domain items)" t.n_domains
-    (Array.length t.domain_of) t.cross_items;
-  Array.iteri
-    (fun d sites ->
-      Format.fprintf ppf "@,  domain %d: %d sites" d (Array.length sites))
-    t.sites_of;
+    t.n_sites t.cross_items;
+  for d = 0 to t.n_domains - 1 do
+    Format.fprintf ppf "@,  domain %d: %d sites" d (Array.length (sites_of t d))
+  done;
   Format.fprintf ppf "@]"

@@ -9,7 +9,8 @@
     cap of the balanced share.
 
     Deterministic: a pure function of (topology, n_domains) — no RNG —
-    so a seeded configuration shards identically on every run. *)
+    so a seeded configuration shards identically on every run. Sites
+    that join later are appended with {!add_site}. *)
 
 type t
 
@@ -20,6 +21,9 @@ val create : Topology.t -> n_domains:int -> items:string list -> t
 val n_domains : t -> int
 (** The effective domain count (after clamping). *)
 
+val n_sites : t -> int
+(** Sites placed so far: the initial ones plus every {!add_site}. *)
+
 val domain_of : t -> int -> int
 (** Owning domain of a site index. *)
 
@@ -27,9 +31,13 @@ val sites_of : t -> int -> int array
 (** Ascending site indices owned by a domain. The arrays partition
     [0 .. n_sites - 1]. *)
 
+val add_site : t -> domain:int -> int
+(** Places the next site index on [domain] and returns that index.
+    Amortised O(1). *)
+
 val cross_items : t -> int
-(** Items whose subscriber set spans more than one domain — each is a
-    source of cross-shard traffic. 0 means the shards never exchange
-    messages through the item protocols. *)
+(** Items whose subscriber set spans more than one domain at creation —
+    each is a source of cross-shard traffic. 0 means the shards never
+    exchange messages through the item protocols. *)
 
 val pp : Format.formatter -> t -> unit

@@ -33,7 +33,9 @@ val run :
   outcome
 (** [nth_update k] returns [(site_index, item, delta)] for the k-th update
     (0-based). [interval] defaults to 10 ms, [checkpoint_every] to
-    [max 1 (total_updates / 10)]. Runs the engine to quiescence.
+    [max 1 (total_updates / 10)]. Runs the engine to quiescence. The
+    cluster must have a single shard (checkpoints read the whole system
+    mid-run); raises [Invalid_argument] otherwise.
 
     [submit] defaults to {!Site.submit_update}; passing a wrapper lets a
     caller observe every submission and its completion without the runner
@@ -55,9 +57,9 @@ val run_parallel :
     unit) ->
   unit ->
   outcome
-(** The multi-domain variant: update [k] fires at the same virtual time
-    [start + k × interval] but is armed on the shard owning its
-    submission site, and [nth_update] is materialized for all
+(** The variant for any shard count: update [k] fires at the same
+    virtual time [start + k × interval] but is armed on the shard owning
+    its submission site, and [nth_update] is materialized for all
     [total_updates] on the calling domain before the shards start
     (workload generators are stateful). Differences from {!run}:
     [checkpoints] is empty (a mid-run checkpoint would read cross-shard

@@ -1,10 +1,9 @@
-(** Metrics registration shared by the sequential and parallel clusters.
+(** Metrics registration for {!Pcluster}'s per-shard registries.
 
     One call per site wires every counter, AV level and network stat the
     site maintains into a {!Avdb_obs.Registry} as sourced gauges and
-    attached sketches; one call per registry adds the cluster/shard-wide
-    aggregate series. Extracted from {!Cluster} so the parallel engine's
-    per-shard registries register the exact same namespace. *)
+    attached sketches; one call per registry adds the shard-wide
+    aggregate series, so every shard registers the same namespace. *)
 
 val register_site :
   registry:Avdb_obs.Registry.t ->

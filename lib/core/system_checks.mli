@@ -1,8 +1,8 @@
-(** Whole-system invariant checks over a set of sites, shared by the
-    sequential {!Cluster} and the parallel {!Pcluster}.
+(** Whole-system invariant checks over a set of sites, as {!Pcluster}
+    runs them.
 
-    Every function here reads state across sites, so in a parallel run
-    they must only be called while the domains are quiescent: between
+    Every function here reads state across sites, so with more than one
+    shard they must only be called while the domains are quiescent: between
     runs, or from the barrier hook ({!Avdb_sim.Parallel.run}'s
     [on_round]). *)
 

@@ -9,11 +9,11 @@
     combined at export into one cluster-wide distribution without any
     loss beyond the per-sketch bucketing itself.
 
-    Unlike {!Histogram}, which stores every sample, a sketch never grows
-    past its bucket array (a few hundred ints for the default value
-    range of 1e-3 .. 1e7); the bucket array itself is allocated lazily
-    on the first positive value, so registering thousands of idle
-    sketches costs a handful of words each. *)
+    Unlike an exact sample store, a sketch never grows past its bucket
+    array (a few hundred ints for the default value range of
+    1e-3 .. 1e7); the bucket array itself is allocated lazily on the
+    first positive value, so registering thousands of idle sketches
+    costs a handful of words each. *)
 
 type t
 

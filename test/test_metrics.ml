@@ -1,54 +1,5 @@
 open Avdb_metrics
 
-(* --- Histogram --- *)
-
-let test_hist_empty () =
-  let h = Histogram.create () in
-  Alcotest.(check int) "count" 0 (Histogram.count h);
-  Alcotest.(check bool) "mean nan" true (Float.is_nan (Histogram.mean h));
-  Alcotest.(check bool) "median nan" true (Float.is_nan (Histogram.median h))
-
-let test_hist_stats () =
-  let h = Histogram.create () in
-  List.iter (Histogram.add h) [ 4.; 1.; 3.; 2.; 5. ];
-  Alcotest.(check int) "count" 5 (Histogram.count h);
-  Alcotest.(check (float 1e-9)) "mean" 3. (Histogram.mean h);
-  Alcotest.(check (float 1e-9)) "min" 1. (Histogram.min h);
-  Alcotest.(check (float 1e-9)) "max" 5. (Histogram.max h);
-  Alcotest.(check (float 1e-9)) "median" 3. (Histogram.median h);
-  Alcotest.(check (float 1e-9)) "sum" 15. (Histogram.sum h);
-  Alcotest.(check (float 1e-9)) "p0" 1. (Histogram.percentile h 0.);
-  Alcotest.(check (float 1e-9)) "p100" 5. (Histogram.percentile h 100.);
-  Alcotest.(check (float 1e-9)) "p25 interpolated" 2. (Histogram.percentile h 25.);
-  Alcotest.(check (float 1e-9)) "stddev" (sqrt 2.) (Histogram.stddev h)
-
-let test_hist_interpolation () =
-  let h = Histogram.create () in
-  List.iter (Histogram.add h) [ 0.; 10. ];
-  Alcotest.(check (float 1e-9)) "p50 between" 5. (Histogram.median h);
-  Alcotest.(check (float 1e-9)) "p75" 7.5 (Histogram.percentile h 75.)
-
-let test_hist_add_after_percentile () =
-  (* Percentile sorts lazily; later adds must still be seen. *)
-  let h = Histogram.create () in
-  Histogram.add h 10.;
-  ignore (Histogram.median h);
-  Histogram.add h 0.;
-  Alcotest.(check (float 1e-9)) "new min seen" 0. (Histogram.percentile h 0.)
-
-let test_hist_clear () =
-  let h = Histogram.create () in
-  Histogram.add h 1.;
-  Histogram.clear h;
-  Alcotest.(check int) "cleared" 0 (Histogram.count h)
-
-let test_hist_bad_percentile () =
-  let h = Histogram.create () in
-  Histogram.add h 1.;
-  match Histogram.percentile h 101. with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "accepted p=101"
-
 (* --- Sketch --- *)
 
 let sketch_of_list l =
@@ -260,39 +211,12 @@ let qcheck_tests =
         let j = Fairness.jain_index values in
         let n = float_of_int (List.length values) in
         j >= (1. /. n) -. 1e-9 && j <= 1. +. 1e-9);
-    Test.make ~name:"histogram percentiles monotone" ~count:300
-      (list_of_size Gen.(int_range 1 100) (float_bound_exclusive 1000.))
-      (fun values ->
-        let h = Histogram.create () in
-        List.iter (Histogram.add h) values;
-        let ps = [ 0.; 10.; 25.; 50.; 75.; 90.; 99.; 100. ] in
-        let qs = List.map (Histogram.percentile h) ps in
-        let rec monotone = function
-          | a :: (b :: _ as rest) -> a <= b && monotone rest
-          | _ -> true
-        in
-        monotone qs
-        && Histogram.percentile h 0. = Histogram.min h
-        && Histogram.percentile h 100. = Histogram.max h);
-    Test.make ~name:"histogram mean matches fold" ~count:300
-      (list_of_size Gen.(int_range 1 100) (float_bound_exclusive 100.))
-      (fun values ->
-        let h = Histogram.create () in
-        List.iter (Histogram.add h) values;
-        let expect = List.fold_left ( +. ) 0. values /. float_of_int (List.length values) in
-        Float.abs (Histogram.mean h -. expect) < 1e-6);
   ]
 
 let suites =
   [
     ( "metrics",
       [
-        Alcotest.test_case "histogram empty" `Quick test_hist_empty;
-        Alcotest.test_case "histogram stats" `Quick test_hist_stats;
-        Alcotest.test_case "histogram interpolation" `Quick test_hist_interpolation;
-        Alcotest.test_case "histogram lazy sort" `Quick test_hist_add_after_percentile;
-        Alcotest.test_case "histogram clear" `Quick test_hist_clear;
-        Alcotest.test_case "histogram bad percentile" `Quick test_hist_bad_percentile;
         Alcotest.test_case "sketch exact stats" `Quick test_sketch_exact_stats;
         Alcotest.test_case "sketch relative error" `Quick test_sketch_relative_error;
         Alcotest.test_case "sketch merge exact" `Quick test_sketch_merge_exact;

@@ -1,10 +1,12 @@
-(* The parallel engine end-to-end. The pins, in order: placement is a
-   balanced deterministic partition; a [domains = 1] Pcluster replays
-   the sequential cluster byte for byte; same-seed multi-domain runs are
-   byte-identical to each other (state, traces, spans, samples); a
-   parallel run passes the consistency oracle on its merged per-shard
-   histories; and the nemesis drives crashes, partitions and network
-   faults through the parallel engine deterministically. *)
+(* The sharded engine end-to-end. The pins, in order: placement is a
+   balanced deterministic partition; on one shard the sequential runner
+   and the parallel runner replay each other byte for byte, and the
+   straight-through engine run equals the windowed one; same-seed
+   multi-domain runs are byte-identical to each other (state, traces,
+   spans, samples); a retailer joins a two-shard system across the shard
+   boundary; a parallel run passes the consistency oracle on its merged
+   per-shard histories; and the nemesis drives crashes, partitions and
+   network faults through the parallel engine deterministically. *)
 
 open Avdb_sim
 open Avdb_core
@@ -69,7 +71,7 @@ let test_placement_clamps () =
   let p = Placement.create topo ~n_domains:8 ~items in
   Alcotest.(check int) "clamped to site count" 2 (Placement.n_domains p)
 
-(* --- domains = 1 replays the sequential cluster --- *)
+(* --- one shard: Runner.run and Runner.run_parallel replay each other --- *)
 
 let test_domains1_replays_sequential () =
   let config =
@@ -107,6 +109,56 @@ let test_domains1_replays_sequential () =
     (item_names config.Config.products);
   Alcotest.(check bool) "trace events identical" true
     (Trace.events (Cluster.trace cluster) = Pcluster.trace_events pc)
+
+(* --- one shard: the straight-through run equals the windowed run --- *)
+
+(* Arms [n] workload updates on their owning shards, then runs with the
+   given barrier hook (none selects the straight-through engine run). *)
+let single_shard_run ?on_round () =
+  let config =
+    {
+      Config.default with
+      Config.n_sites = 6;
+      products = Product.mixed ~n_regular:8 ~n_non_regular:2 ~n_epoch:2 ~initial_amount:100;
+      sync_interval = Some (Time.of_ms 25.);
+      snapshot_interval = Some (Time.of_ms 50.);
+      seed = 5;
+    }
+  in
+  let pc = Pcluster.create config in
+  let wl = Scm.create (scm_spec config) ~seed:9 in
+  for k = 0 to 299 do
+    let site, item, delta = Scm.generator wl k in
+    Pcluster.schedule_at_site pc ~site
+      ~at:(Time.of_ms (float_of_int k *. 2.))
+      (fun () -> Site.submit_update (Pcluster.site pc site) ~item ~delta (fun _ -> ()))
+  done;
+  Pcluster.run ?on_round pc;
+  (config, pc)
+
+let test_single_shard_hook_invisible () =
+  let config, plain = single_shard_run () in
+  let barriers = ref 0 in
+  let _, hooked = single_shard_run ~on_round:(fun ~at:_ -> incr barriers) () in
+  Alcotest.(check int) "straight through: no windows" 0 (Pcluster.rounds plain);
+  Alcotest.(check bool) "hooked run stepped in windows" true (!barriers > 0);
+  List.iter
+    (fun item ->
+      Alcotest.(check (list int)) item
+        (Pcluster.replica_amounts plain ~item)
+        (Pcluster.replica_amounts hooked ~item))
+    (item_names config.Config.products);
+  Alcotest.(check (list (pair int int))) "correspondences"
+    (Pcluster.per_site_correspondences plain)
+    (Pcluster.per_site_correspondences hooked);
+  Alcotest.(check int) "probe passes" (Pcluster.probes_run plain) (Pcluster.probes_run hooked);
+  Alcotest.(check bool) "probes ran on the snapshot cadence" true
+    (Pcluster.probes_run plain > 1);
+  Alcotest.(check bool) "trace events identical" true
+    (Pcluster.trace_events plain = Pcluster.trace_events hooked);
+  Alcotest.(check bool) "spans identical" true (Pcluster.spans plain = Pcluster.spans hooked);
+  Alcotest.(check bool) "metric samples identical" true
+    (Pcluster.metric_samples plain = Pcluster.metric_samples hooked)
 
 (* --- same-seed multi-domain runs are byte-identical --- *)
 
@@ -152,27 +204,131 @@ let test_parallel_deterministic () =
     (Pcluster.metric_samples pc1 = Pcluster.metric_samples pc2);
   Alcotest.(check bool) "samples were taken" true (Pcluster.metric_samples pc1 <> [])
 
-(* --- a run shorter than one probe window still gets probed --- *)
+(* --- live joins across the shard boundary --- *)
 
-let test_short_run_probes () =
-  let config =
+let two_shards ?(topology = Topology.sharded ~spread:3 ()) () =
+  Pcluster.create
     {
       Config.default with
-      Config.n_sites = 20;
-      products = Product.catalogue ~n_regular:4 ~n_non_regular:2 ~initial_amount:100;
-      topology = Topology.sharded ~spread:3 ();
+      Config.n_sites = 12;
+      products = Product.catalogue ~n_regular:8 ~n_non_regular:0 ~initial_amount:100;
+      topology;
       sync_interval = Some (Time.of_ms 25.);
-      (* One probe window far past the whole run: the periodic hook never
-         fires, so only the quiescence-time pass can cover the run. *)
-      snapshot_interval = Some (Time.of_ms 60_000.);
+      snapshot_interval = Some (Time.of_ms 100.);
       domains = 2;
-      seed = 7;
+      seed = 19;
     }
-  in
-  let pc = Pcluster.create config in
-  let wl = sharded_wl config (Pcluster.topology pc) ~seed:13 in
-  let _ = Runner.run_parallel pc ~nth_update:(Scm.generator wl) ~total_updates:20 () in
-  Alcotest.(check bool) "at least one probe pass" true (Pcluster.probes_run pc >= 1)
+
+(* An item whose base lives on [shard]. *)
+let based_on pc shard =
+  List.find
+    (fun item ->
+      Pcluster.domain_of_site pc (Topology.base_index (Pcluster.topology pc) ~item) = shard)
+    (item_names (Pcluster.config pc).Config.products)
+
+let expect_joined joiner = function
+  | Some (i, Ok ()) when i = joiner -> ()
+  | Some (_, Error reason) -> Alcotest.failf "join failed: %a" Update.pp_reason reason
+  | _ -> Alcotest.fail "join never completed"
+
+(* The joiner subscribes to one item based on each shard, so it lands
+   beside the first base and fetches the second across the mailboxes,
+   then sells the second item and must pull its AV across too. *)
+let two_shard_join () =
+  let pc = two_shards () in
+  let near = based_on pc 0 and far = based_on pc 1 in
+  let wl = sharded_wl (Pcluster.config pc) (Pcluster.topology pc) ~seed:29 in
+  ignore (Runner.run_parallel pc ~nth_update:(Scm.generator wl) ~total_updates:100 ());
+  let outcome = ref None in
+  let joiner = Pcluster.add_retailer ~interest:[ near; far ] pc (fun r -> outcome := Some r) in
+  Pcluster.run pc;
+  Pcluster.schedule_at_site pc ~site:joiner ~at:(Pcluster.now pc) (fun () ->
+      Site.submit_update (Pcluster.site pc joiner) ~item:far ~delta:(-3) (fun _ -> ()));
+  Pcluster.run pc;
+  Pcluster.flush_all_syncs pc;
+  (pc, joiner, near, far, !outcome)
+
+let test_live_join_two_shards () =
+  let pc, joiner, near, far, outcome = two_shard_join () in
+  let base item = Topology.base_index (Pcluster.topology pc) ~item in
+  Alcotest.(check int) "joiner sits beside its first base"
+    (Pcluster.domain_of_site pc (base near))
+    (Pcluster.domain_of_site pc joiner);
+  Alcotest.(check bool) "the other base is across the boundary" true
+    (Pcluster.domain_of_site pc (base far) <> Pcluster.domain_of_site pc joiner);
+  expect_joined joiner outcome;
+  (match Pcluster.check_invariants pc with Ok () -> () | Error e -> Alcotest.fail e);
+  List.iter
+    (fun item ->
+      Alcotest.(check (option int))
+        (item ^ " replica equals the base's")
+        (Site.amount_of (Pcluster.site pc (base item)) ~item)
+        (Site.amount_of (Pcluster.site pc joiner) ~item))
+    [ near; far ];
+  let again, _, _, _, _ = two_shard_join () in
+  Alcotest.(check bool) "trace events identical" true
+    (Pcluster.trace_events pc = Pcluster.trace_events again);
+  Alcotest.(check bool) "spans identical" true (Pcluster.spans pc = Pcluster.spans again);
+  Alcotest.(check bool) "metric samples identical" true
+    (Pcluster.metric_samples pc = Pcluster.metric_samples again)
+
+(* With the joiner's own-shard base down, the earliest pending event is an
+   RPC timeout, long after the cross-shard request is due: the join must
+   still leave from inside the next run's first window. *)
+let test_live_join_local_base_down () =
+  let pc = two_shards () in
+  let near = based_on pc 0 and far = based_on pc 1 in
+  Site.crash (Pcluster.base_site_for pc ~item:near);
+  let outcome = ref None in
+  ignore (Pcluster.add_retailer ~interest:[ near; far ] pc (fun r -> outcome := Some r));
+  Pcluster.run pc;
+  match !outcome with
+  | Some (_, Error Update.Unreachable) -> ()
+  | _ -> Alcotest.fail "expected Unreachable join failure"
+
+(* Under full replication every site syncs to the whole membership, so
+   the member-count bump must reach the shard the joiner is not on. *)
+let test_live_join_flat_two_shards () =
+  let pc = two_shards ~topology:Topology.flat () in
+  let outcome = ref None in
+  let joiner = Pcluster.add_retailer pc (fun r -> outcome := Some r) in
+  Pcluster.run pc;
+  expect_joined joiner !outcome;
+  for site = 1 to joiner - 1 do
+    if Pcluster.domain_of_site pc site <> Pcluster.domain_of_site pc joiner then
+      Pcluster.schedule_at_site pc ~site ~at:(Pcluster.now pc) (fun () ->
+          Site.submit_update (Pcluster.site pc site) ~item:"product0" ~delta:(-1) (fun _ -> ()))
+  done;
+  Pcluster.run pc;
+  Pcluster.flush_all_syncs pc;
+  match Pcluster.check_invariants pc with Ok () -> () | Error e -> Alcotest.fail e
+
+(* --- a run that never reaches the probe cadence still gets probed --- *)
+
+let test_short_run_probes () =
+  List.iter
+    (fun domains ->
+      let config =
+        {
+          Config.default with
+          Config.n_sites = 20;
+          products = Product.catalogue ~n_regular:4 ~n_non_regular:2 ~initial_amount:100;
+          topology = Topology.sharded ~spread:3 ();
+          sync_interval = Some (Time.of_ms 25.);
+          (* No snapshot interval: the periodic probes never fire, so only
+             the quiescence-time pass can cover the run. *)
+          snapshot_interval = None;
+          domains;
+          seed = 7;
+        }
+      in
+      let pc = Pcluster.create config in
+      let wl = sharded_wl config (Pcluster.topology pc) ~seed:13 in
+      let _ = Runner.run_parallel pc ~nth_update:(Scm.generator wl) ~total_updates:20 () in
+      Alcotest.(check int)
+        (Printf.sprintf "one probe pass at %d domains" domains)
+        1 (Pcluster.probes_run pc))
+    [ 1; 2 ]
 
 (* --- the oracle accepts a parallel run's merged history --- *)
 
@@ -203,7 +359,7 @@ let test_oracle_accepts_parallel () =
   Pcluster.flush_all_syncs pc;
   let history = Avdb_check.History.merge (Array.to_list recorders) in
   Alcotest.(check int) "history complete" 150 (Avdb_check.History.length history);
-  let snapshot = Avdb_check.Checker.snapshot_of_pcluster pc in
+  let snapshot = Avdb_check.Checker.snapshot_of_cluster pc in
   let verdict = Avdb_check.Checker.check ~quiescent:true ~history snapshot in
   if not (Avdb_check.Checker.ok verdict) then
     Alcotest.failf "oracle rejected the parallel run:@.%a" Avdb_check.Checker.pp_verdict
@@ -253,6 +409,13 @@ let suites =
         Alcotest.test_case "placement clamps domains" `Quick test_placement_clamps;
         Alcotest.test_case "domains=1 replays sequential" `Quick
           test_domains1_replays_sequential;
+        Alcotest.test_case "one shard: hook changes nothing" `Quick
+          test_single_shard_hook_invisible;
+        Alcotest.test_case "live join across shards" `Quick test_live_join_two_shards;
+        Alcotest.test_case "live join, local base down" `Quick
+          test_live_join_local_base_down;
+        Alcotest.test_case "live join, flat, two shards" `Quick
+          test_live_join_flat_two_shards;
         Alcotest.test_case "short run still probed" `Quick test_short_run_probes;
         Alcotest.test_case "same-seed runs byte-identical" `Quick
           test_parallel_deterministic;
