@@ -161,7 +161,7 @@ let disk_faults_arg =
     & info [ "disk-faults" ]
         ~doc:
           "Attach storage faults (lost fsyncs, bit flips, misdirected block writes, lost \
-           segments) to ~70% of generated crashes, damaging the victim's on-disk logs so \
+           segments) to ~70% of generated crashes, damaging the victim's on-disk log files so \
            recovery exercises CRC damage classification, quarantine and repair from each \
            item's base site. Corruption may cost availability and repair traffic, never \
            consistency — the invariants (and the oracle, with --oracle) still apply.")

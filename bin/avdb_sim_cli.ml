@@ -147,13 +147,7 @@ let run retailers items initial updates update_class mode allocation selection g
      the verdict prints after quiescence. *)
   let recorders =
     if not check then [||]
-    else
-      Array.map
-        (fun tr ->
-          let h = Avdb_check.History.create () in
-          ignore (Avdb_check.History.attach_trace h tr);
-          h)
-        (Pcluster.traces pc)
+    else Array.init (Pcluster.n_domains pc) (fun _ -> Avdb_check.History.create ())
   in
   let engines = Pcluster.engines pc in
   let submit ~shard site ~item ~delta k =

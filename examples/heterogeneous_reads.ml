@@ -68,8 +68,6 @@ let () =
      real-time requirement, a round trip to the maker's books for the\n\
      reconciliation requirement - one system serving both (assurance).";
 
-  (* Show the trace of what actually happened under the hood. *)
-  print_endline "\nStructured trace of the run:";
-  List.iter
-    (fun e -> Format.printf "  %a@." Trace.pp_event e)
-    (Trace.events (Cluster.trace cluster))
+  (* Show the spans of what actually happened under the hood. *)
+  print_endline "\nSpans of the run:";
+  List.iter (fun s -> Format.printf "  %a@." Avdb_obs.Span.pp s) (Cluster.spans cluster)

@@ -111,7 +111,7 @@ let generate cfg =
         let at_ms, for_ms = window 150. 400. in
         push (Crash { site; at_ms; for_ms });
         (* Disk faults ride along with crashes: arm the victim's faultable
-           disk 1 ms before it goes down, so the crash serializes its logs
+           disk 1 ms before it goes down, so the crash serializes its log files
            through the damaged medium. Drawn even when disabled so a seed's
            crash/partition schedule is identical with and without
            [disk_faults]. *)
@@ -179,7 +179,11 @@ type stats = {
   still_quarantined : int;
 }
 
-type outcome = { violations : string list; stats : stats }
+type outcome = {
+  violations : string list;
+  stats : stats;
+  history : Avdb_check.History.t option;
+}
 
 let mk_config cfg =
   let products =
@@ -230,16 +234,45 @@ let execute cfg schedule =
           violations := s :: !violations)
       fmt
   in
+  (* Oracle mode records every client-visible operation into a history and
+     injects replica reads, so the end-of-run verdict can also judge
+     linearizability, session guarantees and reachability — not just the
+     aggregate invariants below. Off by default: the extra reads change the
+     message traffic, hence the exact outcome, of a given seed. In parallel
+     mode the recorder is one single-writer history per shard, merged at
+     the end. *)
+  let recorders =
+    if not cfg.oracle then None
+    else Some (Array.init (Pcluster.n_domains pc) (fun _ -> Avdb_check.History.create ()))
+  in
+  (* Faults enter the history beside the calls that inject them: the crash
+     before it takes effect, the recovery once it has completed. *)
+  let record_fault i kind =
+    match recorders with
+    | None -> ()
+    | Some hs ->
+        let shard = Pcluster.domain_of_site pc i in
+        Avdb_check.History.record_fault hs.(shard) ~site:i ~at:(Engine.now engines.(shard)) kind
+  in
+  let crash i =
+    if not (Site.is_down (site i)) then begin
+      record_fault i Avdb_check.History.Crashed;
+      Site.crash (site i)
+    end
+  and recover i =
+    if Site.is_down (site i) then begin
+      Site.recover (site i);
+      record_fault i Avdb_check.History.Recovered
+    end
+  in
   (* Install the fault schedule as open/close event pairs: site faults on
      the owning shard, network knobs mirrored into every shard. *)
   List.iter
     (fun f ->
       match f with
       | Crash { site = i; at_ms; for_ms } ->
-          at_site i at_ms (fun () ->
-              if not (Site.is_down (site i)) then Site.crash (site i));
-          at_site i (at_ms +. for_ms) (fun () ->
-              if Site.is_down (site i) then Site.recover (site i))
+          at_site i at_ms (fun () -> crash i);
+          at_site i (at_ms +. for_ms) (fun () -> recover i)
       | Partition { a; b; at_ms; for_ms } ->
           Pcluster.partition_at pc ~at:(ms at_ms) a b;
           Pcluster.heal_at pc ~at:(ms (at_ms +. for_ms)) a b
@@ -283,24 +316,6 @@ let execute cfg schedule =
             (base :: List.filter (fun i -> i <> base) (Topology.subscribers topology ~item))
         in
         Scm.create_sharded wl_spec ~subscribers ~seed:cfg.seed
-  in
-  (* Oracle mode records every client-visible operation into a history and
-     injects replica reads, so the end-of-run verdict can also judge
-     linearizability, session guarantees and reachability — not just the
-     aggregate invariants below. Off by default: the extra reads change the
-     message traffic, hence the exact outcome, of a given seed. In parallel
-     mode the recorder is one single-writer history per shard, merged at
-     the end. *)
-  let recorders =
-    if not cfg.oracle then None
-    else
-      Some
-        (Array.map
-           (fun tr ->
-             let h = Avdb_check.History.create () in
-             ignore (Avdb_check.History.attach_trace h tr);
-             h)
-           (Pcluster.traces pc))
   in
   let fired = Array.make (max 1 cfg.n_ops) 0 in
   (* Per-shard counters: each op's continuation fires on the shard owning
@@ -372,7 +387,7 @@ let execute cfg schedule =
     done
   done;
   for i = 0 to cfg.n_sites - 1 do
-    at_site i cfg.horizon_ms (fun () -> if Site.is_down (site i) then Site.recover (site i))
+    at_site i cfg.horizon_ms (fun () -> recover i)
   done;
   (* Decision agreement is an any-instant invariant: probe it about every
      100 ms of the fault phase, clocked by the barrier (the one place
@@ -493,14 +508,15 @@ let execute cfg schedule =
   end;
   (* The consistency oracle's verdict over the recorded (merged) history. *)
   let oracle_entries = ref 0 in
-  (match recorders with
+  let history =
+    Option.map
+      (fun hs ->
+        match Array.to_list hs with [ h ] -> h | hs -> Avdb_check.History.merge hs)
+      recorders
+  in
+  (match history with
   | None -> ()
-  | Some hs ->
-      let h =
-        match Array.to_list hs with
-        | [ h ] -> h
-        | hs -> Avdb_check.History.merge hs
-      in
+  | Some h ->
       let snapshot = Avdb_check.Checker.snapshot_of_cluster pc in
       let verdict = Avdb_check.Checker.check ~quiescent:true ~history:h snapshot in
       oracle_entries := verdict.Avdb_check.Checker.stats.Avdb_check.Checker.n_entries;
@@ -541,7 +557,7 @@ let execute cfg schedule =
           0 sites;
     }
   in
-  { violations = List.rev !violations; stats }
+  { violations = List.rev !violations; stats; history }
 
 (* --- shrinking --- *)
 

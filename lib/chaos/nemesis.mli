@@ -83,7 +83,7 @@ type config = {
   disk_faults : bool;
       (** attach storage faults (lost fsyncs, bit flips, misdirected block
           writes, lost segments — {!Avdb_store.Disk_fault.spec}) to ~70% of
-          generated crashes, damaging the victim's on-disk logs so recovery
+          generated crashes, damaging the victim's on-disk log files so recovery
           runs the corruption-classification and base-site repair path.
           Autonomous mode only (the local WAL-reconstruction story relies
           on the sync counters the centralized baseline bypasses). The
@@ -137,8 +137,13 @@ type stats = {
   still_quarantined : int;  (** items left safely quarantined at the end *)
 }
 
-type outcome = { violations : string list; stats : stats }
-(** [violations = []] means every invariant held. *)
+type outcome = {
+  violations : string list;  (** [[]] means every invariant held *)
+  stats : stats;
+  history : Avdb_check.History.t option;
+      (** oracle mode: the recorded history the verdict judged (merged
+          across shards), crash/recover faults included *)
+}
 
 val execute : config -> fault list -> outcome
 (** Build a fresh cluster from [config], inject the schedule over the

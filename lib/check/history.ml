@@ -162,33 +162,6 @@ let read_authoritative t ~engine site ~item k =
       | Error r -> respond t e ~at:(Engine.now engine) (Read_failed r));
       k result)
 
-(* --- trace hook --- *)
-
-(* Fault trace messages are "siteN crashed" / "siteN recovered ..."
-   (Address.pp followed by the verb); anything else in the category is
-   ignored. *)
-let parse_fault message =
-  let prefix = "site" in
-  let plen = String.length prefix in
-  if String.length message <= plen || not (String.starts_with ~prefix message) then None
-  else
-    let rec digits i = if i < String.length message && message.[i] >= '0' && message.[i] <= '9' then digits (i + 1) else i in
-    let stop = digits plen in
-    if stop = plen then None
-    else
-      let site = int_of_string (String.sub message plen (stop - plen)) in
-      let rest = String.sub message stop (String.length message - stop) in
-      if String.starts_with ~prefix:" crashed" rest then Some (site, Crashed)
-      else if String.starts_with ~prefix:" recovered" rest then Some (site, Recovered)
-      else None
-
-let attach_trace t trace =
-  Trace.subscribe trace (fun (ev : Trace.event) ->
-      if String.equal ev.Trace.category "fault" then
-        match parse_fault ev.Trace.message with
-        | Some (site, kind) -> record_fault t ~site ~at:ev.Trace.at kind
-        | None -> ())
-
 (* --- printing --- *)
 
 let pp_op ppf = function

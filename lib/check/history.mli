@@ -2,17 +2,13 @@
 
     A history is the client-visible record of one run: every submitted
     operation as an {e invocation}/{e response} pair with virtual
-    timestamps, plus the crash/recover fault events. The recorder is
-    driven two ways, composable within one run:
-
-    - the {{!wrappers} instrumented client wrappers} perform a site
-      operation {e and} record both ends — the recommended way to drive a
-      checked workload (the nemesis harness and [avdb_sim_cli --check] use
-      these);
-    - {!attach_trace} subscribes to the cluster's {!Avdb_sim.Trace.t} and
-      captures crash/recover events from the ["fault"] category, so fault
-      schedules injected by any driver appear in the history without
-      explicit calls.
+    timestamps, plus the crash/recover fault events. The
+    {{!wrappers} instrumented client wrappers} perform a site operation
+    {e and} record both ends — the recommended way to drive a checked
+    workload (the nemesis harness and [avdb_sim_cli --check] use these).
+    Whoever injects a fault records it with {!record_fault} beside the
+    {!Avdb_core.Site.crash} / {!Avdb_core.Site.recover} call: the crash
+    just before it, the recovery just after.
 
     Entries carry two orderings: virtual-time stamps (for intervals and
     real-time precedence) and a global record sequence ([inv_seq] /
@@ -105,13 +101,6 @@ val read_authoritative :
 (** The continuation may be swallowed by a crash (the underlying read is
     not crash-tracked); the entry is then left pending, which the checker
     treats as a no-op. *)
-
-(** {2 Trace hook} *)
-
-val attach_trace : t -> Avdb_sim.Trace.t -> Avdb_sim.Trace.subscription
-(** Captures ["fault"]-category events ("siteN crashed" / "siteN
-    recovered ...") as {!fault}s from now on. Unsubscribe with
-    {!Avdb_sim.Trace.unsubscribe}. *)
 
 val merge : t list -> t
 (** Merges per-shard histories from a parallel run (one single-writer

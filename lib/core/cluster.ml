@@ -13,7 +13,6 @@ let only name per_shard t =
 
 let engine = only "engine" Pcluster.engines
 let net_stats = only "net_stats" Pcluster.net_stats
-let trace = only "trace" Pcluster.traces
 let tracer = only "tracer" Pcluster.tracers
 let registry = only "registry" Pcluster.registries
 let base_site t = Pcluster.site t 0

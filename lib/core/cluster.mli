@@ -22,9 +22,6 @@ val base_site : t -> Site.t
 val engine : t -> Avdb_sim.Engine.t
 val net_stats : t -> Avdb_net.Stats.t
 
-val trace : t -> Avdb_sim.Trace.t
-(** The shard's structured trace ({!Pcluster.traces}). *)
-
 val tracer : t -> Avdb_obs.Tracer.t
 (** The shard's causal span collector ({!Pcluster.tracers}). *)
 

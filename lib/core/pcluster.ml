@@ -4,7 +4,7 @@
    view.
 
    Each shard is a self-contained single-domain world — engine, RPC
-   stack, trace, tracer, metrics registry — so no hot-path state is ever
+   stack, tracer, metrics registry — so no hot-path state is ever
    shared between domains. The only cross-domain traffic is the
    lock-free mailbox of routed network messages: a send whose
    destination lives on another shard computes its full delivery instant
@@ -178,7 +178,6 @@ let create config =
               config;
               topology;
               n_members = config.Config.n_sites;
-              trace = Trace.create ();
               tracer;
             };
           registry;
@@ -323,12 +322,8 @@ let set_reorder_probability_at t ~at p =
 
 let engines t = Array.map (fun sh -> sh.engine) t.shards
 let net_stats t = Array.map (fun sh -> Rpc.stats sh.rpc) t.shards
-let traces t = Array.map (fun sh -> sh.shared.Site.trace) t.shards
 let tracers t = Array.map (fun sh -> sh.shared.Site.tracer) t.shards
 let registries t = Array.map (fun sh -> sh.registry) t.shards
-
-let trace_events ?category ?min_level t =
-  Trace.merged_events ?category ?min_level (Array.to_list (traces t))
 
 let spans t = Tracer.merged_spans (Array.to_list (tracers t))
 let metric_samples t = Obs_registry.merged_samples (Array.to_list (registries t))
@@ -364,8 +359,6 @@ let site_at t i = t.store.(i)
 let violation t name detail =
   let sh = t.shards.(0) in
   Obs_registry.inc sh.violations 1;
-  Trace.record sh.shared.Site.trace ~at:(Engine.now sh.engine) ~level:Trace.Warn
-    ~category:"invariant" detail;
   ignore
     (Tracer.instant sh.shared.Site.tracer ~at:(Engine.now sh.engine)
        ~status:Avdb_obs.Span.Warn

@@ -6,7 +6,7 @@
     The sites are sharded across [config.domains] OCaml domains by
     {!Placement} and executed by {!Avdb_sim.Parallel} in conservative
     barrier-stepped windows of one latency lower bound. Each shard owns a
-    complete single-domain stack — engine, RPC, trace, tracer, metrics
+    complete single-domain stack — engine, RPC, tracer, metrics
     registry — and the only cross-domain traffic is the lock-free mailbox
     of routed network messages drained at barriers. A single shard with
     no barrier hook skips the windows and runs its engine straight
@@ -158,10 +158,6 @@ val engines : t -> Avdb_sim.Engine.t array
 
 val net_stats : t -> Avdb_net.Stats.t array
 
-val traces : t -> Avdb_sim.Trace.t array
-(** Per-shard structured traces: sites record AV transfers ("av"),
-    Immediate Update decisions ("2pc") and crash/recovery ("fault"). *)
-
 val tracers : t -> Avdb_obs.Tracer.t array
 (** Per-shard causal span collectors: update roots ("update"), AV
     acquisition and grants ("av"), RPC call/serve pairs linked across the
@@ -175,10 +171,6 @@ val registries : t -> Avdb_obs.Registry.t array
     registered at construction (or join) and sampled by {!snapshot_now}
     or the periodic snapshot when [snapshot_interval] is configured. *)
 
-val trace_events :
-  ?category:string -> ?min_level:Avdb_sim.Trace.level -> t -> Avdb_sim.Trace.event list
-(** All shards' trace events merged by timestamp (stable by shard). *)
-
 val spans : t -> Avdb_obs.Span.t list
 (** All shards' retained spans merged by [(start, id)] — byte-stable
     across same-seed runs thanks to per-shard id striding. *)
@@ -188,8 +180,8 @@ val metric_samples : t -> Avdb_obs.Registry.sample list
 val snapshot_now : t -> unit
 (** Runs the invariant probes (AV conservation per regular item — skipped
     while grant responses are in flight — and network stats
-    conservation), recording any violation as a Warn span, a Warn trace
-    event and a bump of the ["invariant.violations"] counter on shard 0;
+    conservation), recording any violation as a Warn span and a bump of
+    the ["invariant.violations"] counter on shard 0;
     then appends one sample of every registered metric at the current
     sim-time, one registry per shard. Quiescent-only. *)
 
@@ -237,8 +229,8 @@ val decision_agreement : t -> (unit, string) result
     mid-fault — no quiescence required. *)
 
 val in_doubt_total : t -> int
-(** Transactions without a logged outcome, summed over all sites' protocol
-    logs. Zero at true quiescence with every site up. *)
+(** Transactions without a logged outcome, summed over every site's protocol
+    log. Zero at true quiescence with every site up. *)
 
 val sealed_epoch_agreement : t -> (unit, string) result
 (** Across every site's durable protocol log, each (item, epoch) carries

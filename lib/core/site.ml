@@ -4,10 +4,6 @@ open Avdb_store
 open Avdb_av
 open Avdb_txn
 
-let src_log = Logs.Src.create "avdb.site" ~doc:"site / accelerator"
-
-module Log = (val Logs.src_log src_log : Logs.LOG)
-
 type role = Maker | Retailer
 
 type shared = {
@@ -21,7 +17,6 @@ type shared = {
       (* membership is dense (site i has address i), so one counter
          replaces the old address list — a join is O(1), not an O(N) list
          copy *)
-  trace : Trace.t;
   tracer : Avdb_obs.Tracer.t;
 }
 
@@ -231,9 +226,6 @@ let peers_for t ~item =
    the base instead of all N subscribers hammering it directly. *)
 let av_fallback t ~item =
   Option.map Address.of_int (Topology.av_parent (topology t) ~site:(site_index t) ~item)
-
-let trace t ?level ~category fmt =
-  Trace.recordf t.shared.trace ~at:(now t) ?level ~category fmt
 
 (* Causal spans, always attributed to this site at the current sim-time.
    Parents are either local enclosing spans or the server-side RPC span
@@ -639,10 +631,6 @@ let handle_av_request t ~src ~span ~item ~amount ~requester_available ~sync ~rep
   in
   t.metrics.Update.Metrics.av_volume_granted <-
     t.metrics.Update.Metrics.av_volume_granted + granted;
-  Log.debug (fun m ->
-      m "%a grants %d AV of %s to %a" Address.pp t.addr granted item Address.pp src);
-  trace t ~category:"av" "%a grants %d of %s to %a (keeps %d)" Address.pp t.addr granted item
-    Address.pp src (Av_table.available t.av ~item);
   if tracing t then
     span_instant t ?parent:span ~category:"av" "av.grant"
       ~fields:
@@ -737,18 +725,28 @@ let finalize_participant t ~txid decision =
      spontaneously, so no commit record can appear after the sweep.
 
    Incomplete sweeps (timeouts) retry, budget-bounded so a dead cohort
-   cannot keep the event queue alive; on exhaustion the doubt stands. *)
+   cannot keep the event queue alive; on exhaustion the doubt stands,
+   marked warn on the asking participant's [span] (a warn instant when
+   the asker is a recovering site with no span open). *)
 let max_adjudication_sweeps = 64
 
-let adjudicate t ~txid ~fellows ~still_wanted ~decide =
+let adjudicate ?span t ~txid ~fellows ~still_wanted ~decide =
   let decide d = if still_wanted () then decide d in
   if fellows = [] then decide Two_phase.Abort
   else begin
     let rec sweep n =
       if still_wanted () && not (is_down t) then begin
-        if n >= max_adjudication_sweeps then
-          trace t ~level:Trace.Warn ~category:"2pc"
-            "tx%d adjudication gave up after %d sweeps at %a" txid n Address.pp t.addr
+        if n >= max_adjudication_sweeps then begin
+          if tracing t then
+            match span with
+            | Some sp ->
+                span_field t sp "adjudication" "gave_up";
+                span_warn t sp
+            | None ->
+                span_instant t ~status:Avdb_obs.Span.Warn ~category:"2pc"
+                  "2pc.adjudication_gave_up"
+                  ~fields:[ ("txid", string_of_int txid); ("sweeps", string_of_int n) ]
+        end
         else begin
           let outstanding = ref (List.length fellows) in
           let decided = ref None in
@@ -824,6 +822,15 @@ let termination_targets t ~coordinator ~cohort ~item =
   let base, rest = List.partition (Address.equal (base_addr_for t ~item)) fellows in
   coordinator :: (base @ rest)
 
+(* A termination outcome worth a warning — the doubt outlived the
+   protocol's budget, or resolving it needed more than presumed abort —
+   recorded on the in-doubt participant's open span. *)
+let warn_termination t p how =
+  if tracing t then begin
+    span_field t p.p_span "termination" how;
+    span_warn t p.p_span
+  end
+
 let rec schedule_termination_check t ~txid =
   ignore
     (Engine.schedule (engine t) ~delay:(config t).Config.decision_timeout
@@ -836,15 +843,12 @@ let rec schedule_termination_check t ~txid =
                   (* Mutation: the removed [abort_pending] path — give up on
                      the in-doubt transaction without asking anyone. If the
                      coordinator decided Commit, this site diverges. *)
-                  trace t ~level:Trace.Warn ~category:"2pc"
-                    "tx%d unilaterally aborted at %a (mutation)" txid Address.pp t.addr;
+                  warn_termination t p "unilateral";
                   finalize_participant t ~txid Two_phase.Abort
                 end
                 else if p.p_queries >= max_decision_queries then
-                  trace t ~level:Trace.Warn ~category:"2pc"
-                    "tx%d still in doubt at %a after %d queries; blocked until the \
-                     coordinator resurfaces"
-                    txid Address.pp t.addr p.p_queries
+                  (* blocked until the coordinator resurfaces *)
+                  warn_termination t p "blocked"
                 else begin
                   let targets =
                     termination_targets t ~coordinator:p.p_coordinator ~cohort:p.p_cohort
@@ -870,22 +874,15 @@ let rec schedule_termination_check t ~txid =
                            | Ok (Protocol.Decision_status { status; _ }) -> (
                                match status with
                                | Protocol.Decided decision ->
-                                   trace t ~category:"2pc"
-                                     "tx%d outcome recovered via termination protocol at %a"
-                                     txid Address.pp t.addr;
                                    finalize_participant t ~txid decision
                                | Protocol.Still_pending -> schedule_termination_check t ~txid
                                | Protocol.Unknown_txn ->
-                                   trace t ~category:"2pc" "tx%d presumed aborted at %a" txid
-                                     Address.pp t.addr;
                                    finalize_participant t ~txid Two_phase.Abort
                                | Protocol.No_record ->
                                    (* the coordinator's log lost the txid:
                                       presumed abort is unsound there, so
                                       adjudicate with the full cohort *)
-                                   trace t ~level:Trace.Warn ~category:"2pc"
-                                     "tx%d coordinator lost its record; adjudicating at %a"
-                                     txid Address.pp t.addr;
+                                   warn_termination t p "adjudicate";
                                    let fellows =
                                      List.filter
                                        (fun a ->
@@ -894,7 +891,7 @@ let rec schedule_termination_check t ~txid =
                                            || Address.equal a p.p_coordinator))
                                        p.p_cohort
                                    in
-                                   adjudicate t ~txid ~fellows
+                                   adjudicate ~span:p.p_span t ~txid ~fellows
                                      ~still_wanted:(fun () ->
                                        Hashtbl.mem t.participant_txns txid)
                                      ~decide:(fun d -> finalize_participant t ~txid d))
@@ -908,14 +905,8 @@ let rec schedule_termination_check t ~txid =
                            | Ok (Protocol.Peer_decision_status { status; _ }) -> (
                                match status with
                                | Protocol.Peer_decided decision ->
-                                   trace t ~category:"2pc"
-                                     "tx%d outcome learned from cohort member %a at %a" txid
-                                     Address.pp target Address.pp t.addr;
                                    finalize_participant t ~txid decision
                                | Protocol.Peer_will_refuse ->
-                                   trace t ~category:"2pc"
-                                     "tx%d aborted at %a (%a pledged to refuse)" txid
-                                     Address.pp t.addr Address.pp target;
                                    finalize_participant t ~txid Two_phase.Abort
                                | Protocol.Peer_prepared ->
                                    schedule_termination_check t ~txid)
@@ -1039,7 +1030,7 @@ let handle_query_decision t ~txid ~reply =
 
 (* Cooperative termination, server side: tell a fellow in-doubt cohort
    member what we know. Answering a query for a transaction we have never
-   heard of logs a durable refusal pledge first — from then on any late
+   heard of records a durable refusal pledge first — from then on any late
    prepare for that txid is refused, which is what makes the asker's
    abort sound. *)
 let handle_peer_decision_query t ~txid ~reply =
@@ -1198,8 +1189,6 @@ let acquire_av t ?parent ~item ~need k =
     let rounds = ref 0 in
     let give_up reason =
       av_ok "release" (Av_table.release t.av ~item !acquired);
-      trace t ~level:Trace.Warn ~category:"av" "%a gives up acquiring %d of %s (%a)" Address.pp
-        t.addr need item Update.pp_reason reason;
       if tracing t then
         span_field t sp "reason" (Format.asprintf "%a" Update.pp_reason reason);
       span_warn t sp;
@@ -1210,8 +1199,6 @@ let acquire_av t ?parent ~item ~need k =
       if is_down t then give_up Update.Unreachable
       else if !acquired >= need then begin
         av_ok "release surplus" (Av_table.release t.av ~item (!acquired - need));
-        trace t ~category:"av" "%a acquired %d of %s in %d rounds" Address.pp t.addr need item
-          !rounds;
         span_field_int t sp "rounds" !rounds;
         span_end t sp;
         k (Ok !rounds)
@@ -1500,8 +1487,6 @@ let immediate_update t ~item ~delta ~finish =
     | Two_phase.Coordinator.Completed decision ->
         close_phase prepare_span;
         close_phase decision_span;
-        trace t ~category:"2pc" "tx%d %a at coordinator %a" txid Two_phase.pp_decision decision
-          Address.pp t.addr;
         Txn_log.record_outcome t.txn_log ~txid decision ~at:(now t);
         let outcome =
           match decision with
@@ -1682,10 +1667,7 @@ let apply_seal t st ~epoch ~seal ~proposer =
           Hashtbl.remove st.ei_waiters i.Txn_log.i_txid;
           finish (Update.Applied Update.Epoch)
       | None -> ())
-    seal;
-  trace t ~category:"epoch" "%a applied %s e%d (%d intents%s)" Address.pp t.addr item
-    epoch (List.length seal)
-    (if proposer then ", sealed here" else "")
+    seal
 
 let rec drain_stash t st =
   match Hashtbl.find_opt st.ei_stash (st.ei_applied + 1) with
@@ -2295,21 +2277,14 @@ let join t callback =
       (fenced t (fun response ->
            match response with
            | Ok (Protocol.Join_snapshot { rows; sync_state; pending = _; epochs }) ->
-               if apply_join_snapshot t ~rows ~sync_state ~epochs then
-                 k (Ok (List.length rows))
+               if apply_join_snapshot t ~rows ~sync_state ~epochs then k (Ok ())
                else k (Error Update.Txn_aborted)
            | Ok _ -> k (Error Update.Txn_aborted)
            | Error Rpc.Timeout -> k (Error Update.Unreachable)))
   in
   if Topology.is_full (topology t) then begin
     if Address.equal t.addr t.base_addr then callback (Ok ())
-    else
-      fetch ~dst:t.base_addr ~wanted:None (function
-        | Ok rows ->
-            trace t ~category:"membership" "%a joined (%d items from base)" Address.pp t.addr
-              rows;
-            callback (Ok ())
-        | Error e -> callback (Error e))
+    else fetch ~dst:t.base_addr ~wanted:None callback
   end
   else begin
     (* group this site's interest set (= its bootstrapped rows) by base *)
@@ -2324,22 +2299,15 @@ let join t callback =
     | _ ->
         let outstanding = ref (List.length groups) in
         let failed = ref None in
-        let total_rows = ref 0 in
         List.iter
           (fun (dst, items) ->
             fetch ~dst ~wanted:(Some items) (fun result ->
                 (match result with
-                | Ok n -> total_rows := !total_rows + n
+                | Ok () -> ()
                 | Error e -> if !failed = None then failed := Some e);
                 decr outstanding;
                 if !outstanding = 0 then
-                  match !failed with
-                  | Some e -> callback (Error e)
-                  | None ->
-                      trace t ~category:"membership"
-                        "%a joined (%d items from %d bases)" Address.pp t.addr !total_rows
-                        (List.length groups);
-                      callback (Ok ())))
+                  callback (match !failed with Some e -> Error e | None -> Ok ())))
           groups
   end
 
@@ -2440,9 +2408,8 @@ let submit_batch t ~deltas callback =
 (* --- fault injection --- *)
 
 let crash t =
-  trace t ~level:Trace.Warn ~category:"fault" "%a crashed" Address.pp t.addr;
   (* Capture what the disk held at the instant of death, with any armed
-     faults applied. Guarded on [armed]: serialising the logs costs real
+     faults applied. Guarded on [armed]: serialising the log files costs real
      work and a fault-free crash must stay free. *)
   if Fault_sink.armed t.wal_sink then
     Fault_sink.crash t.wal_sink ~segment_frames:(config t).Config.segment_frames
@@ -2506,8 +2473,6 @@ let reinstall_in_doubt t (e : Txn_log.entry) =
                };
              t.metrics.Update.Metrics.in_doubt_recovered <-
                t.metrics.Update.Metrics.in_doubt_recovered + 1;
-             trace t ~category:"2pc" "tx%d re-installed in doubt at %a" txid Address.pp
-               t.addr;
              schedule_termination_check t ~txid))
 
 (* A coordination whose decision is logged but whose ack round never
@@ -2561,10 +2526,13 @@ let install_recovered_coordinator t ~txid ~cohort ~item decision =
     in
     let rec round n =
       if Hashtbl.mem t.coordinators txid && not (is_down t) then
-        if n >= (config t).Config.rebroadcast_rounds then
-          trace t ~level:Trace.Warn ~category:"2pc"
-            "tx%d rebroadcast gave up after %d rounds at %a (pull path takes over)" txid n
-            Address.pp t.addr
+        if n >= (config t).Config.rebroadcast_rounds then begin
+          (* the pull path takes over *)
+          if tracing t then
+            span_instant t ~status:Avdb_obs.Span.Warn ~category:"2pc"
+              "2pc.rebroadcast_gave_up"
+              ~fields:[ ("txid", string_of_int txid); ("rounds", string_of_int n) ]
+        end
         else begin
           execute (Two_phase.Coordinator.rebroadcast machine);
           ignore
@@ -2590,8 +2558,6 @@ let adjudicate_own t (e : Txn_log.entry) =
       | Some { Txn_log.outcome = None; _ } -> true
       | Some _ | None -> false)
     ~decide:(fun d ->
-      trace t ~category:"2pc" "tx%d adjudicated %a at recovering coordinator %a" txid
-        Two_phase.pp_decision d Address.pp t.addr;
       Txn_log.record_outcome t.txn_log ~txid d ~at:(now t);
       install_recovered_coordinator t ~txid ~cohort:e.Txn_log.cohort ~item:e.Txn_log.item
         d)
@@ -2669,15 +2635,20 @@ let replay_protocol_log t =
   List.iter
     (fun (e : Txn_log.entry) ->
       let txid = e.Txn_log.txid in
+      let undecided how =
+        if tracing t then
+          span_instant t ~status:Avdb_obs.Span.Warn ~category:"2pc"
+            "2pc.coordinator.recovered"
+            ~fields:[ ("txid", string_of_int txid); ("outcome", how) ]
+      in
       if Address.equal e.Txn_log.coordinator t.addr then begin
         match e.Txn_log.outcome with
         | None when t.amnesia ->
-            trace t ~level:Trace.Warn ~category:"2pc"
-              "tx%d outcome possibly lost; adjudicating at %a" txid Address.pp t.addr;
+            (* the outcome record may be among what the log lost *)
+            undecided "adjudicate";
             adjudicate_own t e
         | None ->
-            trace t ~level:Trace.Warn ~category:"2pc"
-              "tx%d presumed aborted on recovery at %a" txid Address.pp t.addr;
+            undecided "presumed_abort";
             Txn_log.record_outcome t.txn_log ~txid Two_phase.Abort ~at:(now t);
             install_recovered_coordinator t ~txid ~cohort:e.Txn_log.cohort
               ~item:e.Txn_log.item Two_phase.Abort
@@ -2709,7 +2680,10 @@ let history_schema =
       { Schema.name = "path"; ty = Value.Tstr };
     ]
 
-let note_storage_damage t ~label (r : Segmented.report) =
+(* [unreadable]: the surviving prefix failed to re-parse, so the whole
+   log is dropped. A recovered prefix re-parses by construction; only a
+   CRC collision hiding damage can get there. *)
+let note_storage_damage t ~label ?unreadable (r : Segmented.report) =
   t.metrics.Update.Metrics.checksum_failures <-
     t.metrics.Update.Metrics.checksum_failures + Segmented.checksum_failures r;
   t.metrics.Update.Metrics.segments_quarantined <-
@@ -2720,15 +2694,15 @@ let note_storage_damage t ~label (r : Segmented.report) =
              | Segmented.Corrupt _ | Segmented.Missing_segment _ -> true
              | Segmented.Torn_tail -> false)
            r.Segmented.damage);
-  List.iter
-    (fun d ->
-      trace t ~level:Trace.Warn ~category:"storage" "%a %s: %a" Address.pp t.addr label
-        Segmented.pp_damage d)
-    r.Segmented.damage;
   if tracing t then
     span_instant t ~status:Avdb_obs.Span.Warn ~category:"storage" "storage.damage"
       ~fields:
-        [ ("log", label); ("lost_frames", string_of_int r.Segmented.lost_frames) ]
+        (("log", label)
+        :: ("lost_frames", string_of_int r.Segmented.lost_frames)
+        ::
+        (match unreadable with
+        | Some c -> [ ("unreadable", Format.asprintf "%a" Corruption.pp c) ]
+        | None -> []))
 
 (* Rebuild replica rows lost with WAL damage from metadata that lives on
    other media and is exact by construction:
@@ -2822,11 +2796,7 @@ let quarantine_non_regular t =
       let item = product.Product.name in
       if (not (Product.is_regular product)) && interested_in t ~item then
         Hashtbl.replace t.quarantined item ())
-    (config t).Config.products;
-  if Hashtbl.length t.quarantined > 0 then
-    trace t ~level:Trace.Warn ~category:"storage"
-      "%a quarantined %d items after protocol-log loss" Address.pp t.addr
-      (Hashtbl.length t.quarantined)
+    (config t).Config.products
 
 (* Remote repair: fetch a committed-state snapshot of each quarantined
    item from a donor — the item's base first, then the other subscribers
@@ -2843,11 +2813,15 @@ let finish_repair t ~item =
   if Hashtbl.mem t.quarantined item then begin
     Hashtbl.remove t.quarantined item;
     t.metrics.Update.Metrics.repairs <- t.metrics.Update.Metrics.repairs + 1;
-    trace t ~category:"storage" "%a repaired %s (quarantine lifted)" Address.pp t.addr
-      item;
     if tracing t then
       span_instant t ~category:"storage" "storage.repair" ~fields:[ ("item", item) ]
   end
+
+(* The item stays quarantined; no span is open when a repair gives up. *)
+let repair_gave_up t ~item reason =
+  if tracing t then
+    span_instant t ~status:Avdb_obs.Span.Warn ~category:"storage" "storage.repair_gave_up"
+      ~fields:[ ("item", item); ("reason", reason) ]
 
 let repair_apply_commit t ~item ~delta =
   let txn = Database.begin_txn t.db in
@@ -2860,9 +2834,7 @@ let repair_apply_commit t ~item ~delta =
       failwith ("Site.repair apply: " ^ e)
 
 let rec watch_pending t ~item ~txid ~coordinator ~donor ~delta ~via_donor ~attempt ~k =
-  if attempt >= max_repair_attempts then
-    trace t ~level:Trace.Warn ~category:"storage"
-      "%a repair of %s stuck on tx%d; stays quarantined" Address.pp t.addr item txid
+  if attempt >= max_repair_attempts then repair_gave_up t ~item "pending_txn"
   else if (not (is_down t)) && Hashtbl.mem t.quarantined item then begin
     let again via_donor =
       ignore
@@ -2906,10 +2878,7 @@ let rec watch_pending t ~item ~txid ~coordinator ~donor ~delta ~via_donor ~attem
 
 let rec repair_item t ~item ~attempt =
   if is_down t || not (Hashtbl.mem t.quarantined item) then ()
-  else if attempt >= max_repair_attempts then
-    trace t ~level:Trace.Warn ~category:"storage"
-      "%a repair of %s gave up after %d attempts; stays quarantined" Address.pp t.addr
-      item attempt
+  else if attempt >= max_repair_attempts then repair_gave_up t ~item "attempts"
   else begin
     let donors =
       let b = base_addr_for t ~item in
@@ -2917,10 +2886,7 @@ let rec repair_item t ~item ~attempt =
       if Address.equal b t.addr then others else b :: others
     in
     match donors with
-    | [] ->
-        trace t ~level:Trace.Warn ~category:"storage"
-          "%a has no donor for %s (sole subscriber); stays quarantined" Address.pp t.addr
-          item
+    | [] -> repair_gave_up t ~item "no_donor" (* sole subscriber *)
     | _ ->
         let donor = List.nth donors (attempt mod List.length donors) in
         let retry () =
@@ -3034,36 +3000,25 @@ let recover t =
   (match wal_report with
   | None -> t.db <- Database.recover ~name:(Database.name t.db) (Database.wal t.db)
   | Some report ->
-      note_storage_damage t ~label:"wal" report;
-      wal_loss := Segmented.data_loss report;
-      let wal =
+      let wal, unreadable =
         match Wal.of_string (String.concat "\n" report.Segmented.payloads) with
-        | Ok wal -> wal
-        | Error c ->
-            (* a recovered prefix re-parses by construction; only a CRC
-               collision hiding damage can land here *)
-            trace t ~level:Trace.Warn ~category:"storage" "%a wal prefix unreadable: %a"
-              Address.pp t.addr Corruption.pp c;
-            wal_loss := true;
-            Wal.create ()
+        | Ok wal -> (wal, None)
+        | Error c -> (Wal.create (), Some c)
       in
+      note_storage_damage t ~label:"wal" ?unreadable report;
+      wal_loss := unreadable <> None || Segmented.data_loss report;
       t.db <- Database.recover ~name:(Database.name t.db) wal);
   (match txn_report with
   | None -> ()
   | Some report ->
-      note_storage_damage t ~label:"txn-log" report;
-      let lost = ref (Segmented.data_loss report) in
-      let log =
+      let log, unreadable =
         match Txn_log.of_string (String.concat "\n" report.Segmented.payloads) with
-        | Ok log -> log
-        | Error c ->
-            trace t ~level:Trace.Warn ~category:"storage"
-              "%a txn-log prefix unreadable: %a" Address.pp t.addr Corruption.pp c;
-            lost := true;
-            Txn_log.create ()
+        | Ok log -> (log, None)
+        | Error c -> (Txn_log.create (), Some c)
       in
+      note_storage_damage t ~label:"txn-log" ?unreadable report;
       t.txn_log <- log;
-      if !lost then begin
+      if unreadable <> None || Segmented.data_loss report then begin
         (* Synced protocol records are gone: "no entry" stops implying
            "never happened", forever — later recoveries cannot un-lose
            them. Every non-regular interest item is suspect. *)
@@ -3109,10 +3064,15 @@ let recover t =
   (* Quarantined items — fresh this recovery or left by an interrupted
      repair — go back under repair. *)
   schedule_repairs t;
-  if tracing t then
+  if tracing t then begin
+    (* a recovery that leaves items quarantined is a warning *)
+    let q = Hashtbl.length t.quarantined in
     span_instant t ~category:"fault" "fault.recover"
-      ~fields:[ ("epoch", string_of_int t.epoch) ];
-  trace t ~category:"fault" "%a recovered (WAL + protocol log replayed)" Address.pp t.addr
+      ?status:(if q > 0 then Some Avdb_obs.Span.Warn else None)
+      ~fields:
+        (("epoch", string_of_int t.epoch)
+        :: (if q > 0 then [ ("quarantined", string_of_int q) ] else []))
+  end
 
 (* --- construction --- *)
 

@@ -219,7 +219,6 @@ type shared = {
   mutable n_members : int;
       (** membership count; site [i] has address [i], so a join is an O(1)
           bump instead of an O(N) address-list copy *)
-  trace : Avdb_sim.Trace.t;
   tracer : Avdb_obs.Tracer.t;
       (** causal span collector shared by every site and the RPC layer *)
 }

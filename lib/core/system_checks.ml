@@ -97,7 +97,7 @@ let in_doubt_total ~iter_sites =
   !acc
 
 (* Sealed-epoch agreement: a seal is a single-decree quorum decision, so
-   any two sites whose durable logs both hold a seal for (item, epoch)
+   any two sites whose durable log files both hold a seal for (item, epoch)
    must hold the exact same intent sequence. Like 2PC decision agreement
    this is checkable at any instant — a split seal is a protocol bug,
    never a transient. *)

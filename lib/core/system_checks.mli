@@ -34,7 +34,7 @@ val in_doubt_total : iter_sites:((Site.t -> unit) -> unit) -> int
 val sealed_epoch_agreement :
   iter_sites:((Site.t -> unit) -> unit) -> (unit, string) result
 (** Across every site's durable protocol log, each (item, epoch) carries
-    at most one seal value: any two logs holding a seal for the pair hold
+    at most one seal value: any two log files holding a seal for the pair hold
     the exact same intent sequence. Checkable at any instant. *)
 
 val unsealed_intent_total : iter_sites:((Site.t -> unit) -> unit) -> int

@@ -1,9 +1,5 @@
 open Avdb_sim
 
-let src_log = Logs.Src.create "avdb.net" ~doc:"simulated network"
-
-module Log = (val Logs.src_log src_log : Logs.LOG)
-
 type 'a node = { handler : src:Address.t -> 'a -> unit; mutable down : bool }
 
 module Pair = struct
@@ -160,14 +156,10 @@ let delivery_time t ~src ~dst ~size ~latency_model =
 
 let send_local t ~src ~dst dst_node ~size payload =
   Stats.on_sent t.stats src ~bytes:size;
-  if (node t src).down || dst_node.down || is_partitioned t src dst then begin
-    Log.debug (fun m -> m "drop %a->%a (down/partition)" Address.pp src Address.pp dst);
-    Stats.on_dropped t.stats src
-  end
-  else if Rng.bernoulli t.rng t.drop_probability then begin
-    Log.debug (fun m -> m "drop %a->%a (loss)" Address.pp src Address.pp dst);
-    Stats.on_dropped t.stats src
-  end
+  if
+    (node t src).down || dst_node.down || is_partitioned t src dst
+    || Rng.bernoulli t.rng t.drop_probability
+  then Stats.on_dropped t.stats src
   else begin
     let latency_model = link_latency t ~src ~dst in
     let deliver_at = delivery_time t ~src ~dst ~size ~latency_model in
@@ -204,14 +196,8 @@ let send_local t ~src ~dst dst_node ~size payload =
    sequential engine makes its final check too. *)
 let send_remote t ~src ~dst ~size payload push =
   Stats.on_sent t.stats src ~bytes:size;
-  if (node t src).down || is_partitioned t src dst then begin
-    Log.debug (fun m -> m "drop %a->%a (down/partition)" Address.pp src Address.pp dst);
-    Stats.on_dropped t.stats src
-  end
-  else if Rng.bernoulli t.rng t.drop_probability then begin
-    Log.debug (fun m -> m "drop %a->%a (loss)" Address.pp src Address.pp dst);
-    Stats.on_dropped t.stats src
-  end
+  if (node t src).down || is_partitioned t src dst || Rng.bernoulli t.rng t.drop_probability
+  then Stats.on_dropped t.stats src
   else begin
     let latency_model = link_latency t ~src ~dst in
     let deliver_at = delivery_time t ~src ~dst ~size ~latency_model in

@@ -97,6 +97,10 @@ let run ~window ?until ?(on_round = fun ~at:_ -> ()) shards =
         if errors.(rank) = None then errors.(rank) <- Some (e, Printexc.get_raw_backtrace ())
     in
     let write_next () = next_event.(rank) <- Engine.next_time shard.engine in
+    (* Sends made between runs already sit in the inboxes; scheduling them
+       before the first decision keeps a run over empty queues from
+       stopping on them, and keeps them out of the first window's past. *)
+    guard shard.drain;
     guard write_next;
     let continue = ref true in
     while !continue do

@@ -33,8 +33,9 @@ type shard = {
   engine : Engine.t;
   drain : unit -> unit;
       (** Drain this shard's inbox: schedule every pending cross-shard
-          message onto [engine]. Called at each barrier, and only from
-          the shard's own domain. *)
+          message onto [engine]. Called once before the first round (for
+          sends made between runs) and at each barrier, and only from the
+          shard's own domain. *)
 }
 
 type stats = {

@@ -225,7 +225,7 @@ let recover ?name wal =
         | Error e -> failwith ("Database.recover: replay apply: " ^ e))
   in
   List.iter apply (Wal.records wal);
-  (* The recovered instance logs onto a fresh WAL seeded with the replayed
+  (* The recovered instance writes to a fresh WAL seeded with the replayed
      history, so a second crash recovers to at least this state. *)
   List.iter
     (fun r ->

@@ -16,7 +16,7 @@ type record =
   | Abort of int
   | Apply of { txid : int; table : string; key : string; col : string; before : Value.t; after : Value.t }
       (** A complete single-operation committed transaction in one record —
-          the autocommit write path ({!Database.apply_int}) logs this
+          the autocommit write path ({!Database.apply_int}) writes this
           instead of a Begin/Update/Commit triple. Atomic by construction:
           a torn tail either keeps the whole update or none of it. *)
 

@@ -7,7 +7,7 @@ open Avdb_net
    the WAL) survives a simulated crash — serialisation exists so the
    same bytes could sit on disk. *)
 
-(* One write intent of the epoch-quorum commit class: what a writer logs
+(* One write intent of the epoch-quorum commit class: what a writer records
    durably before telling any sequencer, and what a seal totally orders. *)
 type intent = { i_txid : int; i_origin : Address.t; i_delta : int }
 

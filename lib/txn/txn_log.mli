@@ -11,9 +11,9 @@
       participant side: logged at the moment of voting Ready (the
       "prepared" record). Carries the full cohort so a recovered
       participant knows whom to ask during cooperative termination.
-    - [Outcome] — the commit/abort decision. A coordinator logs it
+    - [Outcome] — the commit/abort decision. A coordinator records it
       before broadcasting (presumed abort depends on "no outcome record
-      => never committed"); a participant logs it when finalising.
+      => never committed"); a participant records it when finalising.
     - [End] — coordinator only: every decision ack arrived, the
       coordination is closed; recovery does not re-broadcast ended txns.
     - [Refused] — a cooperative-termination pledge: this site has not

@@ -203,7 +203,6 @@ let scripted config =
   let cluster = Cluster.create config in
   let engine = Cluster.engine cluster in
   let h = History.create () in
-  ignore (History.attach_trace h (Cluster.trace cluster));
   let site i = (Cluster.sites cluster).(i) in
   let submit i item delta =
     History.submit_update h ~engine (site i) ~item ~delta (fun _ -> ());

@@ -164,7 +164,7 @@ let test_decision_loss_recovered_by_termination_protocol () =
 
 let test_coordinator_crash_resolved_after_recovery () =
   (* The coordinator crashes right after sending prepares. Its vote timers
-     still run locally, so it decides Abort and logs it; prepared
+     still run locally, so it decides Abort and records it; prepared
      participants stay blocked until it comes back, then learn the abort
      through the termination protocol. *)
   let cluster = make () in

@@ -4,7 +4,7 @@
    exactly-once continuations.
 
    With the default constant 1 ms latency the protocol phases land at
-   known instants: the coordinator logs Start and broadcasts prepares in
+   known instants: the coordinator records Start and broadcasts prepares in
    the submission handler at t=0; participants log their own Start and
    vote at t=1; the last vote arrives at t=2, where the outcome record and
    the coordinator's local commit happen in the same atomic event;
@@ -87,7 +87,7 @@ let test_coordinator_crash_before_prepare () =
 
 (* Crash after the participants prepared but before any decision exists:
    the cohort is in doubt holding exclusive locks; the recovered
-   coordinator finds Start without an outcome, logs the presumed abort and
+   coordinator finds Start without an outcome, records the presumed abort and
    pushes it, while the participants' termination protocol pulls. *)
 let test_coordinator_crash_after_prepares () =
   let cluster, fired, result = run_case ~crash_site:1 ~crash_ms:1.5 () in

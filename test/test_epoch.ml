@@ -192,7 +192,7 @@ let prop_seal_idempotent =
       && Cluster.sealed_epoch_agreement cluster = Ok ()
       && List.for_all (fun a -> a = 1000 + applied_sum) amounts)
 
-(* Same seed, 4 domains: byte-identical protocol logs and amounts. *)
+(* Same seed, 4 domains: byte-identical protocol log files and amounts. *)
 let prop_domains_deterministic =
   QCheck.Test.make ~name:"same-seed pcluster runs are byte-identical" ~count:5
     (QCheck.pair QCheck.small_int (Gen.site_ops ~n_sites:8 ~min_len:4 ~max_len:20 ()))
@@ -214,7 +214,7 @@ let prop_domains_deterministic =
           ops;
         Pcluster.run p;
         Pcluster.flush_all_syncs p;
-        let logs =
+        let protocol_logs =
           Array.to_list
             (Array.map (fun s -> Txn_log.to_string (Site.txn_log s)) (Pcluster.sites p))
         in
@@ -223,7 +223,7 @@ let prop_domains_deterministic =
             (fun item -> Pcluster.replica_amounts p ~item)
             [ "epoch0"; "epoch1" ]
         in
-        (logs, amounts)
+        (protocol_logs, amounts)
       in
       run () = run ())
 

@@ -43,6 +43,39 @@ let test_deterministic () =
   let a = Nemesis.execute cfg schedule and b = Nemesis.execute cfg schedule in
   Alcotest.(check bool) "execution is reproducible" true (a = b)
 
+(* The oracle history holds the faults the nemesis injected: a crash and a
+   recovery per scheduled crash window, at the window's edges, printed as
+   "!! siteN crashed" / "!! siteN recovered" lines. *)
+let test_oracle_records_faults () =
+  let module H = Avdb_check.History in
+  let cfg = { (Nemesis.default ~seed:3) with Nemesis.oracle = true } in
+  let schedule = Nemesis.generate cfg in
+  let ms = Avdb_sim.Time.of_ms in
+  let expected =
+    List.concat_map
+      (function
+        | Nemesis.Crash { site; at_ms; for_ms } ->
+            [ (site, ms at_ms, H.Crashed); (site, ms (at_ms +. for_ms), H.Recovered) ]
+        | _ -> [])
+      schedule
+  in
+  Alcotest.(check bool) "the schedule crashes sites" true (expected <> []);
+  let outcome = Nemesis.execute cfg schedule in
+  Alcotest.(check (list string)) "no violations" [] outcome.Nemesis.violations;
+  let h = Option.get outcome.Nemesis.history in
+  Alcotest.(check bool) "one crash and one recovery per window" true
+    (List.sort compare expected
+    = List.sort compare (List.map (fun f -> (f.H.f_site, f.H.f_at, f.H.f_kind)) (H.faults h)));
+  let lines = String.split_on_char '\n' (Format.asprintf "%a" H.pp h) in
+  let printed verb =
+    List.length
+      (List.filter
+         (fun l -> String.starts_with ~prefix:"!! site" l && List.mem verb (String.split_on_char ' ' l))
+         lines)
+  in
+  Alcotest.(check int) "crash lines" (List.length expected / 2) (printed "crashed");
+  Alcotest.(check int) "recovery lines" (List.length expected / 2) (printed "recovered")
+
 let window_end = function
   | Nemesis.Crash { at_ms; for_ms; _ }
   | Nemesis.Partition { at_ms; for_ms; _ }
@@ -88,6 +121,7 @@ let suites =
         Alcotest.test_case "fixed seeds pass" `Slow test_fixed_seeds;
         Alcotest.test_case "epoch seeds pass" `Slow test_epoch_seeds;
         Alcotest.test_case "deterministic replay" `Quick test_deterministic;
+        Alcotest.test_case "oracle records faults" `Quick test_oracle_records_faults;
         Alcotest.test_case "schedules well-formed" `Quick test_schedules_well_formed;
       ] );
   ]

@@ -506,6 +506,66 @@ let test_av_span_tree () =
         true (Obs.Span.is_finished sp))
     [ grant; serve; call; acquire; root ]
 
+(* --- the paper's Accelerator events, as spans --- *)
+
+let spans_named cluster name =
+  List.filter (fun s -> s.Obs.Span.name = name) (Cluster.spans cluster)
+
+let test_cluster_av_spans () =
+  let cluster =
+    Cluster.create
+      {
+        Config.default with
+        Config.products = [ Product.regular "widget" ~initial_amount:60 ];
+        seed = 3;
+      }
+  in
+  (* Force a transfer: drain beyond the local share (20 each). *)
+  Site.submit_update (Cluster.site cluster 1) ~item:"widget" ~delta:(-30) (fun _ -> ());
+  Cluster.run cluster;
+  List.iter
+    (fun name ->
+      match spans_named cluster name with
+      | [] -> Alcotest.failf "no %s span" name
+      | spans ->
+          List.iter
+            (fun sp ->
+              Alcotest.(check (option string)) (name ^ " names the item") (Some "widget")
+                (List.assoc_opt "item" (Obs.Span.fields sp)))
+            spans)
+    [ "av.grant"; "av.acquire" ]
+
+let test_cluster_fault_spans () =
+  let cluster = Cluster.create { Config.default with Config.seed = 3 } in
+  Site.crash (Cluster.site cluster 2);
+  Site.recover (Cluster.site cluster 2);
+  match
+    List.filter (fun s -> s.Obs.Span.category = "fault") (Cluster.spans cluster)
+  with
+  | [ crash; recover ] ->
+      Alcotest.(check string) "crash first" "fault.crash" crash.Obs.Span.name;
+      Alcotest.(check bool) "crash is a warning" true (crash.Obs.Span.status = Obs.Span.Warn);
+      Alcotest.(check (option int)) "at the crashed site" (Some 2) crash.Obs.Span.site;
+      Alcotest.(check string) "then the recovery" "fault.recover" recover.Obs.Span.name
+  | spans -> Alcotest.failf "expected crash + recovery, got %d fault spans" (List.length spans)
+
+let test_cluster_2pc_spans () =
+  let cluster =
+    Cluster.create
+      {
+        Config.default with
+        Config.products = [ Product.non_regular "special" ~initial_amount:10 ];
+        seed = 3;
+      }
+  in
+  Site.submit_update (Cluster.site cluster 1) ~item:"special" ~delta:(-1) (fun _ -> ());
+  Cluster.run cluster;
+  match spans_named cluster "2pc.decision" with
+  | [ d ] ->
+      Alcotest.(check (option string)) "committed" (Some "commit")
+        (List.assoc_opt "decision" (Obs.Span.fields d))
+  | spans -> Alcotest.failf "expected one decision, got %d" (List.length spans)
+
 (* --- periodic snapshots --- *)
 
 let test_snapshot_cadence () =
@@ -876,6 +936,9 @@ let suites =
         Alcotest.test_case "registry retention bound" `Quick test_registry_retention_bound;
         Alcotest.test_case "metrics csv shapes" `Quick test_metrics_csv_shapes;
         Alcotest.test_case "av span tree crosses the wire" `Quick test_av_span_tree;
+        Alcotest.test_case "cluster av spans" `Quick test_cluster_av_spans;
+        Alcotest.test_case "cluster fault spans" `Quick test_cluster_fault_spans;
+        Alcotest.test_case "cluster 2pc spans" `Quick test_cluster_2pc_spans;
         Alcotest.test_case "snapshot cadence" `Quick test_snapshot_cadence;
         Alcotest.test_case "invariant probe" `Quick test_invariant_probe;
         Alcotest.test_case "exporters well-formed" `Quick test_exporters_well_formed;
