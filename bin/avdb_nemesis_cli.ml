@@ -31,54 +31,60 @@ let run_seed ~cfg ~verbose ~out seed =
 let run seeds start seed_opt sites regular non_regular epoch ops horizon_ms crashes
     partitions net_windows no_crash_base oracle spread hierarchy disk_faults domains
     mutations verbose out =
+  let cfg =
+    {
+      (Nemesis.default ~seed:0) with
+      Nemesis.n_sites = sites;
+      n_regular = regular;
+      n_non_regular = non_regular;
+      n_epoch = epoch;
+      n_ops = ops;
+      horizon_ms;
+      max_crashes = crashes;
+      max_partitions = partitions;
+      max_net_windows = net_windows;
+      crash_base = not no_crash_base;
+      oracle;
+      spread;
+      hierarchy;
+      disk_faults;
+      domains;
+    }
+  in
   if disk_faults && domains > 1 then
     `Error (true, "--disk-faults cannot be combined with --domains greater than 1")
-  else begin
-    Avdb_core.Mutation.reset ();
-    List.iter Avdb_core.Mutation.enable mutations;
-    if mutations <> [] then
-      Printf.eprintf "warning: mutations enabled (%s) — failures are expected\n%!"
-        (String.concat ", " (List.map Avdb_core.Mutation.name mutations));
-    let cfg =
-      {
-        (Nemesis.default ~seed:0) with
-        Nemesis.n_sites = sites;
-        n_regular = regular;
-        n_non_regular = non_regular;
-        n_epoch = epoch;
-        n_ops = ops;
-        horizon_ms;
-        max_crashes = crashes;
-        max_partitions = partitions;
-        max_net_windows = net_windows;
-        crash_base = not no_crash_base;
-        oracle;
-        spread;
-        hierarchy;
-        disk_faults;
-        domains;
-      }
-    in
-    let seed_list =
-      match seed_opt with
-      | Some s -> [ s ]
-      | None -> List.init seeds (fun i -> start + i)
-    in
-    let failures =
-      List.filter (fun seed -> not (run_seed ~cfg ~verbose ~out seed)) seed_list
-    in
-    match failures with
-    | [] ->
-        Format.printf "all %d seeds passed@." (List.length seed_list);
-        `Ok 0
-    | fs ->
-        Format.printf "FAILING SEEDS: %s@."
-          (String.concat " " (List.map string_of_int fs));
-        `Ok 1
-  end
+  else if regular + non_regular + epoch = 0 then
+    `Error (true, "--regular, --non-regular and --epoch are all 0: the catalogue is empty")
+  else
+    match Nemesis.validate cfg with
+    | Error e -> `Error (true, "invalid configuration: " ^ e)
+    | Ok () -> (
+        Avdb_core.Mutation.reset ();
+        List.iter Avdb_core.Mutation.enable mutations;
+        if mutations <> [] then
+          Printf.eprintf "warning: mutations enabled (%s) — failures are expected\n%!"
+            (String.concat ", " (List.map Avdb_core.Mutation.name mutations));
+        let seed_list =
+          match seed_opt with
+          | Some s -> [ s ]
+          | None -> List.init seeds (fun i -> start + i)
+        in
+        let failures =
+          List.filter (fun seed -> not (run_seed ~cfg ~verbose ~out seed)) seed_list
+        in
+        match failures with
+        | [] ->
+            Format.printf "all %d seeds passed@." (List.length seed_list);
+            `Ok 0
+        | fs ->
+            Format.printf "FAILING SEEDS: %s@."
+              (String.concat " " (List.map string_of_int fs));
+            `Ok 1)
 
 let seeds_arg =
-  Arg.(value & opt int 20 & info [ "seeds" ] ~docv:"N" ~doc:"Number of seeds to sweep.")
+  Arg.(
+    value & opt Avdb_cli.non_negative_int 20
+    & info [ "seeds" ] ~docv:"N" ~doc:"Number of seeds to sweep.")
 
 let start_arg =
   Arg.(value & opt int 0 & info [ "start" ] ~docv:"S" ~doc:"First seed of the sweep.")
@@ -90,38 +96,52 @@ let seed_arg =
     & info [ "seed" ] ~docv:"SEED" ~doc:"Run exactly one seed (overrides --seeds/--start).")
 
 let sites_arg =
-  Arg.(value & opt int 4 & info [ "sites" ] ~doc:"Cluster size (site 0 is the base).")
+  Arg.(
+    value & opt Avdb_cli.positive_int 4
+    & info [ "sites" ] ~doc:"Cluster size (site 0 is the base).")
 
 let regular_arg =
-  Arg.(value & opt int 4 & info [ "regular" ] ~doc:"Regular (Delay Update) products.")
+  Arg.(
+    value & opt Avdb_cli.non_negative_int 4
+    & info [ "regular" ] ~doc:"Regular (Delay Update) products.")
 
 let non_regular_arg =
   Arg.(
-    value & opt int 3 & info [ "non-regular" ] ~doc:"Non-regular (Immediate Update) products.")
+    value & opt Avdb_cli.non_negative_int 3
+    & info [ "non-regular" ] ~doc:"Non-regular (Immediate Update) products.")
 
 let epoch_arg =
   Arg.(
-    value & opt int 0
+    value & opt Avdb_cli.non_negative_int 0
     & info [ "epoch" ] ~docv:"N"
         ~doc:
           "Epoch-class products (asynchronous epoch-quorum commit). Adds the epoch \
            invariants — identical sealed prefixes on every subscriber, zero unsealed \
            intents at quiescence — to every run. Default 0.")
 
-let ops_arg = Arg.(value & opt int 160 & info [ "ops" ] ~doc:"Workload submissions per run.")
+let ops_arg =
+  Arg.(
+    value & opt Avdb_cli.non_negative_int 160
+    & info [ "ops" ] ~doc:"Workload submissions per run.")
 
 let horizon_arg =
-  Arg.(value & opt float 3000. & info [ "horizon-ms" ] ~doc:"Fault-phase length (sim ms).")
+  Arg.(
+    value & opt Avdb_cli.non_negative_float 3000.
+    & info [ "horizon-ms" ] ~doc:"Fault-phase length (sim ms).")
 
 let crashes_arg =
-  Arg.(value & opt int 4 & info [ "max-crashes" ] ~doc:"Max crash windows per run.")
+  Arg.(
+    value & opt Avdb_cli.non_negative_int 4
+    & info [ "max-crashes" ] ~doc:"Max crash windows per run.")
 
 let partitions_arg =
-  Arg.(value & opt int 2 & info [ "max-partitions" ] ~doc:"Max partition windows per run.")
+  Arg.(
+    value & opt Avdb_cli.non_negative_int 2
+    & info [ "max-partitions" ] ~doc:"Max partition windows per run.")
 
 let net_windows_arg =
   Arg.(
-    value & opt int 3
+    value & opt Avdb_cli.non_negative_int 3
     & info [ "max-net-windows" ] ~doc:"Max loss/duplication/reordering windows per run.")
 
 let no_crash_base_arg =
@@ -139,7 +159,7 @@ let oracle_arg =
 let spread_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some Avdb_cli.positive_int) None
     & info [ "spread" ] ~docv:"K"
         ~doc:
           "Run on a sharded topology: per-item hashed bases with partial replication at \
@@ -149,7 +169,7 @@ let spread_arg =
 let hierarchy_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some Avdb_cli.positive_int) None
     & info [ "hierarchy" ] ~docv:"F"
         ~doc:
           "With --spread: circulate AV requests up an $(docv)-ary tree over each item's \

@@ -48,87 +48,9 @@ let granting_conv =
   let parse s = Result.map_error (fun e -> `Msg e) (Avdb_av.Strategy.Granting.of_name s) in
   Arg.conv (parse, fun ppf g -> Format.pp_print_string ppf (Avdb_av.Strategy.Granting.name g))
 
-let run retailers items initial updates update_class mode allocation selection granting skew
-    maker_weight spread hierarchy domains latency_ms drop dup reorder rpc_retries
-    rpc_backoff_ms sync_ms prefetch seed checkpoints csv trace_sample trace_slow_ms
-    trace_out metrics_out metrics_wide snapshot_every_ms check mutations =
-  let n_sites = retailers + 1 in
-  (* --class selects which update class(es) the catalogue exercises:
-     delay (the paper's AV path), immediate (2PC), epoch (asynchronous
-     epoch-quorum commit) or an even three-way mix. *)
-  let products =
-    match update_class with
-    | `Delay -> Product.catalogue ~n_regular:items ~n_non_regular:0 ~initial_amount:initial
-    | `Immediate ->
-        Product.catalogue ~n_regular:0 ~n_non_regular:items ~initial_amount:initial
-    | `Epoch ->
-        Product.mixed ~n_regular:0 ~n_non_regular:0 ~n_epoch:items ~initial_amount:initial
-    | `Mixed ->
-        let third = items / 3 in
-        Product.mixed ~n_regular:(items - (2 * third)) ~n_non_regular:third ~n_epoch:third
-          ~initial_amount:initial
-  in
-  let topology =
-    match spread with
-    | None -> Topology.flat
-    | Some k -> Topology.sharded ~spread:k ?hierarchy_fanout:hierarchy ()
-  in
-  Mutation.reset ();
-  List.iter Mutation.enable mutations;
-  if mutations <> [] then
-    Printf.eprintf "mutations enabled (test-only fault seeding): %s\n%!"
-      (String.concat ", " (List.map Mutation.name mutations));
-  (* Metrics output implies snapshots; default cadence 100 ms. *)
-  let snapshot_interval =
-    match (snapshot_every_ms, metrics_out) with
-    | Some ms, _ -> Some (Avdb_sim.Time.of_ms ms)
-    | None, Some _ -> Some (Avdb_sim.Time.of_ms 100.)
-    | None, None -> None
-  in
-  let rpc_retry =
-    if rpc_retries <= 1 then Avdb_net.Rpc.no_retry
-    else
-      {
-        Avdb_net.Rpc.max_attempts = rpc_retries;
-        base_backoff = Avdb_sim.Time.of_ms rpc_backoff_ms;
-        backoff_multiplier = 2.;
-        jitter = 0.5;
-      }
-  in
-  let config =
-    {
-      Config.default with
-      Config.n_sites;
-      mode;
-      allocation;
-      strategy = { Avdb_av.Strategy.selection; granting };
-      products;
-      topology;
-      latency = Avdb_net.Latency.Constant (Avdb_sim.Time.of_ms latency_ms);
-      drop_probability = drop;
-      duplicate_probability = dup;
-      reorder_probability = reorder;
-      rpc_retry;
-      sync_interval = Option.map Avdb_sim.Time.of_ms sync_ms;
-      snapshot_interval;
-      prefetch_low = prefetch;
-      domains;
-      seed;
-      trace_sample;
-      trace_slow = Option.map Avdb_sim.Time.of_ms trace_slow_ms;
-    }
-  in
-  let spec =
-    {
-      (Scm.paper_spec ~n_sites ~n_items:items ~initial_amount:initial ()) with
-      (* the workload must target the actual catalogue, whatever the class *)
-      Scm.items =
-        Array.of_list
-          (List.map (fun p -> (p.Product.name, p.Product.initial_amount)) products);
-      item_skew = skew;
-      maker_weight;
-    }
-  in
+let simulate config spec ~spread ~seed ~updates ~checkpoints ~csv ~trace_out ~metrics_out
+    ~metrics_wide ~check =
+  let n_sites = config.Config.n_sites in
   let pc = Pcluster.create config in
   let topo = Pcluster.topology pc in
   let workload =
@@ -274,18 +196,115 @@ let run retailers items initial updates update_class mode allocation selection g
     if Avdb_check.Checker.ok verdict then 0 else 1
   end
 
+let run retailers items initial updates update_class mode allocation selection granting skew
+    maker_weight spread hierarchy domains latency_ms drop dup reorder rpc_retries
+    rpc_backoff_ms sync_ms prefetch seed checkpoints csv trace_sample trace_slow_ms
+    trace_out metrics_out metrics_wide snapshot_every_ms check mutations =
+  let n_sites = retailers + 1 in
+  (* --class selects which update class(es) the catalogue exercises:
+     delay (the paper's AV path), immediate (2PC), epoch (asynchronous
+     epoch-quorum commit) or an even three-way mix. *)
+  let products =
+    match update_class with
+    | `Delay -> Product.catalogue ~n_regular:items ~n_non_regular:0 ~initial_amount:initial
+    | `Immediate ->
+        Product.catalogue ~n_regular:0 ~n_non_regular:items ~initial_amount:initial
+    | `Epoch ->
+        Product.mixed ~n_regular:0 ~n_non_regular:0 ~n_epoch:items ~initial_amount:initial
+    | `Mixed ->
+        let third = items / 3 in
+        Product.mixed ~n_regular:(items - (2 * third)) ~n_non_regular:third ~n_epoch:third
+          ~initial_amount:initial
+  in
+  let topology =
+    match spread with
+    | None -> Topology.flat
+    | Some k -> Topology.sharded ~spread:k ?hierarchy_fanout:hierarchy ()
+  in
+  Mutation.reset ();
+  List.iter Mutation.enable mutations;
+  if mutations <> [] then
+    Printf.eprintf "mutations enabled (test-only fault seeding): %s\n%!"
+      (String.concat ", " (List.map Mutation.name mutations));
+  (* Metrics output implies snapshots; default cadence 100 ms. *)
+  let snapshot_interval =
+    match (snapshot_every_ms, metrics_out) with
+    | Some ms, _ -> Some (Avdb_sim.Time.of_ms ms)
+    | None, Some _ -> Some (Avdb_sim.Time.of_ms 100.)
+    | None, None -> None
+  in
+  let rpc_retry =
+    if rpc_retries <= 1 then Avdb_net.Rpc.no_retry
+    else
+      {
+        Avdb_net.Rpc.max_attempts = rpc_retries;
+        base_backoff = Avdb_sim.Time.of_ms rpc_backoff_ms;
+        backoff_multiplier = 2.;
+        jitter = 0.5;
+      }
+  in
+  let config =
+    {
+      Config.default with
+      Config.n_sites;
+      mode;
+      allocation;
+      strategy = { Avdb_av.Strategy.selection; granting };
+      products;
+      topology;
+      latency = Avdb_net.Latency.Constant (Avdb_sim.Time.of_ms latency_ms);
+      drop_probability = drop;
+      duplicate_probability = dup;
+      reorder_probability = reorder;
+      rpc_retry;
+      sync_interval = Option.map Avdb_sim.Time.of_ms sync_ms;
+      snapshot_interval;
+      prefetch_low = prefetch;
+      domains;
+      seed;
+      trace_sample;
+      trace_slow = Option.map Avdb_sim.Time.of_ms trace_slow_ms;
+    }
+  in
+  let spec =
+    {
+      (Scm.paper_spec ~n_sites ~n_items:items ~initial_amount:initial ()) with
+      (* the workload must target the actual catalogue, whatever the class *)
+      Scm.items =
+        Array.of_list
+          (List.map (fun p -> (p.Product.name, p.Product.initial_amount)) products);
+      item_skew = skew;
+      maker_weight;
+    }
+  in
+  (* Flag combinations no single converter can reject, then whatever else
+     the configuration check refuses: usage errors, before any set-up. *)
+  if domains > 1 && latency_ms = 0. then
+    `Error (true, "--domains greater than 1 needs a positive --latency-ms")
+  else
+    match Config.validate config with
+    | Error e -> `Error (true, "invalid configuration: " ^ e)
+    | Ok () ->
+        `Ok
+          (simulate config spec ~spread ~seed ~updates ~checkpoints ~csv ~trace_out
+             ~metrics_out ~metrics_wide ~check)
+
 let cmd =
   let retailers =
-    Arg.(value & opt int 2 & info [ "retailers" ] ~docv:"N" ~doc:"Number of retailer sites.")
+    Arg.(value & opt Avdb_cli.non_negative_int 2
+        & info [ "retailers" ] ~docv:"N" ~doc:"Number of retailer sites.")
   in
   let items =
-    Arg.(value & opt int 100 & info [ "items" ] ~docv:"N" ~doc:"Number of regular products.")
+    Arg.(value & opt Avdb_cli.positive_int 100
+        & info [ "items" ] ~docv:"N" ~doc:"Number of regular products.")
   in
   let initial =
-    Arg.(value & opt int 100 & info [ "initial" ] ~docv:"N" ~doc:"Initial stock per product.")
+    Arg.(value & opt Avdb_cli.positive_int 100
+        & info [ "initial" ] ~docv:"N" ~doc:"Initial stock per product.")
   in
   let updates =
-    Arg.(value & opt int 3000 & info [ "updates" ] ~docv:"N" ~doc:"Total user updates.")
+    Arg.(value & opt Avdb_cli.non_negative_int 3000
+        & info [ "updates" ] ~docv:"N" ~doc:"Total user updates.")
   in
   let update_class =
     let class_conv =
@@ -317,13 +336,15 @@ let cmd =
         & info [ "granting" ] ~docv:"RULE" ~doc:"Donor granting: half, exact, all, demand+F.")
   in
   let skew =
-    Arg.(value & opt float 0. & info [ "skew" ] ~docv:"THETA" ~doc:"Zipf skew over items (0 = uniform).")
+    Arg.(value & opt Avdb_cli.non_negative_float 0.
+        & info [ "skew" ] ~docv:"THETA" ~doc:"Zipf skew over items (0 = uniform).")
   in
   let maker_weight =
-    Arg.(value & opt int 1 & info [ "maker-weight" ] ~docv:"N" ~doc:"Maker slots per workload cycle.")
+    Arg.(value & opt Avdb_cli.positive_int 1
+        & info [ "maker-weight" ] ~docv:"N" ~doc:"Maker slots per workload cycle.")
   in
   let spread =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some Avdb_cli.positive_int) None
         & info [ "spread" ] ~docv:"K"
             ~doc:
               "Shard the topology: each item gets a hash-chosen base site and is replicated \
@@ -332,7 +353,7 @@ let cmd =
                replication.")
   in
   let hierarchy =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some Avdb_cli.positive_int) None
         & info [ "hierarchy" ] ~docv:"F"
             ~doc:
               "With --spread: AV requests climb an $(docv)-ary tree over each item's \
@@ -349,17 +370,19 @@ let cmd =
                progress checkpoints and per-site rows.")
   in
   let latency_ms =
-    Arg.(value & opt float 1. & info [ "latency-ms" ] ~docv:"MS" ~doc:"Constant link latency.")
+    Arg.(value & opt Avdb_cli.non_negative_float 1.
+        & info [ "latency-ms" ] ~docv:"MS" ~doc:"Constant link latency.")
   in
   let drop =
-    Arg.(value & opt float 0. & info [ "drop" ] ~docv:"P" ~doc:"Message drop probability.")
+    Arg.(value & opt Avdb_cli.probability 0.
+        & info [ "drop" ] ~docv:"P" ~doc:"Message drop probability.")
   in
   let dup =
-    Arg.(value & opt float 0.
+    Arg.(value & opt Avdb_cli.probability 0.
         & info [ "dup" ] ~docv:"P" ~doc:"Message duplication probability.")
   in
   let reorder =
-    Arg.(value & opt float 0.
+    Arg.(value & opt Avdb_cli.probability 0.
         & info [ "reorder" ] ~docv:"P"
             ~doc:"Probability a message bypasses per-link FIFO ordering.")
   in
@@ -369,26 +392,27 @@ let cmd =
             ~doc:"Max RPC attempts per call (1 = no retransmission).")
   in
   let rpc_backoff_ms =
-    Arg.(value & opt float 25.
+    Arg.(value & opt Avdb_cli.non_negative_float 25.
         & info [ "rpc-backoff-ms" ] ~docv:"MS"
             ~doc:"Base retransmission backoff; doubles per attempt with jitter.")
   in
   let sync_ms =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some Avdb_cli.non_negative_float) None
         & info [ "sync-ms" ] ~docv:"MS" ~doc:"Lazy-propagation flush interval (off if absent).")
   in
   let prefetch =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some Avdb_cli.positive_int) None
         & info [ "prefetch" ] ~docv:"N"
             ~doc:"Background AV refill watermark (off if absent).")
   in
   let seed = Arg.(value & opt int 2000 & info [ "seed" ] ~docv:"N" ~doc:"Simulation seed.") in
   let checkpoints =
-    Arg.(value & opt int 10 & info [ "checkpoints" ] ~docv:"N" ~doc:"Number of progress rows.")
+    Arg.(value & opt Avdb_cli.positive_int 10
+        & info [ "checkpoints" ] ~docv:"N" ~doc:"Number of progress rows.")
   in
   let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit the checkpoint table as CSV.") in
   let trace_sample =
-    Arg.(value & opt float 1.
+    Arg.(value & opt Avdb_cli.probability 1.
         & info [ "trace-sample" ] ~docv:"P"
             ~doc:
               "Head-sample traced operation trees at rate $(docv) in [0,1]: each root span \
@@ -397,7 +421,7 @@ let cmd =
                $(b,--trace-slow-ms) are retained regardless.")
   in
   let trace_slow_ms =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some Avdb_cli.non_negative_float) None
         & info [ "trace-slow-ms" ] ~docv:"MS"
             ~doc:
               "Tail-retention threshold: spans lasting at least $(docv) survive sampling \
@@ -428,7 +452,7 @@ let cmd =
                (default every 100 ms) if $(b,--snapshot-every-ms) is not given.")
   in
   let snapshot_every_ms =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some Avdb_cli.positive_float) None
         & info [ "snapshot-every-ms" ] ~docv:"MS"
             ~doc:
               "Sample every registered metric and run the invariant probes every $(docv) of \
@@ -458,12 +482,13 @@ let cmd =
   in
   let term =
     Term.(
-      const run $ retailers $ items $ initial $ updates $ update_class $ mode $ allocation
-      $ selection
-      $ granting $ skew $ maker_weight $ spread $ hierarchy $ domains $ latency_ms $ drop
-      $ dup $ reorder $ rpc_retries $ rpc_backoff_ms $ sync_ms $ prefetch $ seed
-      $ checkpoints $ csv $ trace_sample $ trace_slow_ms $ trace_out $ metrics_out
-      $ metrics_wide $ snapshot_every_ms $ check $ mutations)
+      ret
+        (const run $ retailers $ items $ initial $ updates $ update_class $ mode $ allocation
+        $ selection
+        $ granting $ skew $ maker_weight $ spread $ hierarchy $ domains $ latency_ms $ drop
+        $ dup $ reorder $ rpc_retries $ rpc_backoff_ms $ sync_ms $ prefetch $ seed
+        $ checkpoints $ csv $ trace_sample $ trace_slow_ms $ trace_out $ metrics_out
+        $ metrics_wide $ snapshot_every_ms $ check $ mutations))
   in
   Cmd.v
     (Cmd.info "avdb-sim" ~version:"1.0.0"

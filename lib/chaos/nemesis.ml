@@ -216,6 +216,8 @@ let mk_config cfg =
     seed = cfg.seed;
   }
 
+let validate cfg = Config.validate (mk_config cfg)
+
 let execute cfg schedule =
   if cfg.domains > 1 && cfg.disk_faults then
     invalid_arg "Nemesis.execute: disk_faults not supported with domains > 1";

@@ -109,6 +109,11 @@ val default : seed:int -> config
     horizon, up to 4 crashes (base included), 2 partitions and 3 network
     windows. *)
 
+val validate : config -> (unit, string) result
+(** The cluster configuration [config] describes, checked as
+    {!Avdb_core.Config.validate} checks it; {!execute} raises on an
+    [Error]. *)
+
 val generate : config -> fault list
 (** The deterministic fault schedule for [config.seed]: windows are sorted
     by start time; crash windows never overlap on the same site, partition

@@ -1,0 +1,251 @@
+open Avdb_net
+
+(* A counter is linked into the version-ordered ring through [older] and
+   [newer]; a counter never linked yet points at itself, so unlinking it
+   is a no-op. *)
+type counter = {
+  item : string;
+  mutable version : int;
+  mutable cum : int;
+  mutable older : counter;
+  mutable newer : counter;
+}
+
+module Items = Map.Make (String)
+
+type stamp = { mutable s_version : int; mutable s_cum : int }
+
+(* A map, not a hash table, per origin: under full replication a site
+   hears from every origin about a handful of items each, and a table's
+   sixteen-slot minimum would dominate its footprint. *)
+type origin = {
+  mutable high : int;  (* highest version applied from this origin *)
+  mutable stamps : stamp Items.t;
+}
+
+type t = {
+  counters : (string, counter) Hashtbl.t;
+  ring : counter;
+      (* sentinel: [ring.newer] is the oldest counter, [ring.older] the
+         newest *)
+  mutable dirty : counter list;  (* changed since [settled], each once *)
+  mutable settled : int;  (* [seq] at the last ring restoration *)
+  mutable seq : int;
+  mutable flushed : int;  (* every change <= this was broadcast once *)
+  conveyed : (int, int) Hashtbl.t;  (* peer -> acknowledged seq *)
+  mutable rr : int;  (* fanout rotation cursor *)
+  mutable rot_left : int;  (* fanout flushes still owed this rotation *)
+  mutable audience : Address.t list;
+  mutable audience_topology : int;
+  mutable audience_count : int;
+  applied : (int, origin) Hashtbl.t;
+}
+
+type counters = (string * int * int) list
+
+let create () =
+  let rec ring = { item = ""; version = 0; cum = 0; older = ring; newer = ring } in
+  {
+    counters = Hashtbl.create 16;
+    ring;
+    dirty = [];
+    settled = 0;
+    seq = 0;
+    flushed = 0;
+    conveyed = Hashtbl.create 8;
+    rr = 0;
+    rot_left = 0;
+    audience = [];
+    audience_topology = -1;
+    audience_count = -1;
+    applied = Hashtbl.create 8;
+  }
+
+(* --- sender --- *)
+
+let queue t ~item ~delta =
+  t.seq <- t.seq + 1;
+  (* Exception-style lookup: this runs once per applied update and the
+     steady state is always a hit, so skip [find_opt]'s [Some]. *)
+  match Hashtbl.find t.counters item with
+  | c ->
+      if c.version <= t.settled then t.dirty <- c :: t.dirty;
+      c.version <- t.seq;
+      c.cum <- c.cum + delta
+  | exception Not_found ->
+      let rec c = { item; version = t.seq; cum = delta; older = c; newer = c } in
+      Hashtbl.add t.counters item c;
+      t.dirty <- c :: t.dirty
+
+let seq t = t.seq
+let count t = Hashtbl.length t.counters
+
+let version t ~item =
+  match Hashtbl.find_opt t.counters item with Some c -> c.version | None -> 0
+
+let cum t ~item = match Hashtbl.find_opt t.counters item with Some c -> c.cum | None -> 0
+let owes_flush t = t.seq > t.flushed || t.rot_left > 0
+
+let start_flush t ~force ~fanout audience =
+  let new_deltas = t.seq > t.flushed in
+  t.flushed <- t.seq;
+  match fanout with
+  | Some k when (not force) && k < List.length audience ->
+      let n = List.length audience in
+      if new_deltas then t.rot_left <- ((n + k - 1) / k) - 1
+      else if t.rot_left > 0 then t.rot_left <- t.rot_left - 1;
+      let start = t.rr mod n in
+      t.rr <- t.rr + k;
+      List.filteri (fun i _ -> (i - start + n) mod n < k) audience
+  | Some _ | None ->
+      t.rot_left <- 0;
+      audience
+
+(* Move the dirty counters, oldest stamp first, to the ring's newest end.
+   Each is stamped after every counter still in place, so the ring comes
+   out in version order. *)
+let settle t =
+  if t.dirty <> [] then begin
+    let moved = List.sort (fun a b -> Int.compare a.version b.version) t.dirty in
+    let ring = t.ring in
+    List.iter
+      (fun c ->
+        c.older.newer <- c.newer;
+        c.newer.older <- c.older;
+        c.older <- ring.older;
+        c.newer <- ring;
+        ring.older.newer <- c;
+        ring.older <- c)
+      moved;
+    t.dirty <- []
+  end;
+  t.settled <- t.seq
+
+(* The counters stamped after [floor] on items [keep] accepts, in the
+   wire form, name-sorted. *)
+let slice t ~floor ~keep =
+  settle t;
+  let rec walk c acc =
+    if c == t.ring || c.version <= floor then acc
+    else walk c.older (if keep c.item then (c.item, c.version, c.cum) :: acc else acc)
+  in
+  List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) (walk t.ring.older [])
+
+let unflushed t =
+  List.map (fun (item, _, cum) -> (item, cum)) (slice t ~floor:t.flushed ~keep:(fun _ -> true))
+
+let conveyed t ~peer =
+  match Hashtbl.find_opt t.conveyed (Address.to_int peer) with Some v -> v | None -> 0
+
+let note_conveyed t ~peer ~upto =
+  if upto > conveyed t ~peer then Hashtbl.replace t.conveyed (Address.to_int peer) upto
+
+let payloads t ~force ~keep targets send =
+  let acks = List.map (fun peer -> (peer, if force then 0 else conveyed t ~peer)) targets in
+  let floor = List.fold_left (fun m (_, upto) -> Int.min m upto) max_int acks in
+  if floor < t.seq then begin
+    let slice = slice t ~floor ~keep:(fun _ -> true) in
+    List.iter
+      (fun (peer, upto) ->
+        match List.filter (fun (item, v, _) -> v > upto && keep peer item) slice with
+        | [] -> ()
+        | counters -> send peer counters)
+      acks
+  end
+
+let payload t ~keep peer =
+  let upto = conveyed t ~peer in
+  if t.seq <= upto then [] else slice t ~floor:upto ~keep
+
+let audience t topology ~self =
+  let v = Topology.version topology and n = Hashtbl.length t.counters in
+  if v <> t.audience_topology || n <> t.audience_count then begin
+    let seen = Hashtbl.create 16 in
+    Hashtbl.iter
+      (fun item _ ->
+        List.iter
+          (fun i -> if i <> self then Hashtbl.replace seen i ())
+          (Topology.subscribers topology ~item))
+      t.counters;
+    t.audience <-
+      Hashtbl.fold (fun i () acc -> Address.of_int i :: acc) seen []
+      |> List.sort Address.compare;
+    t.audience_topology <- v;
+    t.audience_count <- n
+  end;
+  t.audience
+
+let own_state t ~want =
+  Hashtbl.fold
+    (fun item c acc -> if want item then (item, c.version, c.cum) :: acc else acc)
+    t.counters []
+
+(* --- receiver --- *)
+
+let applied_version t ~origin ~item =
+  match Hashtbl.find_opt t.applied origin with
+  | Some o -> ( match Items.find_opt item o.stamps with Some s -> s.s_version | None -> 0)
+  | None -> 0
+
+let applied_total t ~item =
+  Hashtbl.fold
+    (fun _ o acc ->
+      match Items.find_opt item o.stamps with Some s -> acc + s.s_cum | None -> acc)
+    t.applied 0
+
+let fresh t ~origin counters =
+  match Hashtbl.find t.applied origin with
+  | exception Not_found -> List.map (fun (item, version, cum) -> (item, cum, version, cum)) counters
+  | o ->
+      List.filter_map
+        (fun (item, version, cum) ->
+          match Items.find item o.stamps with
+          | s -> if version <= s.s_version then None else Some (item, cum - s.s_cum, version, cum)
+          | exception Not_found -> Some (item, cum, version, cum))
+        counters
+
+let origin_of t origin =
+  match Hashtbl.find t.applied origin with
+  | o -> o
+  | exception Not_found ->
+      let o = { high = 0; stamps = Items.empty } in
+      Hashtbl.add t.applied origin o;
+      o
+
+let set_stamp o ~item ~version ~cum =
+  match Items.find item o.stamps with
+  | s ->
+      s.s_version <- version;
+      s.s_cum <- cum
+  | exception Not_found -> o.stamps <- Items.add item { s_version = version; s_cum = cum } o.stamps
+
+let record t ~origin batch =
+  if batch <> [] then begin
+    let o = origin_of t origin in
+    let high =
+      List.fold_left
+        (fun high (item, _, version, cum) ->
+          set_stamp o ~item ~version ~cum;
+          Int.max high version)
+        o.high batch
+    in
+    o.high <- high
+  end
+
+let seed t ~origin ~item ~version ~cum =
+  let o = origin_of t origin in
+  set_stamp o ~item ~version ~cum;
+  if version > o.high then o.high <- version
+
+let ack t =
+  Hashtbl.fold (fun origin o acc -> (origin, o.high) :: acc) t.applied []
+  |> List.sort compare
+
+let applied_state t ~want =
+  Hashtbl.fold
+    (fun origin o acc ->
+      Items.fold
+        (fun item s acc ->
+          if want item then (origin, item, s.s_version, s.s_cum) :: acc else acc)
+        o.stamps acc)
+    t.applied []

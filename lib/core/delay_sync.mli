@@ -1,0 +1,131 @@
+(** Delay Update's lazy-propagation bookkeeping, both directions.
+
+    {b Sender.} Every regular item this site ever changed has a counter
+    [(version, cum)]: [cum] is the cumulative net local delta and
+    [version] the site-wide sequence number of its latest change. A
+    payload for a peer carries every counter stamped after the peer's
+    acknowledgement, name-sorted. Counters live in a ring ordered by
+    version, so a payload walks only the counters newer than the
+    acknowledgement instead of the whole catalogue. {!queue} never
+    touches the ring: it pushes a counter on a dirty list the first time
+    the counter changes after the last payload build, and the next build
+    moves the dirty counters to the ring's newest end. Invariant: every
+    counter stamped at or before the last build sits in the ring in
+    ascending version order; every later one is on the dirty list, once.
+
+    {b Receiver.} Per origin site: the last [(version, cum)] applied for
+    each item, and the highest version applied from that origin — a
+    complete cumulative acknowledgement, because every payload carries
+    the origin's whole unacknowledged backlog.
+
+    Counters and applied stamps survive crashes (trusted metadata, like
+    the AV table). *)
+
+type t
+
+val create : unit -> t
+
+type counters = (string * int * int) list
+(** [(item, version, cum)], name-sorted: the wire form of
+    {!Protocol.Sync_counters}. *)
+
+(** {2 Sender} *)
+
+val queue : t -> item:string -> delta:int -> unit
+(** Record one committed local delta: bumps the sequence number and
+    restamps the item's counter. O(1); allocates only when the counter
+    is new or is the item's first change since the last payload build. *)
+
+val seq : t -> int
+(** The latest sequence number (0 before the first {!queue}). *)
+
+val count : t -> int
+(** Number of counters (items ever changed here). *)
+
+val version : t -> item:string -> int
+(** Stamp of the item's latest local change; 0 if never changed. *)
+
+val cum : t -> item:string -> int
+(** Cumulative net local delta on the item; 0 if never changed. *)
+
+val owes_flush : t -> bool
+(** Whether a flush is owed: a change since the last {!start_flush}, or
+    a [sync_fanout] rotation that has not yet reached every peer. *)
+
+val start_flush :
+  t ->
+  force:bool ->
+  fanout:int option ->
+  Avdb_net.Address.t list ->
+  Avdb_net.Address.t list
+(** [start_flush t ~force ~fanout audience] marks every counter as
+    broadcast and returns the peers this flush notifies: all of
+    [audience] when [force] or without a fanout, otherwise the next [k]
+    of a round-robin rotation. A burst of changes restarts the rotation,
+    which then owes [ceil (n / k) - 1] further flushes. *)
+
+val unflushed : t -> (string * int) list
+(** [(item, cum)] for the counters changed since the last {!start_flush},
+    name-sorted. *)
+
+val note_conveyed : t -> peer:Avdb_net.Address.t -> upto:int -> unit
+(** Record that the peer holds every counter stamped up to [upto] (an ack
+    vector entry, or the seq a piggyback covered when its reply
+    arrives); lower values than the peer's current ack are ignored. *)
+
+val payloads :
+  t ->
+  force:bool ->
+  keep:(Avdb_net.Address.t -> string -> bool) ->
+  Avdb_net.Address.t list ->
+  (Avdb_net.Address.t -> counters -> unit) ->
+  unit
+(** [payloads t ~force ~keep targets send] calls [send peer counters]
+    for each target, in order, whose payload is not empty: the counters
+    stamped after the peer's acknowledgement (after 0 when [force]) on
+    items [keep peer] accepts. Reads each acknowledgement once and walks
+    the counters newer than the smallest. *)
+
+val payload : t -> keep:(string -> bool) -> Avdb_net.Address.t -> counters
+(** The single-peer, unforced payload (an AV-request or grant
+    piggyback). *)
+
+val audience : t -> Topology.t -> self:int -> Avdb_net.Address.t list
+(** The union of the subscribers of every counter's item, [self]
+    excluded, sorted: the flush audience under partial replication.
+    Cached until the topology version or the counter count changes. *)
+
+val own_state : t -> want:(string -> bool) -> (string * int * int) list
+(** [(item, version, cum)] for every counter on a wanted item, in no
+    particular order. *)
+
+(** {2 Receiver} *)
+
+val applied_version : t -> origin:int -> item:string -> int
+(** Version of the last counter applied from [origin] for [item]; 0
+    before the first. *)
+
+val applied_total : t -> item:string -> int
+(** Sum over origins of the last applied [cum] for [item]: the remote
+    share of the item's committed amount. *)
+
+val fresh : t -> origin:int -> counters -> (string * int * int * int) list
+(** [(item, delta, version, cum)] for every counter stamped newer than
+    the last one applied from [origin] for its item; [delta] is what
+    applying it adds to the replica. Changes nothing. *)
+
+val record : t -> origin:int -> (string * int * int * int) list -> unit
+(** Advance [origin]'s stamps to a batch returned by {!fresh} and its
+    high-water mark to the batch's highest version. *)
+
+val seed : t -> origin:int -> item:string -> version:int -> cum:int -> unit
+(** Install one applied stamp from a join snapshot, overwriting the
+    item's stamp and raising the origin's high-water mark. *)
+
+val ack : t -> (int * int) list
+(** [(origin, highest version applied)] for every origin anything was
+    applied from, sorted: the ack vector a flush carries. *)
+
+val applied_state : t -> want:(string -> bool) -> (int * string * int * int) list
+(** [(origin, item, version, cum)] for every applied stamp on a wanted
+    item, in no particular order. *)

@@ -37,11 +37,6 @@ type coord = {
   mutable local_finalized : bool;
 }
 
-(* Outgoing lazy-propagation state for one item: the cumulative net local
-   delta and the site-wide sequence number of its latest change. Mutable
-   in place so the per-update hot path costs one hash lookup. *)
-type item_sync = { mutable version : int; mutable cum : int }
-
 (* Per-item epoch-quorum commit state. The durable truth lives in the
    protocol log (intent / promise / accept / seal / floor records); this
    is the in-memory working set a recovery rebuilds from it. *)
@@ -96,7 +91,7 @@ type t = {
   (* Items whose local replica can no longer be trusted after storage
      damage: they refuse prepares, reject updates and hide from reads
      until repaired from a donor (or forever, when none exists). Trusted
-     in-memory metadata, like [sync_out]: survives crashes, so an
+     in-memory metadata, like [sync]: survives crashes, so an
      interrupted repair resumes at the next recovery. *)
   quarantined : (string, unit) Hashtbl.t;
   (* Epoch-class items this site subscribes to, keyed by item. Built once
@@ -107,31 +102,15 @@ type t = {
      on "no log entry" no longer implies "never happened", so presumed
      abort is off the table and lost txids answer [No_record]. *)
   mutable amnesia : bool;
-  (* Cumulative net local delta and a strictly increasing change stamp per
-     item; survives crashes (persisted metadata, like the AV table). The
-     receiver-side counterpart below makes lazy propagation loss-,
-     duplicate- and reorder-proof. One table, one lookup per update. *)
-  sync_out : (string, item_sync) Hashtbl.t;
-  mutable sync_seq : int;
-      (* bumped on every local change; an item's [version] is the seq of
-         its latest change, so versions are strictly monotone per item *)
-  mutable sync_flushed_seq : int;
-      (* everything <= this has been broadcast at least once *)
-  conveyed_sync : (int, int) Hashtbl.t;
-      (* peer -> seq whose delivery that peer has positively acknowledged
-         (via an AV-grant reply to a request carrying the piggyback);
-         flushes skip counters a peer is known to hold *)
-  applied_sync : (int * string, int * int) Hashtbl.t;
-      (* (origin site, item) -> last (version, counter) applied *)
-  applied_high : (int, int) Hashtbl.t;
-      (* origin -> highest version applied from it; gap-free because every
-         payload carries an origin's whole unacknowledged backlog, so this
-         single int is a complete cumulative acknowledgement *)
+  (* Lazy propagation, sender and receiver: per-item cumulative counters
+     with strictly increasing change stamps, peer acknowledgements and the
+     per-origin applied stamps that make propagation loss-, duplicate- and
+     reorder-proof. Survives crashes (persisted metadata, like the AV
+     table). *)
+  sync : Delay_sync.t;
   mutable last_sync_apply : Avdb_sim.Time.t option;
       (* sim-time of the last remotely-originated sync batch this replica
          committed; feeds the [sync.apply_age_ms] staleness gauge *)
-  mutable sync_rr : int;  (* rotation cursor for [Config.sync_fanout] *)
-  mutable sync_rot_left : int;  (* fanout flushes still owed this rotation *)
   prefetch_in_flight : (string, unit) Hashtbl.t;
   (* [peers_for ~item] memo, stamped with the topology version so joins
      invalidate it without any broadcast. Only populated under partial
@@ -286,10 +265,7 @@ let live_words t =
        ( Database.table t.db stock_table,
          t.av,
          t.view,
-         t.sync_out,
-         t.conveyed_sync,
-         t.applied_sync,
-         t.applied_high,
+         t.sync,
          t.peer_cache ))
 
 (* Transaction ids for Immediate Update must be globally unique; reserve a
@@ -299,72 +275,16 @@ let fresh_txid t =
   t.next_txn_seq <- t.next_txn_seq + 1;
   txid
 
-let pending_sync_deltas t =
-  Hashtbl.fold
-    (fun item s acc -> if s.version > t.sync_flushed_seq then (item, s.cum) :: acc else acc)
-    t.sync_out []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+let pending_sync_deltas t = Delay_sync.unflushed t.sync
 
 (* Consistency-lag probe inputs: how far this replica's view of [item]
    trails its origin, measured in sync-counter versions. The origin's
    outbound stamp minus what this site has applied from it is a monotone
    staleness distance — 0 exactly when every delta the origin ever
    queued has landed here. *)
-let sync_version t ~item =
-  match Hashtbl.find_opt t.sync_out item with Some s -> s.version | None -> 0
-
-let applied_sync_version t ~origin ~item =
-  match Hashtbl.find_opt t.applied_sync (origin, item) with
-  | Some (version, _) -> version
-  | None -> 0
-
+let sync_version t ~item = Delay_sync.version t.sync ~item
+let applied_sync_version t ~origin ~item = Delay_sync.applied_version t.sync ~origin ~item
 let last_sync_apply t = t.last_sync_apply
-
-let queue_sync t ~item ~delta =
-  t.sync_seq <- t.sync_seq + 1;
-  (* Exception-style lookup: this runs once per applied update and the
-     steady state is always a hit, so skip [find_opt]'s [Some]. *)
-  match Hashtbl.find t.sync_out item with
-  | s ->
-      s.version <- t.sync_seq;
-      s.cum <- s.cum + delta
-  | exception Not_found -> Hashtbl.add t.sync_out item { version = t.sync_seq; cum = delta }
-
-(* Counters a peer is not yet known to hold: everything stamped after the
-   last piggyback that peer acknowledged (or everything, when [force]d —
-   recovery and quiescence flushes must not trust optimistic state).
-   Under partial replication, counters for items the peer does not
-   subscribe to are omitted — it has no row to apply them to and must
-   never be made to track them. *)
-(* The full pending-counter list, encoded (folded out of the hashtable
-   and name-sorted) once. [flush_sync] shares one of these across all
-   its peers — each peer's payload is a filter of it — instead of
-   re-folding and re-sorting per notified peer. *)
-let pending_counters t =
-  Hashtbl.fold (fun item s acc -> (item, s.version, s.cum) :: acc) t.sync_out []
-  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
-
-let filter_payload t ~force ~pending peer =
-  let upto =
-    if force then 0
-    else Option.value ~default:0 (Hashtbl.find_opt t.conveyed_sync (Address.to_int peer))
-  in
-  if t.sync_seq <= upto then []
-  else begin
-    let full = Topology.is_full (topology t) in
-    List.filter
-      (fun (item, version, _) ->
-        version > upto && (full || peer_interested t peer ~item))
-      pending
-  end
-
-let sync_payload_for t ~force peer =
-  filter_payload t ~force ~pending:(pending_counters t) peer
-
-let note_sync_conveyed t peer ~upto =
-  let p = Address.to_int peer in
-  if upto > Option.value ~default:0 (Hashtbl.find_opt t.conveyed_sync p) then
-    Hashtbl.replace t.conveyed_sync p upto
 
 let sync_av_info t counters =
   List.filter_map
@@ -381,54 +301,36 @@ let sync_av_info t counters =
 let apply_sync_counters t ~src counters =
   if counters <> [] && not (is_down t) then begin
     let origin = Address.to_int src in
-    let fresh_deltas =
-      List.filter_map
-        (fun (item, version, cum) ->
-          match Hashtbl.find_opt t.applied_sync (origin, item) with
-          | Some (last_version, _) when version <= last_version -> None
-          | Some (_, last_cum) -> Some (item, cum - last_cum, version, cum)
-          | None -> Some (item, cum, version, cum))
-        counters
-    in
-    if fresh_deltas <> [] && Mutation.enabled Mutation.Lossy_sync then
-      (* Mutation: a lossy counter — advance the per-origin version
-         bookkeeping as if the deltas were applied but drop the data.
-         Later counters diff against the recorded cum, so the volume is
-         permanently lost and replicas never converge. *)
-      List.iter
-        (fun (item, _, version, cum) ->
-          Hashtbl.replace t.applied_sync (origin, item) (version, cum);
-          if version > Option.value ~default:0 (Hashtbl.find_opt t.applied_high origin)
-          then Hashtbl.replace t.applied_high origin version)
-        fresh_deltas
-    else if fresh_deltas <> [] then begin
-      let txn = Database.begin_txn t.db in
-      let ok =
-        List.for_all
-          (fun (item, delta, _, _) ->
-            Result.is_ok
-              (Database.add_int txn ~table:stock_table ~key:item ~col:"amount" delta))
-          fresh_deltas
-      in
-      if ok then begin
-        Database.commit txn;
-        List.iter
-          (fun (item, _, version, cum) ->
-            Hashtbl.replace t.applied_sync (origin, item) (version, cum);
-            if version > Option.value ~default:0 (Hashtbl.find_opt t.applied_high origin)
-            then Hashtbl.replace t.applied_high origin version)
-          fresh_deltas;
-        t.last_sync_apply <- Some (now t);
-        if tracing t then
-          span_instant t ~category:"sync" "sync.apply"
-            ~fields:
-              [
-                ("from", Address.to_string src);
-                ("items", string_of_int (List.length fresh_deltas));
-              ]
-      end
-      else Database.abort txn
-    end
+    match Delay_sync.fresh t.sync ~origin counters with
+    | [] -> ()
+    | fresh_deltas when Mutation.enabled Mutation.Lossy_sync ->
+        (* Mutation: a lossy counter — advance the per-origin version
+           bookkeeping as if the deltas were applied but drop the data.
+           Later counters diff against the recorded cum, so the volume is
+           permanently lost and replicas never converge. *)
+        Delay_sync.record t.sync ~origin fresh_deltas
+    | fresh_deltas ->
+        let txn = Database.begin_txn t.db in
+        let ok =
+          List.for_all
+            (fun (item, delta, _, _) ->
+              Result.is_ok
+                (Database.add_int txn ~table:stock_table ~key:item ~col:"amount" delta))
+            fresh_deltas
+        in
+        if ok then begin
+          Database.commit txn;
+          Delay_sync.record t.sync ~origin fresh_deltas;
+          t.last_sync_apply <- Some (now t);
+          if tracing t then
+            span_instant t ~category:"sync" "sync.apply"
+              ~fields:
+                [
+                  ("from", Address.to_string src);
+                  ("items", string_of_int (List.length fresh_deltas));
+                ]
+        end
+        else Database.abort txn
   end
 
 (* History keys must sort lexicographically in insertion order (the audit
@@ -471,6 +373,12 @@ let record_history t ~item ~delta ~path =
         failwith ("Site.record_history: " ^ e)
   end
 
+(* Under partial replication a counter goes only to peers that subscribe
+   to its item — they alone have a row to apply it to. *)
+let sync_keep t =
+  if Topology.is_full (topology t) then fun _ _ -> true
+  else fun peer item -> peer_interested t peer ~item
+
 let flush_sync ?(force = false) t =
   (* Each notified peer gets every counter it has not acknowledged (not
      just recent deltas): a receiver that missed earlier notices catches
@@ -482,67 +390,30 @@ let flush_sync ?(force = false) t =
      rotation safe because whichever flush finally reaches a peer carries
      everything it missed. [force] broadcasts everything to everyone:
      convergence must not depend on acks or rotation position. *)
-  if (not (is_down t)) && Hashtbl.length t.sync_out > 0 then begin
-    let new_deltas = t.sync_seq > t.sync_flushed_seq in
-    t.sync_flushed_seq <- t.sync_seq;
+  if (not (is_down t)) && Delay_sync.count t.sync > 0 then begin
     (* The audience: every peer under full replication; under partial
-       replication only the union of the pending items' subscribers — a
+       replication only the union of the counters' items' subscribers — a
        forced convergence flush included, so nothing here is O(N) per
        event unless the interest sets themselves are. *)
     let audience =
       if Topology.is_full (topology t) then peers t
-      else begin
-        let seen = Hashtbl.create 16 in
-        Hashtbl.iter
-          (fun item _ ->
-            List.iter
-              (fun i -> if i <> site_index t then Hashtbl.replace seen i ())
-              (Topology.subscribers (topology t) ~item))
-          t.sync_out;
-        Hashtbl.fold (fun i () acc -> Address.of_int i :: acc) seen []
-        |> List.sort Address.compare
-      end
+      else Delay_sync.audience t.sync (topology t) ~self:(site_index t)
     in
     let targets =
-      let all = audience in
-      match (config t).Config.sync_fanout with
-      | Some k when (not force) && k < List.length all ->
-          let n = List.length all in
-          (* A burst of deltas needs ceil(n/k) flushes for the rotation to
-             reach every peer; [sync_rot_left] counts the ones still owed
-             so the debounce re-arms until the cycle completes. *)
-          if new_deltas then t.sync_rot_left <- ((n + k - 1) / k) - 1
-          else if t.sync_rot_left > 0 then t.sync_rot_left <- t.sync_rot_left - 1;
-          let start = t.sync_rr mod n in
-          t.sync_rr <- t.sync_rr + k;
-          List.filteri (fun i _ -> (i - start + n) mod n < k) all
-      | Some _ | None ->
-          t.sync_rot_left <- 0;
-          all
+      Delay_sync.start_flush t.sync ~force ~fanout:(config t).Config.sync_fanout audience
     in
-    let ack =
-      Hashtbl.fold (fun origin version acc -> (origin, version) :: acc) t.applied_high []
-      |> List.sort compare
-    in
+    let ack = Delay_sync.ack t.sync in
     let sent = ref false in
-    (* One sync-encode pass per flush: fold and sort the pending counters
-       once, then filter the shared list per peer. *)
-    let pending = pending_counters t in
-    List.iter
-      (fun peer ->
-        match filter_payload t ~force ~pending peer with
-        | [] -> ()
-        | counters ->
-            sent := true;
-            Rpc.notify t.shared.rpc ~src:t.addr ~dst:peer
-              (Protocol.Sync_counters { counters; av_info = sync_av_info t counters; ack }))
-      targets;
+    Delay_sync.payloads t.sync ~force ~keep:(sync_keep t) targets (fun peer counters ->
+        sent := true;
+        Rpc.notify t.shared.rpc ~src:t.addr ~dst:peer
+          (Protocol.Sync_counters { counters; av_info = sync_av_info t counters; ack }));
     if !sent then begin
       t.metrics.Update.Metrics.sync_batches_sent <-
         t.metrics.Update.Metrics.sync_batches_sent + 1;
       if tracing t then
         span_instant t ~category:"sync" "sync.flush"
-          ~fields:[ ("items", string_of_int (Hashtbl.length t.sync_out)) ]
+          ~fields:[ ("items", string_of_int (Delay_sync.count t.sync)) ]
     end
   end
 
@@ -553,7 +424,7 @@ let rec apply_local_delta t ~item ~delta =
   match Database.apply_int t.db ~table:stock_table ~key:item ~col:"amount" delta with
   | Ok _new_amount ->
       record_history t ~item ~delta ~path:"delay";
-      queue_sync t ~item ~delta;
+      Delay_sync.queue t.sync ~item ~delta;
       schedule_sync_flush t
   | Error e -> failwith (Printf.sprintf "Site.apply_local_delta %s: %s" item e)
 
@@ -564,10 +435,7 @@ and schedule_sync_flush t =
   match (config t).Config.sync_interval with
   | None -> ()
   | Some interval ->
-      if
-        (not t.sync_flush_scheduled)
-        && (t.sync_seq > t.sync_flushed_seq || t.sync_rot_left > 0)
-      then begin
+      if (not t.sync_flush_scheduled) && Delay_sync.owes_flush t.sync then begin
         t.sync_flush_scheduled <- true;
         ignore
           (Engine.schedule (engine t) ~delay:interval
@@ -612,9 +480,9 @@ let av_levels_snapshot t = list_take
    sent, because the requester advances its conveyed-tracking on the
    reply assuming the whole backlog went through. *)
 let sync_piggyback_for t peer =
-  let payload = sync_payload_for t ~force:false peer in
+  let payload = Delay_sync.payload t.sync ~keep:(sync_keep t peer) peer in
   if List.length payload > piggyback_entry_budget t then ([], 0)
-  else (payload, t.sync_seq)
+  else (payload, Delay_sync.seq t.sync)
 
 let handle_av_request t ~src ~span ~item ~amount ~requester_available ~sync ~reply =
   Peer_view.observe t.view ~site:src ~item ~volume:requester_available ~at:(now t);
@@ -1081,7 +949,7 @@ let handle_sync t ~src ~counters ~av_info ~ack =
        ours up to that version, so our later flushes to it shrink to the
        true backlog. *)
     (match List.assoc_opt (Address.to_int t.addr) ack with
-    | Some upto -> note_sync_conveyed t src ~upto
+    | Some upto -> Delay_sync.note_conveyed t.sync ~peer:src ~upto
     | None -> ());
     apply_sync_counters t ~src counters
   end
@@ -1135,7 +1003,7 @@ let rec maybe_prefetch t ~item =
                 Hashtbl.remove t.prefetch_in_flight item;
                 match response with
                 | Ok (Protocol.Av_grant { granted; donor_available; av_levels; sync }) ->
-                    note_sync_conveyed t target ~upto:sync_upto;
+                    Delay_sync.note_conveyed t.sync ~peer:target ~upto:sync_upto;
                     apply_sync_counters t ~src:target sync;
                     List.iter
                       (fun (item, volume) ->
@@ -1237,7 +1105,7 @@ let acquire_av t ?parent ~item ~need k =
                     (* The reply acknowledges the request's piggyback:
                        counters up to [sync_upto] reached this peer, so
                        later flushes can omit them. *)
-                    note_sync_conveyed t target ~upto:sync_upto;
+                    Delay_sync.note_conveyed t.sync ~peer:target ~upto:sync_upto;
                     apply_sync_counters t ~src:target sync;
                     List.iter
                       (fun (item, volume) ->
@@ -1353,7 +1221,7 @@ let batch_update t ~deltas ~finish =
     List.iter
       (fun (item, delta) ->
         record_history t ~item ~delta ~path:"delay-batch";
-        queue_sync t ~item ~delta;
+        Delay_sync.queue t.sync ~item ~delta;
         if delta >= 0 then begin
           match Av_table.mint t.av ~item delta with
           | Ok () -> ()
@@ -2195,18 +2063,11 @@ let handle_join t ~wanted ~reply =
       |> List.rev
     in
     let own =
-      Hashtbl.fold
-        (fun item s acc ->
-          if want item then (Address.to_int t.addr, item, s.version, s.cum) :: acc
-          else acc)
-        t.sync_out []
+      List.map
+        (fun (item, version, cum) -> (Address.to_int t.addr, item, version, cum))
+        (Delay_sync.own_state t.sync ~want)
     in
-    let applied =
-      Hashtbl.fold
-        (fun (origin, item) (version, counter) acc ->
-          if want item then (origin, item, version, counter) :: acc else acc)
-        t.applied_sync []
-    in
+    let applied = Delay_sync.applied_state t.sync ~want in
     let epochs =
       Hashtbl.fold
         (fun item st acc -> if want item then (item, st.ei_applied) :: acc else acc)
@@ -2235,10 +2096,7 @@ let apply_join_snapshot t ~rows ~sync_state ~epochs =
   if ok then begin
     Database.commit txn;
     List.iter
-      (fun (origin, item, version, counter) ->
-        Hashtbl.replace t.applied_sync (origin, item) (version, counter);
-        if version > Option.value ~default:0 (Hashtbl.find_opt t.applied_high origin) then
-          Hashtbl.replace t.applied_high origin version)
+      (fun (origin, item, version, cum) -> Delay_sync.seed t.sync ~origin ~item ~version ~cum)
       sync_state;
     (* the snapshot rows already fold every seal through the donor's
        applied epoch: record the floor so this log never re-applies them *)
@@ -2744,15 +2602,10 @@ let rebuild_lost_rows t ~trust_txn_log =
       if interested_in t ~item then begin
         let regular = Product.is_regular product in
         let expect =
-          if regular then begin
-            let own =
-              match Hashtbl.find_opt t.sync_out item with Some s -> s.cum | None -> 0
-            in
-            Hashtbl.fold
-              (fun (_, i) (_, cum) acc -> if String.equal i item then acc + cum else acc)
-              t.applied_sync
-              (product.Product.initial_amount + own)
-          end
+          if regular then
+            product.Product.initial_amount
+            + Delay_sync.cum t.sync ~item
+            + Delay_sync.applied_total t.sync ~item
           else if trust_txn_log then
             product.Product.initial_amount
             + Option.value ~default:0
@@ -3154,15 +3007,8 @@ let create shared ~addr ~av_init =
       quarantined = Hashtbl.create 4;
       amnesia = false;
       metrics = Update.Metrics.create ();
-      sync_out = Hashtbl.create 16;
-      sync_seq = 0;
-      sync_flushed_seq = 0;
-      conveyed_sync = Hashtbl.create 8;
-      applied_sync = Hashtbl.create 64;
-      applied_high = Hashtbl.create 8;
+      sync = Delay_sync.create ();
       last_sync_apply = None;
-      sync_rr = 0;
-      sync_rot_left = 0;
       prefetch_in_flight = Hashtbl.create 16;
       peer_cache = Hashtbl.create 16;
       history_seq = 0;

@@ -83,18 +83,16 @@ let set_col txn ~table ~key ~col value =
   txn.undos <- Undo_update { table; key; col; before } :: txn.undos;
   Ok ()
 
+(* One row lookup (Table.add_int_swap) instead of a get_col/set_col pair.
+   As in [apply_int], the record lands after the in-place add; nothing can
+   observe the gap, and a failed add changes nothing and logs nothing. *)
 let add_int txn ~table ~key ~col delta =
   check_live txn;
   let* tbl = find_table txn table in
-  let* before = Table.get_col tbl ~key ~col in
-  match Value.add_int before delta with
-  | exception Invalid_argument e -> Error e
-  | after ->
-      ignore
-        (Wal.append txn.db.wal (Wal.Update { txid = txn.id; table; key; col; before; after }));
-      let* _old = Table.set_col tbl ~key ~col after in
-      txn.undos <- Undo_update { table; key; col; before } :: txn.undos;
-      Ok (match after with Value.Int n -> n | v -> int_of_float (Value.as_float v))
+  let* before, after = Table.add_int_swap tbl ~key ~col delta in
+  ignore (Wal.append txn.db.wal (Wal.Update { txid = txn.id; table; key; col; before; after }));
+  txn.undos <- Undo_update { table; key; col; before } :: txn.undos;
+  Ok (match after with Value.Int n -> n | v -> int_of_float (Value.as_float v))
 
 let delete txn ~table ~key =
   check_live txn;

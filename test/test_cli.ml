@@ -25,14 +25,31 @@ let usage_error ~exe args ~mentions () =
   Alcotest.(check bool) "prints usage" true (contains "Usage:");
   Alcotest.(check bool) "no uncaught exception" false (contains "uncaught exception")
 
+let sim = usage_error ~exe:"avdb_sim_cli.exe"
+let nemesis = usage_error ~exe:"avdb_nemesis_cli.exe"
+
 let suites =
   [
     ( "cli",
       [
         Alcotest.test_case "sim rejects --domains 0" `Quick
-          (usage_error ~exe:"avdb_sim_cli.exe" "--domains 0" ~mentions:"--domains");
+          (sim "--domains 0" ~mentions:"--domains");
         Alcotest.test_case "nemesis rejects --disk-faults with --domains 2" `Quick
-          (usage_error ~exe:"avdb_nemesis_cli.exe" "--disk-faults --domains 2"
-             ~mentions:"--disk-faults");
+          (nemesis "--disk-faults --domains 2" ~mentions:"--disk-faults");
+        (* one case per place a bad value used to raise from *)
+        Alcotest.test_case "sim rejects a probability above 1" `Quick
+          (sim "--drop 1.5" ~mentions:"--drop");
+        Alcotest.test_case "sim rejects --snapshot-every-ms 0" `Quick
+          (sim "--snapshot-every-ms 0" ~mentions:"--snapshot-every-ms");
+        Alcotest.test_case "sim rejects --latency-ms 0 with --domains 2" `Quick
+          (sim "--latency-ms 0 --domains 2" ~mentions:"--latency-ms");
+        Alcotest.test_case "sim rejects --maker-weight 0" `Quick
+          (sim "--maker-weight 0" ~mentions:"--maker-weight");
+        Alcotest.test_case "sim rejects --checkpoints 0" `Quick
+          (sim "--checkpoints 0" ~mentions:"--checkpoints");
+        Alcotest.test_case "nemesis rejects --sites 0" `Quick
+          (nemesis "--sites 0" ~mentions:"--sites");
+        Alcotest.test_case "nemesis rejects an empty catalogue" `Quick
+          (nemesis "--regular 0 --non-regular 0" ~mentions:"--regular");
       ] );
   ]

@@ -1,0 +1,233 @@
+(* Delay_sync against a reference that keeps every counter in a plain
+   table: whatever order the ring is in, each peer's payload must be
+   every counter stamped after the peer's acknowledgement on an item the
+   peer replicates, name-sorted. The receiver's stamps are checked
+   against a plain (origin, item) map. *)
+
+open Avdb_core
+module Address = Avdb_net.Address
+
+let items = Array.init 8 (fun i -> Printf.sprintf "item%d" i)
+let n_sites = 5
+let self = 0
+
+type op =
+  | Delta of int * int  (** item index, delta *)
+  | Ack_vector of int * int  (** peer, how far below [seq] the ack sits *)
+  | Grant_reply of int  (** peer: piggyback, then the reply acknowledges it *)
+  | Flush of bool * int option  (** force, fanout *)
+  | Join of int list  (** a new site subscribing to these item indices *)
+  | Receive of int * (int * int * int) list * bool
+      (** origin, (item index, version, cum), committed *)
+  | Seed of int * int * int * int  (** origin, item index, version, cum *)
+
+let pp_op = function
+  | Delta (i, d) -> Printf.sprintf "delta(%d,%d)" i d
+  | Ack_vector (p, k) -> Printf.sprintf "ack(%d,-%d)" p k
+  | Grant_reply p -> Printf.sprintf "grant(%d)" p
+  | Flush (force, fanout) ->
+      Printf.sprintf "flush(%b,%s)" force
+        (match fanout with Some k -> string_of_int k | None -> "-")
+  | Join is -> Printf.sprintf "join[%s]" (String.concat "," (List.map string_of_int is))
+  | Receive (o, cs, ok) ->
+      Printf.sprintf "recv(%d,[%s],%b)" o
+        (String.concat ";"
+           (List.map (fun (i, v, c) -> Printf.sprintf "%d@%d=%d" i v c) cs))
+        ok
+  | Seed (o, i, v, c) -> Printf.sprintf "seed(%d,%d@%d=%d)" o i v c
+
+let op_gen =
+  let open QCheck.Gen in
+  let item = int_bound (Array.length items - 1) in
+  let origin = int_range 1 (n_sites - 1) in
+  let counters =
+    map
+      (fun l -> List.sort_uniq (fun (a, _, _) (b, _, _) -> compare a b) l)
+      (list_size (int_range 1 4) (triple item (int_range 1 40) (int_range (-50) 50)))
+  in
+  frequency
+    [
+      (8, map2 (fun i d -> Delta (i, d)) item (int_range (-9) 9));
+      (2, map2 (fun p k -> Ack_vector (p, k)) (int_range 1 (n_sites - 1)) (int_bound 6));
+      (2, map (fun p -> Grant_reply p) (int_range 1 (n_sites - 1)));
+      (3, map2 (fun f k -> Flush (f, k)) bool (opt (int_range 1 3)));
+      (1, map (fun l -> Join l) (list_size (int_range 1 3) item));
+      (3, map3 (fun o cs ok -> Receive (o, cs, ok)) origin counters bool);
+      (1, map (fun (o, i, (v, c)) -> Seed (o, i, v, c))
+           (triple origin item (pair (int_range 1 40) (int_range (-50) 50))));
+    ]
+
+let fail fmt = Printf.ksprintf failwith fmt
+
+let show_counters cs =
+  String.concat ";" (List.map (fun (i, v, c) -> Printf.sprintf "%s@%d=%d" i v c) cs)
+
+(* Runs one script, raising [Failure] at the first disagreement. *)
+let run ops =
+  let topology =
+    Topology.create (Topology.sharded ~spread:2 ()) ~n_sites ~items:(Array.to_list items)
+  in
+  let s = Delay_sync.create () in
+  let keep peer item = Topology.interested topology ~site:(Address.to_int peer) ~item in
+  (* reference sender *)
+  let counters = Hashtbl.create 8 and seq = ref 0 and flushed = ref 0 in
+  let acks = Hashtbl.create 8 in
+  let ack p = Option.value ~default:0 (Hashtbl.find_opt acks p) in
+  let raise_ack p upto = if upto > ack p then Hashtbl.replace acks p upto in
+  let reference ~upto peer =
+    Hashtbl.fold
+      (fun item (v, c) acc -> if v > upto && keep peer item then (item, v, c) :: acc else acc)
+      counters []
+    |> List.sort compare
+  in
+  (* reference receiver *)
+  let stamps = Hashtbl.create 8 in
+  let high = Hashtbl.create 8 in
+  let note_stamp o item v c =
+    Hashtbl.replace stamps (o, item) (v, c);
+    if v > Option.value ~default:0 (Hashtbl.find_opt high o) then Hashtbl.replace high o v
+  in
+  let n_joined = ref n_sites in
+  let step op =
+    match op with
+    | Delta (i, d) ->
+        let item = items.(i) in
+        Delay_sync.queue s ~item ~delta:d;
+        incr seq;
+        let c = match Hashtbl.find_opt counters item with Some (_, c) -> c | None -> 0 in
+        Hashtbl.replace counters item (!seq, c + d)
+    | Ack_vector (p, k) ->
+        let upto = Int.max 0 (!seq - k) in
+        Delay_sync.note_conveyed s ~peer:(Address.of_int p) ~upto;
+        raise_ack p upto
+    | Grant_reply p ->
+        let peer = Address.of_int p in
+        let got = Delay_sync.payload s ~keep:(keep peer) peer in
+        let want = reference ~upto:(ack p) peer in
+        if got <> want then
+          fail "piggyback to %d: got [%s], want [%s]" p (show_counters got) (show_counters want);
+        Delay_sync.note_conveyed s ~peer ~upto:(Delay_sync.seq s);
+        raise_ack p !seq
+    | Flush (force, fanout) ->
+        let unflushed =
+          Hashtbl.fold
+            (fun item (v, c) acc -> if v > !flushed then (item, c) :: acc else acc)
+            counters []
+          |> List.sort compare
+        in
+        if Delay_sync.unflushed s <> unflushed then fail "unflushed differs";
+        let audience = Delay_sync.audience s topology ~self in
+        let want_audience =
+          Hashtbl.fold (fun item _ acc -> Topology.subscribers topology ~item @ acc) counters []
+          |> List.filter (fun i -> i <> self)
+          |> List.sort_uniq compare |> List.map Address.of_int
+        in
+        if audience <> want_audience then fail "audience differs";
+        let targets = Delay_sync.start_flush s ~force ~fanout audience in
+        flushed := !seq;
+        (match fanout with
+        | Some k when (not force) && k < List.length audience ->
+            if List.length targets <> k || not (List.for_all (fun p -> List.mem p audience) targets)
+            then fail "rotation picked %d of %d peers" (List.length targets) k
+        | Some _ | None -> if targets <> audience then fail "unrotated flush skipped peers");
+        let sent = ref [] in
+        Delay_sync.payloads s ~force ~keep targets (fun peer cs -> sent := (peer, cs) :: !sent);
+        let want =
+          List.filter_map
+            (fun peer ->
+              let upto = if force then 0 else ack (Address.to_int peer) in
+              match reference ~upto peer with [] -> None | cs -> Some (peer, cs))
+            targets
+        in
+        if List.rev !sent <> want then fail "flush payloads differ"
+    | Join is ->
+        let site = !n_joined in
+        incr n_joined;
+        Topology.register_joiner topology ~site ~items:(List.map (fun i -> items.(i)) is)
+    | Receive (o, cs, committed) ->
+        let cs = List.map (fun (i, v, c) -> (items.(i), v, c)) cs in
+        let got = Delay_sync.fresh s ~origin:o cs in
+        let want =
+          List.filter_map
+            (fun (item, v, c) ->
+              match Hashtbl.find_opt stamps (o, item) with
+              | Some (v', _) when v <= v' -> None
+              | Some (_, c') -> Some (item, c - c', v, c)
+              | None -> Some (item, c, v, c))
+            cs
+        in
+        if got <> want then fail "fresh from %d differs" o;
+        if committed then begin
+          Delay_sync.record s ~origin:o got;
+          List.iter (fun (item, _, v, c) -> note_stamp o item v c) want
+        end
+    | Seed (o, i, v, c) ->
+        Delay_sync.seed s ~origin:o ~item:items.(i) ~version:v ~cum:c;
+        note_stamp o items.(i) v c
+  in
+  (* Only reads that leave the ring alone, so that several changes can
+     pile up between payload builds. *)
+  let check_state () =
+    if Delay_sync.seq s <> !seq || Delay_sync.count s <> Hashtbl.length counters then
+      fail "seq or count differs";
+    if !seq > !flushed && not (Delay_sync.owes_flush s) then fail "owes no flush";
+    Array.iter
+      (fun item ->
+        let v, c = Option.value ~default:(0, 0) (Hashtbl.find_opt counters item) in
+        if Delay_sync.version s ~item <> v || Delay_sync.cum s ~item <> c then
+          fail "counter %s differs" item;
+        let total = Hashtbl.fold (fun (_, i) (_, c) acc -> if i = item then acc + c else acc) stamps 0 in
+        if Delay_sync.applied_total s ~item <> total then fail "applied total %s differs" item;
+        for o = 1 to n_sites - 1 do
+          let v = match Hashtbl.find_opt stamps (o, item) with Some (v, _) -> v | None -> 0 in
+          if Delay_sync.applied_version s ~origin:o ~item <> v then
+            fail "stamp (%d, %s) differs" o item
+        done)
+      items;
+    let state =
+      Hashtbl.fold (fun (o, item) (v, c) acc -> (o, item, v, c) :: acc) stamps [] |> List.sort compare
+    in
+    if List.sort compare (Delay_sync.applied_state s ~want:(fun _ -> true)) <> state then
+      fail "applied state differs";
+    if Delay_sync.ack s <> List.sort compare (Hashtbl.fold (fun o v acc -> (o, v) :: acc) high [])
+    then fail "ack vector differs"
+  in
+  List.iter
+    (fun op ->
+      step op;
+      check_state ())
+    ops;
+  true
+
+let payloads_match_reference =
+  QCheck.Test.make ~name:"payloads and stamps match the reference" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map pp_op ops))
+       QCheck.Gen.(list_size (int_range 0 80) op_gen))
+    run
+
+(* A counter changed again after a payload build must move to the ring's
+   newest end: a peer acknowledged up to the build sees only it. *)
+let restamp_after_build () =
+  let s = Delay_sync.create () in
+  let peer = Address.of_int 1 in
+  let all _ = true in
+  List.iter (fun item -> Delay_sync.queue s ~item ~delta:1) [ "a"; "b"; "c" ];
+  Alcotest.(check int) "three counters" 3 (List.length (Delay_sync.payload s ~keep:all peer));
+  Delay_sync.note_conveyed s ~peer ~upto:(Delay_sync.seq s);
+  Delay_sync.queue s ~item:"a" ~delta:5;
+  Delay_sync.queue s ~item:"c" ~delta:1;
+  Delay_sync.queue s ~item:"a" ~delta:1;
+  Alcotest.(check (list (triple string int int)))
+    "restamped counters only, by name"
+    [ ("a", 6, 7); ("c", 5, 2) ]
+    (Delay_sync.payload s ~keep:all peer)
+
+let suites =
+  [
+    ( "delay_sync",
+      [
+        Alcotest.test_case "restamp after build" `Quick restamp_after_build;
+        Gen.to_alcotest payloads_match_reference;
+      ] );
+  ]
