@@ -14,8 +14,12 @@
     - {e Centralized} baseline mode: every update round-trips to the base
       (base-local updates apply directly).
 
+    Epoch-class items add a third update class, epoch-quorum commit.
+
     Sites are built by {!Cluster}; this interface is what examples and
-    benches drive. *)
+    benches drive. The implementation is a façade over one private
+    module per protocol on a shared site context (DESIGN.md §4, "Site
+    layout"). *)
 
 type role = Maker | Retailer
 
@@ -36,7 +40,8 @@ val stock_table : string
 val history_table : string
 (** Name of the optional audit table (["history"]; exists only when
     [record_history] is configured). Columns: item, delta, path
-    ("delay" | "delay-batch" | "immediate" | "central"). *)
+    ("delay" | "delay-batch" | "immediate" | "central" | "epoch" |
+    "repair"). *)
 
 val history_key : int -> string
 (** Encode the [n]th audit row's key. Keys sort lexicographically in
@@ -73,7 +78,8 @@ val read_authoritative :
   t -> item:string -> ((int option, Update.reason) result -> unit) -> unit
 (** Reads the base (primary) replica: one correspondence from a retailer,
     free at the base (the maker's consistency requirement). [Ok None]
-    means the base does not know the item. *)
+    means the base does not know the item, or holds it quarantined after
+    storage damage — at the base itself as from any retailer. *)
 
 val submit_batch : t -> deltas:(string * int) list -> (Update.result -> unit) -> unit
 (** Atomic multi-item Delay Update at this site: acquires AV for every

@@ -76,6 +76,42 @@ let test_read_at_down_site_rejected () =
   | Error Update.Unreachable -> ()
   | _ -> Alcotest.fail "expected Unreachable at down site"
 
+(* A quarantined base answers its own authoritative reads the way it
+   answers a retailer's: with nothing. Site 0 (the base) loses its whole
+   protocol log after an Immediate Update committed, so it goes amnesiac
+   and quarantines its non-regular replica; the row still holds 95, but
+   nothing vouches for it until the repair lands. *)
+let test_authoritative_read_at_quarantined_base () =
+  let cluster =
+    Cluster.create
+      {
+        Config.default with
+        Config.n_sites = 4;
+        products = Product.catalogue ~n_regular:1 ~n_non_regular:1 ~initial_amount:100;
+        seed = 7;
+      }
+  in
+  let item = "special0" in
+  let base = Cluster.site cluster 0 in
+  Site.submit_update (Cluster.site cluster 1) ~item ~delta:(-5) (fun _ -> ());
+  Cluster.run cluster;
+  Site.arm_disk_fault base ~target:`Txn (Avdb_store.Disk_fault.Lost_segment { pos = 0. });
+  Site.crash base;
+  Site.recover base;
+  Alcotest.(check bool) "base quarantined" true (Site.is_quarantined base ~item);
+  Alcotest.(check (option int)) "local read hides the row" None (Site.read_local base ~item);
+  let at_base = ref None in
+  Site.read_authoritative base ~item (fun r -> at_base := Some r);
+  (match !at_base with
+  | Some (Ok None) -> ()
+  | Some (Ok (Some n)) -> Alcotest.failf "served %d from an untrusted row" n
+  | Some (Error _) | None -> Alcotest.fail "expected Ok None at once");
+  (* the repair restores availability with the committed value *)
+  Cluster.run cluster;
+  match read_auth cluster 0 ~item with
+  | Ok (Some 95) -> ()
+  | _ -> Alcotest.fail "expected Ok 95 after repair"
+
 let suites =
   [
     ( "core.reads",
@@ -86,5 +122,7 @@ let suites =
         Alcotest.test_case "authoritative unknown item" `Quick test_authoritative_read_unknown_item;
         Alcotest.test_case "authoritative with base down" `Quick test_authoritative_read_base_down;
         Alcotest.test_case "read at down site" `Quick test_read_at_down_site_rejected;
+        Alcotest.test_case "authoritative at quarantined base" `Quick
+          test_authoritative_read_at_quarantined_base;
       ] );
   ]
