@@ -185,6 +185,85 @@ let test_view_warms_up () =
   | Some v -> Alcotest.(check bool) "donor volume observed" true (v >= 0)
   | None -> Alcotest.fail "no observation recorded"
 
+(* A grant carries the donor's AV levels for every item, not only the one
+   requested: the requester's selection cache learns the donor's other
+   items from the one reply, on the demand path and on the prefetch path
+   alike. No sync notices run, so the grant is the only source. *)
+let grant_config ?prefetch_low () =
+  {
+    (small_config ()) with
+    Config.products =
+      [ Product.regular "widget" ~initial_amount:100; Product.regular "gadget" ~initial_amount:60 ];
+    prefetch_low;
+  }
+
+let check_donor_levels cluster ~requester =
+  let view = Site.peer_view (Cluster.site cluster requester) in
+  let donors =
+    List.filter
+      (fun d -> Peer_view.volume_of view ~site:(Address.of_int d) ~item:"widget" <> None)
+      [ 0; 1; 2 ]
+  in
+  Alcotest.(check bool) "a donor replied" true (donors <> []);
+  List.iter
+    (fun d ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "site%d's gadget level" d)
+        (Some (Av_table.available (Site.av_table (Cluster.site cluster d)) ~item:"gadget"))
+        (Peer_view.volume_of view ~site:(Address.of_int d) ~item:"gadget"))
+    donors
+
+let test_grant_levels_on_demand () =
+  let cluster = Cluster.create (grant_config ()) in
+  (match applied_kind (submit cluster 1 ~delta:(-50)) with
+  | Update.With_transfer _ -> ()
+  | _ -> Alcotest.fail "expected a transfer");
+  check_donor_levels cluster ~requester:1
+
+let test_grant_levels_on_prefetch () =
+  let cluster = Cluster.create (grant_config ~prefetch_low:15 ()) in
+  (* within site 1's share of 33: local, then below the watermark *)
+  Alcotest.(check bool) "local" true (applied_kind (submit cluster 1 ~delta:(-20)) = Update.Local);
+  let m = Site.metrics (Cluster.site cluster 1) in
+  Alcotest.(check int) "no demand request" 0 m.Update.Metrics.av_requests_sent;
+  Alcotest.(check int) "one prefetch" 1 m.Update.Metrics.prefetch_requests;
+  check_donor_levels cluster ~requester:1
+
+(* A grant acknowledges the piggyback its request carried. The prefetch
+   leaves right after the local commit that drained the pool, so its
+   reply leaves the donor fully caught up and the next flush notifies
+   only the other peer. *)
+let test_grant_acks_piggyback () =
+  let config =
+    {
+      (small_config ()) with
+      Config.prefetch_low = Some 15;
+      sync_interval = Some (Time.of_ms 10_000.);
+    }
+  in
+  let cluster = Cluster.create config in
+  Site.submit_update (Cluster.site cluster 1) ~item:"widget" ~delta:(-20) (fun _ -> ());
+  Cluster.run ~until:(Time.of_ms 50.) cluster;
+  Alcotest.(check int) "one prefetch" 1
+    (Site.metrics (Cluster.site cluster 1)).Update.Metrics.prefetch_requests;
+  let sent () = Stats.total_sent (Cluster.net_stats cluster) in
+  let before = sent () in
+  Site.flush_sync (Cluster.site cluster 1);
+  Alcotest.(check int) "one notice, to the peer the grant did not ack" 1 (sent () - before)
+
+(* A grant also carries the donor's own unflushed counters: the
+   requester's replica freshens from the reply alone, before any flush. *)
+let test_grant_carries_donor_counters () =
+  let config = { (small_config ()) with Config.sync_interval = Some (Time.of_ms 10_000.) } in
+  let cluster = Cluster.create config in
+  Site.submit_update (Cluster.site cluster 0) ~item:"widget" ~delta:30 (fun _ -> ());
+  Site.submit_update (Cluster.site cluster 1) ~item:"widget" ~delta:(-40) (fun _ -> ());
+  Cluster.run ~until:(Time.of_ms 50.) cluster;
+  Alcotest.(check int) "one AV request" 1
+    (Site.metrics (Cluster.site cluster 1)).Update.Metrics.av_requests_sent;
+  Alcotest.(check (option int)) "requester saw the donor's +30" (Some 90)
+    (Site.amount_of (Cluster.site cluster 1) ~item:"widget")
+
 let test_metrics_accounting () =
   let cluster = make () in
   ignore (submit cluster 1 ~delta:(-10));
@@ -405,6 +484,13 @@ let suites =
         Alcotest.test_case "periodic sync" `Quick test_periodic_sync_runs_unaided;
         Alcotest.test_case "peer view warms up" `Quick test_view_warms_up;
         Alcotest.test_case "sync gossips AV info" `Quick test_sync_gossips_av_info;
+        Alcotest.test_case "grant carries donor levels (demand)" `Quick
+          test_grant_levels_on_demand;
+        Alcotest.test_case "grant carries donor levels (prefetch)" `Quick
+          test_grant_levels_on_prefetch;
+        Alcotest.test_case "grant acks the request's piggyback" `Quick test_grant_acks_piggyback;
+        Alcotest.test_case "grant carries donor counters" `Quick
+          test_grant_carries_donor_counters;
         Alcotest.test_case "sync fanout rotation converges" `Quick
           test_sync_fanout_rotation_converges;
         Alcotest.test_case "sync fanout sends fewer messages" `Quick

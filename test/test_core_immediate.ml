@@ -162,6 +162,34 @@ let test_decision_loss_recovered_by_termination_protocol () =
   Alcotest.(check (list int)) "applied everywhere" [ 40; 40; 40 ]
     (Cluster.replica_amounts cluster ~item:"custom")
 
+let test_termination_asks_live_coordinator () =
+  (* The participant's decision timer fires while the coordinator, which
+     never got its ack, is still collecting acks: the live machine's
+     decision answers the very first termination query. *)
+  let cluster =
+    Cluster.create
+      {
+        Config.default with
+        Config.n_sites = 3;
+        products = [ Product.non_regular "custom" ~initial_amount:50 ];
+        decision_timeout = Avdb_sim.Time.of_ms 50.;
+        seed = 31;
+      }
+  in
+  let engine = Cluster.engine cluster in
+  ignore
+    (Avdb_sim.Engine.schedule engine ~delay:(Avdb_sim.Time.of_us 2_500) (fun () ->
+         Cluster.partition cluster 1 2));
+  ignore
+    (Avdb_sim.Engine.schedule engine ~delay:(Avdb_sim.Time.of_ms 10.) (fun () ->
+         Cluster.heal cluster 1 2));
+  let result = submit cluster 1 ~delta:(-5) () in
+  Alcotest.(check bool) "coordinator committed" true (Update.is_applied result);
+  Alcotest.(check (list int)) "all replicas converged" [ 45; 45; 45 ]
+    (Cluster.replica_amounts cluster ~item:"custom");
+  Alcotest.(check int) "one query settled it" 1
+    (Site.metrics (Cluster.site cluster 2)).Update.Metrics.termination_queries
+
 let test_coordinator_crash_resolved_after_recovery () =
   (* The coordinator crashes right after sending prepares. Its vote timers
      still run locally, so it decides Abort and records it; prepared
@@ -231,6 +259,8 @@ let suites =
         Alcotest.test_case "mixed traffic" `Quick test_mixed_traffic;
         Alcotest.test_case "decision loss -> termination protocol" `Quick
           test_decision_loss_recovered_by_termination_protocol;
+        Alcotest.test_case "termination asks live coordinator" `Quick
+          test_termination_asks_live_coordinator;
         Alcotest.test_case "coordinator crash resolved" `Quick
           test_coordinator_crash_resolved_after_recovery;
         Alcotest.test_case "atomic under loss" `Quick test_immediate_updates_atomic_under_loss;
