@@ -1177,10 +1177,8 @@ let write_throughput_json n =
   close_out oc;
   note "wrote %s" throughput_json_path
 
-(* Tolerant field extraction so the check needs no JSON parser: find
-   '"name":' and read the number after it. *)
-(* A gate's committed baseline. A missing or malformed file is a named
-   failure, not an uncaught exception. *)
+(* A gate's committed baseline, parsed. A missing or malformed file is a
+   named failure, not an uncaught exception. *)
 let read_baseline ~check path =
   let fail what =
     Printf.eprintf "FAIL %s: baseline %s %s\n%!" check path what;
@@ -1190,30 +1188,15 @@ let read_baseline ~check path =
   | exception Sys_error _ -> fail "missing"
   | contents -> (
       match Avdb_obs.Json.of_string contents with
-      | Ok (Avdb_obs.Json.Obj _) -> contents
+      | Ok (Avdb_obs.Json.Obj _ as baseline) -> baseline
       | Ok _ | Error _ -> fail "malformed")
 
-let json_number contents name =
-  let needle = Printf.sprintf "%S:" name in
-  match
-    let nlen = String.length needle and len = String.length contents in
-    let rec find i =
-      if i + nlen > len then None
-      else if String.sub contents i nlen = needle then Some (i + nlen)
-      else find (i + 1)
-    in
-    find 0
-  with
-  | None -> None
-  | Some start ->
-      let len = String.length contents in
-      let stop = ref start in
-      while
-        !stop < len && (match contents.[!stop] with ',' | '}' | '\n' -> false | _ -> true)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.trim (String.sub contents start (!stop - start)))
+(* A numeric field of a baseline; [None] when absent or not a number. *)
+let json_number baseline name =
+  match Avdb_obs.Json.member name baseline with
+  | Some (Avdb_obs.Json.Int n) -> Some (float_of_int n)
+  | Some (Avdb_obs.Json.Float f) -> Some f
+  | Some _ | None -> None
 
 let exp_throughput () =
   section "Throughput";
