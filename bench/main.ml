@@ -1,11 +1,13 @@
 (* Benchmark harness: regenerates every evaluation artefact of the paper
    (Fig. 6 and Table 1) plus the ablations and extensions indexed in
-   DESIGN.md, and a set of Bechamel micro-benchmarks of the substrates.
+   DESIGN.md, and four gated experiments (throughput, parallel, scale,
+   epoch) whose numbers are judged against committed baselines.
 
    Usage:
      dune exec bench/main.exe              # paper artefacts (fig6, table1)
-     dune exec bench/main.exe -- all       # everything
+     dune exec bench/main.exe -- all       # every experiment
      dune exec bench/main.exe -- fig6 ablation-strategy ...
+     dune exec bench/main.exe -- scale-check  # judge against BENCH_scale.json
      dune exec bench/main.exe -- list      # list experiment names *)
 
 open Avdb_core
@@ -17,13 +19,13 @@ let note fmt = Printf.printf (fmt ^^ "\n%!")
 
 (* --- observability artifacts (optional) ---
 
-   With [--out DIR] (or AVDB_BENCH_OUT=DIR) every cluster an experiment
-   builds also dumps its span tree and metric time series:
+   With [--out DIR] every cluster an experiment builds also dumps its span
+   tree and metric time series:
      BENCH_<exp>_<seq>.trace.json     Chrome trace_event (chrome://tracing)
      BENCH_<exp>_<seq>.spans.jsonl    one span per line
      BENCH_<exp>_<seq>.metrics.jsonl  one metric sample per line
      BENCH_<exp>_<seq>.metrics.csv    snapshot time series (wide or long)
-   and each experiment writes a BENCH_<exp>.json manifest listing them
+   and each experiment writes a BENCH_<exp>.manifest.json listing them
    plus a BENCH_<exp>.report.txt analyzer summary over all its JSONL
    artifacts (the same analysis `avdb-obs-report` runs offline). *)
 
@@ -89,7 +91,7 @@ let write_manifest name =
           ]
       in
       Avdb_obs.Exporter.write_file
-        ~path:(Filename.concat dir (Printf.sprintf "BENCH_%s.json" name))
+        ~path:(Filename.concat dir (Printf.sprintf "BENCH_%s.manifest.json" name))
         (J.to_string manifest ^ "\n")
 
 (* --- shared experiment plumbing --- *)
@@ -979,132 +981,64 @@ let exp_recovery () =
        (Avdb_sim.Time.to_ms Config.default.Config.ack_timeout));
   note "before fetching its snapshot from the base, then rejoins the cohort."
 
-(* --- micro-benchmarks --- *)
+(* --- gated experiments ---
 
-let exp_micro () =
-  section "Micro-benchmarks (Bechamel, real time)";
-  let open Bechamel in
-  let open Toolkit in
-  let tests =
-    [
-      Test.make ~name:"event_queue add+pop x64"
-        (Staged.stage (fun () ->
-             let open Avdb_sim in
-             let q = Event_queue.create () in
-             for i = 1 to 64 do
-               ignore (Event_queue.add q ~time:(Time.of_us (i * 7 mod 97)) i)
-             done;
-             while Event_queue.pop q <> None do
-               ()
-             done));
-      Test.make ~name:"rng bits64 x64"
-        (Staged.stage
-           (let rng = Avdb_sim.Rng.create 1 in
-            fun () ->
-              for _ = 1 to 64 do
-                ignore (Avdb_sim.Rng.bits64 rng)
-              done));
-      Test.make ~name:"av_table hold/consume/deposit"
-        (Staged.stage
-           (let open Avdb_av in
-            let av = Av_table.create () in
-            Av_table.define av ~item:"x" ~volume:1_000_000;
-            fun () ->
-              ignore (Av_table.hold av ~item:"x" 10);
-              ignore (Av_table.consume av ~item:"x" 10);
-              ignore (Av_table.deposit av ~item:"x" 10)));
-      Test.make ~name:"wal append+encode"
-        (Staged.stage
-           (let open Avdb_store in
-            let wal = Wal.create () in
-            fun () ->
-              let record =
-                Wal.Update
-                  {
-                    txid = 1;
-                    table = "stock";
-                    key = "product1";
-                    col = "amount";
-                    before = Value.Int 10;
-                    after = Value.Int 9;
-                  }
-              in
-              ignore (Wal.append wal record);
-              ignore (Wal.encode_record record)));
-      Test.make ~name:"table add_int"
-        (Staged.stage
-           (let open Avdb_store in
-            let schema = Schema.create [ { Schema.name = "amount"; ty = Value.Tint } ] in
-            let table = Table.create ~name:"t" schema in
-            ignore (Table.insert table ~key:"k" [| Value.Int 0 |]);
-            fun () -> ignore (Table.add_int table ~key:"k" ~col:"amount" 1)));
-      Test.make ~name:"zipf sample (n=1000)"
-        (Staged.stage
-           (let z = Avdb_workload.Zipf.create ~n:1000 ~theta:0.9 in
-            let rng = Avdb_sim.Rng.create 3 in
-            fun () -> ignore (Avdb_workload.Zipf.sample z rng)));
-      Test.make ~name:"delay update (local, end-to-end)"
-        (Staged.stage
-           (let config =
-              {
-                Config.default with
-                Config.products = [ Product.regular "x" ~initial_amount:1_000_000_000 ];
-              }
-            in
-            let cluster = Cluster.create config in
-            let site = Cluster.site cluster 0 in
-            fun () ->
-              Site.submit_update site ~item:"x" ~delta:1 (fun _ -> ());
-              Cluster.run cluster));
-    ]
+   throughput, parallel, scale and epoch each measure a list of named
+   numbers. [<exp>] writes them to BENCH_<exp>.json in the current
+   directory; the copy committed at the repository root is the baseline.
+   [<exp>-check] re-measures and judges the fresh numbers with the
+   experiment's rows (gate.ml), exits 1 with a FAIL line per broken row,
+   and with [--out DIR] also writes the numbers it judged to
+   DIR/BENCH_<exp>.json. *)
+
+let numbers_file name = Printf.sprintf "BENCH_%s.json" name
+
+let write_numbers path numbers =
+  let oc = open_out path in
+  Printf.fprintf oc "{\n%s\n}\n"
+    (String.concat ",\n"
+       (List.map (fun (name, v) -> Printf.sprintf "  \"%s\": %.3f" name v) numbers));
+  close_out oc;
+  note "wrote %s" path
+
+(* A baseline's numeric fields. A missing or malformed file is a named
+   failure, not an uncaught exception. *)
+let read_baseline ~check path =
+  let fail what =
+    Printf.eprintf "FAIL %s: baseline %s %s\n%!" check path what;
+    exit 1
   in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) () in
-  let raw =
-    Benchmark.all cfg
-      Instance.[ monotonic_clock ]
-      (Test.make_grouped ~name:"micro" tests)
-  in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some (est :: _) -> rows := (name, est) :: !rows
-      | _ -> ())
-    results;
-  let table = Ascii_table.create ~headers:[ "benchmark"; "ns/run" ] in
-  List.iter
-    (fun (name, est) -> Ascii_table.add_row table [ name; Printf.sprintf "%.1f" est ])
-    (List.sort compare !rows);
-  print_endline (Ascii_table.render table)
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error _ -> fail "missing"
+  | contents -> (
+      match Avdb_obs.Json.of_string contents with
+      | Ok (Avdb_obs.Json.Obj fields) ->
+          List.filter_map
+            (function
+              | name, Avdb_obs.Json.Int n -> Some (name, float_of_int n)
+              | name, Avdb_obs.Json.Float f -> Some (name, f)
+              | _ -> None)
+            fields
+      | Ok _ | Error _ -> fail "malformed")
 
-(* --- throughput (gated perf benchmark) ---
+(* --- throughput ---
 
-   Measures the hot paths this repository optimises and writes the
-   numbers to BENCH_throughput.json in the current directory. The
-   committed copy at the repository root is the performance baseline:
-   [throughput-check] re-measures and exits non-zero when a headline
-   number regresses by more than 2x against it, which CI runs as a perf
-   smoke test. CPU time varies across hosts, so the gate is deliberately
-   loose - it catches structural regressions (a hot path growing an
-   allocation, a protocol growing a message per update), not percentage
-   drift. *)
-
-let throughput_json_path = "BENCH_throughput.json"
+   The hot paths this repository optimises. CPU time varies across hosts,
+   so these rows are deliberately loose: they catch structural regressions
+   (a hot path growing an allocation, a protocol growing a message per
+   update), not percentage drift. *)
 
 (* Delay-Update firehose: every update commits locally (ample AV, no
    transfers), so this times the submit -> AV -> storage -> sync-queue
    path itself. *)
-let throughput_delay ?(n_sites = 3) ?(trace_sample = 1.) ?(total = 100_000) ~tracing () =
-  let n_items = 8 in
+let throughput_delay ~tracing =
+  let n_sites = 3 and n_items = 8 and total = 100_000 in
   let items = Array.init n_items (fun i -> "product" ^ string_of_int i) in
   let config =
     {
       Config.default with
       Config.n_sites;
       tracing;
-      trace_sample;
       products =
         Product.catalogue ~n_regular:n_items ~n_non_regular:0 ~initial_amount:30_000_000;
       seed = 7000;
@@ -1150,184 +1084,41 @@ let throughput_mixed ~fanout =
     float_of_int bytes /. float_of_int total,
     outcome.Runner.final.Runner.applied )
 
-type throughput_numbers = {
-  delay_ups : float;  (* updates/s, tracing disabled *)
-  delay_tracing_ups : float;  (* updates/s, tracing enabled *)
-  delay_words : float;  (* minor words allocated per update *)
-  mixed_msgs : float;  (* messages per update, broadcast flushes *)
-  mixed_fanout_msgs : float;  (* messages per update, sync_fanout = 1 *)
-}
-
 let measure_throughput () =
-  let delay_ups, delay_words, delay_applied = throughput_delay ~tracing:false () in
-  let delay_tracing_ups, _, _ = throughput_delay ~tracing:true () in
+  section "Throughput";
+  let delay_ups, delay_words, delay_applied = throughput_delay ~tracing:false in
+  let delay_tracing_ups, _, _ = throughput_delay ~tracing:true in
   let mixed_msgs, mixed_bytes, mixed_applied = throughput_mixed ~fanout:None in
   let mixed_fanout_msgs, mixed_fanout_bytes, _ = throughput_mixed ~fanout:(Some 1) in
   note "delay: %.0f updates/s (tracing off), %.0f updates/s (tracing on), %.0f minor words/update, applied=%d"
     delay_ups delay_tracing_ups delay_words delay_applied;
   note "mixed: %.3f msgs/update %.0f bytes/update (broadcast) | %.3f msgs/update %.0f bytes/update (fanout=1), applied=%d"
     mixed_msgs mixed_bytes mixed_fanout_msgs mixed_fanout_bytes mixed_applied;
-  { delay_ups; delay_tracing_ups; delay_words; mixed_msgs; mixed_fanout_msgs }
+  [
+    ("delay_updates_per_sec", delay_ups);
+    ("delay_tracing_updates_per_sec", delay_tracing_ups);
+    ("delay_minor_words_per_update", delay_words);
+    ("mixed_msgs_per_update", mixed_msgs);
+    ("mixed_fanout_msgs_per_update", mixed_fanout_msgs);
+  ]
 
-let write_throughput_json n =
-  let oc = open_out throughput_json_path in
-  Printf.fprintf oc
-    "{\n  \"delay_updates_per_sec\": %.0f,\n  \"delay_tracing_updates_per_sec\": %.0f,\n  \"delay_minor_words_per_update\": %.1f,\n  \"mixed_msgs_per_update\": %.3f,\n  \"mixed_fanout_msgs_per_update\": %.3f\n}\n"
-    n.delay_ups n.delay_tracing_ups n.delay_words n.mixed_msgs n.mixed_fanout_msgs;
-  close_out oc;
-  note "wrote %s" throughput_json_path
+let throughput_rows =
+  Gate.
+    [
+      row "delay_updates_per_sec" (Within_2x Higher_is_better);
+      row "delay_minor_words_per_update" (Within_2x Lower_is_better);
+      row "mixed_msgs_per_update" (Within_2x Lower_is_better);
+      row "mixed_fanout_msgs_per_update" (Within_2x Lower_is_better);
+    ]
 
-(* A gate's committed baseline, parsed. A missing or malformed file is a
-   named failure, not an uncaught exception. *)
-let read_baseline ~check path =
-  let fail what =
-    Printf.eprintf "FAIL %s: baseline %s %s\n%!" check path what;
-    exit 1
-  in
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error _ -> fail "missing"
-  | contents -> (
-      match Avdb_obs.Json.of_string contents with
-      | Ok (Avdb_obs.Json.Obj _ as baseline) -> baseline
-      | Ok _ | Error _ -> fail "malformed")
-
-(* A numeric field of a baseline; [None] when absent or not a number. *)
-let json_number baseline name =
-  match Avdb_obs.Json.member name baseline with
-  | Some (Avdb_obs.Json.Int n) -> Some (float_of_int n)
-  | Some (Avdb_obs.Json.Float f) -> Some f
-  | Some _ | None -> None
-
-let exp_throughput () =
-  section "Throughput";
-  write_throughput_json (measure_throughput ())
-
-(* Decomposition probe for the delay firehose allocation budget: isolates
-   the engine loop, the runner machinery, the site submit path and the
-   storage/AV layers so a regression in [delay_minor_words_per_update]
-   can be attributed to a layer without guesswork. Diagnostic only — not
-   gated. *)
-let exp_alloc_probe () =
-  section "Alloc probe (minor words per iteration, delay firehose layers)";
-  let total = 100_000 in
-  let measure name f =
-    Gc.compact ();
-    let m0 = Gc.minor_words () in
-    f ();
-    note "%-28s %6.1f" name ((Gc.minor_words () -. m0) /. float_of_int total)
-  in
-  let delay_config n_sites =
-    {
-      Config.default with
-      Config.n_sites;
-      tracing = false;
-      products = Product.catalogue ~n_regular:8 ~n_non_regular:0 ~initial_amount:30_000_000;
-      seed = 7000;
-    }
-  in
-  measure "engine chain (noop events)" (fun () ->
-      let engine = Avdb_sim.Engine.create ~seed:1 () in
-      let rec arm k =
-        if k < total then
-          ignore
-            (Avdb_sim.Engine.schedule_at engine
-               ~at:(Avdb_sim.Time.of_ms (float_of_int k))
-               (fun () -> arm (k + 1)))
-      in
-      arm 0;
-      ignore (Avdb_sim.Engine.run engine));
-  measure "runner (dummy submit)" (fun () ->
-      let cluster = Cluster.create (delay_config 3) in
-      let nth k = (k mod 3, "product0", 1) in
-      ignore
-        (Runner.run cluster ~nth_update:nth ~total_updates:total
-           ~submit:(fun _site ~item:_ ~delta:_ k ->
-             k { Update.outcome = Update.Applied Update.Local; latency = Avdb_sim.Time.zero })
-           ()));
-  measure "site direct (no engine)" (fun () ->
-      let cluster = Cluster.create (delay_config 3) in
-      let items = Array.init 8 (fun i -> "product" ^ string_of_int i) in
-      for k = 0 to total - 1 do
-        Site.submit_update
-          (Cluster.site cluster (k mod 3))
-          ~item:items.(k mod 8)
-          ~delta:(if k mod 3 = 0 then 1 else -1)
-          (fun _ -> ())
-      done);
-  measure "db apply_int" (fun () ->
-      let db = Avdb_store.Database.create () in
-      let schema =
-        Avdb_store.Schema.create
-          [ { Avdb_store.Schema.name = "amount"; ty = Avdb_store.Value.Tint } ]
-      in
-      let tbl = Avdb_store.Database.create_table db ~name:"stock" schema in
-      ignore (Avdb_store.Table.insert tbl ~key:"product0" [| Avdb_store.Value.Int 0 |]);
-      for _ = 1 to total do
-        ignore
-          (Avdb_store.Database.apply_int db ~table:"stock" ~key:"product0" ~col:"amount" 1)
-      done);
-  measure "av mint+consume" (fun () ->
-      let av = Avdb_av.Av_table.create () in
-      Avdb_av.Av_table.define av ~item:"product0" ~volume:1_000_000;
-      for _ = 1 to total / 2 do
-        ignore (Avdb_av.Av_table.mint av ~item:"product0" 1);
-        ignore (Avdb_av.Av_table.hold av ~item:"product0" 1);
-        ignore (Avdb_av.Av_table.consume av ~item:"product0" 1)
-      done);
-  measure "full delay bench" (fun () ->
-      let config = delay_config 3 in
-      let items = Array.init 8 (fun i -> "product" ^ string_of_int i) in
-      let nth k = (k mod 3, items.(k mod 8), if k mod 3 = 0 then 1 else -1) in
-      let cluster = Cluster.create config in
-      ignore (Runner.run cluster ~nth_update:nth ~total_updates:total ()))
-
-let exp_throughput_check () =
-  section "Throughput check (vs committed baseline)";
-  let baseline = read_baseline ~check:"throughput-check" throughput_json_path in
-  let fresh = measure_throughput () in
-  let failures = ref [] in
-  let check name ~fresh ~baseline ~higher_is_better =
-    match json_number baseline name with
-    | None -> failures := Printf.sprintf "%s: missing from baseline" name :: !failures
-    | Some base ->
-        let regressed =
-          if higher_is_better then fresh *. 2. < base else fresh > base *. 2.
-        in
-        note "  %s: baseline=%.3f fresh=%.3f%s" name base fresh
-          (if regressed then "  REGRESSED" else "");
-        if regressed then
-          failures :=
-            Printf.sprintf "%s regressed more than 2x (baseline %.3f, now %.3f)" name base
-              fresh
-            :: !failures
-  in
-  check "delay_updates_per_sec" ~fresh:fresh.delay_ups ~baseline ~higher_is_better:true;
-  check "delay_minor_words_per_update" ~fresh:fresh.delay_words ~baseline
-    ~higher_is_better:false;
-  check "mixed_msgs_per_update" ~fresh:fresh.mixed_msgs ~baseline ~higher_is_better:false;
-  check "mixed_fanout_msgs_per_update" ~fresh:fresh.mixed_fanout_msgs ~baseline
-    ~higher_is_better:false;
-  match !failures with
-  | [] -> note "throughput within 2x of baseline"
-  | fs ->
-      List.iter (fun f -> Printf.eprintf "FAIL %s\n" f) fs;
-      exit 1
-
-(* --- parallel engine (gated perf benchmark) ---
+(* --- parallel ---
 
    Sequential cluster vs the domain-sharded engine on the same sharded
    100-site workload, measured in wall-clock time (CPU time sums across
-   domains and would hide any speedup). Writes BENCH_parallel.json; the
-   committed copy is the baseline for [parallel-check].
-
-   The speedup gate is host-aware: this measurement only means something
-   with real cores to spread over, so the >= 2x speedup claim (and the 2x
-   regression gate on the 4-domain number) is enforced only when the host
-   has at least 4 cores. The determinism fields — applied counts and round
-   count — are exact integers reproduced by any host and are checked
-   everywhere. *)
-
-let parallel_json_path = "BENCH_parallel.json"
+   domains and would hide any speedup). The applied counts and the round
+   count are exact integers any host reproduces, so their rows hold
+   everywhere; the throughput and >= 2x speedup rows mean something only
+   with real cores to spread over, so they arm at 4. *)
 
 let parallel_config ~domains =
   {
@@ -1366,17 +1157,8 @@ let parallel_workload config topology =
 let parallel_total = 50_000
 let parallel_interval = Avdb_sim.Time.of_ms 0.1
 
-type parallel_numbers = {
-  host_cores : int;
-  par_seq_ups : float;  (* sequential engine, wall-clock updates/s *)
-  par4_ups : float;  (* 4-domain engine, wall-clock updates/s *)
-  par_speedup : float;
-  par_seq_applied : int;
-  par4_applied : int;
-  par4_rounds : int;
-}
-
 let measure_parallel () =
+  section "Parallel engine (sequential vs 4 domains, sharded 100 sites)";
   let host_cores = Domain.recommended_domain_count () in
   let seq_config = parallel_config ~domains:1 in
   let cluster = Cluster.create seq_config in
@@ -1396,153 +1178,37 @@ let measure_parallel () =
       ~interval:parallel_interval ()
   in
   let par_wall = Unix.gettimeofday () -. t0 in
-  let n = {
-    host_cores;
-    par_seq_ups = float_of_int parallel_total /. seq_wall;
-    par4_ups = float_of_int parallel_total /. par_wall;
-    par_speedup = seq_wall /. par_wall;
-    par_seq_applied = seq.Runner.final.Runner.applied;
-    par4_applied = par.Runner.final.Runner.applied;
-    par4_rounds = Pcluster.rounds pc;
-  }
-  in
-  note "host: %d cores" n.host_cores;
-  note "sequential: %.0f updates/s wall (applied=%d)" n.par_seq_ups n.par_seq_applied;
+  let seq_ups = float_of_int parallel_total /. seq_wall in
+  let par4_ups = float_of_int parallel_total /. par_wall in
+  let seq_applied = seq.Runner.final.Runner.applied in
+  let par4_applied = par.Runner.final.Runner.applied in
+  note "host: %d cores" host_cores;
+  note "sequential: %.0f updates/s wall (applied=%d)" seq_ups seq_applied;
   note "4 domains:  %.0f updates/s wall (applied=%d, %d rounds), speedup %.2fx"
-    n.par4_ups n.par4_applied n.par4_rounds n.par_speedup;
-  n
+    par4_ups par4_applied (Pcluster.rounds pc) (seq_wall /. par_wall);
+  [
+    ("parallel_host_cores", float_of_int host_cores);
+    ("parallel_seq_updates_per_sec", seq_ups);
+    ("parallel_par4_updates_per_sec", par4_ups);
+    ("parallel_speedup_4", seq_wall /. par_wall);
+    ("parallel_seq_applied", float_of_int seq_applied);
+    ("parallel_par4_applied", float_of_int par4_applied);
+    ("parallel_par4_rounds", float_of_int (Pcluster.rounds pc));
+  ]
 
-let write_parallel_json n =
-  let oc = open_out parallel_json_path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"parallel_host_cores\": %d,\n\
-    \  \"parallel_seq_updates_per_sec\": %.0f,\n\
-    \  \"parallel_par4_updates_per_sec\": %.0f,\n\
-    \  \"parallel_speedup_4\": %.2f,\n\
-    \  \"parallel_seq_applied\": %d,\n\
-    \  \"parallel_par4_applied\": %d,\n\
-    \  \"parallel_par4_rounds\": %d\n\
-     }\n"
-    n.host_cores n.par_seq_ups n.par4_ups n.par_speedup n.par_seq_applied n.par4_applied
-    n.par4_rounds;
-  close_out oc;
-  note "wrote %s" parallel_json_path
+let parallel_rows =
+  Gate.
+    [
+      row "parallel_seq_applied" Equal;
+      row "parallel_par4_applied" Equal;
+      row "parallel_par4_rounds" Equal;
+      row ~min_cores:4 "parallel_par4_updates_per_sec" (Within_2x Higher_is_better);
+      (* the 4-domain speedup, parallel_speedup_4 >= 2 *)
+      row ~min_cores:4 "parallel_par4_updates_per_sec"
+        (At_least (2., "parallel_seq_updates_per_sec"));
+    ]
 
-let exp_parallel () =
-  section "Parallel engine (sequential vs 4 domains, sharded 100 sites)";
-  write_parallel_json (measure_parallel ())
-
-let exp_parallel_check () =
-  section "Parallel check (vs committed baseline)";
-  let baseline = read_baseline ~check:"parallel-check" parallel_json_path in
-  let fresh = measure_parallel () in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  (* Determinism: these are exact integers on every host. *)
-  let check_exact name ~fresh =
-    match json_number baseline name with
-    | None -> fail "%s: missing from baseline" name
-    | Some base ->
-        note "  %s: baseline=%.0f fresh=%d%s" name base fresh
-          (if float_of_int fresh <> base then "  MISMATCH" else "");
-        if float_of_int fresh <> base then
-          fail "%s: expected %.0f, got %d (parallel run not deterministic?)" name base
-            fresh
-  in
-  check_exact "parallel_seq_applied" ~fresh:fresh.par_seq_applied;
-  check_exact "parallel_par4_applied" ~fresh:fresh.par4_applied;
-  check_exact "parallel_par4_rounds" ~fresh:fresh.par4_rounds;
-  (* Performance: only meaningful with cores to spread over. *)
-  if fresh.host_cores >= 4 then begin
-    (match json_number baseline "parallel_par4_updates_per_sec" with
-    | None -> fail "parallel_par4_updates_per_sec: missing from baseline"
-    | Some base ->
-        note "  parallel_par4_updates_per_sec: baseline=%.0f fresh=%.0f" base
-          fresh.par4_ups;
-        if fresh.par4_ups *. 2. < base then
-          fail "parallel_par4_updates_per_sec regressed more than 2x (baseline %.0f, now %.0f)"
-            base fresh.par4_ups);
-    note "  parallel_speedup_4: fresh=%.2f (gate: >= 2.0 on a %d-core host)"
-      fresh.par_speedup fresh.host_cores;
-    if fresh.par_speedup < 2.0 then
-      fail "parallel speedup %.2fx < 2.0x on a %d-core host" fresh.par_speedup
-        fresh.host_cores
-  end
-  else
-    note "  host has %d cores (< 4): speedup and regression gates skipped"
-      fresh.host_cores;
-  match !failures with
-  | [] -> note "parallel engine within baseline"
-  | fs ->
-      List.iter (fun f -> Printf.eprintf "FAIL %s\n" f) fs;
-      exit 1
-
-(* --- observability overhead ---
-
-   What tracing costs on the Delay-Update firehose at N=100, in three
-   configurations: tracing off, head-sampled at 1% (the deployment
-   setting — per-root coin flips with warn/slow tail retention still
-   active), and full tracing. The claim the sampled tracer makes is that
-   the 1% point sits within a few percent of off: the sampled-out path
-   records a pending span and discards it at finish without ever
-   touching the retained list. *)
-
-let obs_overhead_json_path = "BENCH_obs_overhead.json"
-
-let exp_obs_overhead () =
-  section "Observability overhead (Delay-Update firehose, 100 sites)";
-  (* Measurement discipline: one discarded warmup (process start runs in
-     a CPU-boost window that would flatter whichever config goes first),
-     then the three configurations interleaved round-robin so frequency
-     drift and heap aging hit them evenly, each round from a compacted
-     heap, and the per-config median of three as the estimate. Measured
-     back-to-back on one host, order bias without this was ~7% — as
-     large as the effect being measured. *)
-  let configs = [| (false, 1.); (true, 0.01); (true, 1.) |] in
-  let samples = Array.map (fun _ -> ref []) configs in
-  let measure (tracing, trace_sample) =
-    Gc.compact ();
-    let ups, words, _ =
-      throughput_delay ~n_sites:100 ~total:200_000 ~tracing ~trace_sample ()
-    in
-    (ups, words)
-  in
-  ignore (measure configs.(0));
-  (* rotate the starting config per round so each configuration occupies
-     each within-round position exactly once *)
-  for round = 0 to 5 do
-    for k = 0 to 2 do
-      let i = (round + k) mod 3 in
-      samples.(i) := measure configs.(i) :: !(samples.(i))
-    done
-  done;
-  let median i =
-    match List.sort compare (List.map fst !(samples.(i))) with
-    | [ _; m; _ ] -> m
-    | l -> List.nth l (List.length l / 2)
-  in
-  Array.iteri
-    (fun i (tracing, trace_sample) ->
-      note "  tracing=%-5b sample=%-4.2f %8.0f updates/s %6.0f minor words/update"
-        tracing trace_sample (median i)
-        (List.fold_left (fun acc (_, w) -> Float.min acc w) infinity !(samples.(i))))
-    configs;
-  let off_ups = median 0 in
-  let sampled_ups = median 1 in
-  let full_ups = median 2 in
-  let ratio = sampled_ups /. off_ups in
-  note "sampled(1%%) runs at %.1f%% of tracing-off throughput; full tracing at %.1f%%"
-    (100. *. ratio)
-    (100. *. full_ups /. off_ups);
-  let oc = open_out obs_overhead_json_path in
-  Printf.fprintf oc
-    "{\n  \"off_updates_per_sec\": %.0f,\n  \"sampled_updates_per_sec\": %.0f,\n  \"full_updates_per_sec\": %.0f,\n  \"sampled_over_off\": %.3f\n}\n"
-    off_ups sampled_ups full_ups ratio;
-  close_out oc;
-  note "wrote %s" obs_overhead_json_path
-
-(* --- scale (gated topology benchmark) ---
+(* --- scale ---
 
    How the message economy and per-site footprint behave as the cluster
    grows from the paper's 3 sites toward 1000. Three configurations per
@@ -1550,13 +1216,10 @@ let exp_obs_overhead () =
    replication), the sharded topology (hashed per-item bases, partial
    replication at [scale_spread] subscribers per item), and the sharded
    topology under the Centralized baseline (the Fig. 6 conventional
-   curve, re-plotted at scale). BENCH_scale.json at the repository root
-   is the committed baseline; [scale-check] re-measures and gates like
-   [throughput-check], plus two structural claims that need no baseline:
-   at N=1000 sharded msgs/update must stay well below full replication,
-   and it must grow sub-linearly from N=10 to N=1000. *)
+   curve, re-plotted at scale). Besides the 2x rows, two structural rows
+   need no baseline: at N=1000 sharded msgs/update must stay well below
+   full replication, and it must grow sub-linearly from N=10 to N=1000. *)
 
-let scale_json_path = "BENCH_scale.json"
 let scale_sizes = [ 10; 100; 1000 ]
 let scale_spread = 3
 let scale_items = 50
@@ -1632,13 +1295,10 @@ let scale_run ~n_sites ~mode ~sharded =
     sc_checkpoints = outcome.Runner.checkpoints;
   }
 
-type scale_numbers = {
-  full : (int * scale_point) list;
-  sharded : (int * scale_point) list;
-  central : (int * scale_point) list;  (* sharded topology, Centralized mode *)
-}
-
 let measure_scale () =
+  section "Scale - message economy and footprint, 10 -> 1000 sites";
+  note "flat full replication vs hashed per-item bases, %d-way partial replication"
+    scale_spread;
   let per_size f = List.map (fun n -> (n, f n)) scale_sizes in
   let full =
     per_size (fun n -> scale_run ~n_sites:n ~mode:Config.Autonomous ~sharded:false)
@@ -1701,87 +1361,32 @@ let measure_scale () =
         s.sc_checkpoints c.sc_checkpoints;
       print_endline (Ascii_table.render table))
     scale_sizes;
-  { full; sharded; central }
+  List.concat_map
+    (fun (prefix, points) ->
+      List.concat_map
+        (fun (n, p) ->
+          [
+            (Printf.sprintf "scale_%s_msgs_per_update_n%d" prefix n, p.sc_msgs);
+            (Printf.sprintf "scale_%s_corr_n%d" prefix n, float_of_int p.sc_corr);
+            (Printf.sprintf "scale_%s_live_words_per_site_n%d" prefix n, p.sc_words_mean);
+          ])
+        points)
+    [ ("full", full); ("sharded", sharded); ("central", central) ]
 
-let write_scale_json nums =
-  let fields =
-    List.concat_map
-      (fun (prefix, points) ->
-        List.concat_map
-          (fun (n, p) ->
-            [
-              (Printf.sprintf "scale_%s_msgs_per_update_n%d" prefix n, p.sc_msgs);
-              (Printf.sprintf "scale_%s_corr_n%d" prefix n, float_of_int p.sc_corr);
-              ( Printf.sprintf "scale_%s_live_words_per_site_n%d" prefix n,
-                p.sc_words_mean );
-            ])
-          points)
-      [ ("full", nums.full); ("sharded", nums.sharded); ("central", nums.central) ]
-  in
-  let oc = open_out scale_json_path in
-  output_string oc "{\n";
-  let last = List.length fields - 1 in
-  List.iteri
-    (fun i (name, v) ->
-      Printf.fprintf oc "  \"%s\": %.3f%s\n" name v (if i = last then "" else ","))
-    fields;
-  output_string oc "}\n";
-  close_out oc;
-  note "wrote %s" scale_json_path
+let scale_rows =
+  Gate.
+    [
+      row "scale_sharded_msgs_per_update_n10" (Within_2x Lower_is_better);
+      row "scale_sharded_msgs_per_update_n100" (Within_2x Lower_is_better);
+      row "scale_sharded_msgs_per_update_n1000" (Within_2x Lower_is_better);
+      row "scale_sharded_live_words_per_site_n10" (Within_2x Lower_is_better);
+      row "scale_sharded_live_words_per_site_n100" (Within_2x Lower_is_better);
+      row "scale_sharded_live_words_per_site_n1000" (Within_2x Lower_is_better);
+      row "scale_sharded_msgs_per_update_n1000" (Below (0.25, "scale_full_msgs_per_update_n1000"));
+      row "scale_sharded_msgs_per_update_n1000" (Below (8., "scale_sharded_msgs_per_update_n10"));
+    ]
 
-let exp_scale () =
-  section "Scale - message economy and footprint, 10 -> 1000 sites";
-  note "flat full replication vs hashed per-item bases, %d-way partial replication"
-    scale_spread;
-  write_scale_json (measure_scale ())
-
-let exp_scale_check () =
-  section "Scale check (vs committed baseline + structural claims)";
-  let baseline = read_baseline ~check:"scale-check" scale_json_path in
-  let fresh = measure_scale () in
-  let failures = ref [] in
-  let check name ~fresh =
-    (* everything gated here is lower-is-better *)
-    match json_number baseline name with
-    | None -> failures := Printf.sprintf "%s: missing from baseline" name :: !failures
-    | Some base ->
-        let regressed = fresh > base *. 2. in
-        note "  %s: baseline=%.3f fresh=%.3f%s" name base fresh
-          (if regressed then "  REGRESSED" else "");
-        if regressed then
-          failures :=
-            Printf.sprintf "%s regressed more than 2x (baseline %.3f, now %.3f)" name
-              base fresh
-            :: !failures
-  in
-  List.iter
-    (fun (n, p) ->
-      check (Printf.sprintf "scale_sharded_msgs_per_update_n%d" n) ~fresh:p.sc_msgs;
-      check
-        (Printf.sprintf "scale_sharded_live_words_per_site_n%d" n)
-        ~fresh:p.sc_words_mean)
-    fresh.sharded;
-  let msgs n points = (List.assoc n points).sc_msgs in
-  let claim cond msg = if not cond then failures := msg :: !failures in
-  claim
-    (msgs 1000 fresh.sharded *. 4. < msgs 1000 fresh.full)
-    (Printf.sprintf
-       "structural: sharded msgs/update at N=1000 (%.2f) not ≥4x below full \
-        replication (%.2f)"
-       (msgs 1000 fresh.sharded) (msgs 1000 fresh.full));
-  claim
-    (msgs 1000 fresh.sharded < msgs 10 fresh.sharded *. 8.)
-    (Printf.sprintf
-       "structural: sharded msgs/update grew super-linearly, %.2f at N=10 vs %.2f at \
-        N=1000"
-       (msgs 10 fresh.sharded) (msgs 1000 fresh.sharded));
-  match !failures with
-  | [] -> note "scale within 2x of baseline; structural claims hold"
-  | fs ->
-      List.iter (fun f -> Printf.eprintf "FAIL %s\n" f) fs;
-      exit 1
-
-(* --- epoch-quorum commit vs Immediate Update (gated class benchmark) ---
+(* --- epoch: epoch-quorum commit vs Immediate Update ---
 
    The asynchronous third update class against per-update 2PC on the same
    sharded topology: sustained committed throughput (virtual time) and
@@ -1793,12 +1398,11 @@ let exp_scale_check () =
    the same item abort each other. Each class is therefore swept over a
    fixed pacing grid and scored at its peak: the pacing that maximizes
    committed updates per virtual second. Virtual-time throughput is
-   deterministic (same numbers on any host). BENCH_epoch.json at the repository root is the committed
-   baseline; [epoch-check] re-measures with a loose 2x gate plus the
-   structural claim that needs no baseline: at N=1000 the epoch class
-   must commit >= 3x the Immediate rate. *)
+   deterministic (same numbers on any host), so the 2x rows only cover
+   deliberate retunes. The structural rows need no baseline: the
+   asynchronous class must beat per-update 2PC by the batch economics it
+   exists for. *)
 
-let epoch_json_path = "BENCH_epoch.json"
 let epoch_sizes = [ 100; 1000 ]
 let epoch_n_items = 8
 let epoch_updates = 4000
@@ -1887,12 +1491,8 @@ let epoch_run ~n_sites ~klass =
     (fun best p -> if p.ep_ups > best.ep_ups then p else best)
     (List.hd points) (List.tl points)
 
-type epoch_numbers = {
-  ep_epoch : (int * epoch_point) list;
-  ep_immediate : (int * epoch_point) list;
-}
-
 let measure_epoch () =
+  section "Epoch-quorum commit vs Immediate Update (sharded, 100 -> 1000 sites)";
   let per_size f = List.map (fun n -> (n, f n)) epoch_sizes in
   let ep_epoch = per_size (fun n -> epoch_run ~n_sites:n ~klass:`Epoch) in
   let ep_immediate = per_size (fun n -> epoch_run ~n_sites:n ~klass:`Immediate) in
@@ -1930,76 +1530,57 @@ let measure_epoch () =
       note "  N=%d: epoch %d/%d committed at %.2fms pacing, immediate %d/%d at %.2fms" n
         e.ep_applied epoch_updates e.ep_interval i.ep_applied epoch_updates i.ep_interval)
     epoch_sizes;
-  { ep_epoch; ep_immediate }
+  List.concat_map
+    (fun (prefix, points) ->
+      List.concat_map
+        (fun (n, p) ->
+          [
+            (Printf.sprintf "%s_updates_per_sec_n%d" prefix n, p.ep_ups);
+            (Printf.sprintf "%s_msgs_per_update_n%d" prefix n, p.ep_msgs);
+            (Printf.sprintf "%s_applied_n%d" prefix n, float_of_int p.ep_applied);
+            (Printf.sprintf "%s_pacing_ms_n%d" prefix n, p.ep_interval);
+          ])
+        points)
+    [ ("epoch", ep_epoch); ("immediate", ep_immediate) ]
 
-let write_epoch_json nums =
-  let fields =
-    List.concat_map
-      (fun (prefix, points) ->
-        List.concat_map
-          (fun (n, p) ->
-            [
-              (Printf.sprintf "%s_updates_per_sec_n%d" prefix n, p.ep_ups);
-              (Printf.sprintf "%s_msgs_per_update_n%d" prefix n, p.ep_msgs);
-              (Printf.sprintf "%s_applied_n%d" prefix n, float_of_int p.ep_applied);
-              (Printf.sprintf "%s_pacing_ms_n%d" prefix n, p.ep_interval);
-            ])
-          points)
-      [ ("epoch", nums.ep_epoch); ("immediate", nums.ep_immediate) ]
-  in
-  let oc = open_out epoch_json_path in
-  output_string oc "{\n";
-  let last = List.length fields - 1 in
-  List.iteri
-    (fun i (name, v) ->
-      Printf.fprintf oc "  \"%s\": %.3f%s\n" name v (if i = last then "" else ","))
-    fields;
-  output_string oc "}\n";
-  close_out oc;
-  note "wrote %s" epoch_json_path
-
-let exp_epoch () =
-  section "Epoch-quorum commit vs Immediate Update (sharded, 100 -> 1000 sites)";
-  write_epoch_json (measure_epoch ())
-
-let exp_epoch_check () =
-  section "Epoch check (vs committed baseline + structural claims)";
-  let baseline = read_baseline ~check:"epoch-check" epoch_json_path in
-  let fresh = measure_epoch () in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  (* Gates against the committed baseline. Virtual-time throughput is
-     deterministic, so the 2x slack only covers deliberate retunes. *)
-  List.iter
-    (fun (n, (p : epoch_point)) ->
-      let name = Printf.sprintf "epoch_updates_per_sec_n%d" n in
-      match json_number baseline name with
-      | None -> fail "%s: missing from baseline" name
-      | Some base ->
-          note "  %s: baseline=%.0f fresh=%.0f" name base p.ep_ups;
-          if p.ep_ups *. 2. < base then
-            fail "%s regressed more than 2x (baseline %.0f, now %.0f)" name base p.ep_ups)
-    fresh.ep_epoch;
-  (* Structural claims, no baseline needed: the asynchronous class must
-     beat per-update 2PC by the batch economics it exists for. *)
-  let at n points = List.assoc n points in
-  let e1000 = at 1000 fresh.ep_epoch and i1000 = at 1000 fresh.ep_immediate in
-  note "  structural: N=1000 epoch %.0f upd/s vs immediate %.0f upd/s (%.2fx, gate >= 3x)"
-    e1000.ep_ups i1000.ep_ups
-    (e1000.ep_ups /. i1000.ep_ups);
-  if e1000.ep_ups < 3. *. i1000.ep_ups then
-    fail "epoch committed-updates/s at N=1000 (%.0f) below 3x the Immediate baseline (%.0f)"
-      e1000.ep_ups i1000.ep_ups;
-  if e1000.ep_msgs >= i1000.ep_msgs then
-    fail "epoch msgs/update at N=1000 (%.2f) not below Immediate (%.2f)" e1000.ep_msgs
-      i1000.ep_msgs;
-  match !failures with
-  | [] -> note "epoch class within baseline; structural claims hold"
-  | fs ->
-      List.iter (fun f -> Printf.eprintf "FAIL %s\n" f) fs;
-      exit 1
+let epoch_rows =
+  Gate.
+    [
+      row "epoch_updates_per_sec_n100" (Within_2x Higher_is_better);
+      row "epoch_updates_per_sec_n1000" (Within_2x Higher_is_better);
+      row "epoch_updates_per_sec_n1000" (At_least (3., "immediate_updates_per_sec_n1000"));
+      row "epoch_msgs_per_update_n1000" (Below (1., "immediate_msgs_per_update_n1000"));
+    ]
 
 (* --- registry --- *)
+
+(* name, measurement, rows *)
+let gated =
+  [
+    ("throughput", measure_throughput, throughput_rows);
+    ("parallel", measure_parallel, parallel_rows);
+    ("scale", measure_scale, scale_rows);
+    ("epoch", measure_epoch, epoch_rows);
+  ]
+
+let check_gated (name, measure, rows) () =
+  let check = name ^ "-check" in
+  let baseline = read_baseline ~check (numbers_file name) in
+  let fresh = measure () in
+  Option.iter
+    (fun dir -> write_numbers (Filename.concat dir (numbers_file name)) fresh)
+    !out_dir;
+  note "judged against %s:" (numbers_file name);
+  let verdicts =
+    Gate.judge ~host_cores:(Domain.recommended_domain_count ()) ~baseline ~fresh rows
+  in
+  List.iter
+    (function
+      | Gate.Pass claim -> note "  ok   %s" claim
+      | Gate.Skip why -> note "  skip %s" why
+      | Gate.Fail claim -> Printf.eprintf "FAIL %s\n%!" claim)
+    verdicts;
+  if List.exists (function Gate.Fail _ -> true | _ -> false) verdicts then exit 1
 
 let experiments =
   [
@@ -2021,24 +1602,14 @@ let experiments =
     ("wan", exp_wan);
     ("seeds", exp_seeds);
     ("elastic", exp_elastic);
-    ("micro", exp_micro);
-    ("throughput", exp_throughput);
-    ("alloc-probe", exp_alloc_probe);
-    ("parallel", exp_parallel);
-    ("obs-overhead", exp_obs_overhead);
-    ("scale", exp_scale);
-    ("epoch", exp_epoch);
   ]
+  @ List.map
+      (fun (name, measure, _) -> (name, fun () -> write_numbers (numbers_file name) (measure ())))
+      gated
 
-(* Not in [experiments]: needs a committed baseline and exits non-zero on
-   regression, so "all" must not pick it up. *)
-let checks =
-  [
-    ("throughput-check", exp_throughput_check);
-    ("scale-check", exp_scale_check);
-    ("parallel-check", exp_parallel_check);
-    ("epoch-check", exp_epoch_check);
-  ]
+(* Not in [experiments]: a check needs a committed baseline and exits 1 on
+   a broken row, so "all" must not pick it up. *)
+let checks = List.map (fun ((name, _, _) as g) -> (name ^ "-check", check_gated g)) gated
 
 let run_experiment name f =
   current_exp := name;
@@ -2058,10 +1629,6 @@ let () =
     | [] -> List.rev acc
   in
   let args = strip_out [] (List.tl (Array.to_list Sys.argv)) in
-  (if !out_dir = None then
-     match Sys.getenv_opt "AVDB_BENCH_OUT" with
-     | Some dir when dir <> "" -> out_dir := Some dir
-     | _ -> ());
   Option.iter ensure_dir !out_dir;
   match args with
   | [] ->
