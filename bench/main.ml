@@ -1084,14 +1084,32 @@ let throughput_mixed ~fanout =
     float_of_int bytes /. float_of_int total,
     outcome.Runner.final.Runner.applied )
 
+(* One firehose run is ~0.2 s of CPU time and on a shared host reads
+   anywhere in a band about 2x wide, so the updates/s numbers are medians
+   over [firehose_runs] runs, tracing off and on alternating so both see
+   the same host. *)
+let firehose_runs = 5
+
+let median xs =
+  let a = Array.of_list (List.sort Float.compare xs) in
+  a.(Array.length a / 2)
+
 let measure_throughput () =
   section "Throughput";
-  let delay_ups, delay_words, delay_applied = throughput_delay ~tracing:false in
-  let delay_tracing_ups, _, _ = throughput_delay ~tracing:true in
+  let runs =
+    List.init firehose_runs (fun _ ->
+        let off = throughput_delay ~tracing:false in
+        let on, _, _ = throughput_delay ~tracing:true in
+        (off, on))
+  in
+  let delay_ups = median (List.map (fun ((ups, _, _), _) -> ups) runs) in
+  let delay_words = median (List.map (fun ((_, words, _), _) -> words) runs) in
+  let delay_tracing_ups = median (List.map snd runs) in
+  let (_, _, delay_applied), _ = List.hd runs in
   let mixed_msgs, mixed_bytes, mixed_applied = throughput_mixed ~fanout:None in
   let mixed_fanout_msgs, mixed_fanout_bytes, _ = throughput_mixed ~fanout:(Some 1) in
-  note "delay: %.0f updates/s (tracing off), %.0f updates/s (tracing on), %.0f minor words/update, applied=%d"
-    delay_ups delay_tracing_ups delay_words delay_applied;
+  note "delay: %.0f updates/s (tracing off), %.0f updates/s (tracing on), medians of %d alternating runs; %.0f minor words/update, applied=%d"
+    delay_ups delay_tracing_ups firehose_runs delay_words delay_applied;
   note "mixed: %.3f msgs/update %.0f bytes/update (broadcast) | %.3f msgs/update %.0f bytes/update (fanout=1), applied=%d"
     mixed_msgs mixed_bytes mixed_fanout_msgs mixed_fanout_bytes mixed_applied;
   [

@@ -19,6 +19,13 @@ module Pair_set = Set.Make (Pair)
    its boxed hash path), which showed up in the delivery hot path. *)
 let link_key src dst = (Address.to_int src lsl 24) lor Address.to_int dst
 
+(* Per directed link, created on the link's first send. FIFO guarantee:
+   the last scheduled delivery instant, which no later message on the
+   link undercuts. With finite bandwidth: when the link finishes
+   transmitting its current backlog; the next message starts serialising
+   after that. Both start at zero, which bounds nothing. *)
+type link = { mutable last_delivery : Time.t; mutable busy_until : Time.t }
+
 type 'a t = {
   engine : Engine.t;
   latency : Latency.t;
@@ -27,14 +34,10 @@ type 'a t = {
   mutable reorder_probability : float;
   bandwidth_bytes_per_sec : int option;
   rng : Rng.t;
-  nodes : (Address.t, 'a node) Hashtbl.t;
+  (* Indexed by [Address.to_int]; [None] for an unregistered address. *)
+  mutable nodes : 'a node option array;
   stats : Stats.t;
-  (* FIFO guarantee: remember the last scheduled delivery instant per
-     directed link and never deliver earlier than it. *)
-  last_delivery : (int, Time.t) Hashtbl.t;
-  (* With finite bandwidth: when the link finishes transmitting its
-     current backlog; the next message starts serialising after that. *)
-  link_busy_until : (int, Time.t) Hashtbl.t;
+  links : link Int_table.t;
   link_overrides : (Pair.t, Latency.t) Hashtbl.t;
   mutable partitions : Pair_set.t;
   (* Parallel mode: addresses owned by other shards. The route returns
@@ -62,10 +65,9 @@ let create ~engine ?(latency = Latency.default) ?(drop_probability = 0.)
     reorder_probability = check_probability "reorder_probability" reorder_probability;
     bandwidth_bytes_per_sec;
     rng = Rng.split (Engine.rng engine);
-    nodes = Hashtbl.create 16;
+    nodes = [||];
     stats = Stats.create ();
-    last_delivery = Hashtbl.create 64;
-    link_busy_until = Hashtbl.create 64;
+    links = Int_table.create 64;
     link_overrides = Hashtbl.create 8;
     partitions = Pair_set.empty;
     remote_route = (fun _ -> None);
@@ -76,18 +78,34 @@ let set_remote_route t route = t.remote_route <- route
 let engine t = t.engine
 let stats t = t.stats
 
-let add_node t addr handler =
-  if Hashtbl.mem t.nodes addr then
-    invalid_arg (Format.asprintf "Network.add_node: %a already registered" Address.pp addr);
-  Hashtbl.add t.nodes addr { handler; down = false }
+let find_node t addr =
+  let i = Address.to_int addr in
+  if i < Array.length t.nodes then t.nodes.(i) else None
 
-let remove_node t addr = Hashtbl.remove t.nodes addr
+let add_node t addr handler =
+  if Option.is_some (find_node t addr) then
+    invalid_arg (Format.asprintf "Network.add_node: %a already registered" Address.pp addr);
+  let i = Address.to_int addr in
+  if i >= Array.length t.nodes then begin
+    let grown = Array.make (Stdlib.max (i + 1) (2 * Array.length t.nodes)) None in
+    Array.blit t.nodes 0 grown 0 (Array.length t.nodes);
+    t.nodes <- grown
+  end;
+  t.nodes.(i) <- Some { handler; down = false }
+
+let remove_node t addr =
+  let i = Address.to_int addr in
+  if i < Array.length t.nodes then t.nodes.(i) <- None
 
 let nodes t =
-  Hashtbl.fold (fun addr _ acc -> addr :: acc) t.nodes [] |> List.sort Address.compare
+  let acc = ref [] in
+  for i = Array.length t.nodes - 1 downto 0 do
+    if Option.is_some t.nodes.(i) then acc := Address.of_int i :: !acc
+  done;
+  !acc
 
 let node t addr =
-  match Hashtbl.find_opt t.nodes addr with
+  match find_node t addr with
   | Some n -> n
   | None -> invalid_arg (Format.asprintf "Network: unknown node %a" Address.pp addr)
 
@@ -101,14 +119,31 @@ let set_duplicate_probability t p =
 let set_reorder_probability t p =
   t.reorder_probability <- check_probability "reorder_probability" p
 
+let duplicating t = t.duplicate_probability > 0.
+
 let set_link_latency t a b latency = Hashtbl.replace t.link_overrides (Pair.make a b) latency
 
+(* Both lookups below build a pair; while no override or partition exists
+   (every run but a few scripted ones) they return without it. *)
 let link_latency t ~src ~dst =
-  Option.value ~default:t.latency (Hashtbl.find_opt t.link_overrides (Pair.make src dst))
+  if Hashtbl.length t.link_overrides = 0 then t.latency
+  else
+    Option.value ~default:t.latency (Hashtbl.find_opt t.link_overrides (Pair.make src dst))
+
 let is_down t addr = (node t addr).down
 let partition t a b = t.partitions <- Pair_set.add (Pair.make a b) t.partitions
 let heal t a b = t.partitions <- Pair_set.remove (Pair.make a b) t.partitions
-let is_partitioned t a b = Pair_set.mem (Pair.make a b) t.partitions
+
+let is_partitioned t a b =
+  (not (Pair_set.is_empty t.partitions)) && Pair_set.mem (Pair.make a b) t.partitions
+
+let link t key =
+  match Int_table.find t.links key with
+  | l -> l
+  | exception Not_found ->
+      let l = { last_delivery = Time.zero; busy_until = Time.zero } in
+      Int_table.add t.links key l;
+      l
 
 (* Delivery-instant computation, shared by the local and cross-shard
    paths: bandwidth serialisation, one latency sample, then either the
@@ -122,15 +157,12 @@ let delivery_time t ~src ~dst ~size ~latency_model =
     match t.bandwidth_bytes_per_sec with
     | None -> now
     | Some bandwidth ->
-        let key = link_key src dst in
-        let start =
-          match Hashtbl.find_opt t.link_busy_until key with
-          | Some busy -> Time.max now busy
-          | None -> now
-        in
+        let l = link t (link_key src dst) in
         let transmit_us = size * 1_000_000 / bandwidth in
-        let finished = Time.add start (Time.of_us (Stdlib.max 1 transmit_us)) in
-        Hashtbl.replace t.link_busy_until key finished;
+        let finished =
+          Time.add (Time.max now l.busy_until) (Time.of_us (Stdlib.max 1 transmit_us))
+        in
+        l.busy_until <- finished;
         finished
   in
   let natural = Time.add departure (Latency.sample latency_model t.rng) in
@@ -144,13 +176,9 @@ let delivery_time t ~src ~dst ~size ~latency_model =
     Time.add natural (Latency.sample latency_model t.rng)
   end
   else begin
-    let key = link_key src dst in
-    let clamped =
-      match Hashtbl.find_opt t.last_delivery key with
-      | Some last -> Time.max natural last
-      | None -> natural
-    in
-    Hashtbl.replace t.last_delivery key clamped;
+    let l = link t (link_key src dst) in
+    let clamped = Time.max natural l.last_delivery in
+    l.last_delivery <- clamped;
     clamped
   end
 
@@ -209,7 +237,7 @@ let send_remote t ~src ~dst ~size payload push =
   end
 
 let send t ~src ~dst ?(size = 64) payload =
-  match Hashtbl.find_opt t.nodes dst with
+  match find_node t dst with
   | Some dst_node -> send_local t ~src ~dst dst_node ~size payload
   | None -> (
       match t.remote_route dst with

@@ -6,7 +6,9 @@
     nodes may be partitioned, and whole nodes may be taken down (crash
     model: messages to or from a down node are silently lost and counted as
     dropped). Delivery is a scheduled event on the shared {!Avdb_sim.Engine.t},
-    so all network behaviour is deterministic given the engine seed. *)
+    so all network behaviour is deterministic given the engine seed.
+    Nodes and their counters sit in arrays indexed by {!Address.to_int},
+    which suits the small, dense site numbers addresses are. *)
 
 type 'a t
 (** A network carrying payloads of type ['a]. *)
@@ -97,6 +99,14 @@ val set_drop_probability : 'a t -> float -> unit
     [0,1]. *)
 
 val set_duplicate_probability : 'a t -> float -> unit
+
+val duplicating : 'a t -> bool
+(** Whether a {!send} made now may deliver a second copy: the duplicate
+    probability is above zero. {!send} draws the duplicate while it runs,
+    so a sender that reads this just before sending knows exactly whether
+    its message can arrive twice; {!Rpc} marks such requests for its reply
+    cache this way. *)
+
 val set_reorder_probability : 'a t -> float -> unit
 
 val is_down : 'a t -> Address.t -> bool

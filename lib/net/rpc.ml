@@ -1,7 +1,15 @@
 open Avdb_sim
 
+(* [may_repeat]: the request can reach the server more than once — its
+   call retransmits, or the network duplicated it — so the server records
+   its reply for the copies. *)
 type ('req, 'resp, 'note) envelope =
-  | Request of { id : int; span : Avdb_obs.Span.id option; body : 'req }
+  | Request of {
+      id : int;
+      span : Avdb_obs.Span.id option;
+      body : 'req;
+      may_repeat : bool;
+    }
   | Response of { id : int; body : 'resp }
   | Notice of 'note
 
@@ -35,7 +43,8 @@ type ('req, 'resp) pending = {
 
 (* Bounded at-most-once reply cache per served node: remembers replies so a
    retransmitted or network-duplicated request is answered from the cache
-   instead of re-running the (possibly non-idempotent) handler. *)
+   instead of re-running the (possibly non-idempotent) handler. Only
+   requests marked [may_repeat] enter it. *)
 let reply_cache_capacity = 8192
 
 type ('req, 'resp, 'note) t = {
@@ -49,7 +58,7 @@ type ('req, 'resp, 'note) t = {
   response_size : 'resp -> int;
   notice_size : 'note -> int;
   mutable next_id : int;
-  pending : (int, ('req, 'resp) pending) Hashtbl.t;
+  pending : ('req, 'resp) pending Int_table.t;
   tracer : Avdb_obs.Tracer.t option;
   request_label : 'req -> string;
 }
@@ -73,7 +82,7 @@ let create ~engine ?latency ?drop_probability ?duplicate_probability ?reorder_pr
     response_size;
     notice_size;
     next_id = 0;
-    pending = Hashtbl.create 64;
+    pending = Int_table.create 64;
     tracer;
     request_label;
   }
@@ -90,63 +99,65 @@ let reply_key ~src ~id = (Address.to_int src lsl 38) lor id
 
 let serve t addr ~handler ?(notice = fun ~src:_ _ -> ()) () =
   (* (src, id) -> None while the handler owes a reply, Some resp once
-     replied. *)
-  let replies : (int, 'resp option) Hashtbl.t = Hashtbl.create 64 in
+     replied; requests that may repeat only. *)
+  let replies : 'resp option Int_table.t = Int_table.create 64 in
   let order = Queue.create () in
   let send_response ~dst ~id body =
     Network.send t.net ~src:addr ~dst ~size:(t.response_size body) (Response { id; body })
   in
+  (* First delivery of a request. Server-side span, child of the caller's
+     span carried in the envelope: covers handler start to the reply
+     hitting the wire. A disabled tracer skips even the label
+     concatenation. Only the first reply goes out; with [cached] it is
+     also recorded for later copies, unless the entry was evicted first. *)
+  let execute ~src ~id ~ctx body ~cached =
+    let serve_span =
+      match t.tracer with
+      | Some tracer when Avdb_obs.Tracer.enabled tracer ->
+          Some
+            (Avdb_obs.Tracer.start tracer ~at:(Engine.now t.engine) ?parent:ctx
+               ~site:(Address.to_int addr) ~category:"rpc"
+               ("serve:" ^ t.request_label body))
+      | Some _ | None -> None
+    in
+    let replied = ref false in
+    let reply body =
+      if not !replied then begin
+        replied := true;
+        (if cached then
+           let rkey = reply_key ~src ~id in
+           if Int_table.mem replies rkey then Int_table.replace replies rkey (Some body));
+        (match (t.tracer, serve_span) with
+        | Some tracer, Some sp -> Avdb_obs.Tracer.finish tracer ~at:(Engine.now t.engine) sp
+        | _ -> ());
+        send_response ~dst:src ~id body
+      end
+    in
+    handler ~src ~span:serve_span body ~reply
+  in
   let deliver ~src envelope =
     match envelope with
-    | Request { id; span = ctx; body } -> (
+    | Request { id; span = ctx; body; may_repeat = false } ->
+        execute ~src ~id ~ctx body ~cached:false
+    | Request { id; span = ctx; body; may_repeat = true } -> (
         let rkey = reply_key ~src ~id in
-        match Hashtbl.find_opt replies rkey with
+        match Int_table.find_opt replies rkey with
         | Some (Some cached) ->
-            (* Duplicate of an already-answered request: replay the reply. *)
+            (* Copy of an already-answered request: replay the reply. *)
             send_response ~dst:src ~id cached
-        | Some None -> () (* duplicate while the first copy is still in the handler *)
+        | Some None -> () (* copy while the first is still in the handler *)
         | None ->
-            Hashtbl.replace replies rkey None;
+            Int_table.replace replies rkey None;
             Queue.push rkey order;
             if Queue.length order > reply_cache_capacity then
-              Hashtbl.remove replies (Queue.pop order);
-            (* Server-side span, child of the caller's span carried in the
-               envelope: covers handler start to the reply hitting the wire.
-               A disabled tracer skips even the label concatenation. *)
-            let serve_span =
-              match t.tracer with
-              | Some tracer when Avdb_obs.Tracer.enabled tracer ->
-                  Some
-                    (Avdb_obs.Tracer.start tracer ~at:(Engine.now t.engine)
-                       ?parent:ctx ~site:(Address.to_int addr) ~category:"rpc"
-                       ("serve:" ^ t.request_label body))
-              | Some _ | None -> None
-            in
-            let finish_serve_span () =
-              match (t.tracer, serve_span) with
-              | Some tracer, Some sp ->
-                  Avdb_obs.Tracer.finish tracer ~at:(Engine.now t.engine) sp
-              | _ -> ()
-            in
-            let reply body =
-              match Hashtbl.find_opt replies rkey with
-              | Some None ->
-                  Hashtbl.replace replies rkey (Some body);
-                  finish_serve_span ();
-                  send_response ~dst:src ~id body
-              | Some (Some _) -> () (* double reply: ignored *)
-              | None ->
-                  (* evicted from the cache before the (very late) reply *)
-                  finish_serve_span ();
-                  send_response ~dst:src ~id body
-            in
-            handler ~src ~span:serve_span body ~reply)
+              Int_table.remove replies (Queue.pop order);
+            execute ~src ~id ~ctx body ~cached:true)
     | Response { id; body } -> (
-        match Hashtbl.find_opt t.pending id with
-        | None -> () (* response after timeout or duplicate response: drop *)
-        | Some p ->
-            Hashtbl.remove t.pending id;
-            Option.iter (Engine.cancel t.engine) p.timeout_handle;
+        match Int_table.find t.pending id with
+        | exception Not_found -> () (* after the timeout, or a duplicate: drop *)
+        | p ->
+            Int_table.remove t.pending id;
+            (match p.timeout_handle with Some h -> Engine.cancel t.engine h | None -> ());
             (match (t.tracer, p.call_span) with
             | Some tracer, Some sp ->
                 Avdb_obs.Tracer.finish tracer ~at:(Engine.now t.engine) sp
@@ -189,7 +200,7 @@ let call t ~src ~dst ?timeout ?(retry = no_retry) ?span body continuation =
   in
   let ctx = match call_span with Some _ -> call_span | None -> span in
   let p = { continuation; timeout_handle = None; call_span } in
-  Hashtbl.replace t.pending id p;
+  Int_table.replace t.pending id p;
   (* One logical call = one correspondence for the caller, regardless of
      retransmissions or outcome: failure is only ever detected by timeout
      now, so the request was genuinely put on the wire every time. *)
@@ -209,14 +220,15 @@ let call t ~src ~dst ?timeout ?(retry = no_retry) ?span body continuation =
     | _ -> ()
   in
   let rec attempt n =
+    let may_repeat = retry.max_attempts > 1 || Network.duplicating t.net in
     Network.send t.net ~src ~dst ~size:(t.request_size body)
-      (Request { id; span = ctx; body });
+      (Request { id; span = ctx; body; may_repeat });
     p.timeout_handle <-
       Some
         (Engine.schedule t.engine ~delay:timeout (fun () ->
-             if Hashtbl.mem t.pending id then
+             if Int_table.mem t.pending id then
                if n >= retry.max_attempts then begin
-                 Hashtbl.remove t.pending id;
+                 Int_table.remove t.pending id;
                  if n > 1 then note_attempts n;
                  fail_span ();
                  p.continuation (Error Timeout)
@@ -227,11 +239,11 @@ let call t ~src ~dst ?timeout ?(retry = no_retry) ?span body continuation =
                  p.timeout_handle <-
                    Some
                      (Engine.schedule t.engine ~delay:(backoff_delay t retry ~attempt:n)
-                        (fun () -> if Hashtbl.mem t.pending id then attempt (n + 1)))
+                        (fun () -> if Int_table.mem t.pending id then attempt (n + 1)))
                end))
   in
   attempt 1
 
 let notify t ~src ~dst body =
   Network.send t.net ~src ~dst ~size:(t.notice_size body) (Notice body)
-let pending_calls t = Hashtbl.length t.pending
+let pending_calls t = Int_table.length t.pending

@@ -10,10 +10,18 @@
     global knowledge about whether a peer is down or partitioned, so a call
     to a dead peer fails exactly like a call over a lossy link — with
     [Timeout] after the deadline (times the configured attempts). A server
-    keeps a bounded reply cache keyed by request id, so retransmitted or
-    network-duplicated requests are answered from the cache instead of
-    re-running the handler: handlers observe at-most-once execution even
-    for non-idempotent operations. *)
+    keeps a bounded reply cache keyed by caller and request id, so
+    retransmitted or network-duplicated requests are answered from the
+    cache instead of re-running the handler: handlers observe at-most-once
+    execution even for non-idempotent operations.
+
+    Only a request that can arrive twice enters the cache: one whose call
+    has [max_attempts > 1], or one sent while {!Network.duplicating} holds.
+    The caller decides this when it sends, which is when the network draws
+    any duplicate, and one bit in the envelope carries the decision, so it
+    stands even if duplication is switched off before the copy lands. Every
+    other request runs its handler directly; only the first of its replies
+    goes out. *)
 
 type ('req, 'resp, 'note) envelope
 
@@ -85,9 +93,10 @@ val serve :
   unit
 (** Registers a node. [handler] receives each distinct request once, with a
     [reply] function that may be invoked immediately or from a later event
-    (at most once; later invocations are ignored). Duplicates of an
-    already-answered request are answered from the reply cache without
-    re-invoking [handler]. [span] is the server-side span for this request
+    (at most once; later invocations are ignored). Copies of an
+    already-answered request that can repeat are answered from the reply
+    cache without re-invoking [handler]; a copy arriving while the handler
+    still owes the reply is dropped. [span] is the server-side span for this request
     (present only when the transport has a tracer); handlers may parent
     their own spans onto it. It is finished when [reply]'s response hits
     the wire. [notice] handles one-way messages; the default drops them. *)

@@ -9,27 +9,37 @@ type site = {
   mutable correspondences : int;
 }
 
-type t = { per_site : (Address.t, site) Hashtbl.t }
+(* Indexed by [Address.to_int]; [None] for a site never counted, so
+   [sites] lists exactly the sites seen, as a table keyed by address
+   would. *)
+type t = { mutable per_site : site option array }
 
-let create () = { per_site = Hashtbl.create 16 }
+let create () = { per_site = [||] }
+
+let fresh () =
+  {
+    sent = 0;
+    received = 0;
+    bytes_sent = 0;
+    dropped = 0;
+    duplicated = 0;
+    reordered = 0;
+    retries = 0;
+    correspondences = 0;
+  }
 
 let site t addr =
-  match Hashtbl.find_opt t.per_site addr with
+  let i = Address.to_int addr in
+  if i >= Array.length t.per_site then begin
+    let grown = Array.make (Stdlib.max (i + 1) (2 * Array.length t.per_site)) None in
+    Array.blit t.per_site 0 grown 0 (Array.length t.per_site);
+    t.per_site <- grown
+  end;
+  match t.per_site.(i) with
   | Some s -> s
   | None ->
-      let s =
-        {
-          sent = 0;
-          received = 0;
-          bytes_sent = 0;
-          dropped = 0;
-          duplicated = 0;
-          reordered = 0;
-          retries = 0;
-          correspondences = 0;
-        }
-      in
-      Hashtbl.add t.per_site addr s;
+      let s = fresh () in
+      t.per_site.(i) <- Some s;
       s
 
 let on_sent t addr ~bytes =
@@ -61,7 +71,9 @@ let add_correspondence t addr =
   let s = site t addr in
   s.correspondences <- s.correspondences + 1
 
-let fold f t init = Hashtbl.fold (fun _ s acc -> f acc s) t.per_site init
+let fold f t init =
+  Array.fold_left (fun acc -> function Some s -> f acc s | None -> acc) init t.per_site
+
 let total_sent t = fold (fun acc s -> acc + s.sent) t 0
 let total_received t = fold (fun acc s -> acc + s.received) t 0
 let total_dropped t = fold (fun acc s -> acc + s.dropped) t 0
@@ -72,10 +84,13 @@ let total_retries t = fold (fun acc s -> acc + s.retries) t 0
 let message_pair_correspondences t = float_of_int (total_sent t) /. 2.
 
 let sites t =
-  Hashtbl.fold (fun addr s acc -> (addr, s) :: acc) t.per_site []
-  |> List.sort (fun (a, _) (b, _) -> Address.compare a b)
+  let acc = ref [] in
+  for i = Array.length t.per_site - 1 downto 0 do
+    Option.iter (fun s -> acc := (Address.of_int i, s) :: !acc) t.per_site.(i)
+  done;
+  !acc
 
-let reset t = Hashtbl.reset t.per_site
+let reset t = t.per_site <- [||]
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";

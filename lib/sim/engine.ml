@@ -1,4 +1,4 @@
-type handle = Event_queue.handle
+type handle = (unit -> unit) Event_queue.handle
 
 exception Stopped
 
@@ -32,7 +32,7 @@ let schedule_at t ~at f =
   Event_queue.add t.queue ~time:at f
 
 let schedule t ~delay f = schedule_at t ~at:(Time.add t.clock delay) f
-let cancel _t h = Event_queue.cancel h
+let cancel t h = Event_queue.cancel t.queue h
 let stop t = t.stop_requested <- true
 
 let execute_one t =

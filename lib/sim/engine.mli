@@ -33,6 +33,8 @@ val schedule_at : t -> at:Time.t -> (unit -> unit) -> handle
     in the virtual past. *)
 
 val cancel : t -> handle -> unit
+(** Takes the event out of the queue at once, in O(log n); harmless if it
+    already ran or was cancelled. The handle must come from this engine. *)
 
 type run_stats = {
   events_executed : int;

@@ -1,125 +1,113 @@
-(* A cancelled handle must decrement the live count exactly once, and only
-   while its entry is still in the heap — [in_queue] distinguishes "fired or
-   already swept" from "still pending", so cancel after pop is a no-op. *)
-type handle = { mutable cancelled : bool; mutable in_queue : bool; live : int ref }
+(* An indexed binary min-heap: every entry records the slot it occupies, so
+   [cancel] takes it out of the middle in O(log n) and the heap holds live
+   events only. The entry is its own handle — one block per event. Slots at
+   index >= size hold [Vacant], so the array keeps no popped or cancelled
+   entry (nor its payload) reachable. *)
 
-type 'a entry = { time : Time.t; seq : int; payload : 'a; handle : handle }
+type 'a entry =
+  | Vacant
+  | Entry of { time : Time.t; seq : int; payload : 'a; mutable slot : int }
 
-type 'a t = {
-  mutable heap : 'a entry array;
-  (* [heap] slots at index >= size are physically present but logically
-     absent; a dummy entry fills slot 0 of a fresh queue until first use. *)
-  mutable size : int;
-  mutable next_seq : int;
-  (* Count of live (non-cancelled, still-queued) entries, maintained
-     eagerly so [is_empty]/[length] are O(1) instead of a heap scan.
-     Shared with every handle: cancellation happens away from the queue. *)
-  live : int ref;
-}
+type 'a handle = 'a entry
 
-let create () = { heap = [||]; size = 0; next_seq = 0; live = ref 0 }
+(* [slot] outside the heap: the event fired, or it was cancelled. *)
+let fired = -1
+let cancelled = -2
 
-let entry_before a b =
-  match Time.compare a.time b.time with
-  | 0 -> a.seq < b.seq
-  | c -> c < 0
+type 'a t = { mutable heap : 'a entry array; mutable size : int; mutable next_seq : int }
 
-let grow t entry =
-  let cap = Array.length t.heap in
-  if t.size = cap then begin
-    let ncap = if cap = 0 then 16 else cap * 2 in
-    let nheap = Array.make ncap entry in
-    Array.blit t.heap 0 nheap 0 t.size;
-    t.heap <- nheap
-  end
+let create () = { heap = [||]; size = 0; next_seq = 0 }
 
-let rec sift_up t i =
-  if i > 0 then begin
+let before a b =
+  match (a, b) with
+  | Entry a, Entry b ->
+      let ta = (a.time :> int) and tb = (b.time :> int) in
+      ta < tb || (ta = tb && a.seq < b.seq)
+  | _ -> false
+
+let place heap e i =
+  heap.(i) <- e;
+  match e with Entry r -> r.slot <- i | Vacant -> ()
+
+(* Hole-moving sifts: [e] is dropped into the slot where the hole stops,
+   and every entry moved on the way learns its new slot. *)
+let rec sift_up heap e i =
+  if i = 0 then place heap e 0
+  else
     let parent = (i - 1) / 2 in
-    if entry_before t.heap.(i) t.heap.(parent) then begin
-      let tmp = t.heap.(i) in
-      t.heap.(i) <- t.heap.(parent);
-      t.heap.(parent) <- tmp;
-      sift_up t parent
+    let p = heap.(parent) in
+    if before e p then begin
+      place heap p i;
+      sift_up heap e parent
     end
-  end
+    else place heap e i
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && entry_before t.heap.(l) t.heap.(!smallest) then smallest := l;
-  if r < t.size && entry_before t.heap.(r) t.heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    let tmp = t.heap.(i) in
-    t.heap.(i) <- t.heap.(!smallest);
-    t.heap.(!smallest) <- tmp;
-    sift_down t !smallest
-  end
+let rec sift_down heap size e i =
+  let l = (2 * i) + 1 in
+  if l >= size then place heap e i
+  else
+    let c = if l + 1 < size && before heap.(l + 1) heap.(l) then l + 1 else l in
+    let child = heap.(c) in
+    if before child e then begin
+      place heap child i;
+      sift_down heap size e c
+    end
+    else place heap e i
 
 let add t ~time payload =
-  let handle = { cancelled = false; in_queue = true; live = t.live } in
-  let entry = { time; seq = t.next_seq; payload; handle } in
+  let e = Entry { time; seq = t.next_seq; payload; slot = t.size } in
   t.next_seq <- t.next_seq + 1;
-  grow t entry;
-  t.heap.(t.size) <- entry;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1);
-  incr t.live;
-  handle
-
-let cancel h =
-  if not h.cancelled then begin
-    h.cancelled <- true;
-    if h.in_queue then decr h.live
-  end
-
-let is_cancelled h = h.cancelled
-
-let remove_root t =
-  let root = t.heap.(0) in
-  root.handle.in_queue <- false;
-  t.size <- t.size - 1;
-  if t.size > 0 then begin
-    t.heap.(0) <- t.heap.(t.size);
-    sift_down t 0
+  let cap = Array.length t.heap in
+  if t.size = cap then begin
+    let heap = Array.make (if cap = 0 then 16 else cap * 2) Vacant in
+    Array.blit t.heap 0 heap 0 t.size;
+    t.heap <- heap
   end;
-  root
+  t.size <- t.size + 1;
+  sift_up t.heap e (t.size - 1);
+  e
 
-(* Discard cancelled entries sitting at the root: a cancel leaves its entry
-   in the heap, so dead entries are skipped lazily when they surface. Their
-   live-count decrement already happened at [cancel] time. *)
-let rec drop_cancelled t =
-  if t.size > 0 && t.heap.(0).handle.cancelled then begin
-    ignore (remove_root t);
-    drop_cancelled t
-  end
+(* Fills slot [i] with the last entry and re-seats it: up if it now beats
+   its parent, down otherwise. *)
+let remove_at t i =
+  let last = t.size - 1 in
+  let moved = t.heap.(last) in
+  t.heap.(last) <- Vacant;
+  t.size <- last;
+  if i < last then
+    if i > 0 && before moved t.heap.((i - 1) / 2) then sift_up t.heap moved i
+    else sift_down t.heap last moved i
+
+let cancel t = function
+  | Vacant -> ()
+  | Entry r as e ->
+      if r.slot >= 0 then begin
+        if r.slot >= t.size || t.heap.(r.slot) != e then
+          invalid_arg "Event_queue.cancel: entry belongs to another queue";
+        remove_at t r.slot
+      end;
+      r.slot <- cancelled
+
+let is_cancelled = function Entry r -> r.slot = cancelled | Vacant -> false
 
 exception Empty
 
-let entry_time e = e.time
-let entry_payload e = e.payload
+let entry_time = function Entry r -> r.time | Vacant -> raise Empty
+let entry_payload = function Entry r -> r.payload | Vacant -> raise Empty
 
-(* The dispatch-loop pop: hands back the heap entry itself instead of
-   re-wrapping it in an option and a tuple, so the per-event cost of the
-   simulator's main loop is zero allocations. *)
 let pop_exn t =
-  drop_cancelled t;
-  if t.size = 0 then raise Empty
-  else begin
-    let e = remove_root t in
-    decr t.live;
-    e
-  end
+  if t.size = 0 then raise Empty;
+  let root = t.heap.(0) in
+  remove_at t 0;
+  (match root with Entry r -> r.slot <- fired | Vacant -> ());
+  root
 
 let pop t =
   match pop_exn t with
   | exception Empty -> None
-  | e -> Some (e.time, e.payload)
+  | e -> Some (entry_time e, entry_payload e)
 
-let peek_time t =
-  drop_cancelled t;
-  if t.size = 0 then None else Some t.heap.(0).time
-
-let is_empty t = !(t.live) = 0
-let length t = !(t.live)
+let peek_time t = if t.size = 0 then None else Some (entry_time t.heap.(0))
+let is_empty t = t.size = 0
+let length t = t.size
 let scheduled_total t = t.next_seq

@@ -2,33 +2,37 @@
 
     A binary min-heap ordered by [(time, sequence)]; the sequence number
     makes dequeue order total and deterministic — two events scheduled for
-    the same instant fire in scheduling order. Cancellation is O(1): the
-    handle is flagged and the entry discarded lazily when it reaches the
-    heap root, so cancelling never moves heap entries. *)
+    the same instant fire in scheduling order. The heap is indexed: every
+    entry knows the slot it occupies, so cancellation is eager and
+    O(log n) — the entry leaves the heap at once and the heap holds live
+    events only. The entry returned by {!add} is itself the handle that
+    cancels it, so an event costs one block. *)
 
 type 'a t
 
-type handle
+type 'a entry
+(** A scheduled event: its fire time and payload. Entries are immutable
+    apart from their heap slot and safe to hold after they fire. Neither a
+    fired nor a cancelled entry stays reachable from the queue. *)
+
+type 'a handle = 'a entry
 (** Identity of a scheduled event, usable to cancel it. *)
 
 val create : unit -> 'a t
 
-val add : 'a t -> time:Time.t -> 'a -> handle
-(** Schedules a payload at an absolute time. *)
+val add : 'a t -> time:Time.t -> 'a -> 'a handle
+(** Schedules a payload at an absolute time. O(log n). *)
 
-val cancel : handle -> unit
-(** Cancels the event. Harmless if the event already fired or was already
-    cancelled. *)
+val cancel : 'a t -> 'a handle -> unit
+(** Removes the event from the heap at once, in O(log n). Harmless if the
+    event already fired or was already cancelled. Raises [Invalid_argument]
+    for a pending event of another queue. *)
 
-val is_cancelled : handle -> bool
+val is_cancelled : 'a handle -> bool
 
 val pop : 'a t -> (Time.t * 'a) option
-(** Removes and returns the earliest live event, skipping cancelled
-    entries. [None] if the queue holds no live events. *)
-
-type 'a entry
-(** A dequeued event: its fire time and payload. Entries are immutable
-    once dequeued and safe to hold. *)
+(** Removes and returns the earliest event. [None] if the queue is
+    empty. *)
 
 val entry_time : 'a entry -> Time.t
 val entry_payload : 'a entry -> 'a
@@ -36,19 +40,18 @@ val entry_payload : 'a entry -> 'a
 exception Empty
 
 val pop_exn : 'a t -> 'a entry
-(** [pop] without the option/tuple wrapping: returns the already-allocated
-    heap entry, so the simulator's dispatch loop pops allocation-free.
-    Raises {!Empty} when no live events remain. *)
+(** [pop] without the option/tuple wrapping: returns the entry itself, so
+    the simulator's dispatch loop pops allocation-free. Raises {!Empty}
+    when the queue is empty. *)
 
 val peek_time : 'a t -> Time.t option
-(** Time of the earliest live event without removing it. *)
+(** Time of the earliest event without removing it. *)
 
 val is_empty : 'a t -> bool
-(** True iff no live events remain. O(1): a live counter is maintained by
-    [add]/[cancel]/[pop] rather than recomputed by scanning the heap. *)
+(** O(1): the heap holds live events only. *)
 
 val length : 'a t -> int
-(** Number of live (non-cancelled) events. O(1). *)
+(** Number of pending (added, neither fired nor cancelled) events. O(1). *)
 
 val scheduled_total : 'a t -> int
 (** Total number of [add]s over the queue's lifetime (diagnostic). *)

@@ -14,6 +14,11 @@ type 'a t = {
   enqueue_pos : int Atomic.t;
   dequeue_pos : int Atomic.t;
   overflow : 'a msg list Atomic.t;
+  (* Consumer side only. [next.(rank)]: the sequence number the sender's
+     next drained message must carry. [held]: messages that arrived ahead
+     of an earlier one of their sender's, kept for a later drain. *)
+  mutable next : int array;
+  mutable held : 'a msg list;
 }
 
 type 'a sender = { mb : 'a t; rank : int; mutable next_seq : int }
@@ -28,6 +33,8 @@ let create ?(ring_capacity = 1024) () =
     enqueue_pos = Atomic.make 0;
     dequeue_pos = Atomic.make 0;
     overflow = Atomic.make [];
+    next = [||];
+    held = [];
   }
 
 let sender t ~rank =
@@ -73,8 +80,20 @@ let try_dequeue t =
   end
   else None
 
+let next_seq t rank =
+  if rank >= Array.length t.next then begin
+    let grown = Array.make (rank + 1) 0 in
+    Array.blit t.next 0 grown 0 (Array.length t.next);
+    t.next <- grown
+  end;
+  t.next.(rank)
+
+(* The ring stops at the first claimed but unpublished cell, while the
+   overflow stack is taken whole, so one sender's later messages can be
+   present without an earlier one. Each sender's run is handed out only
+   up to its first gap; the rest waits for the drain that fills it. *)
 let drain t =
-  let acc = ref [] in
+  let acc = ref t.held in
   let rec ring () =
     match try_dequeue t with
     | Some m ->
@@ -84,15 +103,27 @@ let drain t =
   in
   ring ();
   let overflowed = Atomic.exchange t.overflow [] in
-  let all = List.rev_append overflowed !acc in
-  List.map
-    (fun (m : 'a msg) -> (m.rank, m.seq, m.payload))
-    (List.sort
-       (fun (a : 'a msg) (b : 'a msg) ->
-         match Int.compare a.rank b.rank with 0 -> Int.compare a.seq b.seq | c -> c)
-       all)
+  let all =
+    List.sort
+      (fun (a : 'a msg) (b : 'a msg) ->
+        match Int.compare a.rank b.rank with 0 -> Int.compare a.seq b.seq | c -> c)
+      (List.rev_append overflowed !acc)
+  in
+  let out = ref [] and held = ref [] in
+  List.iter
+    (fun (m : 'a msg) ->
+      if m.seq = next_seq t m.rank then begin
+        t.next.(m.rank) <- m.seq + 1;
+        out := (m.rank, m.seq, m.payload) :: !out
+      end
+      else held := m :: !held)
+    all;
+  t.held <- !held;
+  List.rev !out
 
 let is_empty t =
-  Atomic.get t.enqueue_pos = Atomic.get t.dequeue_pos && Atomic.get t.overflow = []
+  t.held = []
+  && Atomic.get t.enqueue_pos = Atomic.get t.dequeue_pos
+  && Atomic.get t.overflow = []
 
 let pushed sender = sender.next_seq

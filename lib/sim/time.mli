@@ -5,8 +5,10 @@
     floating-point accumulation error) and the simulation bit-reproducible
     across platforms. *)
 
-type t
-(** An absolute instant or a duration, in microseconds. *)
+type t = private int
+(** An absolute instant or a duration, in microseconds. Private, so only
+    this module makes one; reading it as an int ([(t :> int)]) lets the
+    event queue order instants without a function call. *)
 
 val zero : t
 

@@ -8,6 +8,14 @@
 #   scripts/same_seed_probes.sh /tmp/after    # on the change
 #   diff -r /tmp/before /tmp/after            # empty for a pure refactor
 #
+# test/golden/probes.sha256 holds one digest per output file, and CI checks
+# a fresh run against it with `sha256sum -c`. After a change that alters
+# behaviour on purpose, regenerate it from the repository root:
+#
+#   scripts/same_seed_probes.sh /tmp/probes
+#   (cd /tmp/probes && find . -type f | LC_ALL=C sort | sed 's|^\./||' \
+#     | xargs sha256sum) > test/golden/probes.sha256
+#
 # Output paths are relative to OUT_DIR, so no probe prints where it ran. A
 # probe that exits non-zero records its status at the end of its output
 # file; the script itself fails only when the build does.

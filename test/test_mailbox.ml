@@ -61,9 +61,9 @@ let prop_seq_dense =
    while the consumer drains mid-flight. Every message must arrive
    exactly once, and each sender's stream must come out in push order
    across the batch boundaries. *)
-let test_concurrent_producers () =
+let concurrent_producers ~ring_capacity =
   let n_senders = 4 and n_msgs = 2000 in
-  let mbox = Mailbox.create ~ring_capacity:8 () in
+  let mbox = Mailbox.create ~ring_capacity () in
   let producers =
     List.init n_senders (fun rank ->
         Domain.spawn (fun () ->
@@ -95,6 +95,17 @@ let test_concurrent_producers () =
       (List.map (fun (_, _, p) -> p) mine)
   done
 
+let test_concurrent_producers () = concurrent_producers ~ring_capacity:8
+
+(* The same at the smallest ring, repeated: a message published behind a
+   cell another producer has claimed but not yet filled stays in the ring
+   while the sender's later messages go through the overflow stack, and
+   must not be handed out after them. *)
+let test_concurrent_stress () =
+  for _ = 1 to 25 do
+    concurrent_producers ~ring_capacity:2
+  done
+
 let suites =
   [
     ( "sim.mailbox",
@@ -102,5 +113,7 @@ let suites =
         Gen.to_alcotest prop_drain_exact;
         Gen.to_alcotest prop_seq_dense;
         Alcotest.test_case "concurrent domain producers" `Quick test_concurrent_producers;
+        Alcotest.test_case "concurrent producers, ring of 2, repeated" `Quick
+          test_concurrent_stress;
       ] );
   ]

@@ -130,9 +130,12 @@ let test_retry_exhaustion () =
     (Stats.site (Rpc.stats rpc) (addr 1)).Stats.correspondences;
   Alcotest.(check int) "pending cleaned up" 0 (Rpc.pending_calls rpc)
 
-let test_duplicate_request_executes_once () =
-  (* The network delivers every message twice; the reply cache makes the
-     handler (which may be non-idempotent, e.g. an AV grant) run once. *)
+(* The network delivers every message twice; the reply cache makes the
+   handler (which may be non-idempotent, e.g. an AV grant) run once.
+   Whether a request can repeat is decided when it is sent, so with
+   [switch_off] the copy still finds the cache although duplication is
+   off before either copy lands. *)
+let duplicate_request_executes_once ~switch_off () =
   let engine, rpc =
     let engine = Engine.create ~seed:11 () in
     let rpc : (int, int, string) Rpc.t =
@@ -149,6 +152,7 @@ let test_duplicate_request_executes_once () =
   Rpc.serve rpc (addr 1) ~handler:(fun ~src:_ ~span:_ _ ~reply -> reply 0) ();
   let results = ref [] in
   Rpc.call rpc ~src:(addr 1) ~dst:(addr 0) 7 (fun r -> results := r :: !results);
+  if switch_off then Network.set_duplicate_probability (Rpc.network rpc) 0.;
   ignore (Engine.run engine);
   (match !results with
   | [ Ok 8 ] -> ()
@@ -185,6 +189,8 @@ let test_deferred_reply () =
   | Some (Ok 42) -> ()
   | _ -> Alcotest.fail "expected deferred Ok 42"
 
+(* The request cannot repeat, so it bypasses the reply cache; the local
+   guard still keeps the second reply off the wire. *)
 let test_double_reply_ignored () =
   let engine, rpc = make () in
   Rpc.serve rpc (addr 0)
@@ -196,9 +202,10 @@ let test_double_reply_ignored () =
   let results = ref [] in
   Rpc.call rpc ~src:(addr 1) ~dst:(addr 0) 7 (fun r -> results := r :: !results);
   ignore (Engine.run engine);
-  match !results with
+  (match !results with
   | [ Ok 7 ] -> ()
-  | _ -> Alcotest.fail "second reply should be ignored"
+  | _ -> Alcotest.fail "second reply should be ignored");
+  Alcotest.(check int) "one response sent" 1 (Stats.site (Rpc.stats rpc) (addr 0)).Stats.sent
 
 let test_concurrent_calls_matched () =
   (* Many overlapping calls with jittery latency: each response must reach
@@ -274,6 +281,35 @@ let test_response_lost_to_partition () =
   | Some (Error Rpc.Timeout) -> ()
   | _ -> Alcotest.fail "expected Timeout when response lost"
 
+(* The reply cache holds only requests that can arrive twice. A retrying
+   call can: its first response is lost to a partition that heals before
+   the retransmission, and the server answers the retransmission from the
+   cache instead of running the handler again. *)
+let test_retry_answered_from_cache () =
+  let engine, rpc = make ~latency:(Latency.Constant (t_us 100)) () in
+  let served = ref 0 in
+  Rpc.serve rpc (addr 0)
+    ~handler:(fun ~src:_ ~span:_ n ~reply ->
+      incr served;
+      reply (n + 1))
+    ();
+  Rpc.serve rpc (addr 1) ~handler:(fun ~src:_ ~span:_ _ ~reply -> reply 0) ();
+  let net = Rpc.network rpc in
+  (* Request lands at 100us and is answered at once; the response is
+     cut at 150us, before it lands at 200us; the link heals at 300us. *)
+  let at us f = ignore (Engine.schedule engine ~delay:(t_us us) f) in
+  at 150 (fun () -> Network.partition net (addr 0) (addr 1));
+  at 300 (fun () -> Network.heal net (addr 0) (addr 1));
+  let result = ref None in
+  Rpc.call rpc ~src:(addr 1) ~dst:(addr 0) ~timeout:(t_us 1_000) ~retry:retry_fast 41
+    (fun r -> result := Some r);
+  ignore (Engine.run engine);
+  (match !result with
+  | Some (Ok 42) -> ()
+  | _ -> Alcotest.fail "expected Ok 42 from the cached reply");
+  Alcotest.(check int) "handler executed once" 1 !served;
+  Alcotest.(check bool) "the call retransmitted" true (Stats.total_retries (Rpc.stats rpc) >= 1)
+
 let suites =
   [
     ( "net.rpc",
@@ -285,7 +321,9 @@ let suites =
         Alcotest.test_case "retry recovers after outage" `Quick test_retry_recovers_after_outage;
         Alcotest.test_case "retry exhaustion" `Quick test_retry_exhaustion;
         Alcotest.test_case "duplicate request executes once" `Quick
-          test_duplicate_request_executes_once;
+          (duplicate_request_executes_once ~switch_off:false);
+        Alcotest.test_case "duplicate cached after switch-off" `Quick
+          (duplicate_request_executes_once ~switch_off:true);
         Alcotest.test_case "notice" `Quick test_notice;
         Alcotest.test_case "deferred reply" `Quick test_deferred_reply;
         Alcotest.test_case "double reply ignored" `Quick test_double_reply_ignored;
@@ -293,5 +331,7 @@ let suites =
         Alcotest.test_case "lossy calls all terminate" `Quick test_lossy_calls_all_terminate;
         Alcotest.test_case "partitioned call times out" `Quick test_partitioned_call_times_out;
         Alcotest.test_case "response lost to partition" `Quick test_response_lost_to_partition;
+        Alcotest.test_case "retry answered from the cache" `Quick
+          test_retry_answered_from_cache;
       ] );
   ]
