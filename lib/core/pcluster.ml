@@ -53,6 +53,7 @@ type shard = {
 type t = {
   config : Config.t;
   topology : Topology.t;
+  catalogue : Product.t array;  (* shared by every shard's sites *)
   placement : Placement.t;
   shards : shard array;
   mutable store : Site.t array;  (* by global site index; first [len] live *)
@@ -99,31 +100,36 @@ let initial_av config ~rank ~count ~initial_amount =
         else share
       end
 
+(* The regular items of a site's interest set, in catalogue order, each
+   with its opening AV. Non-subscribers get no entry at all — their
+   ledger, like their stock table, is bounded by the interest set. *)
+let regular_ledger catalogue topology ~site_index volume =
+  Array.fold_right
+    (fun p acc ->
+      let product = catalogue.(p) in
+      if Product.is_regular product then (product.Product.name, volume product) :: acc
+      else acc)
+    (Topology.interest topology ~site:site_index)
+    []
+
 (* Initial per-site AV ledger: a subscriber's slice of every regular item
-   in its interest set. Non-subscribers get no entry at all — their ledger,
-   like their stock table, is bounded by the interest set. *)
-let av_init_for config topology ~site_index =
-  List.filter_map
-    (fun product ->
+   in its interest set. *)
+let av_init_for config catalogue topology ~site_index =
+  regular_ledger catalogue topology ~site_index (fun product ->
       let item = product.Product.name in
-      if Product.is_regular product && Topology.interested topology ~site:site_index ~item
-      then
-        let count = Topology.subscriber_count topology ~item in
-        let rank =
-          match Topology.rank topology ~site:site_index ~item with
-          | Some r -> r
-          | None -> 0 (* unreachable: interested implies ranked *)
-        in
-        Some
-          (item, initial_av config ~rank ~count ~initial_amount:product.Product.initial_amount)
-      else None)
-    config.Config.products
+      let count = Topology.subscriber_count topology ~item in
+      let rank =
+        match Topology.rank topology ~site:site_index ~item with
+        | Some r -> r
+        | None -> 0 (* unreachable: interested implies ranked *)
+      in
+      initial_av config ~rank ~count ~initial_amount:product.Product.initial_amount)
 
 (* A site's gauges go to its own shard's registry; snapshots are
    per-shard, so the lag gauge never resolves a peer across a domain. *)
 let register_site_metrics t sh site =
   Site_metrics.register_site ~registry:sh.registry ~engine:sh.engine ~config:t.config
-    ~topology:t.topology ~net_stats:(Rpc.stats sh.rpc)
+    ~topology:t.topology ~catalogue:t.catalogue ~net_stats:(Rpc.stats sh.rpc)
     ~resolve:(fun peer ->
       if peer >= 0 && peer < t.len && Placement.domain_of t.placement peer = sh.rank then
         Some t.store.(peer)
@@ -138,6 +144,7 @@ let create config =
   (match Config.validate config with
   | Ok () -> ()
   | Error e -> invalid_arg ("Pcluster.create: " ^ e));
+  let catalogue = Array.of_list config.Config.products in
   let items = List.map (fun p -> p.Product.name) config.Config.products in
   let topology =
     Topology.create config.Config.topology ~n_sites:config.Config.n_sites ~items
@@ -177,6 +184,7 @@ let create config =
               rpc;
               config;
               topology;
+              catalogue;
               n_members = config.Config.n_sites;
               tracer;
             };
@@ -194,6 +202,7 @@ let create config =
     {
       config;
       topology;
+      catalogue;
       placement;
       shards;
       store = [||];
@@ -231,7 +240,7 @@ let create config =
         let sh = shards.(Placement.domain_of placement site_index) in
         Site.create sh.shared
           ~addr:(Address.of_int site_index)
-          ~av_init:(av_init_for config topology ~site_index));
+          ~av_init:(av_init_for config catalogue topology ~site_index));
   t.len <- config.Config.n_sites;
   Array.iter
     (fun sh ->
@@ -484,16 +493,7 @@ let add_retailer ?interest t callback =
   ignore (Placement.add_site t.placement ~domain:rank);
   Array.iter (fun sh -> sh.shared.Site.n_members <- site_index + 1) t.shards;
   let sh = t.shards.(rank) in
-  let av_init =
-    List.filter_map
-      (fun product ->
-        if
-          Product.is_regular product
-          && Topology.interested t.topology ~site:site_index ~item:product.Product.name
-        then Some (product.Product.name, 0)
-        else None)
-      t.config.Config.products
-  in
+  let av_init = regular_ledger t.catalogue t.topology ~site_index (fun _ -> 0) in
   let site = Site.create sh.shared ~addr:(Address.of_int site_index) ~av_init in
   t.store <- push t.store t.len site;
   t.len <- t.len + 1;

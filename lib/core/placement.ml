@@ -55,16 +55,12 @@ let add_site t ~domain =
 
 (* The greedy pass proper; one domain owns everything without it. *)
 let assign topology ~n_domains ~items ~n_sites =
-  (* Per-item subscriber arrays and the reverse index: which items each
-     site subscribes to. Built once; the greedy pass below only walks
-     these. *)
+  (* Per-item subscriber arrays by catalogue position; the reverse index,
+     which items each site subscribes to, is the topology's interest set.
+     The greedy pass below only walks these. *)
   let subs = Array.of_list (List.map (fun item ->
       Array.of_list (Topology.subscribers topology ~item)) items)
   in
-  let site_items = Array.make n_sites [] in
-  Array.iteri
-    (fun ix ss -> Array.iter (fun s -> site_items.(s) <- ix :: site_items.(s)) ss)
-    subs;
   let domain_of = Array.make n_sites (-1) in
   let load = Array.make n_domains 0 in
   (* Hard cap so no domain ends up with more than its balanced share
@@ -75,14 +71,14 @@ let assign topology ~n_domains ~items ~n_sites =
   let affinity = Array.make n_domains 0 in
   for s = 0 to n_sites - 1 do
     Array.fill affinity 0 n_domains 0;
-    List.iter
+    Array.iter
       (fun ix ->
         Array.iter
           (fun peer ->
             let d = domain_of.(peer) in
             if d >= 0 then affinity.(d) <- affinity.(d) + 1)
           subs.(ix))
-      site_items.(s);
+      (Topology.interest topology ~site:s);
     (* Best open domain: most co-subscribers, then least loaded, then
        lowest index — every tie-break deterministic. *)
     let best = ref (-1) in

@@ -15,8 +15,10 @@
 type t
 
 val create : Topology.t -> n_domains:int -> items:string list -> t
-(** [n_domains] is clamped to the site count. Raises [Invalid_argument]
-    when [n_domains < 1]. *)
+(** [items] is the catalogue the topology was created with, in the same
+    order: the greedy pass reads each site's items through
+    {!Topology.interest}'s positions into it. [n_domains] is clamped to
+    the site count. Raises [Invalid_argument] when [n_domains < 1]. *)
 
 val n_domains : t -> int
 (** The effective domain count (after clamping). *)

@@ -227,8 +227,7 @@ let read_authoritative t ~item callback =
 
 let create shared ~addr ~av_init =
   let config = shared.config in
-  let topo = shared.topology in
-  let my_index = Address.to_int addr in
+  let interest = Topology.interest shared.topology ~site:(Address.to_int addr) in
   let db = Database.create ~name:(Address.to_string addr) () in
   ignore (Database.create_table db ~name:stock_table stock_schema);
   if config.Config.record_history then
@@ -236,21 +235,18 @@ let create shared ~addr ~av_init =
   let txn = Database.begin_txn db in
   (* Partial replication starts here: only the products this site
      subscribes to get a local row — everything else is neither stored nor
-     tracked, so the site's live state is bounded by its interest set. *)
-  List.iter
-    (fun product ->
-      if Topology.interested topo ~site:my_index ~item:product.Product.name then begin
-        let row =
-          [|
-            Value.Int product.Product.initial_amount;
-            Value.Bool (Product.is_regular product);
-          |]
-        in
-        match Database.insert txn ~table:stock_table ~key:product.Product.name row with
-        | Ok () -> ()
-        | Error e -> failwith ("Site.create: " ^ e)
-      end)
-    config.Config.products;
+     tracked, so the site's live state, and the cost of building it, is
+     bounded by its interest set. *)
+  Array.iter
+    (fun p ->
+      let product = shared.catalogue.(p) in
+      let row =
+        [| Value.Int product.Product.initial_amount; Value.Bool (Product.is_regular product) |]
+      in
+      match Database.insert txn ~table:stock_table ~key:product.Product.name row with
+      | Ok () -> ()
+      | Error e -> failwith ("Site.create: " ^ e))
+    interest;
   Database.commit txn;
   let av = Av_table.create () in
   if config.Config.mode = Config.Autonomous then
@@ -258,11 +254,11 @@ let create shared ~addr ~av_init =
   if shared.n_members < 1 then invalid_arg "Site.create: empty cluster";
   let base_addr = Address.of_int 0 in
   let epochs = Hashtbl.create 4 in
-  List.iter
-    (fun product ->
+  Array.iter
+    (fun p ->
+      let product = shared.catalogue.(p) in
       let item = product.Product.name in
-      if Product.is_epoch product && Topology.interested topo ~site:my_index ~item
-      then
+      if Product.is_epoch product then
         Hashtbl.replace epochs item
           {
             ei_item = item;
@@ -279,7 +275,7 @@ let create shared ~addr ~av_init =
             ei_busy = false;
             ei_fence = 0;
           })
-    config.Config.products;
+    interest;
   let t =
     {
       shared;

@@ -222,6 +222,9 @@ type shared = {
   topology : Topology.t;
       (** resolved per-item bases, interest sets and AV hierarchy — the
           single cluster-wide copy every site consults *)
+  catalogue : Product.t array;
+      (** [config.products] in order, indexed by the catalogue positions
+          {!Topology.interest} returns; one array per cluster *)
   mutable n_members : int;
       (** membership count; site [i] has address [i], so a join is an O(1)
           bump instead of an O(N) address-list copy *)
@@ -230,6 +233,7 @@ type shared = {
 }
 
 val create : shared -> addr:Avdb_net.Address.t -> av_init:(string * int) list -> t
-(** Builds the site, loads the product catalogue into its local database,
-    defines AV per [av_init] (regular items only, autonomous mode only)
-    and registers its RPC handlers. *)
+(** Builds the site, loads its interest set of the catalogue into its
+    local database (O(interest), in catalogue order), defines AV per
+    [av_init] (regular items only, autonomous mode only) and registers its
+    RPC handlers. *)

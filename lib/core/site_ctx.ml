@@ -18,6 +18,9 @@ type shared = {
   topology : Topology.t;
       (* per-item bases, interest sets and the AV hierarchy; one copy for
          the whole cluster *)
+  catalogue : Product.t array;
+      (* [config.products] by position, the index [Topology.interest]
+         returns; one copy for the whole cluster *)
   mutable n_members : int;
       (* membership is dense (site i has address i), so one counter
          replaces the old address list — a join is O(1), not an O(N) list

@@ -2,8 +2,9 @@
    sequential cluster and the parallel (sharded) cluster. Everything a
    site counts is exposed as gauges sourced from the mutable records the
    hot paths already maintain — registration is the only cost. Per-item
-   AV gauges are registered only for the site's interest set, so
-   registration stays O(interest), not O(catalogue), per site. *)
+   AV gauges are registered by walking the site's interest set
+   ([Topology.interest], catalogue positions) and nothing else, so
+   registration is O(interest), not O(catalogue), per site. *)
 
 open Avdb_sim
 open Avdb_net
@@ -16,7 +17,7 @@ module Tracer = Avdb_obs.Tracer
    the parallel engine resolves only its own sites — a registry snapshot
    must never read across a domain boundary — so cross-shard lag gauges
    are simply not registered there. *)
-let register_site ~registry ~engine ~config ~topology ~net_stats ~resolve site =
+let register_site ~registry ~engine ~config ~topology ~catalogue ~net_stats ~resolve site =
   let site_label = Address.to_string (Site.addr site) in
   let labels = [ ("site", site_label) ] in
   let g name f = Obs_registry.gauge registry ~labels name f in
@@ -72,12 +73,10 @@ let register_site ~registry ~engine ~config ~topology ~net_stats ~resolve site =
   g "net.correspondences" (fun () -> float_of_int s.Stats.correspondences);
   if config.Config.mode = Config.Autonomous then begin
     let site_index = Address.to_int (Site.addr site) in
-    List.iter
-      (fun product ->
-        if
-          Product.is_regular product
-          && Topology.interested topology ~site:site_index ~item:product.Product.name
-        then begin
+    Array.iter
+      (fun p ->
+        let product = catalogue.(p) in
+        if Product.is_regular product then begin
           let item = product.Product.name in
           let av = Site.av_table site in
           Obs_registry.gauge registry
@@ -102,7 +101,7 @@ let register_site ~registry ~engine ~config ~topology ~net_stats ~resolve site =
                          (Site.sync_version base ~item
                          - Site.applied_sync_version site ~origin:base_ix ~item)))
         end)
-      config.Config.products
+      (Topology.interest topology ~site:site_index)
   end
 
 (* Cluster-wide (or shard-wide) series: the tracer's retention accounting,

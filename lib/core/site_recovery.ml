@@ -63,22 +63,47 @@ let note_storage_damage t ~label ?unreadable (r : Segmented.report) =
         | Some c -> [ ("unreadable", Format.asprintf "%a" Corruption.pp c) ]
         | None -> []))
 
+(* The interest set's products, in catalogue order. *)
+let iter_interest t f =
+  Array.iter
+    (fun p -> f t.shared.catalogue.(p))
+    (Topology.interest (topology t) ~site:(site_index t))
+
+(* Σ deltas of the epoch item's seals 1..[max_contiguous_seal]: what the
+   applied prefix added to the row when the log has no snapshot floor. *)
+let sealed_total t ~item =
+  let total = ref 0 in
+  for epoch = 1 to Txn_log.max_contiguous_seal t.txn_log ~item do
+    List.iter
+      (fun (i : Txn_log.intent) -> total := !total + i.Txn_log.i_delta)
+      (Option.value ~default:[] (Txn_log.epoch_seal t.txn_log ~item ~epoch))
+  done;
+  !total
+
 (* Rebuild replica rows lost with WAL damage from metadata that lives on
    other media and is exact by construction:
 
    - a regular item's committed row is
        initial + own cumulative sync counter + Σ applied remote counters
      (each counter moves in the same atomic event as its commit);
-   - a non-regular item's committed row is
+   - an epoch item's committed row is
+       initial + Σ deltas of seals 1..max_contiguous_seal
+     (a seal record and its apply are one atomic event, and recovery
+     re-derives the applied prefix from the same records) — but only
+     without a snapshot floor: above one, the log lacks the seals the
+     installed row folded in, so the item is quarantined and repaired
+     from its base instead;
+   - any other non-regular item's committed row is
        initial + Σ deltas of protocol-log entries with outcome Commit
-     (the outcome record and the local apply are one atomic event) —
-     trustworthy only while the protocol log itself lost nothing; under
-     amnesia those items are quarantined and repaired remotely instead.
+     (the outcome record and the local apply are one atomic event).
 
-   Rows whose WAL state survived recompute to their current value, so
-   running this over the whole interest set is idempotent. Assumes
-   autonomous mode: the centralized baseline's write path bypasses the
-   sync counters, so its base has no local reconstruction story. *)
+   The non-regular rules trust the protocol log, so they hold only while
+   it lost nothing; under amnesia those items are quarantined and
+   repaired remotely instead. Rows whose WAL state survived recompute to
+   their current value, so running this over the whole interest set is
+   idempotent. Assumes autonomous mode: the centralized baseline's write
+   path bypasses the sync counters, so its base has no local
+   reconstruction story. *)
 let rebuild_lost_rows t ~trust_txn_log =
   if Database.table_opt t.db stock_table = None then
     ignore (Database.create_table t.db ~name:stock_table stock_schema);
@@ -97,42 +122,37 @@ let rebuild_lost_rows t ~trust_txn_log =
        tbl)
   in
   let txn = Database.begin_txn t.db in
-  List.iter
-    (fun product ->
+  iter_interest t (fun product ->
       let item = product.Product.name in
-      if interested_in t ~item then begin
-        let regular = Product.is_regular product in
-        let expect =
-          if regular then
-            product.Product.initial_amount
-            + Delay_sync.cum t.sync ~item
-            + Delay_sync.applied_total t.sync ~item
-          else if trust_txn_log then
-            product.Product.initial_amount
-            + Option.value ~default:0
-                (Hashtbl.find_opt (Lazy.force committed_by_item) item)
+      let initial = product.Product.initial_amount in
+      let regular = Product.is_regular product in
+      (* an untrusted item is quarantined and will be repaired remotely;
+         any placeholder works, the surviving value least surprises *)
+      let placeholder () = Option.value ~default:initial (amount_of t ~item) in
+      let expect =
+        if regular then
+          initial + Delay_sync.cum t.sync ~item + Delay_sync.applied_total t.sync ~item
+        else if not trust_txn_log then placeholder ()
+        else if Product.is_epoch product then
+          if Txn_log.epoch_floor t.txn_log ~item = 0 then initial + sealed_total t ~item
           else begin
-            (* untrusted both ways: the item is quarantined and will be
-               repaired remotely; any placeholder works, the surviving
-               value least surprises *)
-            match amount_of t ~item with
-            | Some v -> v
-            | None -> product.Product.initial_amount
+            Hashtbl.replace t.quarantined item ();
+            placeholder ()
           end
-        in
-        let written =
-          match amount_of t ~item with
-          | Some v when v = expect -> Ok ()
-          | Some _ ->
-              Database.set_col txn ~table:stock_table ~key:item ~col:"amount"
-                (Value.Int expect)
-          | None ->
-              Database.insert txn ~table:stock_table ~key:item
-                [| Value.Int expect; Value.Bool regular |]
-        in
-        match written with Ok () -> () | Error e -> failwith ("Site.recover rebuild: " ^ e)
-      end)
-    (config t).Config.products;
+        else
+          initial
+          + Option.value ~default:0 (Hashtbl.find_opt (Lazy.force committed_by_item) item)
+      in
+      let written =
+        match amount_of t ~item with
+        | Some v when v = expect -> Ok ()
+        | Some _ ->
+            Database.set_col txn ~table:stock_table ~key:item ~col:"amount" (Value.Int expect)
+        | None ->
+            Database.insert txn ~table:stock_table ~key:item
+              [| Value.Int expect; Value.Bool regular |]
+      in
+      match written with Ok () -> () | Error e -> failwith ("Site.recover rebuild: " ^ e));
   Database.commit txn
 
 (* Protocol-log data loss taints every item whose correctness depends on
@@ -140,12 +160,9 @@ let rebuild_lost_rows t ~trust_txn_log =
    decided Commit could arrive that this site no longer knows how to
    apply, so the rows cannot be trusted even when the WAL survived. *)
 let quarantine_non_regular t =
-  List.iter
-    (fun product ->
-      let item = product.Product.name in
-      if (not (Product.is_regular product)) && interested_in t ~item then
-        Hashtbl.replace t.quarantined item ())
-    (config t).Config.products
+  iter_interest t (fun product ->
+      if not (Product.is_regular product) then
+        Hashtbl.replace t.quarantined product.Product.name ())
 
 (* Remote repair: fetch a committed-state snapshot of each quarantined
    item from a donor — the item's base first, then the other subscribers
@@ -316,7 +333,8 @@ let recover t =
     (* Under amnesia — even from an *earlier* incarnation — the protocol
        log no longer bounds the committed non-regular deltas, so a lost
        WAL row cannot be reconstructed locally: quarantine and repair
-       remotely instead. Without amnesia the rebuild is exact. *)
+       remotely instead. Without amnesia the rebuild is exact, except for
+       an epoch item above a snapshot floor, which it quarantines. *)
     if t.amnesia then quarantine_non_regular t;
     rebuild_lost_rows t ~trust_txn_log:(not t.amnesia)
   end;

@@ -2,7 +2,8 @@
    requests climb toward the item's base. One resolved instance is shared
    by every site of a cluster (like [Site.shared]); per-site state stays
    bounded by the site's interest set, while this single shared structure
-   holds the item -> base / subscriber maps (O(items × spread), one copy).
+   holds the item -> base / subscriber maps and their reverse, the site ->
+   interest index (O(items × spread), one copy).
 
    Determinism: everything derives from [Hashtbl.hash] of the item name
    mixed with an LCG walk, so two clusters built from the same spec agree
@@ -53,6 +54,13 @@ type t = {
   bases : (string, int) Hashtbl.t;  (* empty under [Fixed_base] *)
   subs : (string, int array) Hashtbl.t;  (* item -> sorted subscribers; empty under [Full] *)
   fixed_base : int;
+  (* Interest sets as ascending catalogue positions. Under [Full] every
+     site shares [all]; otherwise [interest.(s)] is site [s]'s own array
+     (geometric growth, so a join appends in amortised O(1)) and
+     [positions] maps a catalogue item to its position for joiners. *)
+  all : int array;
+  positions : (string, int) Hashtbl.t;
+  mutable interest : int array array;
 }
 
 let item_hash item = Hashtbl.hash item land max_int
@@ -64,31 +72,54 @@ let item_hash item = Hashtbl.hash item land max_int
    63-bit ints. *)
 let lcg x = ((x * 0x2545F4914F6CDD1D) + 0x9E3779B97F4A7C1) land max_int
 
-(* [k] distinct site indices including [base], chosen by a deterministic
-   walk seeded from the item hash. O(n) scratch, creation-time only. *)
-let scatter ~n ~k ~base ~h =
+(* [k] distinct site indices including [base], ascending, chosen by a
+   deterministic walk seeded from the item hash. [chosen] is one byte per
+   site, all zero, shared by every item of a [create]; the walk clears the
+   bytes it set, so each item costs O(k), not O(n). *)
+let scatter ~chosen ~k ~base ~h =
+  let n = Bytes.length chosen in
   let k = Stdlib.min k n in
-  let chosen = Array.make n false in
-  chosen.(base) <- true;
+  let out = Array.make k base in
+  Bytes.set chosen base '\001';
   let picked = ref 1 in
   let x = ref (lcg (h + base)) in
-  let out = ref [ base ] in
   while !picked < k do
     x := lcg !x;
     let i = !x mod n in
-    if not chosen.(i) then begin
-      chosen.(i) <- true;
-      out := i :: !out;
+    if Bytes.get chosen i = '\000' then begin
+      Bytes.set chosen i '\001';
+      out.(!picked) <- i;
       incr picked
     end
   done;
-  List.sort_uniq compare !out
+  Array.iter (fun i -> Bytes.set chosen i '\000') out;
+  Array.sort compare out;
+  out
+
+(* Every site's interest set from the catalogue's subscriber arrays:
+   count, then fill in catalogue order, so each site's positions come out
+   ascending. O(sites + items × spread). *)
+let interest_of_subs ~n_sites subs_at =
+  let count = Array.make n_sites 0 in
+  Array.iter (Array.iter (fun s -> count.(s) <- count.(s) + 1)) subs_at;
+  let interest = Array.map (fun c -> Array.make c 0) count in
+  Array.fill count 0 n_sites 0;
+  Array.iteri
+    (fun p subs ->
+      Array.iter
+        (fun s ->
+          interest.(s).(count.(s)) <- p;
+          count.(s) <- count.(s) + 1)
+        subs)
+    subs_at;
+  interest
 
 let create spec ~n_sites ~items =
   (match validate_spec spec ~n_sites with
   | Ok () -> ()
   | Error e -> invalid_arg ("Topology.create: " ^ e));
   let fixed_base = match spec.base_assignment with Fixed_base b -> b | Hashed_base -> 0 in
+  let items = Array.of_list items in
   let bases = Hashtbl.create 64 in
   let base_of item =
     match spec.base_assignment with
@@ -97,15 +128,16 @@ let create spec ~n_sites ~items =
   in
   (match spec.base_assignment with
   | Fixed_base _ -> ()
-  | Hashed_base -> List.iter (fun item -> Hashtbl.replace bases item (base_of item)) items);
+  | Hashed_base -> Array.iter (fun item -> Hashtbl.replace bases item (base_of item)) items);
   let subs = Hashtbl.create 64 in
   (match spec.replication with
   | Full -> ()
   | Scattered k ->
-      List.iter
+      let chosen = Bytes.make n_sites '\000' in
+      Array.iter
         (fun item ->
           Hashtbl.replace subs item
-            (Array.of_list (scatter ~n:n_sites ~k ~base:(base_of item) ~h:(item_hash item))))
+            (scatter ~chosen ~k ~base:(base_of item) ~h:(item_hash item)))
         items
   | Explicit lists ->
       List.iter
@@ -116,18 +148,26 @@ let create spec ~n_sites ~items =
           Hashtbl.replace subs item (Array.of_list sites))
         lists;
       (* items not listed default to base-only replication *)
-      List.iter
+      Array.iter
         (fun item ->
           if not (Hashtbl.mem subs item) then Hashtbl.replace subs item [| base_of item |])
         items);
+  let full = match spec.replication with Full -> true | Scattered _ | Explicit _ -> false in
+  let positions = Hashtbl.create (if full then 1 else Array.length items) in
+  if not full then Array.iteri (fun p item -> Hashtbl.replace positions item p) items;
   {
     spec;
     n_sites;
     version = 0;
-    full = (match spec.replication with Full -> true | Scattered _ | Explicit _ -> false);
+    full;
     bases;
     subs;
     fixed_base;
+    all = (if full then Array.init (Array.length items) Fun.id else [||]);
+    positions;
+    interest =
+      (if full then [||]
+       else interest_of_subs ~n_sites (Array.map (Hashtbl.find subs) items));
   }
 
 let spec t = t.spec
@@ -167,6 +207,11 @@ let subscribers t ~item =
 let subscriber_count t ~item =
   if t.full then t.n_sites
   else match subscriber_array t ~item with Some a -> Array.length a | None -> 1
+
+let interest t ~site =
+  if t.full then if site >= 0 && site < t.n_sites then t.all else [||]
+  else if site >= 0 && site < Array.length t.interest then t.interest.(site)
+  else [||]
 
 (* Position of [site] in the item's subscriber set with the base rotated
    to slot 0 — the rank AV allocation splits by and the hierarchy builds
@@ -216,7 +261,7 @@ let av_parent t ~site ~item =
 let register_joiner t ~site ~items =
   if site >= t.n_sites then t.n_sites <- site + 1;
   t.version <- t.version + 1;
-  if not t.full then
+  if not t.full then begin
     List.iter
       (fun item ->
         let prev =
@@ -226,7 +271,18 @@ let register_joiner t ~site ~items =
         in
         if not (List.mem site prev) then
           Hashtbl.replace t.subs item (Array.of_list (List.sort compare (site :: prev))))
-      items
+      items;
+    if site >= Array.length t.interest then begin
+      let grown = Array.make (Stdlib.max 8 (2 * (site + 1))) [||] in
+      Array.blit t.interest 0 grown 0 (Array.length t.interest);
+      t.interest <- grown
+    end;
+    t.interest.(site) <-
+      Array.of_list
+        (List.sort_uniq compare
+           (Array.to_list t.interest.(site)
+           @ List.filter_map (Hashtbl.find_opt t.positions) items))
+  end
 
 (* Deterministic interest set for a joiner under scattered replication:
    roughly [spread × items / n_sites] items, hash-chosen, so churned-in

@@ -80,6 +80,15 @@ val subscribers : t -> item:string -> int list
 
 val subscriber_count : t -> item:string -> int
 
+val interest : t -> site:int -> int array
+(** The site's interest set as ascending positions in the [items] given
+    to {!create}: exactly the positions whose item {!interested} accepts.
+    Resolved once by {!create} from the subscriber arrays and extended by
+    {!register_joiner}, so building a site costs O(interest), not
+    O(catalogue). Under [Full] every site gets the same whole-catalogue
+    array and nothing is stored per site. The array is shared: do not
+    mutate it. *)
+
 val rank : t -> site:int -> item:string -> int option
 (** Position of [site] among the item's subscribers with the base rotated
     to rank 0 — what AV allocation splits over and the hierarchy builds
@@ -91,8 +100,10 @@ val av_parent : t -> site:int -> item:string -> int option
     hierarchy. *)
 
 val register_joiner : t -> site:int -> items:string list -> unit
-(** Records a joining site's declared interest set (O(|interest|): the
-    membership event itself never iterates all sites or all items). *)
+(** Records a joining site's declared interest set, in the subscriber
+    arrays and in {!interest} (O(|interest| log |interest|): the
+    membership event itself never iterates all sites or all items). Items
+    outside the catalogue get subscribers but no position. *)
 
 val default_joiner_interest : t -> site:int -> items:string list -> string list
 (** A deterministic, hash-chosen interest set for a joiner (≈ spread ×

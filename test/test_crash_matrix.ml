@@ -386,6 +386,34 @@ let test_storage_coordinator_loses_outcome () =
   check_no_quarantine cluster;
   assert_clean cluster ~amount:95
 
+(* Seed 3 of the disk-fault epoch sweep ([avdb-nemesis --disk-faults
+   --epoch 2 --oracle]), shrunk to its two faults: a lost WAL segment on
+   subscriber 3, then its crash. The lost frames held sealed epoch
+   applies. Recovery re-derives the applied prefix from the seal records
+   and never re-applies it, so the rebuild must restore each epoch row as
+   its initial amount plus the deltas of those seals. *)
+let test_storage_wal_lost_segment_epoch () =
+  let module N = Avdb_chaos.Nemesis in
+  let config =
+    { (N.default ~seed:3) with N.n_epoch = 2; disk_faults = true; oracle = true }
+  in
+  let outcome =
+    N.execute config
+      [
+        N.Disk_fault
+          {
+            site = 3;
+            at_ms = 575.;
+            target = `Wal;
+            spec = Avdb_store.Disk_fault.Lost_segment { pos = 0.716 };
+          };
+        N.Crash { site = 3; at_ms = 576.; for_ms = 283. };
+      ]
+  in
+  Alcotest.(check bool) "the segment was lost" true
+    (outcome.N.stats.N.segments_quarantined >= 1);
+  Alcotest.(check (list string)) "no violations" [] outcome.N.violations
+
 (* --- epoch-quorum commit: crashes at every protocol boundary ---
 
    Same deterministic setting (constant 1 ms latency, 5 ms pump ticks):
@@ -620,6 +648,37 @@ let test_epoch_quarantined_subscriber_applies_nothing () =
   check_no_quarantine cluster;
   assert_epoch_clean cluster ~amount:980
 
+(* Above a snapshot floor the protocol log lacks the seals the installed
+   row folded in, so a lost WAL row cannot be rebuilt from seals: a joiner
+   that took its epoch state from a snapshot quarantines the item at
+   recovery and repairs it from a donor instead. *)
+let test_epoch_wal_loss_above_floor () =
+  let cluster = make_epoch_cluster () in
+  let write site =
+    Site.submit_update (Cluster.site cluster site) ~item:epoch_item ~delta:(-10) ignore
+  in
+  write 1;
+  epoch_quiesce cluster;
+  let joined = ref None in
+  let j = Cluster.add_retailer cluster (fun (_, r) -> joined := Some r) in
+  Cluster.run cluster;
+  Alcotest.(check bool) "joined" true (!joined = Some (Ok ()));
+  let joiner = Cluster.site cluster j in
+  Alcotest.(check bool) "the joiner's log has a floor" true
+    (Txn_log.epoch_floor (Site.txn_log joiner) ~item:epoch_item > 0);
+  write j;
+  epoch_quiesce cluster;
+  Site.arm_disk_fault joiner ~target:`Wal (Avdb_store.Disk_fault.Lost_segment { pos = 0. });
+  Site.crash joiner;
+  Site.recover joiner;
+  Alcotest.(check bool) "quarantined, not rebuilt" true
+    (Site.is_quarantined joiner ~item:epoch_item);
+  epoch_quiesce cluster;
+  Alcotest.(check bool) "repaired from a donor" true
+    ((Site.metrics joiner).Update.Metrics.repairs >= 1);
+  check_no_quarantine cluster;
+  assert_epoch_clean cluster ~amount:980
+
 (* One value per ballot. The epoch-1 sequencer (site 1) proposes at
    ballot 0 and site 0 accepts, but the vote is lost and the round fails;
    a second intent arrives before the retry. The retry, still at ballot
@@ -680,6 +739,8 @@ let suites =
           test_storage_coordinator_loses_outcome;
         Alcotest.test_case "storage: coordinator amnesia adjudication" `Quick
           test_storage_coordinator_amnesia_adjudication;
+        Alcotest.test_case "storage: WAL lost segment under sealed epochs" `Quick
+          test_storage_wal_lost_segment_epoch;
         Alcotest.test_case "epoch: writer crash after intent logged" `Quick
           test_epoch_writer_crash_after_intent;
         Alcotest.test_case "epoch: sequencer crash before seal" `Quick
@@ -691,6 +752,8 @@ let suites =
         Alcotest.test_case "epoch: a two-epoch gap is pulled" `Quick test_epoch_gap_pulled;
         Alcotest.test_case "epoch: quarantined subscriber applies nothing" `Quick
           test_epoch_quarantined_subscriber_applies_nothing;
+        Alcotest.test_case "epoch: WAL loss above a snapshot floor repairs" `Quick
+          test_epoch_wal_loss_above_floor;
         Alcotest.test_case "epoch: a ballot-0 retry keeps its value" `Quick
           test_epoch_ballot0_retry_keeps_value;
         Alcotest.test_case "epoch: seal broadcast loss" `Quick

@@ -5,6 +5,23 @@ let item_names n = List.init n (fun i -> "product" ^ string_of_int i)
 
 (* --- resolved-topology structure --- *)
 
+(* What [Topology.interest] must return: the ascending catalogue
+   positions whose item [interested] accepts. *)
+let expected_interest t ~items ~site =
+  List.concat
+    (List.mapi (fun p item -> if Topology.interested t ~site ~item then [ p ] else []) items)
+
+let interest_agrees t ~items ~site =
+  Array.to_list (Topology.interest t ~site) = expected_interest t ~items ~site
+
+let check_interest t ~items =
+  for site = 0 to Topology.n_sites t - 1 do
+    Alcotest.(check (list int))
+      (Printf.sprintf "site %d interest" site)
+      (expected_interest t ~items ~site)
+      (Array.to_list (Topology.interest t ~site))
+  done
+
 let test_flat_is_legacy () =
   let t = Topology.create Topology.flat ~n_sites:5 ~items:(item_names 4) in
   Alcotest.(check bool) "full replication" true (Topology.is_full t);
@@ -18,7 +35,8 @@ let test_flat_is_legacy () =
         Alcotest.(check bool) "interested" true (Topology.interested t ~site ~item)
       done;
       Alcotest.(check (option int)) "no hierarchy" None (Topology.av_parent t ~site:3 ~item))
-    (item_names 4)
+    (item_names 4);
+  check_interest t ~items:(item_names 4)
 
 let structural_ok t ~n_sites ~spread item =
   let base = Topology.base_index t ~item in
@@ -116,14 +134,18 @@ let test_explicit_topology () =
       hierarchy_fanout = None;
     }
   in
-  let t = Topology.create spec ~n_sites:4 ~items:[ "widget"; "gadget"; "orphan" ] in
+  let items = [ "widget"; "gadget"; "orphan" ] in
+  let t = Topology.create spec ~n_sites:4 ~items in
   Alcotest.(check (list int)) "widget at base+1" [ 0; 1 ] (Topology.subscribers t ~item:"widget");
   Alcotest.(check (list int)) "gadget at base+2+3" [ 0; 2; 3 ]
     (Topology.subscribers t ~item:"gadget");
   Alcotest.(check (list int)) "unlisted item at its base only" [ 0 ]
     (Topology.subscribers t ~item:"orphan");
   Alcotest.(check bool) "site 2 not interested in widget" false
-    (Topology.interested t ~site:2 ~item:"widget")
+    (Topology.interested t ~site:2 ~item:"widget");
+  check_interest t ~items;
+  Alcotest.(check (list int)) "site 0 holds the whole catalogue" [ 0; 1; 2 ]
+    (Array.to_list (Topology.interest t ~site:0))
 
 let test_register_joiner () =
   let t =
@@ -139,10 +161,16 @@ let test_register_joiner () =
       Alcotest.(check bool) "joiner subscribed where declared" (List.mem item interest)
         (Topology.interested t ~site:6 ~item))
     (item_names 8);
+  check_interest t ~items:(item_names 8);
+  (* a second declaration for the same site extends its interest set *)
+  Topology.register_joiner t ~site:6 ~items:[ "product7"; "product0" ];
+  check_interest t ~items:(item_names 8);
   (* under Full, a joiner's default interest is the whole catalogue *)
   let tf = Topology.create Topology.flat ~n_sites:3 ~items:(item_names 5) in
   Alcotest.(check (list string)) "full joiner wants everything" (item_names 5)
-    (Topology.default_joiner_interest tf ~site:3 ~items:(item_names 5))
+    (Topology.default_joiner_interest tf ~site:3 ~items:(item_names 5));
+  Topology.register_joiner tf ~site:3 ~items:(item_names 5);
+  check_interest tf ~items:(item_names 5)
 
 let qcheck_topology =
   let open QCheck in
@@ -156,6 +184,9 @@ let qcheck_topology =
             ~n_sites ~items:(item_names n_items)
         in
         List.for_all
+          (fun site -> interest_agrees t ~items:(item_names n_items) ~site)
+          (List.init n_sites Fun.id)
+        && List.for_all
           (fun item ->
             let base = Topology.base_index t ~item in
             let subs = Topology.subscribers t ~item in
@@ -307,6 +338,34 @@ let test_sharded_cluster_converges () =
   let min_words = List.fold_left Stdlib.min max_int words in
   Alcotest.(check bool) "footprint varies with interest" true (min_words < max_words)
 
+(* Building a site costs its interest set, not the catalogue: at a fixed
+   spread, a cluster eight times larger in both sites and items must
+   allocate about as much per site. The gap is 8x because one per-site
+   walk of the catalogue (say, in the gauge registration) reads 3.7x
+   here but only 2.2x at a 4x gap, too close to the bound. *)
+let test_setup_scales_with_interest () =
+  let bytes_per_site n =
+    let config =
+      {
+        Config.default with
+        Config.n_sites = n;
+        tracing = false;
+        products =
+          Product.mixed ~n_regular:(n / 2) ~n_non_regular:(n / 4) ~n_epoch:(n / 4)
+            ~initial_amount:100;
+        topology = Topology.sharded ~spread:3 ();
+      }
+    in
+    let b0 = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (Cluster.create config));
+    (Gc.allocated_bytes () -. b0) /. float_of_int n
+  in
+  let small = bytes_per_site 300 in
+  let large = bytes_per_site 2400 in
+  if large > small *. 2. then
+    Alcotest.failf "set-up allocated %.0f bytes per site at N = 2400 vs %.0f at N = 300" large
+      small
+
 let qcheck_partial =
   let open QCheck in
   [
@@ -351,6 +410,8 @@ let suites =
         Alcotest.test_case "AV circulates within the interest set" `Quick
           test_av_circulates_within_interest_set;
         Alcotest.test_case "sharded cluster converges" `Quick test_sharded_cluster_converges;
+        Alcotest.test_case "set-up scales with the interest set" `Quick
+          test_setup_scales_with_interest;
       ]
       @ List.map Gen.to_alcotest qcheck_partial );
   ]
