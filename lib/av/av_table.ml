@@ -35,6 +35,9 @@ let entry_exn t item = Hashtbl.find t.entries item
 let available t ~item =
   match entry_exn t item with e -> e.available | exception Not_found -> 0
 
+let available_or t ~item absent =
+  match entry_exn t item with e -> e.available | exception Not_found -> absent
+
 let held t ~item = match entry_exn t item with e -> e.held | exception Not_found -> 0
 
 let total t ~item =

@@ -31,6 +31,11 @@ val is_defined : t -> item:string -> bool
 val available : t -> item:string -> int
 (** Volume free to hold or grant away. 0 for undefined items. *)
 
+val available_or : t -> item:string -> int -> int
+(** [available_or t ~item absent] is {!available} on a defined item and
+    [absent] on an undefined one: {!is_defined} and {!available} in one
+    lookup. *)
+
 val held : t -> item:string -> int
 val total : t -> item:string -> int
 (** [available + held]. *)

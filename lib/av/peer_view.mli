@@ -7,7 +7,13 @@
     invalidated, only superseded by newer observations of the same
     (site, item). *)
 
-type observation = { site : Avdb_net.Address.t; volume : int; at : Avdb_sim.Time.t }
+type observation = private {
+  site : Avdb_net.Address.t;
+  mutable volume : int;
+  mutable at : Avdb_sim.Time.t;
+}
+(** Later {!observe} calls for the same (site, item) update an observation
+    in place: read one, do not keep it. *)
 
 type t
 
@@ -16,7 +22,9 @@ val create : unit -> t
 val observe :
   t -> site:Avdb_net.Address.t -> item:string -> volume:int -> at:Avdb_sim.Time.t -> unit
 (** Records what [site] reported holding for [item] at virtual time [at].
-    An older observation never overwrites a newer one. *)
+    An older observation never overwrites a newer one. One item lookup
+    and one site lookup, O(1) expected whatever the number of sites;
+    allocates only for a (site, item) pair seen for the first time. *)
 
 val known : t -> item:string -> observation list
 (** All observations for an item, sorted by site. *)

@@ -179,9 +179,6 @@ let peers t = others t (List.init t.shared.n_members (fun i -> i))
 let base_addr_for t ~item = Address.of_int (Topology.base_index (topology t) ~item)
 let interested_in t ~item = Topology.interested (topology t) ~site:(site_index t) ~item
 
-let peer_interested t peer ~item =
-  Topology.interested (topology t) ~site:(Address.to_int peer) ~item
-
 (* The item's subscribers minus this site: the AV-selection candidates,
    the Immediate Update cohort and the sync audience. Cached per item
    under partial replication (bounded by the interest set); computed

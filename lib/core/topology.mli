@@ -80,6 +80,16 @@ val subscribers : t -> item:string -> int list
 
 val subscriber_count : t -> item:string -> int
 
+val subscriber_array : t -> item:string -> int array
+(** {!subscribers} as an ascending array, to resolve an item once and test
+    many sites against it with {!subscribes}. Under partial replication it
+    is the topology's own array, not a copy: do not mutate it. Under
+    [Full] it is built afresh on every call. *)
+
+val subscribes : int array -> site:int -> bool
+(** Whether [site] is in a {!subscriber_array}: a scan of a spread-sized
+    array, with no hashing and no allocation. *)
+
 val interest : t -> site:int -> int array
 (** The site's interest set as ascending positions in the [items] given
     to {!create}: exactly the positions whose item {!interested} accepts.
