@@ -96,7 +96,7 @@ type notice =
   | Sync_counters of {
       counters : (string * int * int) list;
       av_info : (string * int) list;
-      ack : (int * int) list;
+      ack : int;
     }
 
 (* Rough wire sizes: a fixed header plus per-field costs; strings count
@@ -165,7 +165,7 @@ let wire_size_notice = function
       header
       + List.fold_left sync_size 0 counters
       + List.fold_left level_size 0 av_info
-      + (16 * List.length ack)
+      + if ack > 0 then 8 else 0
 
 (* Span names for the RPC tracer: constructor only, no payload. *)
 let request_label = function
@@ -271,5 +271,4 @@ let pp_response ppf = function
 
 let pp_notice ppf = function
   | Sync_counters { counters; av_info = _; ack } ->
-      Format.fprintf ppf "sync_counters(%d items, %d acks)" (List.length counters)
-        (List.length ack)
+      Format.fprintf ppf "sync_counters(%d items, ack=%d)" (List.length counters) ack

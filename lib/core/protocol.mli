@@ -177,7 +177,7 @@ type notice =
   | Sync_counters of {
       counters : (string * int * int) list;
       av_info : (string * int) list;
-      ack : (int * int) list;
+      ack : int;
     }
       (** Delay Update's lazy propagation. Each counter is
           [(item, version, cum)]: [cum] is the sender's {e cumulative} net
@@ -191,13 +191,17 @@ type notice =
           the sender's current available AV for those items, keeping
           peers' selection caches warm at zero extra messages (§4:
           "information is collected at the necessary communication").
-          [ack] is the sender's cumulative acknowledgement vector:
-          per origin, the highest version it has applied from that
-          origin. Because every payload carries an origin's complete
-          unacknowledged backlog, "applied version v" implies "applied
-          everything ≤ v", so the origin can prune later notices down to
-          the true backlog — TCP-style cumulative acks riding the
-          reverse-direction sync traffic. *)
+          [ack] is the sender's cumulative acknowledgement of the
+          {e receiver's} counters: the highest version the sender has
+          applied from the receiver (0 before the first), the only entry
+          of the sender's applied state the receiver reads. Because every
+          payload carries an origin's complete unacknowledged backlog,
+          "applied version v" implies "applied everything ≤ v", so the
+          receiver can prune its later notices to the sender down to the
+          true backlog — TCP-style cumulative acks riding the
+          reverse-direction sync traffic. It costs 8 bytes on the wire
+          when positive and nothing when 0, so a notice's size does not
+          grow with the number of origins its sender hears from. *)
 
 val wire_size_request : request -> int
 (** Rough serialized size in bytes, feeding the network byte counters and

@@ -109,7 +109,7 @@ let test_protocol_printers () =
   List.iter (fun r -> Alcotest.(check bool) "response renders" true (render_resp r <> "")) resps;
   Alcotest.(check bool) "notice renders" true
     (Format.asprintf "%a" Protocol.pp_notice
-       (Protocol.Sync_counters { counters = [ ("x", 1, 1) ]; av_info = []; ack = [ (0, 1) ] })
+       (Protocol.Sync_counters { counters = [ ("x", 1, 1) ]; av_info = []; ack = 1 })
     <> "")
 
 (* --- Centralized-mode edge cases --- *)
