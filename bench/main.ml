@@ -162,6 +162,12 @@ let run_scm setup =
 
 let final_corr outcome = outcome.Runner.final.Runner.total_correspondences
 
+let bytes_sent cluster =
+  List.fold_left
+    (fun acc (_, s) -> acc + s.Avdb_net.Stats.bytes_sent)
+    0
+    (Avdb_net.Stats.sites (Cluster.net_stats cluster))
+
 let retailer_corrs outcome ~n_sites =
   let per_site = outcome.Runner.final.Runner.per_site_correspondences in
   let corr i = try List.assoc i per_site with Not_found -> 0 in
@@ -1074,12 +1080,7 @@ let throughput_mixed ~fanout =
     Runner.run cluster ~nth_update:(Scm.generator workload) ~total_updates:total ()
   in
   let sent = Avdb_net.Stats.total_sent (Cluster.net_stats cluster) in
-  let bytes =
-    List.fold_left
-      (fun acc (_, s) -> acc + s.Avdb_net.Stats.bytes_sent)
-      0
-      (Avdb_net.Stats.sites (Cluster.net_stats cluster))
-  in
+  let bytes = bytes_sent cluster in
   ( float_of_int sent /. float_of_int total,
     float_of_int bytes /. float_of_int total,
     outcome.Runner.final.Runner.applied )
@@ -1246,6 +1247,7 @@ let scale_seed = 9000
 
 type scale_point = {
   sc_msgs : float;  (* messages per update *)
+  sc_bytes_per_msg : float;
   sc_corr : int;  (* total correspondences *)
   sc_words_mean : float;  (* mean Site.live_words across the cluster *)
   sc_words_max : int;
@@ -1305,6 +1307,7 @@ let scale_run ~n_sites ~mode ~sharded =
   let words = List.map snd (Cluster.live_words_per_site cluster) in
   {
     sc_msgs = float_of_int sent /. float_of_int scale_updates;
+    sc_bytes_per_msg = float_of_int (bytes_sent cluster) /. float_of_int sent;
     sc_corr = final_corr outcome;
     sc_words_mean =
       float_of_int (List.fold_left ( + ) 0 words) /. float_of_int n_sites;
@@ -1334,6 +1337,8 @@ let measure_scale () =
           "sites";
           "msgs/upd full";
           "msgs/upd sharded";
+          "B/msg full";
+          "B/msg sharded";
           "corr sharded";
           "corr central";
           "words/site full";
@@ -1349,6 +1354,8 @@ let measure_scale () =
           string_of_int n;
           Printf.sprintf "%.2f" f.sc_msgs;
           Printf.sprintf "%.2f" s.sc_msgs;
+          Printf.sprintf "%.1f" f.sc_bytes_per_msg;
+          Printf.sprintf "%.1f" s.sc_bytes_per_msg;
           string_of_int s.sc_corr;
           string_of_int c.sc_corr;
           Printf.sprintf "%.0f" f.sc_words_mean;
@@ -1385,6 +1392,7 @@ let measure_scale () =
         (fun (n, p) ->
           [
             (Printf.sprintf "scale_%s_msgs_per_update_n%d" prefix n, p.sc_msgs);
+            (Printf.sprintf "scale_%s_bytes_per_msg_n%d" prefix n, p.sc_bytes_per_msg);
             (Printf.sprintf "scale_%s_corr_n%d" prefix n, float_of_int p.sc_corr);
             (Printf.sprintf "scale_%s_live_words_per_site_n%d" prefix n, p.sc_words_mean);
           ])
@@ -1402,6 +1410,9 @@ let scale_rows =
       row "scale_sharded_live_words_per_site_n1000" (Within_2x Lower_is_better);
       row "scale_sharded_msgs_per_update_n1000" (Below (0.25, "scale_full_msgs_per_update_n1000"));
       row "scale_sharded_msgs_per_update_n1000" (Below (8., "scale_sharded_msgs_per_update_n10"));
+      (* A notice carries only what its receiver reads, so under full
+         replication its size must not grow with N. *)
+      row "scale_full_bytes_per_msg_n1000" (Below (5., "scale_full_bytes_per_msg_n10"));
     ]
 
 (* --- epoch: epoch-quorum commit vs Immediate Update ---
