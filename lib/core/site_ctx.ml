@@ -36,6 +36,8 @@ type participant_txn = {
   p_delta : int;
   p_span : Avdb_obs.Span.id;  (* open from prepare until the decision *)
   mutable p_queries : int;  (* termination-protocol attempts so far *)
+  mutable p_check : Engine.handle;
+      (* the pending termination check, cancelled by the decision *)
 }
 
 type coord = {
@@ -43,6 +45,7 @@ type coord = {
   finish : Update.outcome -> unit;
   mutable local_txn : Database.txn option;
   mutable local_finalized : bool;
+  mutable ack_timer : Engine.handle;  (* the ack round's deadline, cancelled at cleanup *)
 }
 
 (* Per-item epoch-quorum commit state. The durable truth lives in the
@@ -236,8 +239,10 @@ let fenced t k =
 
 let retry_policy t = (config t).Config.rpc_retry
 
-(* Run [k] after [delay] unless the incarnation changes first. *)
-let after t ~delay k = ignore (Engine.schedule (engine t) ~delay (fenced t k))
+(* Run [k] after [delay] unless the incarnation changes first. [timer]
+   returns the handle that cancels it. *)
+let timer t ~delay k = Engine.schedule (engine t) ~delay (fenced t k)
+let after t ~delay k = ignore (timer t ~delay k)
 
 let amount_of t ~item =
   match Database.get_col t.db ~table:stock_table ~key:item ~col:"amount" with

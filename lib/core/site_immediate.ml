@@ -4,18 +4,21 @@
    reinstall, recovered coordinators and protocol-log replay. Owns the
    lock manager, the participant machine and the live coordinations. *)
 
+open Avdb_sim
 open Avdb_net
 open Avdb_store
 open Avdb_txn
 open Site_ctx
 
 (* Finalise a prepared transaction at this participant (from a Decision
-   message or the termination protocol). *)
+   message or the termination protocol). The decision ends the doubt, so
+   the pending termination check goes with it. *)
 let finalize_participant t ~txid decision =
   let action = Two_phase.Participant.on_decision t.participant ~txid decision in
   if action <> Two_phase.Participant.Ignore then
     match Hashtbl.find_opt t.participant_txns txid with
     | Some p ->
+        Engine.cancel (engine t) p.p_check;
         let commit = action = Two_phase.Participant.Apply in
         if commit then begin
           Database.commit p.p_txn;
@@ -232,12 +235,13 @@ let warn_termination t p how =
     span_warn t p.p_span
   end
 
-let rec schedule_termination_check t ~txid =
-  after t ~delay:(config t).Config.decision_timeout (fun () ->
+let rec schedule_termination_check t ~txid p =
+  p.p_check <-
+    timer t ~delay:(config t).Config.decision_timeout (fun () ->
       match Hashtbl.find_opt t.participant_txns txid with
-      | None -> () (* decision arrived meanwhile *)
+      | None -> () (* decided while a query was in flight *)
       | Some p ->
-          if is_down t then schedule_termination_check t ~txid
+          if is_down t then schedule_termination_check t ~txid p
           else if Mutation.enabled Mutation.Unilateral_abort then begin
             (* Mutation: the removed [abort_pending] path — give up on
                the in-doubt transaction without asking anyone. If the
@@ -279,7 +283,7 @@ let rec schedule_termination_check t ~txid =
                   adjudicate ~span:p.p_span t ~txid ~fellows
                     ~still_wanted:(fun () -> Hashtbl.mem t.participant_txns txid)
                     ~decide:(fun d -> finalize_participant t ~txid d)
-              | In_doubt | Silent -> schedule_termination_check t ~txid)
+              | In_doubt | Silent -> schedule_termination_check t ~txid p)
           end)
 
 (* --- participant --- *)
@@ -337,7 +341,7 @@ let handle_prepare t ~span ~txid ~coordinator ~cohort ~item ~delta ~reply =
   end
   else
     lock_item t ~txid ~item (fun lock_result ->
-        let can_apply =
+        let prepared =
           (* re-check the poison: a refusal pledge given to a cohort
              member while we waited for the lock binds this vote *)
           match
@@ -345,13 +349,18 @@ let handle_prepare t ~span ~txid ~coordinator ~cohort ~item ~delta ~reply =
               ~admit:(Result.is_ok lock_result && not (poisoned ()))
           with
           | Some txn ->
-              Hashtbl.replace t.participant_txns txid
+              let p =
                 { p_txn = txn; p_coordinator = coordinator; p_cohort = cohort;
-                  p_item = item; p_delta = delta; p_span = psp; p_queries = 0 };
-              true
-          | None -> false
+                  p_item = item; p_delta = delta; p_span = psp; p_queries = 0;
+                  p_check = Engine.no_timer }
+              in
+              Hashtbl.replace t.participant_txns txid p;
+              Some p
+          | None -> None
         in
-        let vote = Two_phase.Participant.on_prepare t.participant ~txid ~can_apply in
+        let vote =
+          Two_phase.Participant.on_prepare t.participant ~txid ~can_apply:(prepared <> None)
+        in
         if vote = Two_phase.Refuse then begin
           Lock_manager.release_all t.locks ~owner:txid;
           refuse ()
@@ -363,7 +372,7 @@ let handle_prepare t ~span ~txid ~coordinator ~cohort ~item ~delta ~reply =
           if Txn_log.find t.txn_log ~txid = None then
             Txn_log.record_start t.txn_log ~txid ~coordinator ~cohort ~item ~delta
               ~at:(now t);
-          schedule_termination_check t ~txid
+          Option.iter (schedule_termination_check t ~txid) prepared
         end;
         reply (Protocol.Vote { txid; vote }))
 
@@ -388,10 +397,11 @@ let broadcast_decision t ?span ~txid ~cohort ~machine ~execute decision =
     cohort
 
 (* The coordination is closed (all acks, or we gave up waiting): mark it
-   ended so recovery does not re-broadcast. Stragglers that missed the
-   decision resolve through the pull-side termination protocol, served
-   from the log. *)
-let close_coordination t ~txid =
+   ended so recovery does not re-broadcast, and drop the ack deadline.
+   Stragglers that missed the decision resolve through the pull-side
+   termination protocol, served from the log. *)
+let close_coordination t ~txid coord =
+  Engine.cancel (engine t) coord.ack_timer;
   Txn_log.record_end t.txn_log ~txid ~at:(now t);
   Hashtbl.remove t.coordinators txid
 
@@ -411,7 +421,10 @@ let immediate_update t ~item ~delta ~finish =
   in
   Txn_log.record_start t.txn_log ~txid ~coordinator:t.addr ~cohort:participant_addrs ~item
     ~delta ~at:(now t);
-  let coord = { machine; finish; local_txn = None; local_finalized = false } in
+  let coord =
+    { machine; finish; local_txn = None; local_finalized = false;
+      ack_timer = Engine.no_timer }
+  in
   Hashtbl.add t.coordinators txid coord;
   (* Phase spans: prepare runs from Broadcast_prepare until a decision is
      reached; the decision round from the broadcast until Completed. *)
@@ -431,7 +444,9 @@ let immediate_update t ~item ~delta ~finish =
         prepare_span := Some psp;
         (* Prepare and Decision deliberately run without the retry policy:
            a lost prepare is a Refuse vote, a lost decision is recovered by
-           the participant's termination protocol. *)
+           the participant's termination protocol. Each call's own timeout
+           bounds the vote phase: by [prepare_timeout] every vote is in or
+           counted as a Refuse, so the phase needs no timer of its own. *)
         List.iter
           (fun p ->
             Rpc.call t.shared.rpc ~src:t.addr ~dst:p
@@ -444,9 +459,7 @@ let immediate_update t ~item ~delta ~finish =
                        execute (Two_phase.Coordinator.on_vote machine ~from:p vote)
                    | Ok _ | Error _ ->
                        execute (Two_phase.Coordinator.on_vote machine ~from:p Two_phase.Refuse))))
-          participant_addrs;
-        after t ~delay:(config t).Config.prepare_timeout (fun () ->
-            execute (Two_phase.Coordinator.on_vote_timeout machine))
+          participant_addrs
     | Two_phase.Coordinator.Broadcast_decision decision ->
         close_phase prepare_span;
         let dsp = span_start t ~parent:root ~category:"2pc" "2pc.decision" in
@@ -470,8 +483,9 @@ let immediate_update t ~item ~delta ~finish =
         end;
         broadcast_decision t ?span:!decision_span ~txid ~cohort:participant_addrs ~machine
           ~execute decision;
-        after t ~delay:(config t).Config.ack_timeout (fun () ->
-            execute (Two_phase.Coordinator.on_ack_timeout machine))
+        coord.ack_timer <-
+          timer t ~delay:(config t).Config.ack_timeout (fun () ->
+              execute (Two_phase.Coordinator.on_ack_timeout machine))
     | Two_phase.Coordinator.Completed decision ->
         close_phase prepare_span;
         close_phase decision_span;
@@ -482,7 +496,7 @@ let immediate_update t ~item ~delta ~finish =
           | Two_phase.Abort -> Update.Rejected Update.Txn_aborted
         in
         coord.finish outcome
-    | Two_phase.Coordinator.Cleanup _ -> close_coordination t ~txid
+    | Two_phase.Coordinator.Cleanup _ -> close_coordination t ~txid coord
   in
   (* Local participation: lock, tentatively apply, derive the local vote. *)
   lock_item t ~txid ~item (fun lock_result ->
@@ -514,12 +528,15 @@ let reinstall_in_doubt t (e : Txn_log.entry) =
           let psp = span_start t ~category:"2pc" "2pc.participant.recovered" in
           span_field_int t psp "txid" txid;
           span_field t psp "item" item;
-          Hashtbl.replace t.participant_txns txid
+          let p =
             { p_txn = txn; p_coordinator = e.Txn_log.coordinator; p_cohort = e.Txn_log.cohort;
-              p_item = item; p_delta = delta; p_span = psp; p_queries = 0 };
+              p_item = item; p_delta = delta; p_span = psp; p_queries = 0;
+              p_check = Engine.no_timer }
+          in
+          Hashtbl.replace t.participant_txns txid p;
           t.metrics.Update.Metrics.in_doubt_recovered <-
             t.metrics.Update.Metrics.in_doubt_recovered + 1;
-          schedule_termination_check t ~txid)
+          schedule_termination_check t ~txid p)
 
 (* A coordination whose decision is logged but whose ack round never
    closed: rebuild the machine in the ack-collection phase and push the
@@ -534,7 +551,8 @@ let install_recovered_coordinator t ~txid ~cohort ~item decision =
         ~base:(base_addr_for t ~item) decision
     in
     let coord =
-      { machine; finish = (fun _ -> ()); local_txn = None; local_finalized = true }
+      { machine; finish = (fun _ -> ()); local_txn = None; local_finalized = true;
+        ack_timer = Engine.no_timer }
     in
     Hashtbl.replace t.coordinators txid coord;
     let rec execute actions = List.iter execute_one actions
@@ -550,7 +568,7 @@ let install_recovered_coordinator t ~txid ~cohort ~item decision =
                   ("decision", Format.asprintf "%a" Two_phase.pp_decision d);
                 ];
           broadcast_decision t ~txid ~cohort ~machine ~execute d
-      | Two_phase.Coordinator.Cleanup _ -> close_coordination t ~txid
+      | Two_phase.Coordinator.Cleanup _ -> close_coordination t ~txid coord
       | Two_phase.Coordinator.Completed _ | Two_phase.Coordinator.Broadcast_prepare ->
           (* the submitting client died with the crashed incarnation;
              [recovered] marks completion as already emitted, so this

@@ -1,5 +1,7 @@
 type handle = (unit -> unit) Event_queue.handle
 
+let no_timer = Event_queue.vacant
+
 exception Stopped
 
 type t = {

@@ -11,6 +11,10 @@ type t
 type handle
 (** A scheduled-event handle for cancellation. *)
 
+val no_timer : handle
+(** A handle to no event, harmless to {!cancel}: what a timer field holds
+    before its timer is set. *)
+
 exception Stopped
 (** Raised internally when [stop] aborts the run loop. *)
 

@@ -10,6 +10,8 @@ type 'a entry =
 
 type 'a handle = 'a entry
 
+let vacant = Vacant
+
 (* [slot] outside the heap: the event fired, or it was cancelled. *)
 let fired = -1
 let cancelled = -2

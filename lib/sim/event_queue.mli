@@ -18,6 +18,10 @@ type 'a entry
 type 'a handle = 'a entry
 (** Identity of a scheduled event, usable to cancel it. *)
 
+val vacant : 'a handle
+(** A handle to no event: cancelling it does nothing. It fills a mutable
+    handle slot that has no event in it, so the slot needs no option. *)
+
 val create : unit -> 'a t
 
 val add : 'a t -> time:Time.t -> 'a -> 'a handle

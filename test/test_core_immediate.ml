@@ -84,6 +84,20 @@ let test_concurrent_conflicting_commits_or_aborts_cleanly () =
     (Cluster.replica_amounts cluster ~item:"custom");
   Alcotest.(check bool) "stock never oversold" true (expected >= -10)
 
+let test_finished_txn_leaves_no_timer () =
+  (* Once the decision is acknowledged nothing of the transaction stays
+     scheduled: the coordinator cancels its ack deadline at cleanup and
+     each participant its termination check when it finalises, so the run
+     drains before either timer would have fired. *)
+  let cluster = make () in
+  let result = submit cluster 1 ~delta:(-10) () in
+  Alcotest.(check bool) "commits" true (Update.is_applied result);
+  Alcotest.(check int) "nothing scheduled" 0 (Avdb_sim.Engine.pending (Cluster.engine cluster));
+  let drained_at = Cluster.now cluster in
+  if not Avdb_sim.Time.(drained_at < Config.default.Config.ack_timeout) then
+    Alcotest.failf "the run drained at %a, at or past the ack deadline" Avdb_sim.Time.pp
+      drained_at
+
 let test_participant_down_aborts () =
   let cluster = make () in
   Site.crash (Cluster.site cluster 2);
@@ -191,10 +205,10 @@ let test_termination_asks_live_coordinator () =
     (Site.metrics (Cluster.site cluster 2)).Update.Metrics.termination_queries
 
 let test_coordinator_crash_resolved_after_recovery () =
-  (* The coordinator crashes right after sending prepares. Its vote timers
-     still run locally, so it decides Abort and records it; prepared
-     participants stay blocked until it comes back, then learn the abort
-     through the termination protocol. *)
+  (* The coordinator crashes right after sending prepares, before any
+     vote is in. Its recovery finds the Start record without an outcome
+     and presumes Abort; prepared participants stay blocked until it comes
+     back, then learn the abort through the termination protocol. *)
   let cluster = make () in
   let engine = Cluster.engine cluster in
   ignore
@@ -253,6 +267,8 @@ let suites =
         Alcotest.test_case "sequential from all sites" `Quick test_sequential_updates_from_different_sites;
         Alcotest.test_case "concurrent conflicts settle" `Quick
           test_concurrent_conflicting_commits_or_aborts_cleanly;
+        Alcotest.test_case "a finished transaction leaves no timer behind" `Quick
+          test_finished_txn_leaves_no_timer;
         Alcotest.test_case "participant down aborts" `Quick test_participant_down_aborts;
         Alcotest.test_case "txn log records" `Quick test_txn_log_records;
         Alcotest.test_case "regular item still delay" `Quick test_regular_item_still_uses_delay;
