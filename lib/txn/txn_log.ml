@@ -58,34 +58,53 @@ type intent_entry = {
          intent's doubt is resolved and the pump stops re-sending it *)
 }
 
+(* One epoch item's records, each table keyed by epoch: one string lookup
+   finds the item, and every epoch lookup after it hashes an int. *)
+type epochs = {
+  accepts : (int * intent list) Int_table.t;  (* highest-ballot accepted proposal *)
+  seals : intent list Int_table.t;
+  promises : int Int_table.t;  (* highest ballot durably promised *)
+  mutable floor : int;
+      (* epoch through which this log holds no seals because the state was
+         installed from a snapshot (join or quarantine repair); 0 when none *)
+}
+
+module Items = Hashtbl.Make (String)
+
 type t = {
   mutable records : record list;  (* newest-first for O(1) append *)
   mutable count : int;
-  entries : (int, entry) Hashtbl.t;
-  refused : (int, unit) Hashtbl.t;
-  intents : (int, intent_entry) Hashtbl.t;
-  accepts : (string * int, int * intent list) Hashtbl.t;
-      (* (item, epoch) -> highest-ballot accepted proposal *)
-  seals : (string * int, intent list) Hashtbl.t;
-  promises : (string * int, int) Hashtbl.t;
-      (* (item, epoch) -> highest ballot durably promised *)
-  floors : (string, int) Hashtbl.t;
-      (* item -> epoch below which this log holds no seals because the
-         state was installed from a snapshot (join or quarantine repair) *)
+  entries : entry Int_table.t;
+  refused : unit Int_table.t;
+  intents : intent_entry Int_table.t;
+  items : epochs Items.t;
 }
 
 let create () =
   {
     records = [];
     count = 0;
-    entries = Hashtbl.create 32;
-    refused = Hashtbl.create 8;
-    intents = Hashtbl.create 8;
-    accepts = Hashtbl.create 8;
-    seals = Hashtbl.create 8;
-    promises = Hashtbl.create 8;
-    floors = Hashtbl.create 4;
+    entries = Int_table.create 32;
+    refused = Int_table.create 8;
+    intents = Int_table.create 8;
+    items = Items.create 8;
   }
+
+(* The item's records, created empty on its first record. *)
+let epochs t item =
+  match Items.find_opt t.items item with
+  | Some e -> e
+  | None ->
+      let e =
+        {
+          accepts = Int_table.create 8;
+          seals = Int_table.create 8;
+          promises = Int_table.create 8;
+          floor = 0;
+        }
+      in
+      Items.add t.items item e;
+      e
 
 let records t = List.rev t.records
 let length t = t.count
@@ -97,8 +116,8 @@ let push t r =
 (* Index maintenance shared by live appends and replay. *)
 let index t = function
   | Start { txid; coordinator; cohort; item; delta; at } ->
-      if Hashtbl.mem t.entries txid then invalid_arg "Txn_log.record_start: duplicate txid";
-      Hashtbl.add t.entries txid
+      if Int_table.mem t.entries txid then invalid_arg "Txn_log.record_start: duplicate txid";
+      Int_table.add t.entries txid
         {
           txid;
           coordinator;
@@ -111,7 +130,7 @@ let index t = function
           ended = false;
         }
   | Outcome { txid; decision; at } -> (
-      match Hashtbl.find_opt t.entries txid with
+      match Int_table.find_opt t.entries txid with
       | None -> ()
       | Some e ->
           if e.outcome = None then begin
@@ -119,13 +138,13 @@ let index t = function
             e.finished_at <- Some at
           end)
   | End { txid; _ } -> (
-      match Hashtbl.find_opt t.entries txid with
+      match Int_table.find_opt t.entries txid with
       | None -> ()
       | Some e -> e.ended <- true)
-  | Refused { txid; _ } -> Hashtbl.replace t.refused txid ()
+  | Refused { txid; _ } -> Int_table.replace t.refused txid ()
   | Intent { txid; origin; item; delta; at } ->
-      if not (Hashtbl.mem t.intents txid) then
-        Hashtbl.add t.intents txid
+      if not (Int_table.mem t.intents txid) then
+        Int_table.add t.intents txid
           {
             in_txid = txid;
             in_origin = origin;
@@ -135,25 +154,26 @@ let index t = function
             in_sealed = false;
           }
   | Epoch_accept { item; epoch; ballot; seal; _ } -> (
-      match Hashtbl.find_opt t.accepts (item, epoch) with
+      let e = epochs t item in
+      match Int_table.find_opt e.accepts epoch with
       | Some (b, _) when b >= ballot -> ()
-      | Some _ | None -> Hashtbl.replace t.accepts (item, epoch) (ballot, seal))
+      | Some _ | None -> Int_table.replace e.accepts epoch (ballot, seal))
   | Epoch_seal { item; epoch; seal; _ } ->
-      Hashtbl.replace t.seals (item, epoch) seal;
+      Int_table.replace (epochs t item).seals epoch seal;
       List.iter
         (fun i ->
-          match Hashtbl.find_opt t.intents i.i_txid with
+          match Int_table.find_opt t.intents i.i_txid with
           | Some e -> e.in_sealed <- true
           | None -> ())
         seal
   | Epoch_promise { item; epoch; ballot; _ } -> (
-      match Hashtbl.find_opt t.promises (item, epoch) with
+      let e = epochs t item in
+      match Int_table.find_opt e.promises epoch with
       | Some b when b >= ballot -> ()
-      | Some _ | None -> Hashtbl.replace t.promises (item, epoch) ballot)
-  | Epoch_floor { item; epoch; _ } -> (
-      match Hashtbl.find_opt t.floors item with
-      | Some f when f >= epoch -> ()
-      | Some _ | None -> Hashtbl.replace t.floors item epoch)
+      | Some _ | None -> Int_table.replace e.promises epoch ballot)
+  | Epoch_floor { item; epoch; _ } ->
+      let e = epochs t item in
+      if epoch > e.floor then e.floor <- epoch
 
 let append t r =
   index t r;
@@ -165,91 +185,105 @@ let record_start t ~txid ~coordinator ~cohort ~item ~delta ~at =
 let record_outcome t ~txid outcome ~at =
   (* Idempotent: only the first outcome is durable. Unknown txids are
      ignored (the prepare may have been refused before logging). *)
-  match Hashtbl.find_opt t.entries txid with
+  match Int_table.find_opt t.entries txid with
   | Some e when e.outcome = None -> append t (Outcome { txid; decision = outcome; at })
   | Some _ | None -> ()
 
 let record_end t ~txid ~at =
-  match Hashtbl.find_opt t.entries txid with
+  match Int_table.find_opt t.entries txid with
   | Some e when not e.ended -> append t (End { txid; at })
   | Some _ | None -> ()
 
 let record_refused t ~txid ~at =
-  if not (Hashtbl.mem t.refused txid) then append t (Refused { txid; at })
+  if not (Int_table.mem t.refused txid) then append t (Refused { txid; at })
 
 (* --- epoch-quorum commit records --- *)
 
 let record_intent t ~txid ~origin ~item ~delta ~at =
-  if not (Hashtbl.mem t.intents txid) then
+  if not (Int_table.mem t.intents txid) then
     append t (Intent { txid; origin; item; delta; at })
 
+(* An item with no record yet answers every query as empty. *)
+let find_epochs t item = Items.find_opt t.items item
+
+let epoch_accept t ~item ~epoch =
+  match find_epochs t item with Some e -> Int_table.find_opt e.accepts epoch | None -> None
+
+let epoch_seal t ~item ~epoch =
+  match find_epochs t item with Some e -> Int_table.find_opt e.seals epoch | None -> None
+
+let epoch_promise t ~item ~epoch =
+  match find_epochs t item with
+  | None -> 0
+  | Some e -> (
+      let promised = Option.value ~default:0 (Int_table.find_opt e.promises epoch) in
+      match Int_table.find_opt e.accepts epoch with
+      | Some (b, _) -> Stdlib.max promised b
+      | None -> promised)
+
+let epoch_floor t ~item = match find_epochs t item with Some e -> e.floor | None -> 0
+
 let record_epoch_accept t ~item ~epoch ~ballot ~seal ~at =
-  match Hashtbl.find_opt t.accepts (item, epoch) with
+  match epoch_accept t ~item ~epoch with
   | Some (b, _) when b >= ballot -> ()
   | Some _ | None -> append t (Epoch_accept { item; epoch; ballot; seal; at })
 
 let record_epoch_seal t ~item ~epoch ~seal ~at =
-  if not (Hashtbl.mem t.seals (item, epoch)) then
-    append t (Epoch_seal { item; epoch; seal; at })
+  if epoch_seal t ~item ~epoch = None then append t (Epoch_seal { item; epoch; seal; at })
 
 let record_epoch_promise t ~item ~epoch ~ballot ~at =
-  match Hashtbl.find_opt t.promises (item, epoch) with
+  let promised =
+    match find_epochs t item with Some e -> Int_table.find_opt e.promises epoch | None -> None
+  in
+  match promised with
   | Some b when b >= ballot -> ()
   | Some _ | None -> append t (Epoch_promise { item; epoch; ballot; at })
 
 let record_epoch_floor t ~item ~epoch ~at =
-  match Hashtbl.find_opt t.floors item with
-  | Some f when f >= epoch -> ()
-  | Some _ | None -> append t (Epoch_floor { item; epoch; at })
+  if epoch > epoch_floor t ~item then append t (Epoch_floor { item; epoch; at })
 
-let find_intent t ~txid = Hashtbl.find_opt t.intents txid
+let find_intent t ~txid = Int_table.find_opt t.intents txid
 let intent_sealed t ~txid =
-  match Hashtbl.find_opt t.intents txid with Some e -> e.in_sealed | None -> false
+  match Int_table.find_opt t.intents txid with Some e -> e.in_sealed | None -> false
 
 let intents t =
-  Hashtbl.fold (fun _ e acc -> e :: acc) t.intents []
-  |> List.sort (fun a b -> compare a.in_txid b.in_txid)
+  Int_table.fold (fun _ e acc -> e :: acc) t.intents []
+  |> List.sort (fun a b -> Int.compare a.in_txid b.in_txid)
 
 let unsealed_intents t = List.filter (fun e -> not e.in_sealed) (intents t)
 
-let epoch_accept t ~item ~epoch = Hashtbl.find_opt t.accepts (item, epoch)
-let epoch_seal t ~item ~epoch = Hashtbl.find_opt t.seals (item, epoch)
-
-let epoch_promise t ~item ~epoch =
-  let promised = Option.value ~default:0 (Hashtbl.find_opt t.promises (item, epoch)) in
-  match Hashtbl.find_opt t.accepts (item, epoch) with
-  | Some (b, _) -> Stdlib.max promised b
-  | None -> promised
-
-let epoch_floor t ~item = Option.value ~default:0 (Hashtbl.find_opt t.floors item)
-
 let epoch_seals t =
-  Hashtbl.fold (fun (item, epoch) seal acc -> (item, epoch, seal) :: acc) t.seals []
+  Items.fold
+    (fun item e acc -> Int_table.fold (fun epoch seal acc -> (item, epoch, seal) :: acc) e.seals acc)
+    t.items []
   |> List.sort (fun (a, e, _) (b, f, _) ->
-         match String.compare a b with 0 -> compare e f | c -> c)
+         match String.compare a b with 0 -> Int.compare e f | c -> c)
 
 (* Highest epoch with every seal from 1 up to it present — the prefix a
    recovering subscriber can trust it applied (seals are logged in the
    same atomic event as their local apply, in epoch order). *)
 let max_contiguous_seal t ~item =
-  let rec loop e = if Hashtbl.mem t.seals (item, e + 1) then loop (e + 1) else e in
-  loop (epoch_floor t ~item)
+  match find_epochs t item with
+  | None -> 0
+  | Some e ->
+      let rec loop n = if Int_table.mem e.seals (n + 1) then loop (n + 1) else n in
+      loop e.floor
 
-let find t ~txid = Hashtbl.find_opt t.entries txid
-let is_refused t ~txid = Hashtbl.mem t.refused txid
+let find t ~txid = Int_table.find_opt t.entries txid
+let is_refused t ~txid = Int_table.mem t.refused txid
 
 let entries t =
-  Hashtbl.fold (fun _ e acc -> e :: acc) t.entries []
-  |> List.sort (fun a b -> compare a.txid b.txid)
+  Int_table.fold (fun _ e acc -> e :: acc) t.entries []
+  |> List.sort (fun a b -> Int.compare a.txid b.txid)
 
 let in_doubt t = List.filter (fun e -> e.outcome = None) (entries t)
 
-let count p t = Hashtbl.fold (fun _ e acc -> if p e then acc + 1 else acc) t.entries 0
+let count p t = Int_table.fold (fun _ e acc -> if p e then acc + 1 else acc) t.entries 0
 let committed t = count (fun e -> e.outcome = Some Two_phase.Commit) t
 let aborted t = count (fun e -> e.outcome = Some Two_phase.Abort) t
 let in_flight t = count (fun e -> e.outcome = None) t
 
-let max_txid t = Hashtbl.fold (fun txid _ acc -> Stdlib.max txid acc) t.entries (-1)
+let max_txid t = Int_table.fold (fun txid _ acc -> Stdlib.max txid acc) t.entries (-1)
 
 (* --- encoding ---
 

@@ -268,6 +268,241 @@ let test_txn_log_serialisation () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "mid-log corruption accepted"
 
+(* --- Txn_log indexes against a list scan ---
+
+   Random record sequences over a few txids, items and epochs, with
+   repeats and lower ballots, applied through the record_* functions. The
+   reference keeps the records a log must append, decides every append
+   and answers every query by scanning that list; the log's indexes must
+   agree with it, before and after a serialisation round trip. *)
+
+let txn_log_record_gen =
+  let open QCheck.Gen in
+  let open Avdb_sim in
+  let txid = int_range 1 8 in
+  let item = oneofl [ "a"; "b"; "c|d" ] in
+  let epoch = int_range 1 6 in
+  let ballot = int_range 0 4 in
+  let at = map Time.of_us (int_range 0 1_000) in
+  let site = map addr (int_range 0 3) in
+  let seal =
+    list_size (int_range 0 3)
+      (map3 (fun i_txid i_origin i_delta -> { Txn_log.i_txid; i_origin; i_delta }) txid site
+         (int_range (-5) 5))
+  in
+  frequency
+    [
+      ( 2,
+        map3
+          (fun (txid, coordinator) (cohort, item) (delta, at) ->
+            Txn_log.Start { txid; coordinator; cohort; item; delta; at })
+          (pair txid site)
+          (pair (list_size (int_range 0 3) site) item)
+          (pair (int_range (-5) 5) at) );
+      ( 2,
+        map3
+          (fun txid decision at -> Txn_log.Outcome { txid; decision; at })
+          txid
+          (oneofl [ Two_phase.Commit; Two_phase.Abort ])
+          at );
+      (1, map2 (fun txid at -> Txn_log.End { txid; at }) txid at);
+      (1, map2 (fun txid at -> Txn_log.Refused { txid; at }) txid at);
+      ( 2,
+        map3
+          (fun (txid, origin) (item, delta) at -> Txn_log.Intent { txid; origin; item; delta; at })
+          (pair txid site) (pair item (int_range (-5) 5)) at );
+      ( 3,
+        map3
+          (fun (item, epoch) (ballot, seal) at ->
+            Txn_log.Epoch_accept { item; epoch; ballot; seal; at })
+          (pair item epoch) (pair ballot seal) at );
+      ( 3,
+        map3
+          (fun (item, epoch) seal at -> Txn_log.Epoch_seal { item; epoch; seal; at })
+          (pair item epoch) seal at );
+      ( 2,
+        map3
+          (fun (item, epoch) ballot at -> Txn_log.Epoch_promise { item; epoch; ballot; at })
+          (pair item epoch) ballot at );
+      (1, map3 (fun item epoch at -> Txn_log.Epoch_floor { item; epoch; at }) item epoch at);
+    ]
+
+(* The reference: [logged] holds the appended records, oldest first. *)
+let ref_started logged txid =
+  List.exists (function Txn_log.Start s -> s.txid = txid | _ -> false) logged
+
+let ref_floor logged item =
+  List.fold_left
+    (fun f -> function
+      | Txn_log.Epoch_floor r when r.item = item -> Stdlib.max f r.epoch
+      | _ -> f)
+    0 logged
+
+let ref_seal logged ~item ~epoch =
+  List.find_map
+    (function
+      | Txn_log.Epoch_seal r when r.item = item && r.epoch = epoch -> Some r.seal | _ -> None)
+    logged
+
+let ref_accept logged ~item ~epoch =
+  List.fold_left
+    (fun best -> function
+      | Txn_log.Epoch_accept r when r.item = item && r.epoch = epoch -> (
+          match best with
+          | Some (b, _) when b >= r.ballot -> best
+          | Some _ | None -> Some (r.ballot, r.seal))
+      | _ -> best)
+    None logged
+
+let ref_promised logged ~item ~epoch =
+  List.fold_left
+    (fun best -> function
+      | Txn_log.Epoch_promise r when r.item = item && r.epoch = epoch -> (
+          match best with Some b when b >= r.ballot -> best | Some _ | None -> Some r.ballot)
+      | _ -> best)
+    None logged
+
+(* Whether a log holding [logged] appends [r]. *)
+let ref_appends logged r =
+  let seen p = List.exists p logged in
+  match r with
+  | Txn_log.Start { txid; _ } -> not (ref_started logged txid)
+  | Txn_log.Outcome { txid; _ } ->
+      ref_started logged txid
+      && not (seen (function Txn_log.Outcome o -> o.txid = txid | _ -> false))
+  | Txn_log.End { txid; _ } ->
+      ref_started logged txid && not (seen (function Txn_log.End e -> e.txid = txid | _ -> false))
+  | Txn_log.Refused { txid; _ } ->
+      not (seen (function Txn_log.Refused e -> e.txid = txid | _ -> false))
+  | Txn_log.Intent { txid; _ } ->
+      not (seen (function Txn_log.Intent i -> i.txid = txid | _ -> false))
+  | Txn_log.Epoch_accept { item; epoch; ballot; _ } -> (
+      match ref_accept logged ~item ~epoch with Some (b, _) -> b < ballot | None -> true)
+  | Txn_log.Epoch_seal { item; epoch; _ } -> ref_seal logged ~item ~epoch = None
+  | Txn_log.Epoch_promise { item; epoch; ballot; _ } -> (
+      match ref_promised logged ~item ~epoch with Some b -> b < ballot | None -> true)
+  | Txn_log.Epoch_floor { item; epoch; _ } -> epoch > ref_floor logged item
+
+let ref_entries logged =
+  let decided txid =
+    List.find_map
+      (function Txn_log.Outcome o when o.txid = txid -> Some (o.decision, o.at) | _ -> None)
+      logged
+  in
+  List.filter_map
+    (function
+      | Txn_log.Start { txid; coordinator; cohort; item; delta; at } ->
+          let decided = decided txid in
+          Some
+            {
+              Txn_log.txid;
+              coordinator;
+              cohort;
+              item;
+              delta;
+              started_at = at;
+              outcome = Option.map fst decided;
+              finished_at = Option.map snd decided;
+              ended = List.exists (function Txn_log.End e -> e.txid = txid | _ -> false) logged;
+            }
+      | _ -> None)
+    logged
+  |> List.sort (fun a b -> Int.compare a.Txn_log.txid b.Txn_log.txid)
+
+(* An intent is sealed once a seal logged after it contains its txid. *)
+let ref_intents logged =
+  let rec scan acc = function
+    | [] -> acc
+    | Txn_log.Intent { txid; origin; item; delta; at } :: later ->
+        let in_sealed =
+          List.exists
+            (function
+              | Txn_log.Epoch_seal s ->
+                  List.exists (fun i -> i.Txn_log.i_txid = txid) s.seal
+              | _ -> false)
+            later
+        in
+        scan
+          ({ Txn_log.in_txid = txid; in_origin = origin; in_item = item; in_delta = delta;
+             in_at = at; in_sealed }
+          :: acc)
+          later
+    | _ :: later -> scan acc later
+  in
+  List.sort (fun a b -> Int.compare a.Txn_log.in_txid b.Txn_log.in_txid) (scan [] logged)
+
+let ref_epoch_seals logged =
+  List.filter_map
+    (function Txn_log.Epoch_seal { item; epoch; seal; _ } -> Some (item, epoch, seal) | _ -> None)
+    logged
+  |> List.sort (fun (a, e, _) (b, f, _) ->
+         match String.compare a b with 0 -> Int.compare e f | c -> c)
+
+(* Every query the indexes answer, over the generated ranges and one
+   step past them, and an item no record names. *)
+let txn_log_agrees log logged =
+  let items = [ "a"; "b"; "c|d"; "never" ] and epochs = List.init 8 Fun.id in
+  let per_item f = List.for_all f items in
+  let per_epoch f = per_item (fun item -> List.for_all (f item) epochs) in
+  Txn_log.records log = logged
+  && per_epoch (fun item epoch ->
+         Txn_log.epoch_seal log ~item ~epoch = ref_seal logged ~item ~epoch
+         && Txn_log.epoch_accept log ~item ~epoch = ref_accept logged ~item ~epoch
+         && Txn_log.epoch_promise log ~item ~epoch
+            = Stdlib.max
+                (Option.value ~default:0 (ref_promised logged ~item ~epoch))
+                (match ref_accept logged ~item ~epoch with Some (b, _) -> b | None -> 0))
+  && per_item (fun item ->
+         let floor = ref_floor logged item in
+         let rec contiguous e =
+           if ref_seal logged ~item ~epoch:(e + 1) <> None then contiguous (e + 1) else e
+         in
+         Txn_log.epoch_floor log ~item = floor
+         && Txn_log.max_contiguous_seal log ~item = contiguous floor)
+  && Txn_log.epoch_seals log = ref_epoch_seals logged
+  && Txn_log.entries log = ref_entries logged
+  && Txn_log.intents log = ref_intents logged
+  && Txn_log.unsealed_intents log
+     = List.filter (fun i -> not i.Txn_log.in_sealed) (ref_intents logged)
+  && List.for_all
+       (fun txid ->
+         Txn_log.is_refused log ~txid
+         = List.exists (function Txn_log.Refused r -> r.txid = txid | _ -> false) logged)
+       (List.init 10 Fun.id)
+
+(* Apply [r] through its record_* function; [false] when the log's
+   duplicate-start check disagrees with the reference. *)
+let txn_log_apply log logged r =
+  match r with
+  | Txn_log.Start { txid; coordinator; cohort; item; delta; at } -> (
+      match Txn_log.record_start log ~txid ~coordinator ~cohort ~item ~delta ~at with
+      | () -> ref_appends logged r
+      | exception Invalid_argument _ -> not (ref_appends logged r))
+  | Txn_log.Outcome { txid; decision; at } ->
+      Txn_log.record_outcome log ~txid decision ~at;
+      true
+  | Txn_log.End { txid; at } ->
+      Txn_log.record_end log ~txid ~at;
+      true
+  | Txn_log.Refused { txid; at } ->
+      Txn_log.record_refused log ~txid ~at;
+      true
+  | Txn_log.Intent { txid; origin; item; delta; at } ->
+      Txn_log.record_intent log ~txid ~origin ~item ~delta ~at;
+      true
+  | Txn_log.Epoch_accept { item; epoch; ballot; seal; at } ->
+      Txn_log.record_epoch_accept log ~item ~epoch ~ballot ~seal ~at;
+      true
+  | Txn_log.Epoch_seal { item; epoch; seal; at } ->
+      Txn_log.record_epoch_seal log ~item ~epoch ~seal ~at;
+      true
+  | Txn_log.Epoch_promise { item; epoch; ballot; at } ->
+      Txn_log.record_epoch_promise log ~item ~epoch ~ballot ~at;
+      true
+  | Txn_log.Epoch_floor { item; epoch; at } ->
+      Txn_log.record_epoch_floor log ~item ~epoch ~at;
+      true
+
 let qcheck_tests =
   let open QCheck in
   (* Random vote/ack sequences: exactly one Completed, exactly one Cleanup,
@@ -302,6 +537,25 @@ let qcheck_tests =
         | None -> run (C.on_vote_timeout c); run (C.on_ack_timeout c)
         | Some _ -> ());
         !completed = 1 && !cleanups = 1 && C.is_done c);
+    Test.make ~name:"txn log indexes agree with a list scan" ~count:300
+      (make
+         ~print:(fun rs -> String.concat "\n" (List.map Txn_log.encode_record rs))
+         Gen.(list_size (int_range 0 60) txn_log_record_gen))
+      (fun rs ->
+        let log = Txn_log.create () in
+        let logged =
+          List.fold_left
+            (fun logged r ->
+              if not (txn_log_apply log logged r) then
+                Test.fail_reportf "duplicate start of %s" (Txn_log.encode_record r);
+              if ref_appends logged r then logged @ [ r ] else logged)
+            [] rs
+        in
+        txn_log_agrees log logged
+        &&
+        match Txn_log.of_string (Txn_log.to_string log) with
+        | Ok replayed -> txn_log_agrees replayed logged
+        | Error e -> Test.fail_reportf "replay: %s" (Avdb_store.Corruption.to_string e));
   ]
 
 let suites =
