@@ -186,7 +186,7 @@ let send_local t ~src ~dst dst_node ~size payload =
   Stats.on_sent t.stats src ~bytes:size;
   if
     (node t src).down || dst_node.down || is_partitioned t src dst
-    || Rng.bernoulli t.rng t.drop_probability
+    || (t.drop_probability > 0. && Rng.bernoulli t.rng t.drop_probability)
   then Stats.on_dropped t.stats src
   else begin
     let latency_model = link_latency t ~src ~dst in
@@ -224,7 +224,9 @@ let send_local t ~src ~dst dst_node ~size payload =
    sequential engine makes its final check too. *)
 let send_remote t ~src ~dst ~size payload push =
   Stats.on_sent t.stats src ~bytes:size;
-  if (node t src).down || is_partitioned t src dst || Rng.bernoulli t.rng t.drop_probability
+  if
+    (node t src).down || is_partitioned t src dst
+    || (t.drop_probability > 0. && Rng.bernoulli t.rng t.drop_probability)
   then Stats.on_dropped t.stats src
   else begin
     let latency_model = link_latency t ~src ~dst in
