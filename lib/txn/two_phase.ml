@@ -97,11 +97,6 @@ module Coordinator = struct
             if Address.Set.equal t.votes t.participants then decide t Commit else [])
     | Init | Collecting_votes | Collecting_acks _ | Done _ -> []
 
-  let on_vote_timeout t =
-    match t.phase with
-    | Collecting_votes -> decide t Abort
-    | Init | Collecting_acks _ | Done _ -> []
-
   let finish t d =
     t.phase <- Done d;
     let completed = if t.completed_emitted then [] else [ Completed d ] in

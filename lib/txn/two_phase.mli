@@ -44,10 +44,8 @@ module Coordinator : sig
 
   val on_vote : t -> from:Avdb_net.Address.t -> vote -> action list
   (** Duplicate or unknown votes are ignored. A [Refuse] decides [Abort]
-      without waiting for stragglers. *)
-
-  val on_vote_timeout : t -> action list
-  (** The prepare phase expired: decide [Abort] if still undecided. *)
+      without waiting for stragglers. The vote phase has no deadline of
+      its own: a prepare that gets no answer in time is a [Refuse]. *)
 
   val on_ack : t -> from:Avdb_net.Address.t -> action list
   (** Acknowledgement of the decision. Emits [Completed] when the base
