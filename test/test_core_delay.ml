@@ -366,20 +366,21 @@ let test_sync_fanout_sends_fewer_messages () =
     true (fanout_sent < broadcast_sent)
 
 let test_sync_acks_suppress_resend () =
-  (* Counters a peer has acknowledged — via the ack vector riding its own
-     notices — are omitted from later flushes; once everyone is caught up
-     a flush sends nothing at all. *)
+  (* Counters a peer has acknowledged — via the one ack number riding its
+     own notices — are omitted from later flushes; once everyone is caught
+     up a flush sends nothing at all. *)
   let config =
     { (small_config ()) with Config.sync_interval = Some (Time.of_ms 50.) }
   in
   let cluster = Cluster.create config in
   (* Every site makes a change so every site has notices of its own for
-     the ack vector to ride on. *)
+     its ack to ride on. *)
   ignore (submit cluster 0 ~delta:18);
   ignore (submit cluster 1 ~delta:(-9));
   ignore (submit cluster 2 ~delta:(-4));
   (* First flush round delivers the counters; the second's notices carry
-     each receiver's ack vector back to the origins. *)
+     back to each origin the highest version its receiver applied from
+     it. *)
   Cluster.flush_all_syncs cluster;
   Cluster.flush_all_syncs cluster;
   let sent_before = Avdb_net.Stats.total_sent (Cluster.net_stats cluster) in
