@@ -162,11 +162,7 @@ let run_scm setup =
 
 let final_corr outcome = outcome.Runner.final.Runner.total_correspondences
 
-let bytes_sent cluster =
-  List.fold_left
-    (fun acc (_, s) -> acc + s.Avdb_net.Stats.bytes_sent)
-    0
-    (Avdb_net.Stats.sites (Cluster.net_stats cluster))
+let bytes_sent cluster = Avdb_net.Stats.total_bytes_sent (Cluster.net_stats cluster)
 
 let retailer_corrs outcome ~n_sites =
   let per_site = outcome.Runner.final.Runner.per_site_correspondences in

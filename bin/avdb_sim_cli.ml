@@ -82,6 +82,13 @@ let simulate config spec ~spread ~seed ~updates ~checkpoints ~csv ~trace_out ~me
      per-site rows, and writes a Chrome trace / CSV (line-delimited JSON
      for a .jsonl suffix). More shards report only the final tally and
      write their merged views as JSONL whatever the suffix. *)
+  (* Every message the run sent, and its bytes, summed over the shards. *)
+  let print_traffic () =
+    let stats = Pcluster.net_stats pc in
+    let sum f = Array.fold_left (fun acc s -> acc + f s) 0 stats in
+    Printf.printf "sent %d messages / %d bytes\n" (sum Avdb_net.Stats.total_sent)
+      (sum Avdb_net.Stats.total_bytes_sent)
+  in
   let module Exporter = Avdb_obs.Exporter in
   let jsonl path = Filename.check_suffix path ".jsonl" in
   let rows, report, write_trace, write_metrics =
@@ -95,6 +102,7 @@ let simulate config spec ~spread ~seed ~updates ~checkpoints ~csv ~trace_out ~me
           print_endline (Ascii_table.render table);
           Printf.printf "\napplied %d / rejected %d of %d updates\n"
             outcome.Runner.final.Runner.applied outcome.Runner.final.Runner.rejected updates;
+          print_traffic ();
           Array.iter
             (fun s ->
               let m = Site.metrics s in
@@ -137,7 +145,8 @@ let simulate config spec ~spread ~seed ~updates ~checkpoints ~csv ~trace_out ~me
             (Pcluster.rounds pc);
           Printf.printf "correspondences: %d\n" final.Runner.total_correspondences;
           Printf.printf "applied %d / rejected %d of %d updates\n" final.Runner.applied
-            final.Runner.rejected updates
+            final.Runner.rejected updates;
+          print_traffic ()
         in
         let write_trace path =
           let spans = Pcluster.spans pc in

@@ -76,6 +76,7 @@ let fold f t init =
 
 let total_sent t = fold (fun acc s -> acc + s.sent) t 0
 let total_received t = fold (fun acc s -> acc + s.received) t 0
+let total_bytes_sent t = fold (fun acc s -> acc + s.bytes_sent) t 0
 let total_dropped t = fold (fun acc s -> acc + s.dropped) t 0
 let total_correspondences t = fold (fun acc s -> acc + s.correspondences) t 0
 let total_duplicated t = fold (fun acc s -> acc + s.duplicated) t 0

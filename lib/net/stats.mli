@@ -35,6 +35,7 @@ val add_correspondence : t -> Address.t -> unit
 
 val total_sent : t -> int
 val total_received : t -> int
+val total_bytes_sent : t -> int
 val total_dropped : t -> int
 val total_correspondences : t -> int
 
