@@ -5,7 +5,11 @@
     independent child stream, so each simulated component can own its own
     generator: adding events to one component never perturbs the random
     choices of another, and whole-simulation runs are reproducible from a
-    single root seed. *)
+    single root seed.
+
+    The state is unboxed: a draw allocates nothing but a boxed [int64] or
+    [float] result, so [int], [int_in], [pick], [shuffle], [bool] and
+    [bernoulli] allocate nothing. *)
 
 type t
 
