@@ -23,6 +23,12 @@ type origin = {
   mutable stamps : stamp Items.t;
 }
 
+(* What this site knows of one peer's hold on its counters. [acked]: the
+   peer holds every counter stamped up to it. [sent]: the [seq] at the
+   last notice sent to it, so every counter on the peer's items stamped up
+   to it has gone out once. *)
+type peer = { mutable acked : int; mutable sent : int }
+
 type t = {
   counters : (string, counter) Hashtbl.t;
   ring : counter;
@@ -32,7 +38,7 @@ type t = {
   mutable settled : int;  (* [seq] at the last ring restoration *)
   mutable seq : int;
   mutable flushed : int;  (* every change <= this was broadcast once *)
-  conveyed : int Int_table.t;  (* peer -> acknowledged seq *)
+  peers : peer Int_table.t;
   mutable rr : int;  (* fanout rotation cursor *)
   mutable rot_left : int;  (* fanout flushes still owed this rotation *)
   mutable audience : Address.t list;
@@ -52,7 +58,7 @@ let create () =
     settled = 0;
     seq = 0;
     flushed = 0;
-    conveyed = Int_table.create 8;
+    peers = Int_table.create 8;
     rr = 0;
     rot_left = 0;
     audience = [];
@@ -136,12 +142,61 @@ let unflushed t =
   List.map (fun (item, _, cum) -> (item, cum)) (slice t ~floor:t.flushed ~keep:every)
 
 let conveyed t ~peer =
-  match Int_table.find t.conveyed (Address.to_int peer) with
-  | v -> v
+  match Int_table.find t.peers (Address.to_int peer) with
+  | p -> p.acked
   | exception Not_found -> 0
 
-let note_conveyed t ~peer ~upto =
-  if upto > conveyed t ~peer then Int_table.replace t.conveyed (Address.to_int peer) upto
+let peer t site =
+  match Int_table.find t.peers site with
+  | p -> p
+  | exception Not_found ->
+      let p = { acked = 0; sent = 0 } in
+      Int_table.add t.peers site p;
+      p
+
+let note_conveyed t ~peer:addr ~upto =
+  if upto > 0 then begin
+    let p = peer t (Address.to_int addr) in
+    if upto > p.acked then p.acked <- upto
+  end
+
+(* Whether a counter on an item [site] replicates is stamped after [mark]:
+   the dirty list, then the ring newest first down to [mark]. A dirty
+   counter met again in the ring is merely checked twice, and one met at a
+   stamp at or below [mark] ends the walk rightly: every settled counter
+   is stamped before it. Allocates nothing. *)
+let rec dirty_news topology ~site ~mark = function
+  | [] -> false
+  | c :: rest ->
+      (c.version > mark && Topology.interested topology ~site ~item:c.item)
+      || dirty_news topology ~site ~mark rest
+
+let rec ring_news ring topology ~site ~mark c =
+  c != ring
+  && c.version > mark
+  && (Topology.interested topology ~site ~item:c.item
+     || ring_news ring topology ~site ~mark c.older)
+
+(* News for a peer: a counter on its items stamped after both its ack and
+   the last notice sent to it. Under full replication every counter is on
+   its items, and the newest is stamped [seq]. *)
+let has_news t topology ~site ~mark =
+  mark < t.seq
+  && (Topology.is_full topology
+     || dirty_news topology ~site ~mark t.dirty
+     || ring_news t.ring topology ~site ~mark t.ring.older)
+
+(* The targets a flush notifies, each with its entry: every one when
+   forced, otherwise those with news. Allocates nothing when none has
+   news, once every target has an entry. *)
+let[@tail_mod_cons] rec notified t ~force topology = function
+  | [] -> []
+  | addr :: rest ->
+      let site = Address.to_int addr in
+      let p = peer t site in
+      if force || has_news t topology ~site ~mark:(Int.max p.acked p.sent) then
+        (addr, p) :: notified t ~force topology rest
+      else notified t ~force topology rest
 
 (* The entries of a name-sorted [slice] stamped after [upto] on items
    whose subscriber array ([subs], aligned with [slice] from index [i])
@@ -153,28 +208,48 @@ let[@tail_mod_cons] rec pick ~site ~upto subs i = function
         c :: pick ~site ~upto subs (i + 1) rest
       else pick ~site ~upto subs (i + 1) rest
 
+(* The entries of a name-sorted [slice] stamped after [upto]: a payload
+   under full replication. *)
+let[@tail_mod_cons] rec newer ~upto = function
+  | [] -> []
+  | ((_, version, _) as c) :: rest ->
+      if version > upto then c :: newer ~upto rest else newer ~upto rest
+
+let rec min_ack floor = function
+  | [] -> floor
+  | (_, p) :: rest -> min_ack (Int.min floor p.acked) rest
+
+(* Sends each notified target its payload out of [slice] and raises its
+   sent mark. A function of its own rather than a closure, so that a
+   flush allocates only its target list, the slice and the payloads. *)
+let rec send_each t ~force topology ~slice ~subs send = function
+  | [] -> ()
+  | (addr, p) :: rest ->
+      let upto = if force then 0 else p.acked in
+      (match
+         if Topology.is_full topology then newer ~upto slice
+         else pick ~site:(Address.to_int addr) ~upto subs 0 slice
+       with
+      | [] -> ()
+      | counters ->
+          p.sent <- t.seq;
+          send addr counters);
+      send_each t ~force topology ~slice ~subs send rest
+
 let payloads t ~force topology targets send =
-  let acks = List.map (fun peer -> (peer, if force then 0 else conveyed t ~peer)) targets in
-  let floor = List.fold_left (fun m (_, upto) -> Int.min m upto) max_int acks in
-  if floor < t.seq then begin
-    let slice = slice t ~floor ~keep:every in
-    let payload =
-      if Topology.is_full topology then fun _ upto ->
-        List.filter (fun (_, version, _) -> version > upto) slice
-      else begin
-        (* Each counter's subscribers, resolved once for every target. *)
-        let subs =
+  match notified t ~force topology targets with
+  | [] -> ()
+  | notified ->
+      let slice = slice t ~floor:(if force then 0 else min_ack max_int notified) ~keep:every in
+      (* Under partial replication, each counter's subscribers, resolved
+         once for every target. *)
+      let subs =
+        if Topology.is_full topology then [||]
+        else
           Array.of_list
             (List.map (fun (item, _, _) -> Topology.subscriber_array topology ~item) slice)
-        in
-        fun peer upto -> pick ~site:(Address.to_int peer) ~upto subs 0 slice
-      end
-    in
-    List.iter
-      (fun (peer, upto) ->
-        match payload peer upto with [] -> () | counters -> send peer counters)
-      acks
-  end
+      in
+      send_each t ~force topology ~slice ~subs send notified
 
 let payload t topology peer =
   let upto = conveyed t ~peer in

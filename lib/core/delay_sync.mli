@@ -6,7 +6,10 @@
     payload for a peer carries every counter stamped after the peer's
     acknowledgement, name-sorted. Counters live in a ring ordered by
     version, so a payload walks only the counters newer than the
-    acknowledgement instead of the whole catalogue. {!queue} never
+    acknowledgement instead of the whole catalogue. Next to each peer's
+    acknowledgement sits its sent mark, the sequence number at the last
+    notice sent to it: an unforced flush notifies a peer only when a
+    counter on its items is stamped after both. {!queue} never
     touches the ring: it pushes a counter on a dirty list the first time
     the counter changes after the last payload build, and the next build
     moves the dirty counters to the ring's newest end. Invariant: every
@@ -82,12 +85,16 @@ val payloads :
   (Avdb_net.Address.t -> counters -> unit) ->
   unit
 (** [payloads t ~force topology targets send] calls [send peer counters]
-    for each target, in order, whose payload is not empty: the counters
-    stamped after the peer's acknowledgement (after 0 when [force]) on
-    items the peer replicates ({!Topology.interested}). Reads each
-    acknowledgement once, walks the counters newer than the smallest, and
-    under partial replication resolves each of those counters'
-    subscribers once for all targets. *)
+    for each target, in order, that has news, and raises its sent mark.
+    Its payload is the counters stamped after the peer's acknowledgement
+    (after 0 when [force]) on items the peer replicates
+    ({!Topology.interested}). Unforced, a target has news when one of
+    those counters is stamped after its sent mark too; the test walks only
+    the counters newer than both numbers and allocates nothing. Forced,
+    every target with a non-empty payload is sent it. Builds one slice of
+    the counters newer than the smallest acknowledgement among the
+    targets sent to, and under partial replication resolves each of
+    those counters' subscribers once for all of them. *)
 
 val payload : t -> Topology.t -> Avdb_net.Address.t -> counters
 (** The single-peer, unforced payload (an AV-request or grant

@@ -65,16 +65,18 @@ let apply_sync_counters t ~src counters =
   end
 
 let flush_sync ?(force = false) t =
-  (* Each notified peer gets every counter it has not acknowledged (not
-     just recent deltas): a receiver that missed earlier notices catches
-     up from any later one. Counters a peer acknowledged — through an
-     AV-grant reply or a reverse-direction notice's ack — are
-     omitted, and a fully caught-up peer is skipped entirely. With
-     [Config.sync_fanout] set, only that many peers are notified per
-     flush, rotating round-robin; the cumulative counters make the
+  (* A peer is notified only when it has news: a counter on its items
+     changed since the last notice sent to it and after its ack. The
+     notice then carries every counter it has not acknowledged (not just
+     the news), so a receiver that missed earlier notices catches up from
+     the next one it gets. Counters a peer acknowledged — through an
+     AV-grant reply or a reverse-direction notice's ack — are omitted.
+     With [Config.sync_fanout] set, only that many peers are considered
+     per flush, rotating round-robin; the cumulative counters make the
      rotation safe because whichever flush finally reaches a peer carries
      everything it missed. [force] broadcasts everything to everyone:
-     convergence must not depend on acks or rotation position. *)
+     convergence must not depend on acks, sent marks or rotation
+     position. *)
   if (not (is_down t)) && Delay_sync.count t.sync > 0 then begin
     (* The audience: every peer under full replication; under partial
        replication only the union of the counters' items' subscribers — a

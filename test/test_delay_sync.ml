@@ -1,8 +1,10 @@
 (* Delay_sync against a reference that keeps every counter in a plain
    table: whatever order the ring is in, each peer's payload must be
    every counter stamped after the peer's acknowledgement on an item the
-   peer replicates, name-sorted. The receiver's stamps are checked
-   against a plain (origin, item) map. *)
+   peer replicates, name-sorted, and an unforced flush notifies a peer
+   only when that payload holds a counter stamped after the highest one
+   already sent to it. The receiver's stamps are checked against a plain
+   (origin, item) map. *)
 
 open Avdb_core
 module Address = Avdb_net.Address
@@ -74,6 +76,9 @@ let run ops =
   let acks = Hashtbl.create 8 in
   let ack p = Option.value ~default:0 (Hashtbl.find_opt acks p) in
   let raise_ack p upto = if upto > ack p then Hashtbl.replace acks p upto in
+  (* peer -> highest version a flush sent it *)
+  let marks = Hashtbl.create 8 in
+  let mark p = Option.value ~default:0 (Hashtbl.find_opt marks p) in
   let reference ~upto peer =
     Hashtbl.fold
       (fun item (v, c) acc -> if v > upto && keep peer item then (item, v, c) :: acc else acc)
@@ -135,11 +140,21 @@ let run ops =
         let want =
           List.filter_map
             (fun peer ->
-              let upto = if force then 0 else ack (Address.to_int peer) in
-              match reference ~upto peer with [] -> None | cs -> Some (peer, cs))
+              let p = Address.to_int peer in
+              let upto = if force then 0 else ack p in
+              match reference ~upto peer with
+              | [] -> None
+              | cs ->
+                  if force || List.exists (fun (_, v, _) -> v > mark p) cs then Some (peer, cs)
+                  else None)
             targets
         in
-        if List.rev !sent <> want then fail "flush payloads differ"
+        if List.rev !sent <> want then fail "flush payloads differ";
+        List.iter
+          (fun (peer, cs) ->
+            let p = Address.to_int peer in
+            Hashtbl.replace marks p (List.fold_left (fun m (_, v, _) -> Int.max m v) (mark p) cs))
+          want
     | Join is ->
         let site = !n_joined in
         incr n_joined;

@@ -279,6 +279,51 @@ let test_unsubscribed_site_receives_no_sync () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+let received cluster site =
+  (Avdb_net.Stats.site (Cluster.net_stats cluster) (Avdb_net.Address.of_int site))
+    .Avdb_net.Stats.received
+
+(* Site 0 shares widget with site 1 and gadget with site 2. Its gadget
+   change holds nothing new for site 1, which already has the widget
+   counter, so only site 2 hears of it. *)
+let test_notice_only_with_news () =
+  let cluster = partial_cluster () in
+  ignore (run_update cluster 0 "widget" 5);
+  ignore (run_update cluster 0 "gadget" 5);
+  Alcotest.(check int) "widget's peer got one notice" 1 (received cluster 1);
+  Alcotest.(check int) "gadget's peer got one notice" 1 (received cluster 2);
+  Alcotest.(check (list int)) "widget replicas agree" [ 95; 95 ]
+    (Cluster.replica_amounts cluster ~item:"widget");
+  Alcotest.(check (list int)) "gadget replicas agree" [ 65; 65 ]
+    (Cluster.replica_amounts cluster ~item:"gadget")
+
+(* The same exchange with the widget notice lost to a partition. The
+   gadget change brings site 1 no notice, so site 1 catches up from site
+   0's next widget change, or from the forced flush when there is none. *)
+let test_lost_notice_recovers () =
+  let lose_widget_notice () =
+    let cluster = partial_cluster () in
+    Cluster.partition cluster 0 1;
+    ignore (run_update cluster 0 "widget" 5);
+    Alcotest.(check int) "widget notice lost" 1
+      (Avdb_net.Stats.total_dropped (Cluster.net_stats cluster));
+    Cluster.heal cluster 0 1;
+    ignore (run_update cluster 0 "gadget" 5);
+    cluster
+  in
+  let widget_at cluster = Site.amount_of (Cluster.site cluster 1) ~item:"widget" in
+  let converged cluster =
+    match Cluster.check_invariants cluster with Ok () -> () | Error e -> Alcotest.fail e
+  in
+  let cluster = lose_widget_notice () in
+  ignore (run_update cluster 0 "widget" 3);
+  Alcotest.(check (option int)) "next widget change repairs" (Some 98) (widget_at cluster);
+  converged cluster;
+  let cluster = lose_widget_notice () in
+  Cluster.flush_all_syncs cluster;
+  Alcotest.(check (option int)) "forced flush repairs" (Some 95) (widget_at cluster);
+  converged cluster
+
 let test_av_circulates_within_interest_set () =
   let cluster = partial_cluster () in
   (* site 1's Even share (45) cannot cover -60; it must pull AV from the
@@ -407,6 +452,9 @@ let suites =
           test_unsubscribed_site_rejects_updates;
         Alcotest.test_case "unsubscribed site receives no sync" `Quick
           test_unsubscribed_site_receives_no_sync;
+        Alcotest.test_case "a notice goes only to a peer with news" `Quick
+          test_notice_only_with_news;
+        Alcotest.test_case "a lost notice is repaired later" `Quick test_lost_notice_recovers;
         Alcotest.test_case "AV circulates within the interest set" `Quick
           test_av_circulates_within_interest_set;
         Alcotest.test_case "sharded cluster converges" `Quick test_sharded_cluster_converges;
