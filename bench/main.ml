@@ -454,9 +454,19 @@ let exp_fault () =
     (Avdb_sim.Engine.schedule_at engine
        ~at:(Avdb_sim.Time.mul interval 2000.)
        (fun () -> Site.recover (Cluster.site cluster 0)));
+  let unreachable = ref 0 and av_exhausted = ref 0 and other = ref 0 in
+  let tally site ~item ~delta k =
+    Site.submit_update site ~item ~delta (fun r ->
+        (match r.Update.outcome with
+        | Update.Rejected Update.Unreachable -> incr unreachable
+        | Update.Rejected Update.Av_exhausted -> incr av_exhausted
+        | Update.Rejected _ -> incr other
+        | Update.Applied _ -> ());
+        k r)
+  in
   let outcome =
     Runner.run cluster ~nth_update:(Scm.generator workload) ~total_updates:3000 ~interval
-      ~checkpoint_every:300 ()
+      ~checkpoint_every:300 ~submit:tally ()
   in
   let table = Ascii_table.create ~headers:[ "site"; "submitted"; "applied"; "rejected" ] in
   Array.iteri
@@ -467,18 +477,8 @@ let exp_fault () =
         [ m.Update.Metrics.submitted; Update.Metrics.applied m; m.Update.Metrics.rejected ])
     (Cluster.sites cluster);
   print_endline (Ascii_table.render table);
-  let unreachable, av_exhausted, other =
-    List.fold_left
-      (fun (u, a, o) r ->
-        match r.Update.outcome with
-        | Update.Rejected Update.Unreachable -> (u + 1, a, o)
-        | Update.Rejected Update.Av_exhausted -> (u, a + 1, o)
-        | Update.Rejected _ -> (u, a, o + 1)
-        | Update.Applied _ -> (u, a, o))
-      (0, 0, 0) outcome.Runner.results
-  in
   note "total applied %d/3000; rejections: unreachable=%d (base outage) av-exhausted=%d other=%d"
-    outcome.Runner.final.Runner.applied unreachable av_exhausted other;
+    outcome.Runner.final.Runner.applied !unreachable !av_exhausted !other;
   export_cluster cluster
 
 let exp_fault_script () =

@@ -9,11 +9,7 @@ type checkpoint = {
   virtual_time : Time.t;
 }
 
-type outcome = {
-  checkpoints : checkpoint list;
-  final : checkpoint;
-  results : Update.result list;
-}
+type outcome = { checkpoints : checkpoint list; final : checkpoint }
 
 let snapshot cluster ~updates_done ~applied ~rejected =
   {
@@ -39,11 +35,9 @@ let run cluster ~nth_update ~total_updates ?(interval = Time.of_ms 10.)
   let done_count = ref 0 in
   let applied = ref 0 in
   let rejected = ref 0 in
-  let rev_results = ref [] in
   let rev_checkpoints = ref [] in
   let on_result result =
     incr done_count;
-    rev_results := result :: !rev_results;
     if Update.is_applied result then incr applied else incr rejected;
     if !done_count mod checkpoint_every = 0 then
       rev_checkpoints :=
@@ -72,16 +66,15 @@ let run cluster ~nth_update ~total_updates ?(interval = Time.of_ms 10.)
   let final =
     snapshot cluster ~updates_done:!done_count ~applied:!applied ~rejected:!rejected
   in
-  { checkpoints = List.rev !rev_checkpoints; final; results = List.rev !rev_results }
+  { checkpoints = List.rev !rev_checkpoints; final }
 
 (* The parallel variant: same fire times (start + k * interval), with
    update [k] drip-fed on the shard that owns its submission site, so
    every shard arms only its own chain and no completion callback ever
-   crosses a domain. Results are collected into per-update slots (each
-   written by exactly one shard) and per-shard counters, then assembled
-   after the domains join. Mid-run checkpoints would read cross-shard
-   stats from a running domain, so only the final checkpoint is taken;
-   [results] comes back in submission order, not completion order. *)
+   crosses a domain. Completions are tallied in per-shard counters (each
+   written by exactly one shard) and summed after the domains join.
+   Mid-run checkpoints would read cross-shard stats from a running
+   domain, so only the final checkpoint is taken. *)
 let run_parallel pcluster ~nth_update ~total_updates ?(interval = Time.of_ms 10.)
     ?(submit =
       fun ~shard:_ site ~item ~delta k -> Site.submit_update site ~item ~delta k) () =
@@ -90,7 +83,6 @@ let run_parallel pcluster ~nth_update ~total_updates ?(interval = Time.of_ms 10.
      calling domain before any shard runs. *)
   let updates = Array.init total_updates nth_update in
   let n_shards = Pcluster.n_domains pcluster in
-  let results = Array.make total_updates None in
   let applied = Array.make n_shards 0 in
   let rejected = Array.make n_shards 0 in
   let by_shard = Array.make n_shards [] in
@@ -113,7 +105,6 @@ let run_parallel pcluster ~nth_update ~total_updates ?(interval = Time.of_ms 10.
               arm (j + 1);
               submit ~shard:d (Pcluster.site pcluster site_index) ~item ~delta
                 (fun result ->
-                  results.(k) <- Some result;
                   if Update.is_applied result then applied.(d) <- applied.(d) + 1
                   else rejected.(d) <- rejected.(d) + 1))
         end
@@ -122,15 +113,15 @@ let run_parallel pcluster ~nth_update ~total_updates ?(interval = Time.of_ms 10.
     by_shard;
   Pcluster.run pcluster;
   let sum = Array.fold_left ( + ) 0 in
-  let results = Array.to_list updates |> List.mapi (fun k _ -> results.(k)) |> List.filter_map Fun.id in
+  let applied = sum applied and rejected = sum rejected in
   let final =
     {
-      updates_done = List.length results;
+      updates_done = applied + rejected;
       total_correspondences = Pcluster.total_correspondences pcluster;
       per_site_correspondences = Pcluster.per_site_correspondences pcluster;
-      applied = sum applied;
-      rejected = sum rejected;
+      applied;
+      rejected;
       virtual_time = Pcluster.now pcluster;
     }
   in
-  { checkpoints = []; final; results }
+  { checkpoints = []; final }

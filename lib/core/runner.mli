@@ -19,8 +19,10 @@ type checkpoint = {
 type outcome = {
   checkpoints : checkpoint list;  (** in increasing [updates_done] order *)
   final : checkpoint;
-  results : Update.result list;  (** per update, in completion order *)
 }
+(** What a run keeps: O(checkpoints), never one entry per update. A
+    caller that needs each {!Update.result} observes it through the
+    [submit] wrapper. *)
 
 val run :
   Cluster.t ->
@@ -61,9 +63,8 @@ val run_parallel :
     virtual time [start + k × interval] but is armed on the shard owning
     its submission site, and [nth_update] is materialized for all
     [total_updates] on the calling domain before the shards start
-    (workload generators are stateful). Differences from {!run}:
-    [checkpoints] is empty (a mid-run checkpoint would read cross-shard
-    stats from running domains) and [results] is in {e submission}
-    order, not completion order. A [submit] wrapper runs on the shard's
-    domain and receives that shard's index; it must only touch
-    shard-local state (e.g. a per-shard history recorder). *)
+    (workload generators are stateful). Unlike {!run}, [checkpoints] is
+    empty: a mid-run checkpoint would read cross-shard stats from running
+    domains. A [submit] wrapper runs on the shard's domain and receives
+    that shard's index; it must only touch shard-local state (e.g. a
+    per-shard history recorder). *)
