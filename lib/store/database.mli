@@ -39,9 +39,9 @@ val add_int : txn -> table:string -> key:string -> col:string -> int -> (int, st
 (** Returns the new column value. *)
 
 val apply_int : t -> table:string -> key:string -> col:string -> int -> (int, string) result
-(** Autocommit [add_int]: a complete single-operation transaction (the WAL
-    records the usual Begin/Update/Commit triple) from one row lookup, with
-    none of the per-[txn] bookkeeping. The write path of Delay Update. *)
+(** Autocommit [add_int]: a complete single-operation transaction (one
+    {!Wal.Apply} record in the WAL) from one row lookup, with none of the
+    per-[txn] bookkeeping. The write path of Delay Update. *)
 
 val delete : txn -> table:string -> key:string -> (unit, string) result
 

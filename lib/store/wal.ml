@@ -9,7 +9,10 @@ type record =
   | Apply of { txid : int; table : string; key : string; col : string; before : Value.t; after : Value.t }
 
 type t = {
-  mutable records : record list;
+  (* Slots [0, count) hold the log in append order; the rest is spare
+     capacity, filled with [spare] so it keeps no record alive. Appends
+     double the array when it is full. *)
+  mutable records : record array;
   mutable count : int;
   (* Serialisation cache: [enc] holds the encoding of the first [enc_upto]
      records, so repeated [to_string]/[output] calls after appends encode
@@ -18,37 +21,45 @@ type t = {
   enc : Buffer.t;
   mutable enc_upto : int;
 }
-(* Records are kept newest-first for O(1) append. *)
 
-let create () = { records = []; count = 0; enc = Buffer.create 256; enc_upto = 0 }
+let spare = Abort (-1)
+let create () = { records = [||]; count = 0; enc = Buffer.create 256; enc_upto = 0 }
 
 let append t r =
-  t.records <- r :: t.records;
-  t.count <- t.count + 1;
-  t.count - 1
+  let n = t.count in
+  if n = Array.length t.records then begin
+    let grown = Array.make (Int.max 16 (2 * n)) spare in
+    Array.blit t.records 0 grown 0 n;
+    t.records <- grown
+  end;
+  t.records.(n) <- r;
+  t.count <- n + 1;
+  n
 
 let length t = t.count
-let records t = List.rev t.records
+
+let records t =
+  let rec from i acc = if i < 0 then acc else from (i - 1) (t.records.(i) :: acc) in
+  from (t.count - 1) []
 
 let nth t i =
   if i < 0 || i >= t.count then invalid_arg "Wal.nth";
-  List.nth t.records (t.count - 1 - i)
+  t.records.(i)
 
 let truncate t n =
   if n < 0 || n > t.count then invalid_arg "Wal.truncate";
-  let rec drop k l = if k = 0 then l else drop (k - 1) (List.tl l) in
-  t.records <- drop (t.count - n) t.records;
+  Array.fill t.records n (t.count - n) spare;
   t.count <- n;
   Buffer.reset t.enc;
   t.enc_upto <- 0
 
 let committed_txids t =
   let tbl = Hashtbl.create 64 in
-  List.iter
-    (function
-      | Commit txid | Apply { txid; _ } -> Hashtbl.replace tbl txid ()
-      | _ -> ())
-    t.records;
+  for i = 0 to t.count - 1 do
+    match t.records.(i) with
+    | Commit txid | Apply { txid; _ } -> Hashtbl.replace tbl txid ()
+    | _ -> ()
+  done;
   tbl
 
 (* --- encoding --- *)
@@ -211,38 +222,23 @@ let decode_record line =
       Ok (Apply { txid; table; key; col; before; after })
   | _ -> Error ("Wal.decode_record: malformed line " ^ line)
 
-(* Bring the cache up to date: encode records [enc_upto, count) onto the
-   tail of [enc]. The suffix is the first [count - enc_upto] elements of the
-   newest-first list, reversed back into append order. *)
-let refresh_cache t =
-  if t.enc_upto < t.count then begin
-    let rec take n l acc = if n = 0 then acc else take (n - 1) (List.tl l) (List.hd l :: acc) in
-    let suffix = take (t.count - t.enc_upto) t.records [] in
-    List.iter
-      (fun r ->
-        if Buffer.length t.enc > 0 then Buffer.add_char t.enc '\n';
-        encode_record_into t.enc r)
-      suffix;
-    t.enc_upto <- t.count
-  end
-
-let to_string t =
-  refresh_cache t;
-  Buffer.contents t.enc
-
 (* Group commit's flush primitive: records [from, length) as one encoded
    chunk, O(suffix) not O(log). Each record after the log's very first is
    preceded by its '\n' separator, so appending successive chunks to a file
    reproduces [to_string] byte for byte. *)
 let encode_suffix_into buf t ~from =
   if from < 0 || from > t.count then invalid_arg "Wal.encode_suffix_into";
-  let rec take n l acc = if n = 0 then acc else take (n - 1) (List.tl l) (List.hd l :: acc) in
-  let suffix = take (t.count - from) t.records [] in
-  List.iteri
-    (fun i r ->
-      if from + i > 0 then Buffer.add_char buf '\n';
-      encode_record_into buf r)
-    suffix
+  for i = from to t.count - 1 do
+    if i > 0 then Buffer.add_char buf '\n';
+    encode_record_into buf t.records.(i)
+  done
+
+(* Brings the cache up to date, encoding records [enc_upto, count) onto
+   the tail of [enc], then copies it out. *)
+let to_string t =
+  encode_suffix_into t.enc t ~from:t.enc_upto;
+  t.enc_upto <- t.count;
+  Buffer.contents t.enc
 
 let of_string s =
   let t = create () in

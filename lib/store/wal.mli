@@ -25,17 +25,20 @@ type t
 val create : unit -> t
 
 val append : t -> record -> int
-(** Returns the record's log sequence number (0-based). *)
+(** Returns the record's log sequence number (0-based). Amortised O(1):
+    the log is an array in append order that doubles when full. *)
 
 val length : t -> int
 val records : t -> record list
-(** In append order. *)
+(** In append order, as a fresh list: O(length). *)
 
 val nth : t -> int -> record
+(** O(1). *)
 
 val truncate : t -> int -> unit
 (** [truncate t n] keeps the first [n] records — simulates losing the log
-    tail in a crash. *)
+    tail in a crash. O(records dropped): their slots are cleared so the
+    dropped records can be collected; the array keeps its capacity. *)
 
 val committed_txids : t -> (int, unit) Hashtbl.t
 
@@ -53,7 +56,8 @@ val to_string : t -> string
     cache. *)
 
 val encode_suffix_into : Buffer.t -> t -> from:int -> unit
-(** Appends records [from, length t) — group commit's flush primitive.
+(** Appends records [from, length t) — group commit's flush primitive,
+    O(length t - from).
     Chunks written for successive [from] positions concatenate to exactly
     {!to_string}: every record after the log's first carries a leading
     newline separator. *)

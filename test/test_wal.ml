@@ -93,6 +93,40 @@ let test_committed_txids () =
   Alcotest.(check bool) "txn 0 committed" true (Hashtbl.mem committed 0);
   Alcotest.(check bool) "txn 1 not committed" false (Hashtbl.mem committed 1)
 
+(* Compaction truncates a log grown through several doublings back to
+   nothing and re-appends the snapshot into the same array: recovery from
+   the compacted log, in memory and through its text, rebuilds exactly the
+   compacted state, and no dropped record survives in the log. *)
+let test_compact_then_recover () =
+  let db = Database.create ~name:"wal" () in
+  let schema = Schema.create [ { Schema.name = "amount"; ty = Value.Tint } ] in
+  ignore (Database.create_table db ~name:"stock" schema);
+  let key i = "k" ^ string_of_int (i mod 10) in
+  let txn = Database.begin_txn db in
+  for i = 0 to 9 do
+    ignore (Database.insert txn ~table:"stock" ~key:(key i) [| Value.Int 0 |])
+  done;
+  Database.commit txn;
+  for i = 0 to 999 do
+    ignore (Database.apply_int db ~table:"stock" ~key:(key i) ~col:"amount" (1 + (i mod 7)))
+  done;
+  let wal = Database.wal db in
+  Alcotest.(check int) "grown log" 1013 (Wal.length wal);
+  Database.compact db;
+  (* Create_table, Begin, ten Inserts, Commit *)
+  Alcotest.(check int) "snapshot length" 13 (Wal.length wal);
+  Alcotest.(check int) "records = length" 13 (List.length (Wal.records wal));
+  let expected = Database.table db "stock" in
+  let recovered = Database.recover wal in
+  Alcotest.(check bool) "recovered from the compacted log" true
+    (Table.equal_contents expected (Database.table recovered "stock"));
+  match Wal.of_string (Wal.to_string wal) with
+  | Error e -> Alcotest.failf "of_string failed: %s" (Corruption.to_string e)
+  | Ok reread ->
+      Alcotest.(check (list wal_record)) "text roundtrip" (Wal.records wal) (Wal.records reread);
+      Alcotest.(check bool) "recovered through the text" true
+        (Table.equal_contents expected (Database.table (Database.recover reread) "stock"))
+
 let qcheck_tests =
   (* record/value generators are shared with the other storage suites *)
   let arb = Gen.wal_record in
@@ -112,23 +146,54 @@ let qcheck_tests =
         | Error _ -> false);
     (* [to_string] keeps an incremental encoding cache that appends must
        extend and truncation must invalidate. Interleave appends,
-       truncations and serialisations and require every [to_string] to
-       equal a cold encode of the same records (truncation point chosen by
-       the int paired with each record; serialise when it is even). *)
+       truncations and serialisations (truncation point chosen by the int
+       paired with each record; serialise when it is even) against a
+       reference list of the records in append order. After every step the
+       log's length, [records] and every [nth] match the list; every
+       [to_string] equals a cold encode of the same records and the
+       concatenation of [encode_suffix_into] chunks taken from successive
+       marks, the way group commit appends them to a file. A truncation
+       rewrites that file from the first record, as [Database.Sink] does. *)
     Test.make ~name:"incremental to_string = cold encode" ~count:200
       (list_of_size Gen.(int_range 0 40) (pair arb (int_bound 100)))
       (fun steps ->
         let w = Wal.create () in
+        let model = ref [] in
+        let file = Buffer.create 256 and mark = ref 0 in
         let ok = ref true in
+        let expect b = if not b then ok := false in
+        let flush () =
+          Wal.encode_suffix_into file w ~from:!mark;
+          mark := Wal.length w
+        in
+        let check_model () =
+          expect (Wal.length w = List.length !model);
+          expect (List.equal Wal.equal_record (Wal.records w) !model);
+          List.iteri (fun i r -> expect (Wal.equal_record (Wal.nth w i) r)) !model
+        in
         let check_serialised () =
           let cold = Wal.create () in
-          List.iter (fun r -> ignore (Wal.append cold r)) (Wal.records w);
-          if Wal.to_string w <> Wal.to_string cold then ok := false
+          List.iter (fun r -> ignore (Wal.append cold r)) !model;
+          let s = Wal.to_string w in
+          expect (s = Wal.to_string cold);
+          flush ();
+          expect (Buffer.contents file = s)
         in
         List.iter
           (fun (r, n) ->
-            if n < 15 && Wal.length w > 0 then Wal.truncate w (n mod Wal.length w)
-            else ignore (Wal.append w r);
+            if n < 15 && Wal.length w > 0 then begin
+              let keep = n mod Wal.length w in
+              Wal.truncate w keep;
+              model := List.filteri (fun i _ -> i < keep) !model;
+              Buffer.clear file;
+              mark := 0;
+              flush ()
+            end
+            else begin
+              ignore (Wal.append w r);
+              model := !model @ [ r ]
+            end;
+            check_model ();
             if n mod 2 = 0 then check_serialised ())
           steps;
         check_serialised ();
@@ -146,6 +211,7 @@ let suites =
         Alcotest.test_case "decode garbage" `Quick test_decode_garbage;
         Alcotest.test_case "truncate" `Quick test_truncate;
         Alcotest.test_case "committed txids" `Quick test_committed_txids;
+        Alcotest.test_case "compact then recover" `Quick test_compact_then_recover;
       ]
       @ List.map Gen.to_alcotest qcheck_tests );
   ]
