@@ -81,6 +81,83 @@ let test_crash_fails_inflight_exactly_once () =
     (match !after with Some r -> Update.is_applied r | None -> false);
   check_conserved cluster
 
+(* An operation that completes inside its own submission call is never
+   registered as in flight, and one its callback submits is registered
+   only while it waits. [submit site delta k] submits one operation on
+   product0 from site 1: an update, or a batch that also takes one unit of
+   product1. Even allocation leaves site 1 33 units of each item. *)
+let submit_one site delta k = Site.submit_update site ~item:"product0" ~delta k
+let submit_batch site delta k = Site.submit_batch site ~deltas:[ ("product0", delta); ("product1", -1) ] k
+
+let crash_after_local_commit submit () =
+  let cluster = Cluster.create (config ()) in
+  let site1 = Cluster.site cluster 1 in
+  let outcomes = ref [] in
+  submit site1 (-10) (fun r -> outcomes := r.Update.outcome :: !outcomes);
+  Alcotest.(check bool) "committed inside the call" true
+    (!outcomes = [ Update.Applied Update.Local ]);
+  Site.crash site1;
+  Cluster.run cluster;
+  Alcotest.(check bool) "callback fired exactly once" true
+    (!outcomes = [ Update.Applied Update.Local ]);
+  Site.recover site1;
+  check_conserved cluster
+
+let crash_fails_nested_submission submit () =
+  (* The first operation commits locally inside its call; its callback
+     submits a second that must borrow AV, and site 1 is cut off, so the
+     second is still waiting when the site crashes. *)
+  let cluster = Cluster.create (config ()) in
+  Cluster.partition cluster 1 0;
+  Cluster.partition cluster 1 2;
+  let site1 = Cluster.site cluster 1 in
+  let first = ref [] and second = ref [] in
+  submit site1 (-10) (fun r ->
+      first := r.Update.outcome :: !first;
+      submit site1 (-50) (fun r -> second := r.Update.outcome :: !second));
+  Alcotest.(check bool) "first committed inside its call" true
+    (!first = [ Update.Applied Update.Local ]);
+  Alcotest.(check int) "second waits on AV" 0 (List.length !second);
+  Site.crash site1;
+  Alcotest.(check bool) "crash fails the second" true
+    (!second = [ Update.Rejected Update.Unreachable ]);
+  Cluster.run cluster;
+  Alcotest.(check bool) "second failed exactly once" true
+    (!second = [ Update.Rejected Update.Unreachable ]);
+  Alcotest.(check bool) "first never fires again" true (!first = [ Update.Applied Update.Local ]);
+  Cluster.heal cluster 1 0;
+  Cluster.heal cluster 1 2;
+  Site.recover site1;
+  check_conserved cluster;
+  check_conserved ~item:"product1" cluster
+
+let test_crash_inside_a_submission () =
+  (* One epoch item on a lone site, sealed two intents at a time: the
+     second submission seals both inside its own call and wakes the first,
+     whose callback crashes and recovers the site. Recovery forgets the
+     second's waiter, so the second is failed as the crash would have
+     failed it, exactly once. *)
+  let cluster =
+    Cluster.create
+      {
+        (config ~n_sites:1 ()) with
+        Config.products = Product.mixed ~n_regular:0 ~n_non_regular:0 ~n_epoch:1 ~initial_amount:100;
+        epoch_batch = 2;
+      }
+  in
+  let site = Cluster.site cluster 0 in
+  let first = ref [] and second = ref [] in
+  Site.submit_update site ~item:"epoch0" ~delta:(-1) (fun r ->
+      first := r.Update.outcome :: !first;
+      Site.crash site;
+      Site.recover site);
+  Site.submit_update site ~item:"epoch0" ~delta:(-2) (fun r ->
+      second := r.Update.outcome :: !second);
+  Cluster.run cluster;
+  Alcotest.(check bool) "first sealed" true (!first = [ Update.Applied Update.Epoch ]);
+  Alcotest.(check bool) "second failed exactly once" true
+    (!second = [ Update.Rejected Update.Unreachable ])
+
 let test_recover_releases_held_av () =
   (* Crash wipes in-memory protocol state; recovery must return any AV
      held by abandoned operations to the available pool, or the volume
@@ -289,6 +366,15 @@ let suites =
       [
         Alcotest.test_case "crash fails in-flight exactly once" `Quick
           test_crash_fails_inflight_exactly_once;
+        Alcotest.test_case "crash after a local commit" `Quick
+          (crash_after_local_commit submit_one);
+        Alcotest.test_case "crash fails a nested submission once" `Quick
+          (crash_fails_nested_submission submit_one);
+        Alcotest.test_case "crash after a local batch" `Quick
+          (crash_after_local_commit submit_batch);
+        Alcotest.test_case "crash fails a nested batch once" `Quick
+          (crash_fails_nested_submission submit_batch);
+        Alcotest.test_case "crash inside a submission" `Quick test_crash_inside_a_submission;
         Alcotest.test_case "recover releases held AV" `Quick test_recover_releases_held_av;
         Alcotest.test_case "acquire_av gives up cleanly" `Quick
           test_acquire_av_gives_up_cleanly_under_total_loss;
