@@ -183,7 +183,7 @@ let rec ensure_pump t st =
   end
 
 and pump_step t st =
-  if (not (is_down t)) && (not (Hashtbl.mem t.quarantined st.ei_item)) && not st.ei_busy
+  if (not (is_down t)) && (not (is_quarantined t ~item:st.ei_item)) && not st.ei_busy
   then begin
     if Hashtbl.length st.ei_stash > 0 then begin
       drain_stash t st;
@@ -331,7 +331,7 @@ and request_pull t st =
 let maybe_close t st =
   if
     (not st.ei_busy) && (not (is_down t))
-    && (not (Hashtbl.mem t.quarantined st.ei_item))
+    && (not (is_quarantined t ~item:st.ei_item))
     && Hashtbl.length st.ei_buffer >= (config t).Config.epoch_batch
   then begin
     let epoch = st.ei_applied + 1 in
@@ -363,7 +363,7 @@ let flush_epochs t =
   if not (is_down t) then
     Hashtbl.iter
       (fun item st ->
-        if not (Hashtbl.mem t.quarantined item) then begin
+        if not (is_quarantined t ~item) then begin
           broadcast_commits t st;
           if Hashtbl.length st.ei_buffer > 0 || Hashtbl.length st.ei_stash > 0 then begin
             pump_step t st;
@@ -379,7 +379,7 @@ let epoch_unsealed t =
   List.length
     (List.filter
        (fun (ie : Txn_log.intent_entry) ->
-         not (Hashtbl.mem t.quarantined ie.Txn_log.in_item))
+         not (is_quarantined t ~item:ie.Txn_log.in_item))
        (Txn_log.unsealed_intents t.txn_log))
 
 (* --- epoch request handlers (server side) --- *)
@@ -393,7 +393,7 @@ let guard ?(quarantine_ok = false) t ~item ~reply =
   | None ->
       reply (Protocol.Bad_request "not an epoch item");
       None
-  | Some _ when (not quarantine_ok) && Hashtbl.mem t.quarantined item ->
+  | Some _ when (not quarantine_ok) && is_quarantined t ~item ->
       reply (Protocol.Bad_request "item quarantined");
       None
   | found -> found

@@ -334,7 +334,7 @@ let handle_prepare t ~span ~txid ~coordinator ~cohort ~item ~delta ~reply =
   (* A quarantined replica must not vote Ready: its row is untrusted and
      under repair. Refusing also freezes new commits on the item
      cluster-wide until the repair snapshot is complete. *)
-  if poisoned () || Hashtbl.mem t.quarantined item || not (item_known t ~item) then begin
+  if poisoned () || is_quarantined t ~item || not (item_known t ~item) then begin
     ignore (Two_phase.Participant.on_prepare t.participant ~txid ~can_apply:false);
     refuse ();
     reply (Protocol.Vote { txid; vote = Two_phase.Refuse })
@@ -684,7 +684,7 @@ let replay_protocol_log t =
         | Some _ -> ()
       end
       else if e.Txn_log.outcome = None then begin
-        if Hashtbl.mem t.quarantined e.Txn_log.item then resolve_orphan t e
+        if is_quarantined t ~item:e.Txn_log.item then resolve_orphan t e
         else reinstall_in_doubt t e
       end)
     (Txn_log.entries t.txn_log)
