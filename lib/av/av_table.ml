@@ -1,4 +1,6 @@
 type entry = {
+  item : string;
+  mutable defined : bool;  (* cleared by [undefine]: the entry refuses *)
   mutable available : int;
   mutable held : int;
   (* Process-lifetime conservation ledger (not serialised): volume defined
@@ -12,28 +14,52 @@ type entry = {
   mutable consumed_total : int;
 }
 
-type t = { entries : (string, entry) Hashtbl.t }
+type t = {
+  entries : (string, entry) Hashtbl.t;
+  mutable definitions : int;  (* defines plus undefines so far *)
+}
 
-let create () = { entries = Hashtbl.create 64 }
+let create () = { entries = Hashtbl.create 64; definitions = 0 }
+
+let fresh_entry item ~available ~held =
+  {
+    item;
+    defined = true;
+    available;
+    held;
+    defined_volume = available + held;
+    minted = 0;
+    consumed_total = 0;
+  }
 
 let define t ~item ~volume =
   if volume < 0 then invalid_arg "Av_table.define: negative volume";
   if Hashtbl.mem t.entries item then
     invalid_arg ("Av_table.define: AV already defined on " ^ item);
-  Hashtbl.add t.entries item
-    { available = volume; held = 0; defined_volume = volume; minted = 0; consumed_total = 0 }
+  Hashtbl.add t.entries item (fresh_entry item ~available:volume ~held:0);
+  t.definitions <- t.definitions + 1
 
-let undefine t ~item = Hashtbl.remove t.entries item
+let undefine t ~item =
+  match Hashtbl.find t.entries item with
+  | exception Not_found -> ()
+  | e ->
+      e.defined <- false;
+      Hashtbl.remove t.entries item;
+      t.definitions <- t.definitions + 1
+
 let is_defined t ~item = Hashtbl.mem t.entries item
+let definitions t = t.definitions
 
 (* Every AV operation sits on the Delay-Update hot path, so lookups are
    exception-style ([Hashtbl.find], no [Some] per hit) and each operation
    matches on the entry directly instead of going through a [with_entry]
    combinator whose callback would be a fresh closure per call. *)
 let entry_exn t item = Hashtbl.find t.entries item
+let entry t ~item = entry_exn t item
+let entry_available e = if e.defined then e.available else 0
 
 let available t ~item =
-  match entry_exn t item with e -> e.available | exception Not_found -> 0
+  match entry_exn t item with e -> entry_available e | exception Not_found -> 0
 
 let available_or t ~item absent =
   match entry_exn t item with e -> e.available | exception Not_found -> absent
@@ -50,19 +76,49 @@ let no_av item = Error (Printf.sprintf "no AV defined on %S" item)
 let check_amount amount =
   if amount < 0 then invalid_arg "Av_table: negative amount" else amount
 
-let hold t ~item amount =
+(* The entry forms hold each operation's body; the named forms look the
+   entry up and call them. An undefined item fails as a dead entry does,
+   and a negative amount raises first either way. *)
+let entry_hold e amount =
   let amount = check_amount amount in
+  if not e.defined then no_av e.item
+  else if e.available < amount then
+    Error
+      (Printf.sprintf "insufficient AV on %S: available %d < %d" e.item e.available amount)
+  else begin
+    e.available <- e.available - amount;
+    e.held <- e.held + amount;
+    Ok ()
+  end
+
+let entry_consume e amount =
+  let amount = check_amount amount in
+  if not e.defined then no_av e.item
+  else if e.held < amount then
+    Error (Printf.sprintf "consume exceeds hold on %S: held %d < %d" e.item e.held amount)
+  else begin
+    e.held <- e.held - amount;
+    e.consumed_total <- e.consumed_total + amount;
+    Ok ()
+  end
+
+let entry_mint e amount =
+  let amount = check_amount amount in
+  if not e.defined then no_av e.item
+  else begin
+    e.available <- e.available + amount;
+    e.minted <- e.minted + amount;
+    Ok ()
+  end
+
+let named op t ~item amount =
   match entry_exn t item with
-  | exception Not_found -> no_av item
-  | e ->
-      if e.available < amount then
-        Error
-          (Printf.sprintf "insufficient AV on %S: available %d < %d" item e.available amount)
-      else begin
-        e.available <- e.available - amount;
-        e.held <- e.held + amount;
-        Ok ()
-      end
+  | exception Not_found ->
+      ignore (check_amount amount);
+      no_av item
+  | e -> op e amount
+
+let hold t ~item amount = named entry_hold t ~item amount
 
 let hold_all t ~item =
   match entry_exn t item with
@@ -86,18 +142,7 @@ let release t ~item amount =
         Ok ()
       end
 
-let consume t ~item amount =
-  let amount = check_amount amount in
-  match entry_exn t item with
-  | exception Not_found -> no_av item
-  | e ->
-      if e.held < amount then
-        Error (Printf.sprintf "consume exceeds hold on %S: held %d < %d" item e.held amount)
-      else begin
-        e.held <- e.held - amount;
-        e.consumed_total <- e.consumed_total + amount;
-        Ok ()
-      end
+let consume t ~item amount = named entry_consume t ~item amount
 
 let deposit t ~item amount =
   let amount = check_amount amount in
@@ -107,14 +152,7 @@ let deposit t ~item amount =
       e.available <- e.available + amount;
       Ok ()
 
-let mint t ~item amount =
-  let amount = check_amount amount in
-  match entry_exn t item with
-  | exception Not_found -> no_av item
-  | e ->
-      e.available <- e.available + amount;
-      e.minted <- e.minted + amount;
-      Ok ()
+let mint t ~item amount = named entry_mint t ~item amount
 
 let release_all t =
   Hashtbl.iter
@@ -189,14 +227,8 @@ let decode s =
                 else begin
                   (* The ledger is not serialised: a decoded table starts a
                      fresh conservation baseline at its current volume. *)
-                  Hashtbl.add t.entries item
-                    {
-                      available;
-                      held;
-                      defined_volume = available + held;
-                      minted = 0;
-                      consumed_total = 0;
-                    };
+                  Hashtbl.add t.entries item (fresh_entry item ~available ~held);
+                  t.definitions <- t.definitions + 1;
                   loop rest
                 end
             | _ -> Error ("Av_table.decode: bad line " ^ line))

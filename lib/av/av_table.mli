@@ -28,6 +28,30 @@ val undefine : t -> item:string -> unit
 val is_defined : t -> item:string -> bool
 (** The checking function's test: defined ⇒ Delay Update. *)
 
+val definitions : t -> int
+(** How many times an entry was defined or undefined (by {!define},
+    {!undefine} or {!decode}). A caller that keeps an {!entry}, or keeps
+    the fact that an item has none, resolves it again when this moves. *)
+
+(** {2 Entries}
+
+    An entry is one item's AV, found once: the entry forms below are the
+    bodies of the named operations of the same name, which look the entry
+    up and call them, so both move the same volumes and fail with the same
+    errors. {!undefine} kills the entry: every entry form then fails as the
+    named form fails on an undefined item, and a later {!define} of the
+    item makes a new entry, which {!definitions} announces. *)
+
+type entry
+
+val entry : t -> item:string -> entry
+(** Raises [Not_found] when the item has no AV. *)
+
+val entry_available : entry -> int
+val entry_hold : entry -> int -> (unit, string) result
+val entry_consume : entry -> int -> (unit, string) result
+val entry_mint : entry -> int -> (unit, string) result
+
 val available : t -> item:string -> int
 (** Volume free to hold or grant away. 0 for undefined items. *)
 

@@ -69,19 +69,25 @@ let create () =
 
 (* --- sender --- *)
 
-let queue t ~item ~delta =
+let queue_counter t c ~delta =
   t.seq <- t.seq + 1;
-  (* Exception-style lookup: this runs once per applied update and the
-     steady state is always a hit, so skip [find_opt]'s [Some]. *)
+  if c.version <= t.settled then t.dirty <- c :: t.dirty;
+  c.version <- t.seq;
+  c.cum <- c.cum + delta
+
+(* A new counter starts at version 0, which no settle has passed, so
+   [queue_counter] puts it on the dirty list like any other. *)
+let queue t ~item ~delta =
+  (* Exception-style lookup: the steady state is always a hit, so skip
+     [find_opt]'s [Some]. *)
   match Hashtbl.find t.counters item with
-  | c ->
-      if c.version <= t.settled then t.dirty <- c :: t.dirty;
-      c.version <- t.seq;
-      c.cum <- c.cum + delta
+  | c -> queue_counter t c ~delta
   | exception Not_found ->
-      let rec c = { item; version = t.seq; cum = delta; older = c; newer = c } in
+      let rec c = { item; version = 0; cum = 0; older = c; newer = c } in
       Hashtbl.add t.counters item c;
-      t.dirty <- c :: t.dirty
+      queue_counter t c ~delta
+
+let counter t ~item = Hashtbl.find t.counters item
 
 let seq t = t.seq
 let count t = Hashtbl.length t.counters

@@ -36,8 +36,23 @@ type counters = (string * int * int) list
 
 val queue : t -> item:string -> delta:int -> unit
 (** Record one committed local delta: bumps the sequence number and
-    restamps the item's counter. O(1); allocates only when the counter
-    is new or is the item's first change since the last payload build. *)
+    restamps the item's counter, which the item's first [queue] creates.
+    O(1); allocates only when the counter is new or is the item's first
+    change since the last payload build. *)
+
+type counter
+(** One item's counter, found once. Counters are never removed and
+    survive crashes, so a counter, once found, is the item's for the
+    life of the [t]. *)
+
+val counter : t -> item:string -> counter
+(** Raises [Not_found] before the item's first {!queue}: only a queue
+    creates a counter, so {!count}, {!audience} and {!own_state} never see
+    one that no delta stamped. *)
+
+val queue_counter : t -> counter -> delta:int -> unit
+(** {!queue} on a counter already found: the same stamps, without the
+    name lookup. [queue] is a lookup followed by this. *)
 
 val seq : t -> int
 (** The latest sequence number (0 before the first {!queue}). *)

@@ -4,6 +4,7 @@ type undo =
   | Undo_delete of { table : string; key : string; row : Value.t array }
 
 type t = {
+  number : int;  (* unique per database, so a handle can tell its own *)
   name : string;
   wal : Wal.t;
   tables : (string, Table.t) Hashtbl.t;
@@ -13,8 +14,23 @@ type t = {
 
 type txn = { db : t; id : int; mutable undos : undo list; mutable finished : bool }
 
+(* A handle names its database by number rather than holding it, so a
+   handle kept past [recover] keeps neither the replaced database nor its
+   log reachable. *)
+type handle = { db_number : int; cell : Table.handle }
+
+(* Atomic: sites on different domains create databases concurrently. *)
+let numbers = Atomic.make 0
+
 let create ?(name = "db") () =
-  { name; wal = Wal.create (); tables = Hashtbl.create 8; next_txid = 0; active = 0 }
+  {
+    number = Atomic.fetch_and_add numbers 1;
+    name;
+    wal = Wal.create ();
+    tables = Hashtbl.create 8;
+    next_txid = 0;
+    active = 0;
+  }
 
 let name t = t.name
 let wal t = t.wal
@@ -83,16 +99,39 @@ let set_col txn ~table ~key ~col value =
   txn.undos <- Undo_update { table; key; col; before } :: txn.undos;
   Ok ()
 
-(* One row lookup (Table.add_int_swap) instead of a get_col/set_col pair.
-   As in [apply_int], the record lands after the in-place add; nothing can
-   observe the gap, and a failed add changes nothing and logs nothing. *)
+let int_of = function Value.Int n -> n | v -> int_of_float (Value.as_float v)
+
+let handle t ~table ~key ~col =
+  { db_number = t.number; cell = Table.handle (Hashtbl.find t.tables table) ~key ~col }
+
+let handle_live t h = h.db_number = t.number && Table.handle_live h.cell
+
+let check_handle t h =
+  if not (handle_live t h) then invalid_arg "Database: handle not live on this database"
+
+let table_of h = Table.name (Table.handle_table h.cell)
+
+(* The logging half of [add_int], after its in-place add. As in
+   [apply_int], the record lands after the add; nothing can observe the
+   gap, and a failed add changes nothing and logs nothing. *)
+let log_update txn ~table ~key ~col ~before ~after =
+  ignore (Wal.append txn.db.wal (Wal.Update { txid = txn.id; table; key; col; before; after }));
+  txn.undos <- Undo_update { table; key; col; before } :: txn.undos;
+  int_of after
+
+(* One row lookup (Table.add_int_swap) instead of a get_col/set_col pair. *)
 let add_int txn ~table ~key ~col delta =
   check_live txn;
   let* tbl = find_table txn table in
   let* before, after = Table.add_int_swap tbl ~key ~col delta in
-  ignore (Wal.append txn.db.wal (Wal.Update { txid = txn.id; table; key; col; before; after }));
-  txn.undos <- Undo_update { table; key; col; before } :: txn.undos;
-  Ok (match after with Value.Int n -> n | v -> int_of_float (Value.as_float v))
+  Ok (log_update txn ~table ~key ~col ~before ~after)
+
+let add_int_handle txn h delta =
+  check_live txn;
+  check_handle txn.db h;
+  let before = Table.handle_add h.cell delta in
+  log_update txn ~table:(table_of h) ~key:(Table.handle_key h.cell)
+    ~col:(Table.handle_col h.cell) ~before ~after:(Table.handle_get h.cell)
 
 let delete txn ~table ~key =
   check_live txn;
@@ -113,17 +152,25 @@ let delete txn ~table ~key =
    after the in-place add rather than before; within this function nothing
    can observe the gap (simulated crashes truncate the log between
    operations, never inside one). *)
+let log_apply t ~table ~key ~col ~before ~after =
+  let txid = t.next_txid in
+  t.next_txid <- txid + 1;
+  ignore (Wal.append t.wal (Wal.Apply { txid; table; key; col; before; after }));
+  int_of after
+
 let apply_int t ~table ~key ~col delta =
   match Hashtbl.find t.tables table with
   | exception Not_found -> Error (Printf.sprintf "no such table %S" table)
   | tbl -> (
       match Table.add_int_swap tbl ~key ~col delta with
       | Error e -> Error e
-      | Ok (before, after) ->
-          let txid = t.next_txid in
-          t.next_txid <- txid + 1;
-          ignore (Wal.append t.wal (Wal.Apply { txid; table; key; col; before; after }));
-          Ok (match after with Value.Int n -> n | v -> int_of_float (Value.as_float v)))
+      | Ok (before, after) -> Ok (log_apply t ~table ~key ~col ~before ~after))
+
+let apply_int_handle t h delta =
+  check_handle t h;
+  let before = Table.handle_add h.cell delta in
+  log_apply t ~table:(table_of h) ~key:(Table.handle_key h.cell) ~col:(Table.handle_col h.cell)
+    ~before ~after:(Table.handle_get h.cell)
 
 let get t ~table ~key =
   match table_opt t table with None -> None | Some tbl -> Table.get tbl ~key

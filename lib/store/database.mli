@@ -41,7 +41,35 @@ val add_int : txn -> table:string -> key:string -> col:string -> int -> (int, st
 val apply_int : t -> table:string -> key:string -> col:string -> int -> (int, string) result
 (** Autocommit [add_int]: a complete single-operation transaction (one
     {!Wal.Apply} record in the WAL) from one row lookup, with none of the
-    per-[txn] bookkeeping. The write path of Delay Update. *)
+    per-[txn] bookkeeping. *)
+
+(** {2 Column handles}
+
+    A {!Table.handle} tagged with the number of the database it was taken
+    from. The handle forms below write exactly what their named forms
+    write, WAL records included, and share their bodies; they skip the
+    table, row and column lookups. A handle is live on a database while it
+    was taken from that database and its table has removed no row since
+    (see {!Table.handle}). Every database has its own number, one that
+    {!recover} builds included, so a handle taken before a recovery is
+    not live on the recovered database. It holds neither the database nor
+    its log. *)
+
+type handle
+
+val handle : t -> table:string -> key:string -> col:string -> handle
+(** Raises [Not_found] on a missing table, key or column. *)
+
+val handle_live : t -> handle -> bool
+
+val apply_int_handle : t -> handle -> int -> int
+(** {!apply_int} through a handle: the write path of Delay Update. Returns
+    the new value. Raises [Invalid_argument] on a handle that is not live
+    on the database, or a non-numeric column. *)
+
+val add_int_handle : txn -> handle -> int -> int
+(** {!add_int} through a handle, with the same undo on {!abort}. Raises as
+    {!apply_int_handle} does. *)
 
 val delete : txn -> table:string -> key:string -> (unit, string) result
 

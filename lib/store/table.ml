@@ -12,10 +12,24 @@ type t = {
   schema : Schema.t;
   rows : Value.t array Btree.t;
   indexes : (string, index) Hashtbl.t;
+  mutable removed : int;
+      (* rows removed so far: a handle taken at a lower count may hold a
+         row array the table no longer stores *)
+}
+
+(* A handle holds the stored row array itself, so it sees every in-place
+   write by name and writes where the name would. *)
+type handle = {
+  h_table : t;
+  h_key : string;
+  h_col : string;
+  h_row : Value.t array;
+  h_pos : int;
+  h_removed : int;  (* [removed] when the handle was taken *)
 }
 
 let create ~name schema =
-  { name; schema; rows = Btree.create (); indexes = Hashtbl.create 4 }
+  { name; schema; rows = Btree.create (); indexes = Hashtbl.create 4; removed = 0 }
 
 let index_add idx value key =
   let existing = Option.value ~default:String_set.empty (Value_map.find_opt value idx.entries) in
@@ -92,6 +106,15 @@ let set_col t ~key ~col value =
             Ok old
           end)
 
+(* The one body of an in-place add, by name or by handle: the value the
+   add replaced. Raises [Invalid_argument] on a non-numeric column. *)
+let add_in t ~key row pos delta =
+  let before = row.(pos) in
+  let after = Value.add_int before delta in
+  row.(pos) <- after;
+  indexes_on_update t key ~pos ~before ~after;
+  before
+
 let add_int_swap t ~key ~col delta =
   match Btree.find_exn t.rows ~key with
   | exception Not_found -> Error (Printf.sprintf "no such key %S" key)
@@ -99,13 +122,9 @@ let add_int_swap t ~key ~col delta =
       match Schema.index t.schema col with
       | exception Not_found -> Error (Printf.sprintf "no such column %S" col)
       | i -> (
-          match Value.add_int row.(i) delta with
+          match add_in t ~key row i delta with
           | exception Invalid_argument e -> Error e
-          | v ->
-              let before = row.(i) in
-              row.(i) <- v;
-              indexes_on_update t key ~pos:i ~before ~after:v;
-              Ok (before, v)))
+          | before -> Ok (before, row.(i))))
 
 let add_int t ~key ~col delta =
   match add_int_swap t ~key ~col delta with
@@ -116,8 +135,36 @@ let delete t ~key =
   match Btree.remove t.rows ~key with
   | None -> None
   | Some row ->
+      t.removed <- t.removed + 1;
       indexes_on_delete t key row;
       Some row
+
+let handle t ~key ~col =
+  let h_row = Btree.find_exn t.rows ~key in
+  {
+    h_table = t;
+    h_key = key;
+    h_col = col;
+    h_row;
+    h_pos = Schema.index t.schema col;
+    h_removed = t.removed;
+  }
+
+let handle_live h = h.h_removed = h.h_table.removed
+let handle_table h = h.h_table
+let handle_key h = h.h_key
+let handle_col h = h.h_col
+
+let check_live what h =
+  if not (handle_live h) then invalid_arg ("Table." ^ what ^ ": stale handle")
+
+let handle_get h =
+  check_live "handle_get" h;
+  h.h_row.(h.h_pos)
+
+let handle_add h delta =
+  check_live "handle_add" h;
+  add_in h.h_table ~key:h.h_key h.h_row h.h_pos delta
 
 let mem t ~key = Btree.mem t.rows ~key
 let size t = Btree.size t.rows
@@ -169,7 +216,9 @@ let lookup_range t ~col ?lo ?hi () =
 let copy t =
   let rows = Btree.create () in
   Btree.iter t.rows (fun k row -> Btree.insert rows ~key:k (Array.copy row));
-  let fresh = { name = t.name; schema = t.schema; rows; indexes = Hashtbl.create 4 } in
+  let fresh =
+    { name = t.name; schema = t.schema; rows; indexes = Hashtbl.create 4; removed = 0 }
+  in
   List.iter
     (fun col ->
       match create_index fresh ~col with

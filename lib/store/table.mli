@@ -24,10 +24,47 @@ val add_int : t -> key:string -> col:string -> int -> (int, string) result
 
 val add_int_swap : t -> key:string -> col:string -> int -> (Value.t * Value.t, string) result
 (** Like {!add_int} but returns [(before, after)] from a single row
-    lookup — the write path's fast primitive (the WAL needs both sides). *)
+    lookup — the write path's fast primitive (the WAL needs both sides).
+    A lookup followed by {!handle_add}'s body. *)
 
 val delete : t -> key:string -> Value.t array option
 (** Returns the removed row, or [None] if the key was absent. *)
+
+(** {2 Column handles}
+
+    A handle is one column of one stored row, resolved once: reading or
+    adding through it walks no B-tree and looks up no column name. It
+    holds the stored row itself, so it sees every write made by name
+    ({!set_col}, {!add_int}, an aborted transaction's undo) and its own
+    writes are seen by name, indexes included.
+
+    A handle stays live until the table removes a row, any row: a removed
+    row's array is no longer stored, and a key inserted again gets a new
+    one. The table counts its removals and a handle compares that count
+    with the one it was taken at, so [Database.abort] of an insert also
+    ends every handle on the table. Take a fresh handle then. *)
+
+type handle
+
+val handle : t -> key:string -> col:string -> handle
+(** Raises [Not_found] on a missing key or an unknown column. *)
+
+val handle_live : handle -> bool
+(** No row has been removed from the handle's table since it was taken. *)
+
+val handle_table : handle -> t
+val handle_key : handle -> string
+val handle_col : handle -> string
+
+val handle_get : handle -> Value.t
+(** The column's current value. Raises [Invalid_argument] on a handle that
+    is not live. *)
+
+val handle_add : handle -> int -> Value.t
+(** {!add_int_swap} through the handle: adds in place and returns the value
+    it replaced (read the new one with {!handle_get}). The named form
+    shares its body. Raises [Invalid_argument] on a handle that is not live
+    or a non-numeric column. *)
 
 val mem : t -> key:string -> bool
 val size : t -> int

@@ -31,6 +31,27 @@ let test_undefine () =
   Alcotest.(check bool) "gone" false (Av_table.is_defined t ~item:"productA");
   expect_error "deposit after undefine" (Av_table.deposit t ~item:"productA" 1)
 
+let test_entry_after_undefine () =
+  let t = make () in
+  let e = Av_table.entry t ~item:"productA" in
+  let defined = Av_table.definitions t in
+  Av_table.undefine t ~item:"productA";
+  Alcotest.(check bool) "undefine counted" true (Av_table.definitions t <> defined);
+  expect_error "hold on a dead entry" (Av_table.entry_hold e 1);
+  expect_error "consume on a dead entry" (Av_table.entry_consume e 0);
+  expect_error "mint on a dead entry" (Av_table.entry_mint e 1);
+  Alcotest.(check int) "nothing available" 0 (Av_table.entry_available e);
+  (match Av_table.entry t ~item:"productA" with
+  | exception Not_found -> ()
+  | _ -> Alcotest.fail "an entry for an undefined item");
+  let undefined = Av_table.definitions t in
+  Av_table.define t ~item:"productA" ~volume:3;
+  Alcotest.(check bool) "a later define is seen" true (Av_table.definitions t <> undefined);
+  let e' = Av_table.entry t ~item:"productA" in
+  Alcotest.(check int) "the new entry" 3 (Av_table.entry_available e');
+  expect_error "the old entry stays dead" (Av_table.entry_mint e 1);
+  Alcotest.(check int) "and moves nothing" 3 (Av_table.available t ~item:"productA")
+
 let test_hold_consume () =
   let t = make () in
   ok "hold" (Av_table.hold t ~item:"productA" 30);
@@ -163,6 +184,43 @@ let qcheck_tests =
         ])
   in
   [
+    (* The entry forms are the named forms' bodies: the same results,
+       failures included, and the same volumes and ledger. *)
+    Test.make ~name:"entry ops move what named ops move" ~count:300
+      (make
+         ~print:(fun l -> string_of_int (List.length l))
+         Gen.(
+           list_size (int_range 0 60)
+             (oneof
+                [
+                  map (fun n -> `Hold n) (int_bound 40);
+                  map (fun n -> `Consume n) (int_bound 40);
+                  map (fun n -> `Mint n) (int_bound 40);
+                ])))
+      (fun ops ->
+        let named = Av_table.create () and by_entry = Av_table.create () in
+        List.iter (fun t -> Av_table.define t ~item:"x" ~volume:50) [ named; by_entry ];
+        let e = Av_table.entry by_entry ~item:"x" in
+        let same_results =
+          List.for_all
+            (fun op ->
+              let by_name, through_entry =
+                match op with
+                | `Hold n -> (Av_table.hold named ~item:"x" n, Av_table.entry_hold e n)
+                | `Consume n -> (Av_table.consume named ~item:"x" n, Av_table.entry_consume e n)
+                | `Mint n -> (Av_table.mint named ~item:"x" n, Av_table.entry_mint e n)
+              in
+              by_name = through_entry)
+            ops
+        in
+        let volumes t =
+          List.map
+            (fun f -> f t ~item:"x")
+            [ Av_table.available; Av_table.held; Av_table.minted; Av_table.consumed ]
+        in
+        same_results
+        && volumes named = volumes by_entry
+        && Av_table.entry_available e = Av_table.available named ~item:"x");
     Test.make ~name:"AV conservation under random ops" ~count:500
       (make
          ~print:(fun l -> string_of_int (List.length l))
@@ -201,6 +259,7 @@ let suites =
       [
         Alcotest.test_case "define" `Quick test_define;
         Alcotest.test_case "undefine" `Quick test_undefine;
+        Alcotest.test_case "entry after undefine" `Quick test_entry_after_undefine;
         Alcotest.test_case "hold/consume" `Quick test_hold_consume;
         Alcotest.test_case "hold insufficient" `Quick test_hold_insufficient;
         Alcotest.test_case "hold/release" `Quick test_hold_release;

@@ -379,6 +379,69 @@ let test_sink_rewrite_after_compact () =
 
 let fresh = make
 
+(* --- column handles --- *)
+
+let with_keys keys =
+  let db = make () in
+  let txn = Database.begin_txn db in
+  List.iter (fun key -> ignore (Database.insert txn ~table:"stock" ~key (row 100 true))) keys;
+  Database.commit txn;
+  db
+
+let test_handle_not_live_after_recover () =
+  let db = with_keys [ "p" ] in
+  let h = Database.handle db ~table:"stock" ~key:"p" ~col:"amount" in
+  Alcotest.(check int) "apply through the handle" 90 (Database.apply_int_handle db h (-10));
+  let recovered = Database.recover (Database.wal db) in
+  Alcotest.(check bool) "live on its own database" true (Database.handle_live db h);
+  Alcotest.(check bool) "not live on the recovered one" false (Database.handle_live recovered h);
+  (match Database.apply_int_handle recovered h 1 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a write through another database's handle");
+  Alcotest.(check int) "the recovered row untouched" 90 (amount recovered "p");
+  let h' = Database.handle recovered ~table:"stock" ~key:"p" ~col:"amount" in
+  Alcotest.(check int) "a fresh handle writes the recovered row" 91
+    (Database.apply_int_handle recovered h' 1);
+  match Database.handle db ~table:"stock" ~key:"absent" ~col:"amount" with
+  | exception Not_found -> ()
+  | _ -> Alcotest.fail "a handle on a missing key"
+
+(* One random operation on key [k]: an autocommit apply, or a transaction
+   adding [delta] that commits or aborts; by name or through a handle. *)
+type op = { k : int; delta : int; kind : [ `Apply | `Commit | `Abort ]; by_handle : bool }
+
+let op_gen =
+  QCheck.Gen.(
+    map
+      (fun (k, delta, kind, by_handle) ->
+        { k; delta; kind = [| `Apply; `Commit; `Abort |].(kind); by_handle })
+      (quad (int_range 0 2) (int_range (-50) 50) (int_range 0 2) bool))
+
+let print_op o =
+  Printf.sprintf "k%d %+d %s %s" o.k o.delta
+    (match o.kind with `Apply -> "apply" | `Commit -> "commit" | `Abort -> "abort")
+    (if o.by_handle then "handle" else "name")
+
+let run_ops db ops ~handles_allowed =
+  let keys = [| "k0"; "k1"; "k2" |] in
+  let handles =
+    Array.map (fun key -> Database.handle db ~table:"stock" ~key ~col:"amount") keys
+  in
+  List.iter
+    (fun o ->
+      let key = keys.(o.k) and h = handles.(o.k) in
+      let by_handle = handles_allowed && o.by_handle in
+      match o.kind with
+      | `Apply ->
+          if by_handle then ignore (Database.apply_int_handle db h o.delta)
+          else ignore (Database.apply_int db ~table:"stock" ~key ~col:"amount" o.delta)
+      | (`Commit | `Abort) as ending ->
+          let txn = Database.begin_txn db in
+          (if by_handle then ignore (Database.add_int_handle txn h o.delta)
+           else ignore (Database.add_int txn ~table:"stock" ~key ~col:"amount" o.delta));
+          if ending = `Commit then Database.commit txn else Database.abort txn)
+    ops
+
 let qcheck_tests =
   (* Random committed/aborted transaction mix: recovery must equal the live
      state exactly. The script shape (key, delta, commit?) is shared. *)
@@ -399,6 +462,29 @@ let qcheck_tests =
           txns;
         let recovered = Database.recover (Database.wal db) in
         Table.equal_contents (Database.table db "stock") (Database.table recovered "stock"));
+    (* Handles write what names write: the rows a reference map predicts,
+       the WAL an all-by-name run writes, record for record, and a log
+       that recovers those rows. *)
+    Test.make ~name:"handles write what names write" ~count:200
+      (list_of_size Gen.(int_range 1 40) (make ~print:print_op op_gen))
+      (fun ops ->
+        let keys = [ "k0"; "k1"; "k2" ] in
+        let db = with_keys keys and by_name = with_keys keys in
+        run_ops db ops ~handles_allowed:true;
+        run_ops by_name ops ~handles_allowed:false;
+        let expected = Array.make 3 100 in
+        List.iter
+          (fun o -> if o.kind <> `Abort then expected.(o.k) <- expected.(o.k) + o.delta)
+          ops;
+        let rows_are db =
+          List.for_all (fun i -> amount db ("k" ^ string_of_int i) = expected.(i)) [ 0; 1; 2 ]
+        in
+        let wal = Wal.records (Database.wal db) in
+        let wal_by_name = Wal.records (Database.wal by_name) in
+        rows_are db
+        && List.length wal = List.length wal_by_name
+        && List.for_all2 Wal.equal_record wal wal_by_name
+        && rows_are (Database.recover (Database.wal db)));
   ]
 
 let suites =
@@ -426,6 +512,8 @@ let suites =
         Alcotest.test_case "sink group commit" `Quick test_sink_group_commit;
         Alcotest.test_case "sink torn tail" `Quick test_sink_torn_tail;
         Alcotest.test_case "sink rewrite after compact" `Quick test_sink_rewrite_after_compact;
+        Alcotest.test_case "handle not live after recover" `Quick
+          test_handle_not_live_after_recover;
       ]
       @ List.map Gen.to_alcotest qcheck_tests );
   ]

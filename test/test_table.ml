@@ -180,6 +180,77 @@ let qcheck_tests =
         | _ -> false);
   ]
 
+(* --- column handles --- *)
+
+let amount_via h = Value.as_int (Table.handle_get h)
+
+let test_handle_sees_named_writes () =
+  let t = make () in
+  ignore (Table.insert t ~key:"p" (row "p" 10 true));
+  let h = Table.handle t ~key:"p" ~col:"amount" in
+  (match Table.set_col t ~key:"p" ~col:"amount" (Value.Int 20) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check int) "set_col seen through the handle" 20 (amount_via h);
+  Alcotest.(check int) "the handle's add returns the value it replaced" 20
+    (Value.as_int (Table.handle_add h 5));
+  (match Table.get_col t ~key:"p" ~col:"amount" with
+  | Ok v -> Alcotest.(check int) "the handle's add seen by name" 25 (Value.as_int v)
+  | Error e -> Alcotest.fail e);
+  (* An aborted update's undo writes by name, and the handle sees it. *)
+  let db = Database.create () in
+  let tbl = Database.create_table db ~name:"stock" (stock_schema ()) in
+  ignore (Table.insert tbl ~key:"q" (row "q" 7 true));
+  let hq = Table.handle tbl ~key:"q" ~col:"amount" in
+  let txn = Database.begin_txn db in
+  ignore (Database.add_int txn ~table:"stock" ~key:"q" ~col:"amount" 100);
+  Alcotest.(check int) "tentative add seen" 107 (amount_via hq);
+  Database.abort txn;
+  Alcotest.(check int) "undo seen" 7 (amount_via hq);
+  Alcotest.(check bool) "an update's undo removes nothing" true (Table.handle_live hq)
+
+let test_handle_keeps_indexes () =
+  let t = make () in
+  ignore (Table.insert t ~key:"p" (row "p" 10 true));
+  (match Table.create_index t ~col:"amount" with Ok () -> () | Error e -> Alcotest.fail e);
+  ignore (Table.handle_add (Table.handle t ~key:"p" ~col:"amount") 5);
+  Alcotest.(check (option (list string))) "new value indexed" (Some [ "p" ])
+    (Table.lookup_eq t ~col:"amount" (Value.Int 15));
+  Alcotest.(check (option (list string))) "old value unindexed" (Some [])
+    (Table.lookup_eq t ~col:"amount" (Value.Int 10))
+
+let stale name f =
+  match f () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.failf "%s through a stale handle" name
+
+let test_handle_ends_with_any_removal () =
+  let t = make () in
+  ignore (Table.insert t ~key:"p" (row "p" 10 true));
+  ignore (Table.insert t ~key:"q" (row "q" 20 true));
+  let h = Table.handle t ~key:"p" ~col:"amount" in
+  ignore (Table.delete t ~key:"absent");
+  Alcotest.(check bool) "a miss removes nothing" true (Table.handle_live h);
+  ignore (Table.delete t ~key:"q");
+  Alcotest.(check bool) "another row's removal ends it" false (Table.handle_live h);
+  stale "a read" (fun () -> Table.handle_get h);
+  stale "an add" (fun () -> Table.handle_add h 1);
+  Alcotest.(check int) "a fresh handle works" 10
+    (amount_via (Table.handle t ~key:"p" ~col:"amount"));
+  (* Database.abort of an insert removes the inserted row. *)
+  let db = Database.create () in
+  let tbl = Database.create_table db ~name:"stock" (stock_schema ()) in
+  ignore (Table.insert tbl ~key:"p" (row "p" 1 true));
+  let h = Table.handle tbl ~key:"p" ~col:"amount" in
+  let txn = Database.begin_txn db in
+  ignore (Database.insert txn ~table:"stock" ~key:"new" (row "new" 1 true));
+  Alcotest.(check bool) "an insert ends nothing" true (Table.handle_live h);
+  Database.abort txn;
+  Alcotest.(check bool) "the aborted insert ends it" false (Table.handle_live h);
+  match Table.handle t ~key:"absent" ~col:"amount" with
+  | exception Not_found -> ()
+  | _ -> Alcotest.fail "a handle on a missing key"
+
 let suites =
   [
     ( "store.schema",
@@ -200,6 +271,10 @@ let suites =
         Alcotest.test_case "iteration" `Quick test_iteration;
         Alcotest.test_case "copy independent" `Quick test_copy_independent;
         Alcotest.test_case "equal_contents" `Quick test_equal_contents;
+        Alcotest.test_case "handle sees named writes" `Quick test_handle_sees_named_writes;
+        Alcotest.test_case "handle keeps indexes" `Quick test_handle_keeps_indexes;
+        Alcotest.test_case "handle ends with any removal" `Quick
+          test_handle_ends_with_any_removal;
       ]
       @ List.map Gen.to_alcotest qcheck_tests );
   ]
