@@ -35,10 +35,11 @@ let epoch_applied = Site_epoch.epoch_applied
 let epoch_unsealed = Site_epoch.epoch_unsealed
 
 (* Heap words reachable from the site's replica + protocol state: stock
-   rows, AV ledger, peer view, sync sender/receiver tables and the peer
-   cache. Deliberately excludes the WAL and audit history (they grow with
-   applied-update count, not with the catalogue) — this is the quantity
-   partial replication bounds by the interest set. *)
+   rows, AV ledger, peer view, sync sender/receiver tables, the peer
+   cache and the per-item records. Deliberately excludes the WAL and
+   audit history (they grow with applied-update count, not with the
+   catalogue) — this is the quantity partial replication bounds by the
+   interest set. *)
 let live_words t =
   Obj.reachable_words
     (Obj.repr
@@ -46,7 +47,8 @@ let live_words t =
          t.av,
          t.view,
          t.sync,
-         t.peer_cache ))
+         t.peer_cache,
+         t.items ))
 
 let pending_sync_deltas t = Delay_sync.unflushed t.sync
 
@@ -142,25 +144,30 @@ let client_op t callback body a b =
     else finish (Update.Rejected Update.Unreachable);
   t.sync_op <- outer
 
+(* The item is found once, as its record: a local Delay update makes no
+   other name lookup. *)
 let update_body t item delta finish =
   if is_down t then finish (Update.Rejected Update.Unreachable)
-  else if not (item_known t ~item) then
-    finish (Update.Rejected (Update.Unknown_item item))
-  else if is_quarantined t ~item then
-    (* under repair after storage damage: refuse rather than write
-       through an untrusted replica — corruption may cost availability,
-       never consistency *)
-    finish (Update.Rejected Update.Unreachable)
   else
-    match (config t).Config.mode with
-    | Config.Centralized -> centralized_update t ~item ~delta ~finish
-    | Config.Autonomous ->
-        (* The checking function: epoch class by catalogue, else AV
-           defined => Delay Update, otherwise Immediate Update. *)
-        if is_epoch_item t ~item then Site_epoch.epoch_update t ~item ~delta ~finish
-        else if Av_table.is_defined t.av ~item then
-          Site_delay.delay_update t ~item ~delta ~finish
-        else Site_immediate.immediate_update t ~item ~delta ~finish
+    match stored t ~item with
+    | exception Not_found -> finish (Update.Rejected (Update.Unknown_item item))
+    | s -> (
+        if is_quarantined t ~item then
+          (* under repair after storage damage: refuse rather than write
+             through an untrusted replica — corruption may cost
+             availability, never consistency *)
+          finish (Update.Rejected Update.Unreachable)
+        else
+          match (config t).Config.mode with
+          | Config.Centralized -> centralized_update t ~item ~delta ~finish
+          | Config.Autonomous -> (
+              (* The checking function: epoch class by catalogue, else AV
+                 defined => Delay Update, otherwise Immediate Update. *)
+              if is_epoch_item t ~item then Site_epoch.epoch_update t ~item ~delta ~finish
+              else
+                match av_entry t s with
+                | Some av -> Site_delay.delay_update t s av ~delta ~finish
+                | None -> Site_immediate.immediate_update t ~item ~delta ~finish))
 
 let batch_body t deltas () finish =
   if is_down t || (config t).Config.mode = Config.Centralized then
@@ -169,10 +176,12 @@ let batch_body t deltas () finish =
     let bad =
       List.find_map
         (fun (item, _) ->
-          if not (item_known t ~item) then Some (Update.Unknown_item item)
-          else if is_quarantined t ~item then Some Update.Unreachable
-          else if not (Av_table.is_defined t.av ~item) then Some (Update.Not_regular item)
-          else None)
+          match stored t ~item with
+          | exception Not_found -> Some (Update.Unknown_item item)
+          | s ->
+              if is_quarantined t ~item then Some Update.Unreachable
+              else if Option.is_none (av_entry t s) then Some (Update.Not_regular item)
+              else None)
         deltas
     in
     match bad with
@@ -320,6 +329,7 @@ let create shared ~addr ~av_init =
       last_sync_apply = None;
       prefetch_in_flight = Hashtbl.create 16;
       peer_cache = Hashtbl.create 16;
+      items = Hashtbl.create 8;
       history_seq = 0;
       sync_flush_scheduled = false;
       next_txn_seq = 0;

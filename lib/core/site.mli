@@ -59,7 +59,8 @@ val interested_in : t -> item:string -> bool
 
 val live_words : t -> int
 (** Heap words reachable from the site's replica and protocol state
-    (stock rows, AV ledger, peer view, sync counters); excludes the WAL
+    (stock rows, AV ledger, peer view, sync counters, the per-item
+    records of the items it has used); excludes the WAL
     and audit history, which grow with update count rather than catalogue
     size. Under partial replication this is bounded by the interest set,
     not the global item count. *)

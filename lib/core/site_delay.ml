@@ -45,8 +45,11 @@ let apply_sync_counters t ~src counters =
         let ok =
           List.for_all
             (fun (item, delta, _, _) ->
-              Result.is_ok
-                (Database.add_int txn ~table:stock_table ~key:item ~col:"amount" delta))
+              match stored t ~item with
+              | exception Not_found -> false
+              | s ->
+                  ignore (Database.add_int_handle txn (row t s) delta);
+                  true)
             fresh_deltas
         in
         if ok then begin
@@ -112,16 +115,28 @@ let flush_sync ?(force = false) t =
     end
   end
 
+(* Stamp a committed local delta on the item's sync counter, which the
+   item's first queue creates and the record keeps from then on. *)
+let queue_sync t s ~delta =
+  match s.s_counter with
+  | Some c -> Delay_sync.queue_counter t.sync c ~delta
+  | None ->
+      Delay_sync.queue t.sync ~item:s.s_item ~delta;
+      s.s_counter <- Some (Delay_sync.counter t.sync ~item:s.s_item)
+
 (* Apply a committed local delta to the replicated stock value and queue it
    for lazy propagation. Only called after AV accounting has authorised the
    delta, so a failure here is a bug, not an input error. *)
-let rec apply_local_delta t ~item ~delta =
-  match Database.apply_int t.db ~table:stock_table ~key:item ~col:"amount" delta with
-  | Ok _new_amount ->
-      record_history t ~item ~delta ~path:"delay";
-      Delay_sync.queue t.sync ~item ~delta;
-      schedule_sync_flush t
-  | Error e -> failwith (Printf.sprintf "Site.apply_local_delta %s: %s" item e)
+let rec apply_local_delta t s ~delta =
+  (match Database.apply_int_handle t.db (row t s) delta with
+  | (_ : int) -> ()
+  | exception Invalid_argument e ->
+      failwith (Printf.sprintf "Site.apply_local_delta %s: %s" s.s_item e)
+  | exception Not_found ->
+      failwith (Printf.sprintf "Site.apply_local_delta %s: no stock row" s.s_item));
+  record_history t ~item:s.s_item ~delta ~path:"delay";
+  queue_sync t s ~delta;
+  schedule_sync_flush t
 
 (* Lazy propagation is debounced rather than a free-running timer: the
    first delta after a quiet period arms one flush event [sync_interval]
@@ -309,25 +324,28 @@ let rec maybe_prefetch t ~item =
                     span_end t sp))
       end
 
-(* Acquire [need] units of AV on [item], leaving exactly [need] held on
-   success. On shortage, holds everything local and circulates AV from
-   peers (the selecting + deciding functions), one correspondence per peer
+(* Acquire [need] units of AV on the stored item [s], whose entry is [av],
+   leaving exactly [need] held on success. A local hold goes through the
+   entry, and [parent] is not optional, so it allocates no [Some]. On
+   shortage, holds everything local and circulates AV from peers (the
+   selecting + deciding functions, by name), one correspondence per peer
    asked; surplus from a final over-grant stays available locally
    ("remaining AV is stored at the local AV table"). On failure every
    volume gathered is released back to available - nothing is lost, and
    what peers sent stays at this site for future updates. *)
-let acquire_av t ?parent ~item ~need k =
+let acquire_av t ~parent s av ~need k =
+  let item = s.s_item in
   if need < 0 then invalid_arg "Site.acquire_av: negative need";
   if need = 0 then k (Ok 0)
-  else if Av_table.available t.av ~item >= need then begin
-    av_ok "acquire_av hold" (Av_table.hold t.av ~item need);
+  else if Av_table.entry_available av >= need then begin
+    av_ok "acquire_av hold" (Av_table.entry_hold av need);
     k (Ok 0)
   end
   else begin
     (* Only the shortage path gets a span: a locally-satisfied hold is not
        an acquisition, and the quiet case would swamp the trace. *)
     t.metrics.Update.Metrics.av_shortages <- t.metrics.Update.Metrics.av_shortages + 1;
-    let sp = span_start t ?parent ~category:"av" "av.acquire" in
+    let sp = span_start t ~parent ~category:"av" "av.acquire" in
     span_field t sp "item" item;
     span_field_int t sp "need" need;
     let acquired = ref (Av_table.hold_all t.av ~item) in
@@ -384,7 +402,9 @@ let acquire_av t ?parent ~item ~need k =
 
 (* --- Delay Update (client side) --- *)
 
-let delay_update t ~item ~delta ~finish =
+(* [av] is the item's AV entry, as the checking function found it. *)
+let delay_update t s av ~delta ~finish =
+  let item = s.s_item in
   let root = span_start t ~category:"update" "update.delay" in
   (* Fields go on the span only if it is headed for an export: attaching
      them to a sampled-out (pending) span is pure throughput loss on THE
@@ -410,18 +430,20 @@ let delay_update t ~item ~delta ~finish =
     (* Positive deltas create AV; no communication at all. [mint] rather
        than [deposit]: new volume enters the conservation ledger here,
        whereas grants from peers merely move existing volume. *)
-    av_ok "delay_update mint" (Av_table.mint t.av ~item delta);
-    apply_local_delta t ~item ~delta;
+    av_ok "delay_update mint" (Av_table.entry_mint av delta);
+    apply_local_delta t s ~delta;
     finish (Update.Applied Update.Local)
   end
   else begin
     let need = -delta in
-    acquire_av t ~parent:root ~item ~need (function
+    (* The continuation reads the item and the delta off [s] and [need]
+       instead of capturing them: one closure word fewer per update. *)
+    acquire_av t ~parent:root s av ~need (function
       | Error reason -> finish (Update.Rejected reason)
       | Ok rounds ->
-          apply_local_delta t ~item ~delta;
-          av_ok "delay_update consume" (Av_table.consume t.av ~item need);
-          maybe_prefetch t ~item;
+          apply_local_delta t s ~delta:(-need);
+          av_ok "delay_update consume" (Av_table.entry_consume av need);
+          maybe_prefetch t ~item:s.s_item;
           finish
             (Update.Applied
                (if rounds = 0 then Update.Local else Update.With_transfer rounds)))
@@ -435,6 +457,8 @@ let batch_update t ~deltas ~finish =
   let root = span_start t ~category:"update" "update.delay_batch" in
   span_field_int t root "items" (List.length deltas);
   let finish outcome = finish_in t root finish outcome in
+  (* Each item with its record and AV entry: the checking function has
+     found every item stored here and regular. *)
   let coalesced =
     let tbl = Hashtbl.create 8 in
     List.iter
@@ -443,25 +467,30 @@ let batch_update t ~deltas ~finish =
       deltas;
     Hashtbl.fold (fun item delta acc -> (item, delta) :: acc) tbl []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    |> List.map (fun (item, delta) ->
+           let s = stored t ~item in
+           match av_entry t s with
+           | Some av -> (s, av, delta)
+           | None -> invalid_arg ("Site.batch_update: no AV on " ^ item))
   in
   let apply_all () =
     let txn = Database.begin_txn t.db in
     List.iter
-      (fun (item, delta) ->
-        match Database.add_int txn ~table:stock_table ~key:item ~col:"amount" delta with
-        | Ok _ -> ()
-        | Error e -> failwith ("Site.batch_update apply: " ^ e))
+      (fun (s, _, delta) ->
+        match Database.add_int_handle txn (row t s) delta with
+        | (_ : int) -> ()
+        | exception Invalid_argument e -> failwith ("Site.batch_update apply: " ^ e))
       coalesced;
     Database.commit txn;
     List.iter
-      (fun (item, delta) ->
-        record_history t ~item ~delta ~path:"delay-batch";
-        Delay_sync.queue t.sync ~item ~delta;
-        if delta >= 0 then av_ok "batch_update mint" (Av_table.mint t.av ~item delta)
-        else av_ok "batch_update consume" (Av_table.consume t.av ~item (-delta)))
+      (fun (s, av, delta) ->
+        record_history t ~item:s.s_item ~delta ~path:"delay-batch";
+        queue_sync t s ~delta;
+        if delta >= 0 then av_ok "batch_update mint" (Av_table.entry_mint av delta)
+        else av_ok "batch_update consume" (Av_table.entry_consume av (-delta)))
       coalesced;
     schedule_sync_flush t;
-    List.iter (fun (item, _) -> maybe_prefetch t ~item) coalesced
+    List.iter (fun (s, _, _) -> maybe_prefetch t ~item:s.s_item) coalesced
   in
   let rec acquire_loop pending held total_rounds =
     match pending with
@@ -470,12 +499,12 @@ let batch_update t ~deltas ~finish =
         finish
           (Update.Applied
              (if total_rounds = 0 then Update.Local else Update.With_transfer total_rounds))
-    | (item, delta) :: rest ->
+    | (s, av, delta) :: rest ->
         if delta >= 0 then acquire_loop rest held total_rounds
         else begin
           let need = -delta in
-          acquire_av t ~parent:root ~item ~need (function
-            | Ok rounds -> acquire_loop rest ((item, need) :: held) (total_rounds + rounds)
+          acquire_av t ~parent:root s av ~need (function
+            | Ok rounds -> acquire_loop rest ((s.s_item, need) :: held) (total_rounds + rounds)
             | Error reason ->
                 List.iter
                   (fun (item, need) ->

@@ -242,6 +242,44 @@ let test_recovery_drops_uncommitted () =
   Alcotest.(check (option int)) "uncommitted change dropped" (Some 100)
     (Site.amount_of site1 ~item:"product0")
 
+(* A weak pointer made in a frame of its own, so that no register or
+   stack slot of the caller keeps the value alive. *)
+let[@inline never] weak_of v =
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some v);
+  w
+
+let test_delay_update_after_recovery () =
+  (* A site's per-item records outlive a crash; its database does not. *)
+  let cluster = Cluster.create { (config ()) with Config.sync_interval = None } in
+  let site1 = Cluster.site cluster 1 in
+  let submit item delta =
+    let result = ref None in
+    Site.submit_update site1 ~item ~delta (fun r -> result := Some r);
+    Cluster.run cluster;
+    match !result with
+    | Some { Update.outcome = Update.Applied Update.Local; _ } -> ()
+    | Some r -> Alcotest.failf "expected a local commit, got %a" Update.pp_result r
+    | None -> Alcotest.fail "update never completed"
+  in
+  submit "product0" (-10);
+  submit "product1" (-10);
+  let before_crash = weak_of (Site.database site1) in
+  Site.crash site1;
+  Site.recover site1;
+  (* product1's record still holds the handle it took before the crash,
+     and no handle may keep the replaced database or its log alive. *)
+  Gc.full_major ();
+  Alcotest.(check bool) "the pre-crash database is unreachable" true
+    (Option.is_none (Weak.get before_crash 0));
+  submit "product0" (-5);
+  Alcotest.(check (option int)) "read_local shows the update" (Some 85)
+    (Site.read_local site1 ~item:"product0");
+  let wal = Database.wal (Site.database site1) in
+  match Wal.nth wal (Wal.length wal - 1) with
+  | Wal.Apply { key = "product0"; after = Value.Int 85; _ } -> ()
+  | r -> Alcotest.failf "the recovered WAL ends with %a" Wal.pp_record r
+
 (* --- correspondences under message loss --- *)
 
 
@@ -419,5 +457,6 @@ let suites =
         Alcotest.test_case "lossy sync eventually converges" `Quick test_lossy_sync_eventually_converges;
         Alcotest.test_case "bandwidth-limited cluster" `Quick test_bandwidth_limited_cluster;
         Alcotest.test_case "downtime catch-up via counters" `Quick test_downtime_catchup_via_counters;
+        Alcotest.test_case "delay update after recovery" `Quick test_delay_update_after_recovery;
       ] );
   ]
