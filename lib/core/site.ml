@@ -35,20 +35,14 @@ let epoch_applied = Site_epoch.epoch_applied
 let epoch_unsealed = Site_epoch.epoch_unsealed
 
 (* Heap words reachable from the site's replica + protocol state: stock
-   rows, AV ledger, peer view, sync sender/receiver tables, the peer
-   cache and the per-item records. Deliberately excludes the WAL and
-   audit history (they grow with applied-update count, not with the
+   rows, AV ledger, peer view, sync sender/receiver tables and the
+   per-item records with their peer memos. Deliberately excludes the WAL
+   and audit history (they grow with applied-update count, not with the
    catalogue) — this is the quantity partial replication bounds by the
    interest set. *)
 let live_words t =
   Obj.reachable_words
-    (Obj.repr
-       ( Database.table t.db stock_table,
-         t.av,
-         t.view,
-         t.sync,
-         t.peer_cache,
-         t.items ))
+    (Obj.repr (Database.table t.db stock_table, t.av, t.view, t.sync, t.items))
 
 let pending_sync_deltas t = Delay_sync.unflushed t.sync
 
@@ -66,13 +60,12 @@ let last_sync_apply t = t.last_sync_apply
 (* The base's check-and-apply, for its own clients and for
    [Central_update] alike: the status, and the amount it leaves. *)
 let central_apply t ~item ~delta =
-  match amount_of t ~item with
-  | None -> (Protocol.Central_unknown_item, 0)
-  | Some current when current + delta < 0 -> (Protocol.Central_insufficient, current)
-  | Some current -> (
-      match commit_delta t ~item ~delta ~path:"central" with
-      | Some amount -> (Protocol.Central_applied, amount)
-      | None -> (Protocol.Central_insufficient, current))
+  match stored t ~item with
+  | exception Not_found -> (Protocol.Central_unknown_item, 0)
+  | s ->
+      let current = amount t s in
+      if current + delta < 0 then (Protocol.Central_insufficient, current)
+      else (Protocol.Central_applied, commit_delta t s ~delta ~path:"central")
 
 let central_outcome item = function
   | Protocol.Central_applied -> Update.Applied Update.Central
@@ -144,8 +137,8 @@ let client_op t callback body a b =
     else finish (Update.Rejected Update.Unreachable);
   t.sync_op <- outer
 
-(* The item is found once, as its record: a local Delay update makes no
-   other name lookup. *)
+(* The item is found once, as its record, and the checking function
+   dispatches on the record alone. *)
 let update_body t item delta finish =
   if is_down t then finish (Update.Rejected Update.Unreachable)
   else
@@ -163,11 +156,12 @@ let update_body t item delta finish =
           | Config.Autonomous -> (
               (* The checking function: epoch class by catalogue, else AV
                  defined => Delay Update, otherwise Immediate Update. *)
-              if is_epoch_item t ~item then Site_epoch.epoch_update t ~item ~delta ~finish
-              else
-                match av_entry t s with
-                | Some av -> Site_delay.delay_update t s av ~delta ~finish
-                | None -> Site_immediate.immediate_update t ~item ~delta ~finish))
+              match s.s_epoch with
+              | Some st -> Site_epoch.epoch_update t st ~delta ~finish
+              | None -> (
+                  match av_entry t s with
+                  | Some av -> Site_delay.delay_update t s av ~delta ~finish
+                  | None -> Site_immediate.immediate_update t s ~delta ~finish)))
 
 let batch_body t deltas () finish =
   if is_down t || (config t).Config.mode = Config.Centralized then
@@ -327,8 +321,6 @@ let create shared ~addr ~av_init =
       metrics = Update.Metrics.create ();
       sync = Delay_sync.create ();
       last_sync_apply = None;
-      prefetch_in_flight = Hashtbl.create 16;
-      peer_cache = Hashtbl.create 16;
       items = Hashtbl.create 8;
       history_seq = 0;
       sync_flush_scheduled = false;

@@ -50,8 +50,10 @@ val history_key : int -> string
     shorter one. Exposed for the key-ordering test. *)
 
 val amount_of : t -> item:string -> int option
-(** Current local replica amount for an item. [None] for items outside
-    this site's interest set — an unsubscribed site holds no row at all. *)
+(** Current local replica amount for an item, read through the item's
+    record (built on its first read, as on its first update). [None] for
+    items outside this site's interest set — an unsubscribed site holds
+    no row at all. *)
 
 val interested_in : t -> item:string -> bool
 (** Whether this site subscribes to the item (always true under full
@@ -60,10 +62,10 @@ val interested_in : t -> item:string -> bool
 val live_words : t -> int
 (** Heap words reachable from the site's replica and protocol state
     (stock rows, AV ledger, peer view, sync counters, the per-item
-    records of the items it has used); excludes the WAL
-    and audit history, which grow with update count rather than catalogue
-    size. Under partial replication this is bounded by the interest set,
-    not the global item count. *)
+    records of the items it has used or read, with their peer lists);
+    excludes the WAL and audit history, which grow with update count
+    rather than catalogue size. Under partial replication this is bounded
+    by the interest set, not the global item count. *)
 
 val submit_update : t -> item:string -> delta:int -> (Update.result -> unit) -> unit
 (** Submits a user update at this site. The continuation fires exactly

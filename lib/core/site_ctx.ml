@@ -77,9 +77,10 @@ type epoch_item = {
          accepts at or below it — the lost acceptor state may cover them *)
 }
 
-(* One site's handles on one item it stores, built on the item's first
-   use (a submission, a batch or an applied sync counter), so building a
-   site costs nothing more. Each handle is taken again when it can have gone stale:
+(* One site's record of one item it stores, the only way the site reads
+   or adds to the item's row: built on the item's first use (an update, a
+   read, a prepare, a seal or an applied sync counter), so building a site
+   costs nothing more. Each handle is taken again when it can have gone stale:
    - [s_row], the stock row's amount column, when recovery replaced the
      database or the stock table removed a row ([Database.handle_live]);
    - [s_av], the AV entry or [None] for an item without AV, when
@@ -93,6 +94,10 @@ type stored = {
   mutable s_av_defs : int;  (* -1 until [s_av] is first resolved *)
   mutable s_av : Av_table.entry option;
   mutable s_counter : Delay_sync.counter option;
+  s_epoch : epoch_item option;  (* [Some] exactly for an epoch-class item *)
+  mutable s_peers : Address.t list;  (* the [peers_for] memo *)
+  mutable s_peers_version : int;  (* the topology version of [s_peers], or -1 *)
+  mutable s_refill : bool;  (* a background AV refill is in flight *)
 }
 
 type t = {
@@ -122,12 +127,8 @@ type t = {
   mutable sync_op : int;
       (* the operation whose submission call is running and has not yet
          completed, or -1 *)
-  (* [peers_for ~item] memo, stamped with the topology version so joins
-     invalidate it without any broadcast. Only populated under partial
-     replication: its size is bounded by the site's interest set. *)
-  peer_cache : (string, int * Address.t list) Hashtbl.t;
   (* The record of each item this site has used, by name: the one string
-     lookup a local Delay update makes. Bounded by the interest set, since
+     lookup an update or a read makes. Bounded by the interest set, since
      only an item with a stored row gets one. *)
   items : (string, stored) Hashtbl.t;
   (* Site_delay. *)
@@ -144,7 +145,6 @@ type t = {
   mutable last_sync_apply : Time.t option;
       (* sim-time of the last remotely-originated sync batch this replica
          committed; feeds the [sync.apply_age_ms] staleness gauge *)
-  prefetch_in_flight : (string, unit) Hashtbl.t;
   mutable sync_flush_scheduled : bool;
   (* Site_immediate. *)
   mutable locks : Lock_manager.t;
@@ -152,8 +152,8 @@ type t = {
   participant_txns : (int, participant_txn) Hashtbl.t;
   coordinators : (int, coord) Hashtbl.t;
   (* Site_epoch. Epoch-class items this site subscribes to, keyed by item.
-     Built once at creation from the catalogue ∩ interest set; the table's
-     presence check is the third branch of the checking function. *)
+     Built once at creation from the catalogue ∩ interest set; an item's
+     record keeps its entry for the checking function. *)
   epochs : (string, epoch_item) Hashtbl.t;
   (* Site_recovery. The disk beneath each durable log: armed faults are
      applied to the synced image at crash time, and the next recovery
@@ -210,24 +210,6 @@ let peers t = others t (List.init t.shared.n_members (fun i -> i))
 let base_addr_for t ~item = Address.of_int (Topology.base_index (topology t) ~item)
 let interested_in t ~item = Topology.interested (topology t) ~site:(site_index t) ~item
 
-(* The item's subscribers minus this site: the AV-selection candidates,
-   the Immediate Update cohort and the sync audience. Cached per item
-   under partial replication (bounded by the interest set); computed
-   directly under full replication, where caching every peer list would
-   cost O(items × N) per site. *)
-let peers_for t ~item =
-  let topo = topology t in
-  if Topology.is_full topo then peers t
-  else begin
-    let v = Topology.version topo in
-    match Hashtbl.find_opt t.peer_cache item with
-    | Some (v', l) when v' = v -> l
-    | _ ->
-        let l = others t (Topology.subscribers topo ~item) in
-        Hashtbl.replace t.peer_cache item (v, l);
-        l
-  end
-
 (* Causal spans, always attributed to this site at the current sim-time.
    Parents are either local enclosing spans or the server-side RPC span
    handed to request handlers (the caller's context across the wire). *)
@@ -272,13 +254,6 @@ let retry_policy t = (config t).Config.rpc_retry
 let timer t ~delay k = Engine.schedule (engine t) ~delay (fenced t k)
 let after t ~delay k = ignore (timer t ~delay k)
 
-let amount_of t ~item =
-  match Database.get_col t.db ~table:stock_table ~key:item ~col:"amount" with
-  | Ok (Value.Int n) -> Some n
-  | Ok _ | Error _ -> None
-
-let item_known t ~item = Database.mem t.db ~table:stock_table ~key:item
-
 (* --- per-item handles --- *)
 
 let row_handle t ~item = Database.handle t.db ~table:stock_table ~key:item ~col:"amount"
@@ -294,8 +269,8 @@ let row t s =
   end
 
 (* The item's record with a live row handle, found with one string lookup
-   and built on first use: the checking function's "is the item stored
-   here" test. Raises [Not_found] when it is not, building nothing. *)
+   and built on first use: the "is the item stored here" test. Raises
+   [Not_found] when it is not, building nothing. *)
 let stored t ~item =
   match Hashtbl.find t.items item with
   | s ->
@@ -309,10 +284,37 @@ let stored t ~item =
           s_av_defs = -1;
           s_av = None;
           s_counter = None;
+          s_epoch = Hashtbl.find_opt t.epochs item;
+          s_peers = [];
+          s_peers_version = -1;
+          s_refill = false;
         }
       in
       Hashtbl.add t.items item s;
       s
+
+(* The stored item's amount, uncommitted 2PC writes included. *)
+let amount t s = Database.get_int_handle t.db (row t s)
+
+let amount_of t ~item =
+  match stored t ~item with s -> Some (amount t s) | exception Not_found -> None
+
+(* The item's subscribers minus this site: the AV-selection candidates,
+   the Immediate Update cohort and the repair donors. Kept on the record
+   under partial replication, stamped with the topology version so a join
+   invalidates it; computed directly under full replication, where keeping
+   every peer list would cost O(items × N) per site. *)
+let peers_for t s =
+  let topo = topology t in
+  if Topology.is_full topo then peers t
+  else begin
+    let v = Topology.version topo in
+    if s.s_peers_version <> v then begin
+      s.s_peers <- others t (Topology.subscribers topo ~item:s.s_item);
+      s.s_peers_version <- v
+    end;
+    s.s_peers
+  end
 
 (* The item's AV entry, or [None] when it has no AV: the checking
    function's Delay-or-Immediate test. *)
@@ -327,11 +329,9 @@ let av_entry t s =
   end;
   s.s_av
 
-(* The checking function and the reads consult both tables on every
-   call, and in most runs both are empty: the length test spares the
-   string hash. *)
+(* The checking function and the reads consult the table on every call,
+   and in most runs it is empty: the length test spares the string hash. *)
 let is_quarantined t ~item = Hashtbl.length t.quarantined > 0 && Hashtbl.mem t.quarantined item
-let is_epoch_item t ~item = Hashtbl.length t.epochs > 0 && Hashtbl.mem t.epochs item
 
 (* Transaction ids for Immediate Update must be globally unique; reserve a
    large per-site range keyed by the address. *)
@@ -380,16 +380,11 @@ let record_history t ~item ~delta ~path =
         failwith ("Site.record_history: " ^ e)
   end
 
-(* Add [delta] to [item]'s row in one committed transaction and audit it
-   under [path]: the new amount, or [None] (nothing applied) when the row
-   refuses. *)
-let commit_delta t ~item ~delta ~path =
+(* Add [delta] to the stored item's row in one committed transaction and
+   audit it under [path]: the new amount. *)
+let commit_delta t s ~delta ~path =
   let txn = Database.begin_txn t.db in
-  match Database.add_int txn ~table:stock_table ~key:item ~col:"amount" delta with
-  | Ok amount ->
-      Database.commit txn;
-      record_history t ~item ~delta ~path;
-      Some amount
-  | Error _ ->
-      Database.abort txn;
-      None
+  let amount = Database.add_int_handle txn (row t s) delta in
+  Database.commit txn;
+  record_history t ~item:s.s_item ~delta ~path;
+  amount

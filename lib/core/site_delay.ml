@@ -1,7 +1,7 @@
 (* Delay Update (the paper's AV-defined path): lazy sync, sender and
    receiver; autonomous AV circulation and prefetch; single and batched
-   Delay updates. Owns the AV table, the peer view, the sync state and the
-   prefetch and flush-timer flags. *)
+   Delay updates. Owns the AV table, the peer view, the sync state, the
+   records' prefetch flags and the flush-timer flag. *)
 
 open Avdb_sim
 open Avdb_net
@@ -252,9 +252,10 @@ let handle_av_request t ~src ~span ~item ~amount ~requester_available ~sync ~rep
    circulation: the cold-cache fallback target is this site's parent in
    the item's subscriber tree, so requests climb toward the base instead
    of all N subscribers hammering it directly. *)
-let select_donor t ~item ~exclude =
+let select_donor t s ~exclude =
+  let item = s.s_item in
   Strategy.select (config t).Config.strategy ~rng:t.rng ~state:t.sel_state ~self:t.addr
-    ~peers:(peers_for t ~item)
+    ~peers:(peers_for t s)
     ~fallback:
       (Option.map Address.of_int (Topology.av_parent (topology t) ~site:(site_index t) ~item))
     ~view:t.view ~item ~exclude
@@ -286,22 +287,23 @@ let absorb_grant t ~donor ~item ~upto ~granted ~donor_available ~av_levels ~sync
 (* Autonomous AV circulation (an extension of the paper's §3.4): when a
    Delay Update leaves an item's available AV below the configured low
    watermark, refill in the background from one peer, aiming at twice the
-   watermark. One in-flight refill per item; failures are silent (the
-   foreground path still works on demand). *)
-let rec maybe_prefetch t ~item =
+   watermark. One in-flight refill per item, flagged on its record;
+   failures are silent (the foreground path still works on demand). *)
+let rec maybe_prefetch t s =
   match (config t).Config.prefetch_low with
   | None -> ()
   | Some low ->
+      let item = s.s_item in
       if
         (not (is_down t))
-        && (not (Hashtbl.mem t.prefetch_in_flight item))
+        && (not s.s_refill)
         && Av_table.is_defined t.av ~item
         && Av_table.available t.av ~item < low
       then begin
-        match select_donor t ~item ~exclude:(Address.Set.singleton t.addr) with
+        match select_donor t s ~exclude:(Address.Set.singleton t.addr) with
         | None -> ()
         | Some donor ->
-            Hashtbl.replace t.prefetch_in_flight item ();
+            s.s_refill <- true;
             t.metrics.Update.Metrics.prefetch_requests <-
               t.metrics.Update.Metrics.prefetch_requests + 1;
             let want = (2 * low) - Av_table.available t.av ~item in
@@ -311,14 +313,14 @@ let rec maybe_prefetch t ~item =
             let sync, upto = sync_piggyback_for t donor in
             request_av t ~span:sp ~donor ~item ~amount:want ~sync
               (fenced t (fun response ->
-                Hashtbl.remove t.prefetch_in_flight item;
+                s.s_refill <- false;
                 match response with
                 | Ok (Protocol.Av_grant { granted; donor_available; av_levels; sync }) ->
                     absorb_grant t ~donor ~item ~upto ~granted ~donor_available ~av_levels
                       ~sync;
                     span_field_int t sp "granted" granted;
                     span_end t sp;
-                    if granted > 0 then maybe_prefetch t ~item
+                    if granted > 0 then maybe_prefetch t s
                 | Ok _ | Error _ ->
                     span_warn t sp;
                     span_end t sp))
@@ -368,7 +370,7 @@ let acquire_av t ~parent s av ~need k =
         k (Ok !rounds)
       end
       else begin
-        match select_donor t ~item ~exclude:!tried with
+        match select_donor t s ~exclude:!tried with
         | None -> give_up Update.Av_exhausted
         | Some donor ->
             tried := Address.Set.add donor !tried;
@@ -443,7 +445,7 @@ let delay_update t s av ~delta ~finish =
       | Ok rounds ->
           apply_local_delta t s ~delta:(-need);
           av_ok "delay_update consume" (Av_table.entry_consume av need);
-          maybe_prefetch t ~item:s.s_item;
+          maybe_prefetch t s;
           finish
             (Update.Applied
                (if rounds = 0 then Update.Local else Update.With_transfer rounds)))
@@ -490,7 +492,7 @@ let batch_update t ~deltas ~finish =
         else av_ok "batch_update consume" (Av_table.entry_consume av (-delta)))
       coalesced;
     schedule_sync_flush t;
-    List.iter (fun (s, _, _) -> maybe_prefetch t ~item:s.s_item) coalesced
+    List.iter (fun (s, _, _) -> maybe_prefetch t s) coalesced
   in
   let rec acquire_loop pending held total_rounds =
     match pending with
@@ -521,5 +523,5 @@ let batch_update t ~deltas ~finish =
    by [schedule_sync_flush] once the site is back. *)
 let reset t =
   Av_table.release_all t.av;
-  Hashtbl.reset t.prefetch_in_flight;
+  Hashtbl.iter (fun _ s -> s.s_refill <- false) t.items;
   t.sync_flush_scheduled <- false

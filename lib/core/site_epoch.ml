@@ -16,7 +16,7 @@ open Site_ctx
 let epoch_state t ~item = Hashtbl.find_opt t.epochs item
 
 (* Subscribers in topology order, self included; memoised against the
-   topology version like [peer_cache]. *)
+   topology version like [peers_for]. *)
 let epoch_subs t st =
   let topo = topology t in
   let v = Topology.version topo in
@@ -74,6 +74,7 @@ let apply_seal t st ~epoch ~seal ~proposer =
       match seal with [] -> [] | _ :: rest -> rest
     else seal
   in
+  let h = row t (stored t ~item) in
   let txn = Database.begin_txn t.db in
   List.iter
     (fun (i : Txn_log.intent) ->
@@ -83,11 +84,7 @@ let apply_seal t st ~epoch ~seal ~proposer =
           2 * i.Txn_log.i_delta
         else i.Txn_log.i_delta
       in
-      match Database.add_int txn ~table:stock_table ~key:item ~col:"amount" d with
-      | Ok _ -> ()
-      | Error e ->
-          Database.abort txn;
-          failwith ("Site.apply_seal: " ^ e))
+      ignore (Database.add_int_handle txn h d))
     applied_intents;
   Database.commit txn;
   List.iter
@@ -342,8 +339,8 @@ let maybe_close t st =
 (* Writer path: durable intent, then asynchronous replication — the
    client's continuation fires when a seal containing the txid is applied
    locally. No cross-site round-trip on the submission path. *)
-let epoch_update t ~item ~delta ~finish =
-  let st = Hashtbl.find t.epochs item in
+let epoch_update t st ~delta ~finish =
+  let item = st.ei_item in
   if tracing t then
     span_instant t ~category:"update" "update.epoch"
       ~fields:[ ("item", item); ("delta", string_of_int delta) ];

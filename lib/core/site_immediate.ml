@@ -288,22 +288,18 @@ let rec schedule_termination_check t ~txid p =
 
 (* --- participant --- *)
 
-(* The tentative write of an Immediate transaction, taken under [item]'s
-   exclusive lock while the vote is still open ([admit]): apply [delta] in
-   a storage transaction left open until the decision. [None] refuses —
-   not admitted, or the row would go negative. *)
-let tentative_write t ~item ~delta ~admit =
-  if not admit then None
-  else
-    match amount_of t ~item with
-    | Some current when current + delta >= 0 -> (
-        let txn = Database.begin_txn t.db in
-        match Database.add_int txn ~table:stock_table ~key:item ~col:"amount" delta with
-        | Ok _ -> Some txn
-        | Error _ ->
-            Database.abort txn;
-            None)
-    | Some _ | None -> None
+(* The tentative write of an Immediate transaction on the stored item
+   [s], taken under its exclusive lock while the vote is still open
+   ([admit]): apply [delta] in a storage transaction left open until the
+   decision. [None] refuses — not admitted, or the row would go
+   negative. *)
+let tentative_write t s ~delta ~admit =
+  if admit && amount t s + delta >= 0 then begin
+    let txn = Database.begin_txn t.db in
+    ignore (Database.add_int_handle txn (row t s) delta);
+    Some txn
+  end
+  else None
 
 let lock_item t ~txid ~item k =
   Lock_manager.acquire t.locks ~owner:txid ~key:item Lock_manager.Exclusive
@@ -333,48 +329,53 @@ let handle_prepare t ~span ~txid ~coordinator ~cohort ~item ~delta ~reply =
   in
   (* A quarantined replica must not vote Ready: its row is untrusted and
      under repair. Refusing also freezes new commits on the item
-     cluster-wide until the repair snapshot is complete. *)
-  if poisoned () || is_quarantined t ~item || not (item_known t ~item) then begin
-    ignore (Two_phase.Participant.on_prepare t.participant ~txid ~can_apply:false);
-    refuse ();
-    reply (Protocol.Vote { txid; vote = Two_phase.Refuse })
-  end
-  else
-    lock_item t ~txid ~item (fun lock_result ->
-        let prepared =
-          (* re-check the poison: a refusal pledge given to a cohort
-             member while we waited for the lock binds this vote *)
-          match
-            tentative_write t ~item ~delta
-              ~admit:(Result.is_ok lock_result && not (poisoned ()))
-          with
-          | Some txn ->
-              let p =
-                { p_txn = txn; p_coordinator = coordinator; p_cohort = cohort;
-                  p_item = item; p_delta = delta; p_span = psp; p_queries = 0;
-                  p_check = Engine.no_timer }
-              in
-              Hashtbl.replace t.participant_txns txid p;
-              Some p
-          | None -> None
-        in
-        let vote =
-          Two_phase.Participant.on_prepare t.participant ~txid ~can_apply:(prepared <> None)
-        in
-        if vote = Two_phase.Refuse then begin
-          Lock_manager.release_all t.locks ~owner:txid;
-          refuse ()
-        end
-        else begin
-          span_field t psp "vote" "ready";
-          (* The prepared record: logged in the same atomic event as the
-             Ready vote, so a crash can never leave us Ready-but-unlogged. *)
-          if Txn_log.find t.txn_log ~txid = None then
-            Txn_log.record_start t.txn_log ~txid ~coordinator ~cohort ~item ~delta
-              ~at:(now t);
-          Option.iter (schedule_termination_check t ~txid) prepared
-        end;
-        reply (Protocol.Vote { txid; vote }))
+     cluster-wide until the repair snapshot is complete. An item not
+     stored here has no row to write. *)
+  let writable () =
+    if poisoned () || is_quarantined t ~item then None
+    else match stored t ~item with s -> Some s | exception Not_found -> None
+  in
+  match writable () with
+  | None ->
+      ignore (Two_phase.Participant.on_prepare t.participant ~txid ~can_apply:false);
+      refuse ();
+      reply (Protocol.Vote { txid; vote = Two_phase.Refuse })
+  | Some s ->
+      lock_item t ~txid ~item (fun lock_result ->
+          let prepared =
+            (* re-check the poison: a refusal pledge given to a cohort
+               member while we waited for the lock binds this vote *)
+            match
+              tentative_write t s ~delta
+                ~admit:(Result.is_ok lock_result && not (poisoned ()))
+            with
+            | Some txn ->
+                let p =
+                  { p_txn = txn; p_coordinator = coordinator; p_cohort = cohort;
+                    p_item = item; p_delta = delta; p_span = psp; p_queries = 0;
+                    p_check = Engine.no_timer }
+                in
+                Hashtbl.replace t.participant_txns txid p;
+                Some p
+            | None -> None
+          in
+          let vote =
+            Two_phase.Participant.on_prepare t.participant ~txid ~can_apply:(prepared <> None)
+          in
+          if vote = Two_phase.Refuse then begin
+            Lock_manager.release_all t.locks ~owner:txid;
+            refuse ()
+          end
+          else begin
+            span_field t psp "vote" "ready";
+            (* The prepared record: logged in the same atomic event as the
+               Ready vote, so a crash can never leave us Ready-but-unlogged. *)
+            if Txn_log.find t.txn_log ~txid = None then
+              Txn_log.record_start t.txn_log ~txid ~coordinator ~cohort ~item ~delta
+                ~at:(now t);
+            Option.iter (schedule_termination_check t ~txid) prepared
+          end;
+          reply (Protocol.Vote { txid; vote }))
 
 let handle_decision t ~txid ~decision ~reply =
   finalize_participant t ~txid decision;
@@ -405,7 +406,8 @@ let close_coordination t ~txid coord =
   Txn_log.record_end t.txn_log ~txid ~at:(now t);
   Hashtbl.remove t.coordinators txid
 
-let immediate_update t ~item ~delta ~finish =
+let immediate_update t s ~delta ~finish =
+  let item = s.s_item in
   let txid = fresh_txid t in
   let root = span_start t ~category:"update" "update.immediate" in
   span_field t root "item" item;
@@ -414,7 +416,7 @@ let immediate_update t ~item ~delta ~finish =
   let finish outcome = finish_in t root finish outcome in
   (* Cohort = the item's replica set (everyone under full replication);
      user-visible completion keys on the item's base, not a global one. *)
-  let participant_addrs = peers_for t ~item in
+  let participant_addrs = peers_for t s in
   let machine =
     Two_phase.Coordinator.create ~txid ~participants:participant_addrs
       ~base:(base_addr_for t ~item)
@@ -501,7 +503,7 @@ let immediate_update t ~item ~delta ~finish =
   (* Local participation: lock, tentatively apply, derive the local vote. *)
   lock_item t ~txid ~item (fun lock_result ->
       let local_vote =
-        match tentative_write t ~item ~delta ~admit:(Result.is_ok lock_result) with
+        match tentative_write t s ~delta ~admit:(Result.is_ok lock_result) with
         | Some _ as txn ->
             coord.local_txn <- txn;
             Two_phase.Ready
@@ -520,8 +522,9 @@ let immediate_update t ~item ~delta ~finish =
    with a fresh budget. *)
 let reinstall_in_doubt t (e : Txn_log.entry) =
   let txid = e.Txn_log.txid and item = e.Txn_log.item and delta = e.Txn_log.delta in
+  let s = stored t ~item in
   lock_item t ~txid ~item (fun lock_result ->
-      match tentative_write t ~item ~delta ~admit:(Result.is_ok lock_result) with
+      match tentative_write t s ~delta ~admit:(Result.is_ok lock_result) with
       | None -> failwith (Printf.sprintf "Site.recover: cannot re-apply in-doubt tx%d" txid)
       | Some txn ->
           ignore (Two_phase.Participant.on_prepare t.participant ~txid ~can_apply:true);

@@ -203,8 +203,7 @@ let rec watch_pending t ~item ~txid ~coordinator ~donor ~delta ~via_donor ~attem
     let who = if via_donor then `Fellow donor else `Coordinator coordinator in
     Site_immediate.ask_decision t ~txid who (function
       | Site_immediate.Outcome Two_phase.Commit ->
-          if commit_delta t ~item ~delta ~path:"repair" = None then
-            failwith "Site.repair apply";
+          ignore (commit_delta t (stored t ~item) ~delta ~path:"repair");
           k ()
       | Site_immediate.Outcome Two_phase.Abort | Site_immediate.Abort_safe -> k ()
       | Site_immediate.Lost -> again true
@@ -217,7 +216,8 @@ let rec repair_item t ~item ~attempt =
   else begin
     let donors =
       let b = base_addr_for t ~item in
-      let others = List.filter (fun a -> not (Address.equal a b)) (peers_for t ~item) in
+      let peers = peers_for t (stored t ~item) in
+      let others = List.filter (fun a -> not (Address.equal a b)) peers in
       if Address.equal b t.addr then others else b :: others
     in
     match donors with

@@ -172,6 +172,10 @@ let apply_int_handle t h delta =
   log_apply t ~table:(table_of h) ~key:(Table.handle_key h.cell) ~col:(Table.handle_col h.cell)
     ~before ~after:(Table.handle_get h.cell)
 
+let get_int_handle t h =
+  check_handle t h;
+  int_of (Table.handle_get h.cell)
+
 let get t ~table ~key =
   match table_opt t table with None -> None | Some tbl -> Table.get tbl ~key
 

@@ -71,6 +71,10 @@ val add_int_handle : txn -> handle -> int -> int
 (** {!add_int} through a handle, with the same undo on {!abort}. Raises as
     {!apply_int_handle} does. *)
 
+val get_int_handle : t -> handle -> int
+(** {!get_col} of a numeric column through a handle, uncommitted writes
+    included. Raises as {!apply_int_handle} does. *)
+
 val delete : txn -> table:string -> key:string -> (unit, string) result
 
 val get : t -> table:string -> key:string -> Value.t array option

@@ -142,6 +142,22 @@ let test_prefetch_idle_above_watermark () =
     (Site.metrics site1).Update.Metrics.prefetch_requests;
   Alcotest.(check int) "no messages at all" 0 (Cluster.total_correspondences cluster)
 
+let test_crash_abandons_refill () =
+  let cluster = make ~prefetch_low:(Some 15) () in
+  let site1 = Cluster.site cluster 1 in
+  let m = Site.metrics site1 in
+  (* 30 - 20 = 10 < 15: the local commit sends a refill at once. *)
+  Site.submit_update site1 ~item:"a" ~delta:(-20) (fun _ -> ());
+  Alcotest.(check int) "a refill in flight" 1 m.Update.Metrics.prefetch_requests;
+  (* The grant reply reaches the next incarnation, which ignores it: the
+     crash must not leave the item flagged as refilling. *)
+  Site.crash site1;
+  Site.recover site1;
+  Cluster.run cluster;
+  Site.submit_update site1 ~item:"a" ~delta:(-1) (fun _ -> ());
+  Cluster.run cluster;
+  Alcotest.(check int) "a second refill" 2 m.Update.Metrics.prefetch_requests
+
 let test_prefetch_keeps_invariants_under_load () =
   let cluster = Cluster.create { (config ~prefetch_low:(Some 10) ()) with Config.sync_interval = Some (Avdb_sim.Time.of_ms 20.) } in
   let items = [| "a"; "b"; "c" |] in
@@ -179,5 +195,6 @@ let suites =
         Alcotest.test_case "refills below watermark" `Quick test_prefetch_refills_below_watermark;
         Alcotest.test_case "idle above watermark" `Quick test_prefetch_idle_above_watermark;
         Alcotest.test_case "invariants under load" `Quick test_prefetch_keeps_invariants_under_load;
+        Alcotest.test_case "a crash abandons an in-flight refill" `Quick test_crash_abandons_refill;
       ] );
   ]

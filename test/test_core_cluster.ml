@@ -249,36 +249,56 @@ let[@inline never] weak_of v =
   Weak.set w 0 (Some v);
   w
 
-let test_delay_update_after_recovery () =
-  (* A site's per-item records outlive a crash; its database does not. *)
-  let cluster = Cluster.create { (config ()) with Config.sync_interval = None } in
-  let site1 = Cluster.site cluster 1 in
+(* The WAL's last write to a stock row. *)
+let last_stock_write wal =
+  let rec from i =
+    match Wal.nth wal i with
+    | (Wal.Apply { table; _ } | Wal.Update { table; _ }) as r when table = Site.stock_table -> r
+    | _ -> from (i - 1)
+  in
+  from (Wal.length wal - 1)
+
+(* A site's per-item records outlive a crash; its database does not. The
+   site writes items "x" and "y" through one write path ([kind]) before
+   the crash, so "y"'s record still holds its pre-crash row handle after
+   recovery, and no handle may keep the replaced database or its log
+   alive. The next write to "x" must show in its amount and be the
+   recovered WAL's last stock write. *)
+let write_after_recovery ?(mode = Config.Autonomous) ?(site = 1) product kind () =
+  let cluster =
+    Cluster.create
+      {
+        (config ~mode ()) with
+        Config.products = [ product "x" ~initial_amount:100; product "y" ~initial_amount:100 ];
+        sync_interval = None;
+      }
+  in
+  let s = Cluster.site cluster site in
   let submit item delta =
     let result = ref None in
-    Site.submit_update site1 ~item ~delta (fun r -> result := Some r);
+    Site.submit_update s ~item ~delta (fun r -> result := Some r);
     Cluster.run cluster;
     match !result with
-    | Some { Update.outcome = Update.Applied Update.Local; _ } -> ()
-    | Some r -> Alcotest.failf "expected a local commit, got %a" Update.pp_result r
+    | Some { Update.outcome = Update.Applied k; _ } when k = kind -> ()
+    | Some r -> Alcotest.failf "expected %a, got %a" Update.pp_kind kind Update.pp_result r
     | None -> Alcotest.fail "update never completed"
   in
-  submit "product0" (-10);
-  submit "product1" (-10);
-  let before_crash = weak_of (Site.database site1) in
-  Site.crash site1;
-  Site.recover site1;
-  (* product1's record still holds the handle it took before the crash,
-     and no handle may keep the replaced database or its log alive. *)
+  submit "x" (-10);
+  submit "y" (-10);
+  let before_crash = weak_of (Site.database s) in
+  Site.crash s;
+  Site.recover s;
   Gc.full_major ();
   Alcotest.(check bool) "the pre-crash database is unreachable" true
     (Option.is_none (Weak.get before_crash 0));
-  submit "product0" (-5);
-  Alcotest.(check (option int)) "read_local shows the update" (Some 85)
-    (Site.read_local site1 ~item:"product0");
-  let wal = Database.wal (Site.database site1) in
-  match Wal.nth wal (Wal.length wal - 1) with
-  | Wal.Apply { key = "product0"; after = Value.Int 85; _ } -> ()
-  | r -> Alcotest.failf "the recovered WAL ends with %a" Wal.pp_record r
+  submit "x" (-5);
+  Alcotest.(check (option int)) "the amount shows the update" (Some 85)
+    (Site.amount_of s ~item:"x");
+  match last_stock_write (Database.wal (Site.database s)) with
+  | Wal.Apply { key = "x"; after = Value.Int 85; _ } | Wal.Update { key = "x"; after = Value.Int 85; _ }
+    ->
+      ()
+  | r -> Alcotest.failf "the recovered WAL's last stock write is %a" Wal.pp_record r
 
 (* --- correspondences under message loss --- *)
 
@@ -457,6 +477,13 @@ let suites =
         Alcotest.test_case "lossy sync eventually converges" `Quick test_lossy_sync_eventually_converges;
         Alcotest.test_case "bandwidth-limited cluster" `Quick test_bandwidth_limited_cluster;
         Alcotest.test_case "downtime catch-up via counters" `Quick test_downtime_catchup_via_counters;
-        Alcotest.test_case "delay update after recovery" `Quick test_delay_update_after_recovery;
+        Alcotest.test_case "delay update after recovery" `Quick
+          (write_after_recovery Product.regular Update.Local);
+        Alcotest.test_case "immediate update after recovery" `Quick
+          (write_after_recovery Product.non_regular Update.Immediate);
+        Alcotest.test_case "epoch update after recovery" `Quick
+          (write_after_recovery Product.epoch Update.Epoch);
+        Alcotest.test_case "centralized update after recovery" `Quick
+          (write_after_recovery ~mode:Config.Centralized ~site:0 Product.regular Update.Central);
       ] );
   ]

@@ -21,9 +21,9 @@ let run_update cluster site item delta =
   Cluster.run cluster;
   Option.get !result
 
-let join cluster =
+let join ?interest cluster =
   let outcome = ref None in
-  let idx = Cluster.add_retailer cluster (fun r -> outcome := Some r) in
+  let idx = Cluster.add_retailer ?interest cluster (fun r -> outcome := Some r) in
   Cluster.run cluster;
   match !outcome with
   | Some (i, Ok ()) when i = idx -> idx
@@ -102,7 +102,27 @@ let test_joiner_participates_in_immediate_updates () =
     (Cluster.replica_amounts cluster ~item:"special");
   (* 2 rounds x 3 peers now *)
   let m = Site.metrics (Cluster.site cluster 1) in
-  Alcotest.(check int) "one immediate apply" 1 m.Update.Metrics.applied_immediate
+  Alcotest.(check int) "one immediate apply" 1 m.Update.Metrics.applied_immediate;
+  (* Under partial replication the coordinator keeps the item's cohort on
+     its record: the join must renew it. Sites 0 and 1 store the item, the
+     joiner subscribes, site 2 never does. *)
+  let cluster =
+    Cluster.create
+      {
+        Config.default with
+        Config.products = [ Product.non_regular "special" ~initial_amount:20 ];
+        topology =
+          { Topology.flat with Topology.replication = Topology.Explicit [ ("special", [ 1 ]) ] };
+        seed = 83;
+      }
+  in
+  Alcotest.(check bool) "commits before the join" true
+    (Update.is_applied (run_update cluster 1 "special" (-2)));
+  Alcotest.(check int) "joined as site 3" 3 (join ~interest:[ "special" ] cluster);
+  Alcotest.(check bool) "commits after the join" true
+    (Update.is_applied (run_update cluster 1 "special" (-4)));
+  Alcotest.(check (list int)) "sites 0, 1 and the joiner agree" [ 14; 14; 14 ]
+    (Cluster.replica_amounts cluster ~item:"special")
 
 let test_join_with_base_down () =
   let cluster = make () in
