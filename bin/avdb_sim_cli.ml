@@ -92,8 +92,9 @@ let simulate config spec ~spread ~seed ~updates ~checkpoints ~csv ~trace_out ~me
   let module Exporter = Avdb_obs.Exporter in
   let jsonl path = Filename.check_suffix path ".jsonl" in
   let rows, report, write_trace, write_metrics =
-    match (Pcluster.tracers pc, Pcluster.registries pc) with
-    | [| tracer |], [| registry |] ->
+    match Pcluster.n_domains pc with
+    | 1 ->
+        let tracer = Cluster.tracer pc in
         let outcome =
           Runner.run pc ~nth_update:(Scm.generator workload) ~total_updates:updates
             ~checkpoint_every:(Stdlib.max 1 (updates / checkpoints)) ~submit:(submit ~shard:0) ()
@@ -124,6 +125,7 @@ let simulate config spec ~spread ~seed ~updates ~checkpoints ~csv ~trace_out ~me
           Printf.eprintf "wrote %d spans to %s\n%!" (Avdb_obs.Tracer.length tracer) path
         in
         let write_metrics path =
+          let registry = Cluster.registry pc in
           Exporter.write_file ~path
             (if jsonl path then Exporter.metrics_to_jsonl registry
              else Exporter.metrics_csv ?wide:(if metrics_wide then Some true else None) registry);

@@ -47,6 +47,7 @@ type shard = {
           only touched by the domain currently running this shard *)
   mutable owned : Site.t array;  (* ascending site index; first [n_owned] live *)
   mutable n_owned : int;
+  mutable sites_registered : bool;  (* owned sites' series are in [registry] *)
   mutable snapshots_armed : bool;
 }
 
@@ -136,6 +137,23 @@ let register_site_metrics t sh site =
       else None)
     site
 
+(* Every site has a stats entry from its creation, so [Stats.sites]
+   lists the same sites whether or not the registry was ever read. *)
+let add_stats_entry sh site = ignore (Stats.site (Rpc.stats sh.rpc) (Site.addr site))
+
+(* A shard's per-site series are registered the first time its registry
+   is sampled or handed out: most runs never read it, and at 1000 sites
+   registration would be most of the set-up. Owned sites are in site
+   order with joiners last, so the series come out in the order a
+   registration at construction and join would give. Main domain only. *)
+let register_owned t sh =
+  if not sh.sites_registered then begin
+    sh.sites_registered <- true;
+    for i = 0 to sh.n_owned - 1 do
+      register_site_metrics t sh sh.owned.(i)
+    done
+  end
+
 (* Decorrelate the shard engines' RNG streams; shard 0 keeps the config
    seed itself. *)
 let shard_seed config rank = config.Config.seed lxor (rank * 0x2545F4914F6CDD1D)
@@ -195,6 +213,7 @@ let create config =
           senders = [||];
           owned = [||];
           n_owned = 0;
+          sites_registered = false;
           snapshots_armed = false;
         })
   in
@@ -251,7 +270,7 @@ let create config =
           for i = 0 to sh.n_owned - 1 do
             f sh.owned.(i)
           done);
-      Array.iter (register_site_metrics t sh) sh.owned)
+      Array.iter (add_stats_entry sh) sh.owned)
     shards;
   t
 
@@ -332,7 +351,12 @@ let set_reorder_probability_at t ~at p =
 let engines t = Array.map (fun sh -> sh.engine) t.shards
 let net_stats t = Array.map (fun sh -> Rpc.stats sh.rpc) t.shards
 let tracers t = Array.map (fun sh -> sh.shared.Site.tracer) t.shards
-let registries t = Array.map (fun sh -> sh.registry) t.shards
+let registries t =
+  Array.map
+    (fun sh ->
+      register_owned t sh;
+      sh.registry)
+    t.shards
 
 let spans t = Tracer.merged_spans (Array.to_list (tracers t))
 let metric_samples t = Obs_registry.merged_samples (Array.to_list (registries t))
@@ -398,7 +422,11 @@ let run_probes t =
 
 let snapshot_now t =
   run_probes t;
-  Array.iter (fun sh -> Obs_registry.snapshot sh.registry ~at:(Engine.now sh.engine)) t.shards
+  Array.iter
+    (fun sh ->
+      register_owned t sh;
+      Obs_registry.snapshot sh.registry ~at:(Engine.now sh.engine))
+    t.shards
 
 (* Per-shard periodic registry snapshots: self-parking at shard
    quiescence, re-armed by [run]. A lone shard may read every site from
@@ -411,6 +439,7 @@ let arm_snapshots t sh =
   | Some interval ->
       if not sh.snapshots_armed then begin
         sh.snapshots_armed <- true;
+        register_owned t sh;
         let lone = Array.length t.shards = 1 in
         let rec tick () =
           if lone then snapshot_now t
@@ -499,7 +528,8 @@ let add_retailer ?interest t callback =
   t.len <- t.len + 1;
   sh.owned <- push sh.owned sh.n_owned site;
   sh.n_owned <- sh.n_owned + 1;
-  register_site_metrics t sh site;
+  add_stats_entry sh site;
+  if sh.sites_registered then register_site_metrics t sh site;
   (* The join's first requests leave from the joiner's own engine at the
      current instant, inside the next run's first window, so a request to
      a base on another shard travels through the mailboxes like any

@@ -167,9 +167,15 @@ val tracers : t -> Avdb_obs.Tracer.t array
 
 val registries : t -> Avdb_obs.Registry.t array
 (** Per-shard metrics registries: every site's update counters, AV flow
-    volumes and per-item AV levels, plus per-site network stats — all
-    registered at construction (or join) and sampled by {!snapshot_now}
-    or the periodic snapshot when [snapshot_interval] is configured. *)
+    volumes and per-item AV levels, plus per-site network stats, sampled
+    by {!snapshot_now} or the periodic snapshot when [snapshot_interval]
+    is configured. A shard registers its sites' series the first time
+    its registry is read: by this function, {!metric_samples},
+    {!snapshot_now} or a {!run} that arms periodic snapshots. A site that
+    joins later is registered at once if its shard's series exist. The
+    first read registers every site in site order with joiners last, so
+    the series are the same whenever it comes. Quiescent-only, like
+    {!snapshot_now}. *)
 
 val spans : t -> Avdb_obs.Span.t list
 (** All shards' retained spans merged by [(start, id)] — byte-stable

@@ -16,33 +16,32 @@ let replica_amounts ~topology ~site ~item =
     (Topology.subscribers topology ~item)
 
 let av_sum ~topology ~site ~item =
-  List.fold_left
-    (fun acc i -> acc + Av_table.total (Site.av_table (site i)) ~item)
-    0
-    (Topology.subscribers topology ~item)
+  let sum = ref 0 in
+  Topology.iter_subscribers topology ~item (fun i ->
+      sum := !sum + Av_table.total (Site.av_table (site i)) ~item);
+  !sum
 
 (* AV conservation: volume is only created by [define] and [mint] and only
    destroyed by [consume]; grants merely move it between sites. Holds even
    while replicas still disagree, so it is checkable right after a fault
    window closes, before convergence. Only the item's subscribers can hold
-   its AV, so the fold is O(interest), not O(N). *)
+   its AV, so the one pass is O(interest), not O(N), and allocates nothing
+   per subscriber: it runs after every run, so N sequential joins under
+   full replication would otherwise allocate O(N^2). *)
 let av_conservation ~topology ~site ~item =
-  let sum f =
-    List.fold_left
-      (fun acc i -> acc + f (Site.av_table (site i)) ~item)
-      0
-      (Topology.subscribers topology ~item)
-  in
-  let live = sum Av_table.total in
-  let consumed = sum Av_table.consumed in
-  let minted = sum Av_table.minted in
-  let defined = sum Av_table.defined_volume in
-  if live + consumed - minted = defined then Ok ()
+  let live = ref 0 and consumed = ref 0 and minted = ref 0 and defined = ref 0 in
+  Topology.iter_subscribers topology ~item (fun i ->
+      let av = Site.av_table (site i) in
+      live := !live + Av_table.total av ~item;
+      consumed := !consumed + Av_table.consumed av ~item;
+      minted := !minted + Av_table.minted av ~item;
+      defined := !defined + Av_table.defined_volume av ~item);
+  if !live + !consumed - !minted = !defined then Ok ()
   else
     Error
       (Printf.sprintf
-         "%s: AV not conserved: live %d + consumed %d - minted %d <> defined %d" item live
-         consumed minted defined)
+         "%s: AV not conserved: live %d + consumed %d - minted %d <> defined %d" item !live
+         !consumed !minted !defined)
 
 (* Network stats conservation over one or several (per-shard) stats
    instances: every delivery or loss traces back to a send or an injected

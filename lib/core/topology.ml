@@ -204,6 +204,13 @@ let subscribers t ~item =
 let subscriber_count t ~item =
   if t.full then t.n_sites else Array.length (subscriber_array t ~item)
 
+let iter_subscribers t ~item f =
+  if t.full then
+    for i = 0 to t.n_sites - 1 do
+      f i
+    done
+  else Array.iter f (subscriber_array t ~item)
+
 let interest t ~site =
   if t.full then if site >= 0 && site < t.n_sites then t.all else [||]
   else if site >= 0 && site < Array.length t.interest then t.interest.(site)

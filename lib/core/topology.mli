@@ -80,6 +80,10 @@ val subscribers : t -> item:string -> int list
 
 val subscriber_count : t -> item:string -> int
 
+val iter_subscribers : t -> item:string -> (int -> unit) -> unit
+(** [f] on each of {!subscribers} in ascending order, without building a
+    list or, under [Full], an array. *)
+
 val subscriber_array : t -> item:string -> int array
 (** {!subscribers} as an ascending array, to resolve an item once and test
     many sites against it with {!subscribes}. Under partial replication it

@@ -8,8 +8,8 @@ let to_int t = t
 let equal = Int.equal
 let compare = Int.compare
 let hash t = t
-let pp ppf t = Format.fprintf ppf "site%d" t
-let to_string t = Format.asprintf "%a" pp t
+let to_string t = "site" ^ string_of_int t
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 module Set = Set.Make (Int)
 module Map = Map.Make (Int)

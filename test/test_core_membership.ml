@@ -136,8 +136,9 @@ let test_join_with_base_down () =
 
 
 let test_thousand_joins_near_linear () =
-  (* Regression: add_retailer used to Array.append the site store, making
-     N sequential joins O(N^2) in copied words. With geometric growth the
+  (* Regression: add_retailer used to Array.append the site store, and the
+     AV-conservation probe after every run built its subscriber lists, so
+     under full replication N sequential joins allocated O(N^2) words. The
      second 500 joins must allocate about as much as the first 500. *)
   let cluster =
     Cluster.create
@@ -151,17 +152,24 @@ let test_thousand_joins_near_linear () =
     ignore (Cluster.add_retailer cluster (fun _ -> ()));
     Cluster.run cluster
   in
+  (* [Gc.allocated_bytes] reads the current minor heap short on OCaml 5.1
+     (by up to about 1.8 MB, as much as 130 joins allocate here), so count
+     minor words exactly and add what went straight to the major heap. *)
+  let allocated_bytes () =
+    let _, promoted, major = Gc.counters () in
+    (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+  in
   let measure k =
-    let b0 = Gc.allocated_bytes () in
+    let b0 = allocated_bytes () in
     for _ = 1 to k do
       join_quietly ()
     done;
-    Gc.allocated_bytes () -. b0
+    allocated_bytes () -. b0
   in
   let first = measure 500 in
   let second = measure 500 in
   Alcotest.(check int) "all 1000 joins completed" 1003 (Cluster.n_sites cluster);
-  if second > first *. 2. then
+  if second > first *. 1.25 then
     Alcotest.failf "joins 501-1000 allocated %.0f bytes vs %.0f for joins 1-500" second
       first
 

@@ -613,6 +613,35 @@ let test_invariant_probe () =
   in
   Alcotest.(check bool) "violations counter bumped" true (latest_violations >= 1.)
 
+(* --- registration on first read --- *)
+
+(* A site's series are registered when its shard's registry is first
+   read, not when the site is built. Whether that read comes before a
+   live join or after it, every site's series are registered once, in
+   site order with the joiner last, and a snapshot samples the same
+   series with the same values. *)
+let test_first_read_registration () =
+  let samples ~read_before_join =
+    let cluster = Cluster.create (small_config ()) in
+    if read_before_join then ignore (Cluster.registry cluster);
+    ignore (Cluster.add_retailer cluster (fun _ -> ()));
+    Cluster.run cluster;
+    Cluster.snapshot_now cluster;
+    Obs.Registry.samples (Cluster.registry cluster)
+  in
+  let early = samples ~read_before_join:true in
+  let late = samples ~read_before_join:false in
+  Alcotest.(check bool) "same samples either way" true (early = late);
+  Alcotest.(check (list string))
+    "each site's series once, in site order, joiner last"
+    [ "site0"; "site1"; "site2"; "site3" ]
+    (List.filter_map
+       (fun (s : Obs.Registry.sample) ->
+         if s.Obs.Registry.name = "update.submitted" then
+           List.assoc_opt "site" s.Obs.Registry.labels
+         else None)
+       late)
+
 (* --- exporters --- *)
 
 let seeded_scm_run ?(trace_sample = 1.) () =
@@ -941,6 +970,8 @@ let suites =
         Alcotest.test_case "cluster 2pc spans" `Quick test_cluster_2pc_spans;
         Alcotest.test_case "snapshot cadence" `Quick test_snapshot_cadence;
         Alcotest.test_case "invariant probe" `Quick test_invariant_probe;
+        Alcotest.test_case "series registered on first read" `Quick
+          test_first_read_registration;
         Alcotest.test_case "exporters well-formed" `Quick test_exporters_well_formed;
         Alcotest.test_case "sampled run is a subset" `Quick test_sampled_run_is_a_subset;
         Alcotest.test_case "sharded sampled determinism" `Slow

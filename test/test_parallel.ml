@@ -265,6 +265,45 @@ let test_live_join_two_shards () =
   Alcotest.(check bool) "metric samples identical" true
     (Pcluster.metric_samples pc = Pcluster.metric_samples again)
 
+(* A snapshot never reads across a shard, and a lag gauge reads its
+   item's base: a replica away from the base has [sync.version_lag]
+   exactly when the base is on its own shard. A joiner registered at the
+   first read counts too. *)
+let test_version_lag_same_shard () =
+  let pc = two_shards () in
+  let near = based_on pc 0 and far = based_on pc 1 in
+  ignore (Pcluster.add_retailer ~interest:[ near; far ] pc (fun _ -> ()));
+  Pcluster.run pc;
+  Pcluster.snapshot_now pc;
+  let topo = Pcluster.topology pc in
+  let shard = Pcluster.domain_of_site pc in
+  let label site = Avdb_net.Address.to_string (Avdb_net.Address.of_int site) in
+  let pairs ~same_shard =
+    List.concat_map
+      (fun item ->
+        let base = Topology.base_index topo ~item in
+        List.filter_map
+          (fun site ->
+            if site <> base && (shard site = shard base) = same_shard then Some (label site, item)
+            else None)
+          (Pcluster.subscribers pc ~item))
+      (item_names (Pcluster.config pc).Config.products)
+    |> List.sort compare
+  in
+  let lagged =
+    List.filter_map
+      (fun (s : Avdb_obs.Registry.sample) ->
+        if s.Avdb_obs.Registry.name = "sync.version_lag" then
+          Some (List.assoc "site" s.labels, List.assoc "item" s.labels)
+        else None)
+      (Pcluster.metric_samples pc)
+    |> List.sort_uniq compare
+  in
+  Alcotest.(check bool) "some replicas sit across the boundary from their base" true
+    (pairs ~same_shard:false <> []);
+  Alcotest.(check (list (pair string string)))
+    "lag gauges for the same-shard replicas only" (pairs ~same_shard:true) lagged
+
 (* With the joiner's own-shard base down, the earliest pending event is an
    RPC timeout, long after the cross-shard request is due: the join must
    still leave from inside the next run's first window. *)
@@ -434,6 +473,8 @@ let suites =
           test_live_join_local_base_down;
         Alcotest.test_case "live join, flat, two shards" `Quick
           test_live_join_flat_two_shards;
+        Alcotest.test_case "lag gauges only for same-shard bases" `Quick
+          test_version_lag_same_shard;
         Alcotest.test_case "flush between runs crosses shards" `Quick
           test_flush_between_runs_crosses_shards;
         Alcotest.test_case "short run still probed" `Quick test_short_run_probes;

@@ -385,9 +385,10 @@ let test_sharded_cluster_converges () =
 
 (* Building a site costs its interest set, not the catalogue: at a fixed
    spread, a cluster eight times larger in both sites and items must
-   allocate about as much per site. The gap is 8x because one per-site
-   walk of the catalogue (say, in the gauge registration) reads 3.7x
-   here but only 2.2x at a 4x gap, too close to the bound. *)
+   allocate about as much per site, its metric series included (the
+   registry's first read registers them). The gap is 8x because one
+   per-site walk of the catalogue (say, in the gauge registration) reads
+   3.7x here but only 2.2x at a 4x gap, too close to the bound. *)
 let test_setup_scales_with_interest () =
   let bytes_per_site n =
     let config =
@@ -402,7 +403,7 @@ let test_setup_scales_with_interest () =
       }
     in
     let b0 = Gc.allocated_bytes () in
-    ignore (Sys.opaque_identity (Cluster.create config));
+    ignore (Sys.opaque_identity (Cluster.registry (Cluster.create config)));
     (Gc.allocated_bytes () -. b0) /. float_of_int n
   in
   let small = bytes_per_site 300 in
@@ -410,6 +411,28 @@ let test_setup_scales_with_interest () =
   if large > small *. 2. then
     Alcotest.failf "set-up allocated %.0f bytes per site at N = 2400 vs %.0f at N = 300" large
       small
+
+(* Most runs never read the metrics registry, so a cluster registers its
+   sites' series only when the registry is first read. A never-read
+   create of sharded-1000's shape pays for the sites and their stores,
+   not for about 38 series per site. *)
+let test_unread_setup_registers_no_series () =
+  let n = 1000 in
+  let config =
+    {
+      Config.default with
+      Config.n_sites = n;
+      tracing = false;
+      products = Product.catalogue ~n_regular:n ~n_non_regular:0 ~initial_amount:100_000;
+      topology = Topology.sharded ~spread:3 ();
+      allocation = Config.All_at_base;
+    }
+  in
+  let b0 = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (Cluster.create config));
+  let per_site = (Gc.allocated_bytes () -. b0) /. float_of_int n in
+  if per_site > 18_000. then
+    Alcotest.failf "a never-read set-up allocated %.0f bytes per site, above 18,000" per_site
 
 let qcheck_partial =
   let open QCheck in
@@ -460,6 +483,8 @@ let suites =
         Alcotest.test_case "sharded cluster converges" `Quick test_sharded_cluster_converges;
         Alcotest.test_case "set-up scales with the interest set" `Quick
           test_setup_scales_with_interest;
+        Alcotest.test_case "a never-read set-up registers no series" `Quick
+          test_unread_setup_registers_no_series;
       ]
       @ List.map Gen.to_alcotest qcheck_partial );
   ]
