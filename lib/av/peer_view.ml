@@ -5,20 +5,27 @@ type observation = { site : Address.t; mutable volume : int; mutable at : Time.t
 
 (* Per item, the observations keyed by site. Every sync notice and AV reply
    observes, so in the steady state an observation is updated in place:
-   one item lookup, one int-keyed site lookup, no allocation. *)
-type t = { by_item : (string, observation Int_table.t) Hashtbl.t }
+   one item lookup, one int-keyed site lookup, no allocation. An item's
+   table, once made, is never removed, so a caller may keep it as the
+   item's [entry]. *)
+type entry = observation Int_table.t
+type t = { by_item : (string, entry) Hashtbl.t }
 
 let create () = { by_item = Hashtbl.create 64 }
 
-let observe t ~site ~item ~volume ~at =
-  let tbl =
-    match Hashtbl.find t.by_item item with
-    | tbl -> tbl
-    | exception Not_found ->
-        let tbl = Int_table.create 8 in
-        Hashtbl.add t.by_item item tbl;
-        tbl
-  in
+(* Never observed into: [observe_entry] refuses it. *)
+let no_entry : entry = Int_table.create 1
+
+let entry t ~item =
+  match Hashtbl.find t.by_item item with
+  | tbl -> tbl
+  | exception Not_found ->
+      let tbl = Int_table.create 8 in
+      Hashtbl.add t.by_item item tbl;
+      tbl
+
+let observe_entry tbl ~site ~volume ~at =
+  if tbl == no_entry then invalid_arg "Peer_view.observe_entry: no_entry";
   match Int_table.find tbl (Address.to_int site) with
   | prev ->
       if Time.(prev.at <= at) then begin
@@ -26,6 +33,8 @@ let observe t ~site ~item ~volume ~at =
         prev.at <- at
       end
   | exception Not_found -> Int_table.add tbl (Address.to_int site) { site; volume; at }
+
+let observe t ~site ~item ~volume ~at = observe_entry (entry t ~item) ~site ~volume ~at
 
 let known t ~item =
   match Hashtbl.find_opt t.by_item item with
@@ -52,20 +61,6 @@ let richest t ~item ~exclude =
   match candidates with
   | [] -> None
   | first :: rest -> Some (List.fold_left better first rest).site
-
-let forget_site t site =
-  (* Also drop inner tables this removal empties: an item observed only
-     through the departed site would otherwise leave a permanent empty
-     hashtable behind, so join/leave churn would grow the view without
-     bound. *)
-  let emptied =
-    Hashtbl.fold
-      (fun item tbl acc ->
-        Int_table.remove tbl (Address.to_int site);
-        if Int_table.length tbl = 0 then item :: acc else acc)
-      t.by_item []
-  in
-  List.iter (Hashtbl.remove t.by_item) emptied
 
 let items t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.by_item [] |> List.sort String.compare

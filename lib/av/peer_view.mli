@@ -19,12 +19,29 @@ type t
 
 val create : unit -> t
 
+type entry
+(** One item's observations, keyed by site: what {!entry} hands out for
+    the item, valid for the life of the [t]. *)
+
+val entry : t -> item:string -> entry
+(** The item's entry, made on the first call for the item: one item
+    lookup, allocating only the first time. *)
+
+val no_entry : entry
+(** A shared placeholder that is no item's entry: a holder keeps it until
+    it takes the item's {!entry}. {!observe_entry} refuses it. *)
+
+val observe_entry :
+  entry -> site:Avdb_net.Address.t -> volume:int -> at:Avdb_sim.Time.t -> unit
+(** Records what [site] reported holding for the entry's item at virtual
+    time [at]. An older observation never overwrites a newer one. One
+    int-keyed site lookup, O(1) expected whatever the number of sites;
+    allocates only for a site the entry has not seen. Raises
+    [Invalid_argument] on {!no_entry}. *)
+
 val observe :
   t -> site:Avdb_net.Address.t -> item:string -> volume:int -> at:Avdb_sim.Time.t -> unit
-(** Records what [site] reported holding for [item] at virtual time [at].
-    An older observation never overwrites a newer one. One item lookup
-    and one site lookup, O(1) expected whatever the number of sites;
-    allocates only for a (site, item) pair seen for the first time. *)
+(** {!observe_entry} on the item's {!entry}: one item lookup more. *)
 
 val known : t -> item:string -> observation list
 (** All observations for an item, sorted by site. *)
@@ -36,10 +53,5 @@ val richest : t -> item:string -> exclude:Avdb_net.Address.Set.t -> Avdb_net.Add
 (** The non-excluded site with the largest last-observed volume;
     ties break toward the smaller address. Sites with no observation are
     not considered. [None] if nothing qualifies. *)
-
-val forget_site : t -> Avdb_net.Address.t -> unit
-(** Drops all observations of a site (e.g. it crashed), including any
-    per-item table the removal leaves empty, so repeated join/leave
-    cycles return the view to its prior footprint. *)
 
 val items : t -> string list

@@ -11,17 +11,18 @@ type counter = {
   mutable newer : counter;
 }
 
-module Items = Map.Make (String)
-
+(* One origin's applied stamp on one item. *)
 type stamp = { mutable s_version : int; mutable s_cum : int }
 
-(* A map, not a hash table, per origin: under full replication a site
-   hears from every origin about a handful of items each, and a table's
-   sixteen-slot minimum would dominate its footprint. *)
-type origin = {
-  mutable high : int;  (* highest version applied from this origin *)
-  mutable stamps : stamp Items.t;
-}
+module Origins = Map.Make (Int)
+
+(* One item's stamps, by origin: a map, not a hash table. A site hears
+   about an item from each of its other subscribers, two at spread 3, and
+   a table's sixteen-slot minimum would dominate the item's record. *)
+type stamps = stamp Origins.t
+
+(* The highest version applied from one origin. *)
+type high = { mutable high : int }
 
 (* What this site knows of one peer's hold on its counters. [acked]: the
    peer holds every counter stamped up to it. [sent]: the [seq] at the
@@ -44,7 +45,7 @@ type t = {
   mutable audience : Address.t list;
   mutable audience_topology : int;
   mutable audience_count : int;
-  applied : origin Int_table.t;
+  applied : high Int_table.t;  (* by origin *)
 }
 
 type counters = (string * int * int) list
@@ -290,69 +291,35 @@ let own_state t ~want =
 
 (* --- receiver --- *)
 
-let applied_version t ~origin ~item =
-  match Int_table.find t.applied origin with
-  | o -> ( match Items.find_opt item o.stamps with Some s -> s.s_version | None -> 0)
-  | exception Not_found -> 0
+let no_stamps = Origins.empty
+
+(* Every origin without a stamp shares it; [restamp] never writes it. *)
+let unstamped = { s_version = 0; s_cum = 0 }
+
+let stamp stamps ~origin =
+  match Origins.find origin stamps with st -> st | exception Not_found -> unstamped
+
+let stamp_version st = st.s_version
+let stamp_cum st = st.s_cum
+
+let restamp stamps st ~origin ~version ~cum =
+  if st == unstamped then Origins.add origin { s_version = version; s_cum = cum } stamps
+  else begin
+    st.s_version <- version;
+    st.s_cum <- cum;
+    stamps
+  end
+
+let applied_version stamps ~origin = (stamp stamps ~origin).s_version
+let applied_total stamps = Origins.fold (fun _ st acc -> acc + st.s_cum) stamps 0
+
+let fold_stamps stamps ~init ~f =
+  Origins.fold (fun origin st acc -> f acc origin st.s_version st.s_cum) stamps init
 
 let applied_high t ~origin =
   match Int_table.find t.applied origin with o -> o.high | exception Not_found -> 0
 
-let applied_total t ~item =
-  Int_table.fold
-    (fun _ o acc ->
-      match Items.find_opt item o.stamps with Some s -> acc + s.s_cum | None -> acc)
-    t.applied 0
-
-let fresh t ~origin counters =
+let raise_high t ~origin version =
   match Int_table.find t.applied origin with
-  | exception Not_found -> List.map (fun (item, version, cum) -> (item, cum, version, cum)) counters
-  | o ->
-      List.filter_map
-        (fun (item, version, cum) ->
-          match Items.find item o.stamps with
-          | s -> if version <= s.s_version then None else Some (item, cum - s.s_cum, version, cum)
-          | exception Not_found -> Some (item, cum, version, cum))
-        counters
-
-let origin_of t origin =
-  match Int_table.find t.applied origin with
-  | o -> o
-  | exception Not_found ->
-      let o = { high = 0; stamps = Items.empty } in
-      Int_table.add t.applied origin o;
-      o
-
-let set_stamp o ~item ~version ~cum =
-  match Items.find item o.stamps with
-  | s ->
-      s.s_version <- version;
-      s.s_cum <- cum
-  | exception Not_found -> o.stamps <- Items.add item { s_version = version; s_cum = cum } o.stamps
-
-let record t ~origin batch =
-  if batch <> [] then begin
-    let o = origin_of t origin in
-    let high =
-      List.fold_left
-        (fun high (item, _, version, cum) ->
-          set_stamp o ~item ~version ~cum;
-          Int.max high version)
-        o.high batch
-    in
-    o.high <- high
-  end
-
-let seed t ~origin ~item ~version ~cum =
-  let o = origin_of t origin in
-  set_stamp o ~item ~version ~cum;
-  if version > o.high then o.high <- version
-
-let applied_state t ~want =
-  Int_table.fold
-    (fun origin o acc ->
-      Items.fold
-        (fun item s acc ->
-          if want item then (origin, item, s.s_version, s.s_cum) :: acc else acc)
-        o.stamps acc)
-    t.applied []
+  | o -> if version > o.high then o.high <- version
+  | exception Not_found -> if version > 0 then Int_table.add t.applied origin { high = version }

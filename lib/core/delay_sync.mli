@@ -16,13 +16,16 @@
     counter stamped at or before the last build sits in the ring in
     ascending version order; every later one is on the dirty list, once.
 
-    {b Receiver.} Per origin site: the last [(version, cum)] applied for
-    each item, and the highest version applied from that origin — a
-    complete cumulative acknowledgement, because every payload carries
-    the origin's whole unacknowledged backlog.
+    {b Receiver.} Per origin site, the highest version applied from it: a
+    complete cumulative acknowledgement, because every payload carries the
+    origin's whole unacknowledged backlog. The last [(version, cum)]
+    applied from each origin for an item is that item's {!stamps}, which
+    the caller keeps with the item (a site keeps them in the item's
+    record), so a receiver that has found the item reads and advances
+    them with int-keyed lookups only.
 
-    Counters and applied stamps survive crashes (trusted metadata, like
-    the AV table). *)
+    Counters, applied stamps and high-water marks survive crashes
+    (trusted metadata, like the AV table). *)
 
 type t
 
@@ -126,33 +129,50 @@ val own_state : t -> want:(string -> bool) -> (string * int * int) list
 
 (** {2 Receiver} *)
 
-val applied_version : t -> origin:int -> item:string -> int
-(** Version of the last counter applied from [origin] for [item]; 0
-    before the first. *)
+type stamps
+(** One item's applied stamps: for each origin site, the [(version, cum)]
+    of the last counter applied from it for the item. An origin's stamp,
+    once made, is updated in place. *)
 
-val applied_total : t -> item:string -> int
-(** Sum over origins of the last applied [cum] for [item]: the remote
-    share of the item's committed amount. *)
+val no_stamps : stamps
+(** No origin's stamp: where an item's stamps start. Allocates nothing. *)
 
-val fresh : t -> origin:int -> counters -> (string * int * int * int) list
-(** [(item, delta, version, cum)] for every counter stamped newer than
-    the last one applied from [origin] for its item; [delta] is what
-    applying it adds to the replica. Changes nothing. *)
+type stamp
+(** One origin's stamp on one item, found once. *)
 
-val record : t -> origin:int -> (string * int * int * int) list -> unit
-(** Advance [origin]'s stamps to a batch returned by {!fresh} and its
-    high-water mark to the batch's highest version. *)
+val stamp : stamps -> origin:int -> stamp
+(** The origin's stamp, or a shared zero stamp (version 0, cum 0) when it
+    has none yet. One int-keyed lookup; allocates nothing. *)
 
-val seed : t -> origin:int -> item:string -> version:int -> cum:int -> unit
-(** Install one applied stamp from a join snapshot, overwriting the
-    item's stamp and raising the origin's high-water mark. *)
+val stamp_version : stamp -> int
+val stamp_cum : stamp -> int
+
+val restamp : stamps -> stamp -> origin:int -> version:int -> cum:int -> stamps
+(** [restamp stamps st ~origin ~version ~cum], where [st] is
+    [stamp stamps ~origin], sets the origin's stamp and returns the item's
+    stamps: [stamps] itself, updated in place, when the origin had a
+    stamp; with a new stamp added when it had none. A counter applied
+    from [origin] is fresh when its version exceeds [stamp_version st],
+    and applying it adds its cum minus [stamp_cum st]. *)
+
+val applied_version : stamps -> origin:int -> int
+(** Version of the last counter applied from [origin]; 0 before the
+    first. *)
+
+val applied_total : stamps -> int
+(** Sum over origins of the last applied [cum]: the remote share of the
+    item's committed amount. *)
+
+val fold_stamps : stamps -> init:'a -> f:('a -> int -> int -> int -> 'a) -> 'a
+(** [f acc origin version cum] over every origin's stamp, by origin. *)
+
+val raise_high : t -> origin:int -> int -> unit
+(** Raise [origin]'s high-water mark to a version applied or seeded from
+    it: once per applied batch, to the batch's highest version, and once
+    per seeded stamp. Lower values are ignored. *)
 
 val applied_high : t -> origin:int -> int
 (** The highest version applied from [origin]; 0 before the first. A
     complete cumulative acknowledgement of [origin]'s counters up to it,
     and the one ack a notice to [origin] carries. O(1) expected: one
     int-keyed lookup. *)
-
-val applied_state : t -> want:(string -> bool) -> (int * string * int * int) list
-(** [(origin, item, version, cum)] for every applied stamp on a wanted
-    item, in no particular order. *)

@@ -52,7 +52,8 @@ let pending_sync_deltas t = Delay_sync.unflushed t.sync
    staleness distance — 0 exactly when every delta the origin ever
    queued has landed here. *)
 let sync_version t ~item = Delay_sync.version t.sync ~item
-let applied_sync_version t ~origin ~item = Delay_sync.applied_version t.sync ~origin ~item
+let applied_sync_version t ~origin ~item =
+  Delay_sync.applied_version (stamps_of t ~item) ~origin
 let last_sync_apply t = t.last_sync_apply
 
 (* --- Centralized baseline --- *)

@@ -79,21 +79,27 @@ type epoch_item = {
 
 (* One site's record of one item it stores, the only way the site reads
    or adds to the item's row: built on the item's first use (an update, a
-   read, a prepare, a seal or an applied sync counter), so building a site
-   costs nothing more. Each handle is taken again when it can have gone stale:
+   read, a prepare, a seal, a received sync counter or a join snapshot's
+   stamp), so building a site costs nothing more. Each handle is taken
+   again when it can have gone stale:
    - [s_row], the stock row's amount column, when recovery replaced the
      database or the stock table removed a row ([Database.handle_live]);
    - [s_av], the AV entry or [None] for an item without AV, when
      [Av_table.definitions] moved from [s_av_defs], after a define or an
      undefine through the public [Site.av_table];
-   - [s_counter], the sync counter, never: counters are never removed and
-     survive crashes, so it is taken from the item's first queue on. *)
+   - [s_counter], the sync counter, and [s_view], the peer-view entry,
+     never: neither is ever removed, so each is taken once, from the
+     item's first queue and first observation on.
+   Records are never removed either, so [s_stamps], the counters applied
+   here from each origin, survive crashes with the record. *)
 type stored = {
   s_item : string;
   mutable s_row : Database.handle;
   mutable s_av_defs : int;  (* -1 until [s_av] is first resolved *)
   mutable s_av : Av_table.entry option;
   mutable s_counter : Delay_sync.counter option;
+  mutable s_stamps : Delay_sync.stamps;  (* [no_stamps] until the first apply or seed *)
+  mutable s_view : Peer_view.entry;  (* [no_entry] until the first observation *)
   s_epoch : epoch_item option;  (* [Some] exactly for an epoch-class item *)
   mutable s_peers : Address.t list;  (* the [peers_for] memo *)
   mutable s_peers_version : int;  (* the topology version of [s_peers], or -1 *)
@@ -128,8 +134,8 @@ type t = {
       (* the operation whose submission call is running and has not yet
          completed, or -1 *)
   (* The record of each item this site has used, by name: the one string
-     lookup an update or a read makes. Bounded by the interest set, since
-     only an item with a stored row gets one. *)
+     lookup an update, a read or a received counter makes. Bounded by the
+     interest set, since only an item with a stored row gets one. *)
   items : (string, stored) Hashtbl.t;
   (* Site_delay. *)
   av : Av_table.t;
@@ -137,8 +143,9 @@ type t = {
   sel_state : Strategy.selection_state;
   rng : Rng.t;
   (* Lazy propagation, sender and receiver: per-item cumulative counters
-     with strictly increasing change stamps, peer acknowledgements and the
-     per-origin applied stamps that make propagation loss-, duplicate- and
+     with strictly increasing change stamps, peer acknowledgements and
+     per-origin high-water marks. With the applied stamps the items'
+     records keep, they make propagation loss-, duplicate- and
      reorder-proof. Survives crashes (persisted metadata, like the AV
      table). *)
   sync : Delay_sync.t;
@@ -284,6 +291,8 @@ let stored t ~item =
           s_av_defs = -1;
           s_av = None;
           s_counter = None;
+          s_stamps = Delay_sync.no_stamps;
+          s_view = Peer_view.no_entry;
           s_epoch = Hashtbl.find_opt t.epochs item;
           s_peers = [];
           s_peers_version = -1;
@@ -292,6 +301,18 @@ let stored t ~item =
       in
       Hashtbl.add t.items item s;
       s
+
+(* The item's applied sync stamps, read by name: none for an item with no
+   record. *)
+let stamps_of t ~item =
+  match Hashtbl.find t.items item with
+  | s -> s.s_stamps
+  | exception Not_found -> Delay_sync.no_stamps
+
+(* The stored item's peer-view entry, taken on its first observation. *)
+let view_entry t s =
+  if s.s_view == Peer_view.no_entry then s.s_view <- Peer_view.entry t.view ~item:s.s_item;
+  s.s_view
 
 (* The stored item's amount, uncommitted 2PC writes included. *)
 let amount t s = Database.get_int_handle t.db (row t s)

@@ -24,48 +24,130 @@ let[@tail_mod_cons] rec sync_av_info av = function
       | -1 -> sync_av_info av rest
       | volume -> (item, volume) :: sync_av_info av rest)
 
+(* The notice's [av_info] entries that no counter resolved, observed by
+   name. *)
+let rec observe_named t ~src = function
+  | [] -> ()
+  | (item, volume) :: rest ->
+      Peer_view.observe t.view ~site:src ~item ~volume ~at:(now t);
+      observe_named t ~src rest
+
+(* One notice's counters in flight through [receive]. *)
+type receipt = {
+  r_src : Address.t;
+  r_origin : int;
+  r_lossy : bool;  (* [Mutation.Lossy_sync]: stamp fresh counters, apply none *)
+  mutable r_txn : Database.txn option;  (* begun at the first fresh counter applied *)
+  mutable r_fresh : int;  (* fresh counters met *)
+  mutable r_high : int;  (* the highest version met *)
+}
+
+let receipt_txn t r =
+  match r.r_txn with
+  | Some txn -> txn
+  | None ->
+      let txn = Database.begin_txn t.db in
+      r.r_txn <- Some txn;
+      txn
+
 (* Receiver side, shared by dedicated notices and payloads piggybacked on
-   AV traffic: apply only counters stamped newer than the last one seen
-   from that origin. Versions are strictly monotone per (origin, item), so
-   losses, replays and reorderings all resolve to "apply the cumulative
-   difference once, in stamp order". *)
-let apply_sync_counters t ~src counters =
-  if counters <> [] && not (is_down t) then begin
-    let origin = Address.to_int src in
-    match Delay_sync.fresh t.sync ~origin counters with
-    | [] -> ()
-    | fresh_deltas when Mutation.enabled Mutation.Lossy_sync ->
-        (* Mutation: a lossy counter — advance the per-origin version
-           bookkeeping as if the deltas were applied but drop the data.
-           Later counters diff against the recorded cum, so the volume is
-           permanently lost and replicas never converge. *)
-        Delay_sync.record t.sync ~origin fresh_deltas
-    | fresh_deltas ->
-        let txn = Database.begin_txn t.db in
-        let ok =
-          List.for_all
-            (fun (item, delta, _, _) ->
-              match stored t ~item with
-              | exception Not_found -> false
-              | s ->
-                  ignore (Database.add_int_handle txn (row t s) delta);
-                  true)
-            fresh_deltas
-        in
-        if ok then begin
+   AV traffic: apply only counters stamped newer than the last one applied
+   from that origin for the item. Versions are strictly monotone per
+   (origin, item), so losses, replays and reorderings all resolve to
+   "apply the cumulative difference once, in stamp order".
+
+   One pass over the name-sorted counters finds each item once, as its
+   record. The counter's freshness and delta come from the record's
+   stamps, the delta is added through its row handle, and the [av_info]
+   entry riding with the counter is observed through its peer-view entry:
+   [sync_av_info] builds [av_info] from the same counters, so its entries
+   come in counter order. Each fresh counter's stamp advances on the way
+   back up, once the batch has committed at the bottom; [receive] returns
+   whether it did. A fresh counter on an item with no row here aborts the
+   whole batch. The origin's high-water mark is raised once, to the
+   highest version in the batch: a stale counter is stamped at or below
+   it already. *)
+let rec receive t r counters av_info =
+  match counters with
+  | [] ->
+      observe_named t ~src:r.r_src av_info;
+      (match r.r_txn with
+      | None -> ()
+      | Some txn ->
           Database.commit txn;
-          Delay_sync.record t.sync ~origin fresh_deltas;
           t.last_sync_apply <- Some (now t);
           if tracing t then
             span_instant t ~category:"sync" "sync.apply"
               ~fields:
                 [
-                  ("from", Address.to_string src);
-                  ("items", string_of_int (List.length fresh_deltas));
-                ]
-        end
-        else Database.abort txn
-  end
+                  ("from", Address.to_string r.r_src); ("items", string_of_int r.r_fresh);
+                ]);
+      Delay_sync.raise_high t.sync ~origin:r.r_origin r.r_high;
+      true
+  | (item, version, cum) :: rest -> (
+      r.r_high <- Int.max r.r_high version;
+      match stored t ~item with
+      | s ->
+          let av_info =
+            match av_info with
+            | (i, volume) :: more when String.equal i item ->
+                Peer_view.observe_entry (view_entry t s) ~site:r.r_src ~volume ~at:(now t);
+                more
+            | _ -> av_info
+          in
+          let st = Delay_sync.stamp s.s_stamps ~origin:r.r_origin in
+          if version <= Delay_sync.stamp_version st then receive t r rest av_info
+          else begin
+            r.r_fresh <- r.r_fresh + 1;
+            (* Mutation: a lossy counter — advance the stamps as if the
+               delta were applied but drop the data. Later counters diff
+               against the stamped cum, so the volume is permanently lost
+               and replicas never converge. *)
+            if not r.r_lossy then
+              ignore
+                (Database.add_int_handle (receipt_txn t r) (row t s)
+                   (cum - Delay_sync.stamp_cum st));
+            receive t r rest av_info
+            && begin
+                 s.s_stamps <-
+                   Delay_sync.restamp s.s_stamps st ~origin:r.r_origin ~version ~cum;
+                 true
+               end
+          end
+      | exception Not_found ->
+          let av_info =
+            match av_info with
+            | (i, volume) :: more when String.equal i item ->
+                Peer_view.observe t.view ~site:r.r_src ~item ~volume ~at:(now t);
+                more
+            | _ -> av_info
+          in
+          if
+            r.r_lossy
+            || version <= Delay_sync.applied_version (stamps_of t ~item) ~origin:r.r_origin
+          then receive t r rest av_info
+          else begin
+            Database.abort (receipt_txn t r);
+            observe_named t ~src:r.r_src av_info;
+            false
+          end)
+
+let apply_sync_counters t ~src ~av_info counters =
+  if not (is_down t) then
+    match counters with
+    | [] -> observe_named t ~src av_info
+    | _ :: _ ->
+        ignore
+          (receive t
+             {
+               r_src = src;
+               r_origin = Address.to_int src;
+               r_lossy = Mutation.enabled Mutation.Lossy_sync;
+               r_txn = None;
+               r_fresh = 0;
+               r_high = 0;
+             }
+             counters av_info)
 
 let flush_sync ?(force = false) t =
   (* A peer is notified only when it has news: a counter on its items
@@ -157,21 +239,26 @@ and schedule_sync_flush t =
 
 let handle_sync t ~src ~counters ~av_info ~ack =
   if not (is_down t) then begin
-    List.iter
-      (fun (item, volume) -> Peer_view.observe t.view ~site:src ~item ~volume ~at:(now t))
-      av_info;
     (* The sender's cumulative ack of OUR counters: it holds everything of
        ours up to that version, so our later flushes to it shrink to the
        true backlog. *)
     Delay_sync.note_conveyed t.sync ~peer:src ~upto:ack;
-    apply_sync_counters t ~src counters
+    apply_sync_counters t ~src ~av_info counters
   end
 
 (* A join snapshot's counters, already folded into its rows: later
-   notices apply only what the snapshot missed. *)
+   notices apply only what the snapshot missed. Each stamp goes to its
+   item's record; the origin's high-water mark rises either way. *)
 let seed_sync t sync_state =
   List.iter
-    (fun (origin, item, version, cum) -> Delay_sync.seed t.sync ~origin ~item ~version ~cum)
+    (fun (origin, item, version, cum) ->
+      (match stored t ~item with
+      | s ->
+          s.s_stamps <-
+            Delay_sync.restamp s.s_stamps (Delay_sync.stamp s.s_stamps ~origin) ~origin ~version
+              ~cum
+      | exception Not_found -> ());
+      Delay_sync.raise_high t.sync ~origin version)
     sync_state
 
 (* --- AV circulation: the donor's side --- *)
@@ -213,7 +300,7 @@ let sync_piggyback_for t peer =
 
 let handle_av_request t ~src ~span ~item ~amount ~requester_available ~sync ~reply =
   Peer_view.observe t.view ~site:src ~item ~volume:requester_available ~at:(now t);
-  apply_sync_counters t ~src sync;
+  apply_sync_counters t ~src ~av_info:[] sync;
   let available = Av_table.available t.av ~item in
   let granting = (config t).Config.strategy.Strategy.granting in
   let granted = Strategy.Granting.amount granting ~available ~requested:amount in
@@ -273,7 +360,7 @@ let request_av t ~span ~donor ~item ~amount ~sync k =
    every item, and [granted] lands in the local available pool. *)
 let absorb_grant t ~donor ~item ~upto ~granted ~donor_available ~av_levels ~sync =
   Delay_sync.note_conveyed t.sync ~peer:donor ~upto;
-  apply_sync_counters t ~src:donor sync;
+  apply_sync_counters t ~src:donor ~av_info:[] sync;
   List.iter
     (fun (item, volume) -> Peer_view.observe t.view ~site:donor ~item ~volume ~at:(now t))
     av_levels;

@@ -72,7 +72,15 @@ let handle_join t ~wanted ~reply =
         (fun (item, version, cum) -> (Address.to_int t.addr, item, version, cum))
         (Delay_sync.own_state t.sync ~want)
     in
-    let applied = Delay_sync.applied_state t.sync ~want in
+    let applied =
+      Hashtbl.fold
+        (fun item s acc ->
+          if want item then
+            Delay_sync.fold_stamps s.s_stamps ~init:acc ~f:(fun acc origin version cum ->
+                (origin, item, version, cum) :: acc)
+          else acc)
+        t.items []
+    in
     let epochs =
       Hashtbl.fold
         (fun item st acc -> if want item then (item, st.ei_applied) :: acc else acc)

@@ -152,19 +152,14 @@ let test_thousand_joins_near_linear () =
     ignore (Cluster.add_retailer cluster (fun _ -> ()));
     Cluster.run cluster
   in
-  (* [Gc.allocated_bytes] reads the current minor heap short on OCaml 5.1
-     (by up to about 1.8 MB, as much as 130 joins allocate here), so count
-     minor words exactly and add what went straight to the major heap. *)
-  let allocated_bytes () =
-    let _, promoted, major = Gc.counters () in
-    (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
-  in
+  (* An exact count: [Gc.allocated_bytes] can read short by as much as 130
+     joins allocate here. *)
   let measure k =
-    let b0 = allocated_bytes () in
+    let b0 = Gen.allocated_bytes () in
     for _ = 1 to k do
       join_quietly ()
     done;
-    allocated_bytes () -. b0
+    Gen.allocated_bytes () -. b0
   in
   let first = measure 500 in
   let second = measure 500 in

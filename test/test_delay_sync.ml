@@ -3,8 +3,9 @@
    every counter stamped after the peer's acknowledgement on an item the
    peer replicates, name-sorted, and an unforced flush notifies a peer
    only when that payload holds a counter stamped after the highest one
-   already sent to it. The receiver's stamps are checked against a plain
-   (origin, item) map. *)
+   already sent to it. The receiver keeps each item's stamps apart, as a
+   site's records do; they and the per-origin high-water marks are
+   checked against a plain (origin, item) map. *)
 
 open Avdb_core
 module Address = Avdb_net.Address
@@ -85,11 +86,13 @@ let run ops =
       counters []
     |> List.sort compare
   in
-  (* reference receiver *)
-  let stamps = Hashtbl.create 8 in
+  (* each item's stamps, as a site's records keep them, and the reference
+     receiver *)
+  let stamps = Array.map (fun _ -> Delay_sync.no_stamps) items in
+  let ref_stamps = Hashtbl.create 8 in
   let high = Hashtbl.create 8 in
   let note_stamp o item v c =
-    Hashtbl.replace stamps (o, item) (v, c);
+    Hashtbl.replace ref_stamps (o, item) (v, c);
     if v > Option.value ~default:0 (Hashtbl.find_opt high o) then Hashtbl.replace high o v
   in
   let n_joined = ref n_sites in
@@ -160,12 +163,20 @@ let run ops =
         incr n_joined;
         Topology.register_joiner topology ~site ~items:(List.map (fun i -> items.(i)) is)
     | Receive (o, cs, committed) ->
-        let cs = List.map (fun (i, v, c) -> (items.(i), v, c)) cs in
-        let got = Delay_sync.fresh s ~origin:o cs in
+        (* The receiver's pass: each counter's stamp found once, read for
+           freshness and the delta, and restamped after the commit. *)
+        let found =
+          List.map (fun (i, v, c) -> (i, Delay_sync.stamp stamps.(i) ~origin:o, v, c)) cs
+        in
+        let fresh = List.filter (fun (_, st, v, _) -> v > Delay_sync.stamp_version st) found in
+        let got =
+          List.map (fun (i, st, v, c) -> (items.(i), c - Delay_sync.stamp_cum st, v, c)) fresh
+        in
         let want =
           List.filter_map
-            (fun (item, v, c) ->
-              match Hashtbl.find_opt stamps (o, item) with
+            (fun (i, v, c) ->
+              let item = items.(i) in
+              match Hashtbl.find_opt ref_stamps (o, item) with
               | Some (v', _) when v <= v' -> None
               | Some (_, c') -> Some (item, c - c', v, c)
               | None -> Some (item, c, v, c))
@@ -173,11 +184,18 @@ let run ops =
         in
         if got <> want then fail "fresh from %d differs" o;
         if committed then begin
-          Delay_sync.record s ~origin:o got;
+          List.iter
+            (fun (i, st, v, c) ->
+              stamps.(i) <- Delay_sync.restamp stamps.(i) st ~origin:o ~version:v ~cum:c)
+            fresh;
+          Delay_sync.raise_high s ~origin:o (List.fold_left (fun m (_, v, _) -> Int.max m v) 0 cs);
           List.iter (fun (item, _, v, c) -> note_stamp o item v c) want
         end
     | Seed (o, i, v, c) ->
-        Delay_sync.seed s ~origin:o ~item:items.(i) ~version:v ~cum:c;
+        stamps.(i) <-
+          Delay_sync.restamp stamps.(i) (Delay_sync.stamp stamps.(i) ~origin:o) ~origin:o ~version:v
+            ~cum:c;
+        Delay_sync.raise_high s ~origin:o v;
         note_stamp o items.(i) v c
   in
   (* Only reads that leave the ring alone, so that several changes can
@@ -186,24 +204,35 @@ let run ops =
     if Delay_sync.seq s <> !seq || Delay_sync.count s <> Hashtbl.length counters then
       fail "seq or count differs";
     if !seq > !flushed && not (Delay_sync.owes_flush s) then fail "owes no flush";
-    Array.iter
-      (fun item ->
+    Array.iteri
+      (fun i item ->
         let v, c = Option.value ~default:(0, 0) (Hashtbl.find_opt counters item) in
         if Delay_sync.version s ~item <> v || Delay_sync.cum s ~item <> c then
           fail "counter %s differs" item;
-        let total = Hashtbl.fold (fun (_, i) (_, c) acc -> if i = item then acc + c else acc) stamps 0 in
-        if Delay_sync.applied_total s ~item <> total then fail "applied total %s differs" item;
+        let total =
+          Hashtbl.fold (fun (_, i) (_, c) acc -> if i = item then acc + c else acc) ref_stamps 0
+        in
+        if Delay_sync.applied_total stamps.(i) <> total then fail "applied total %s differs" item;
         for o = 1 to n_sites - 1 do
-          let v = match Hashtbl.find_opt stamps (o, item) with Some (v, _) -> v | None -> 0 in
-          if Delay_sync.applied_version s ~origin:o ~item <> v then
+          let v = match Hashtbl.find_opt ref_stamps (o, item) with Some (v, _) -> v | None -> 0 in
+          if Delay_sync.applied_version stamps.(i) ~origin:o <> v then
             fail "stamp (%d, %s) differs" o item
         done)
       items;
     let state =
-      Hashtbl.fold (fun (o, item) (v, c) acc -> (o, item, v, c) :: acc) stamps [] |> List.sort compare
+      Hashtbl.fold (fun (o, item) (v, c) acc -> (o, item, v, c) :: acc) ref_stamps []
+      |> List.sort compare
     in
-    if List.sort compare (Delay_sync.applied_state s ~want:(fun _ -> true)) <> state then
-      fail "applied state differs";
+    let got =
+      Array.to_list items
+      |> List.mapi (fun i item ->
+             List.rev
+               (Delay_sync.fold_stamps stamps.(i) ~init:[] ~f:(fun acc o v c ->
+                    (o, item, v, c) :: acc)))
+    in
+    if not (List.for_all (fun l -> List.sort compare l = l) got) then
+      fail "stamps not folded by origin";
+    if List.sort compare (List.concat got) <> state then fail "applied state differs";
     for o = 1 to n_sites - 1 do
       let want = Option.value ~default:0 (Hashtbl.find_opt high o) in
       if Delay_sync.applied_high s ~origin:o <> want then fail "applied high of %d differs" o

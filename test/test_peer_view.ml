@@ -45,36 +45,21 @@ let test_richest () =
   Alcotest.(check bool) "unknown item" true
     (Option.is_none (Peer_view.richest v ~item:"zzz" ~exclude:no_exclude))
 
-let test_forget_site () =
+(* An item's entry observes as the named form does, into the same
+   observations, and the shared placeholder refuses to be observed into. *)
+let test_entry () =
   let v = Peer_view.create () in
-  Peer_view.observe v ~site:(addr 0) ~item:"a" ~volume:40 ~at:(at 1);
-  Peer_view.observe v ~site:(addr 0) ~item:"b" ~volume:10 ~at:(at 1);
-  Peer_view.observe v ~site:(addr 1) ~item:"a" ~volume:7 ~at:(at 1);
-  Peer_view.forget_site v (addr 0);
-  Alcotest.(check (option int)) "a forgotten" None (Peer_view.volume_of v ~site:(addr 0) ~item:"a");
-  Alcotest.(check (option int)) "b forgotten" None (Peer_view.volume_of v ~site:(addr 0) ~item:"b");
-  Alcotest.(check (option int)) "other site kept" (Some 7)
-    (Peer_view.volume_of v ~site:(addr 1) ~item:"a")
-
-let test_forget_restores_footprint () =
-  (* Regression: forget_site used to leave an empty inner table behind for
-     every item the departed site had been the only observer of, so
-     join/leave churn grew the view without bound. *)
-  let v = Peer_view.create () in
-  Peer_view.observe v ~site:(addr 0) ~item:"a" ~volume:40 ~at:(at 1);
-  let baseline = Peer_view.items v in
-  for cycle = 1 to 50 do
-    for i = 1 to 4 do
-      Peer_view.observe v ~site:(addr 9)
-        ~item:(Printf.sprintf "ephemeral%d-%d" cycle i)
-        ~volume:i ~at:(at cycle)
-    done;
-    Peer_view.forget_site v (addr 9)
-  done;
-  Alcotest.(check (list string)) "items back to the prior footprint" baseline
-    (Peer_view.items v);
-  Alcotest.(check (option int)) "survivor untouched" (Some 40)
-    (Peer_view.volume_of v ~site:(addr 0) ~item:"a")
+  let a = Peer_view.entry v ~item:"a" in
+  Peer_view.observe_entry a ~site:(addr 0) ~volume:40 ~at:(at 10);
+  Peer_view.observe v ~site:(addr 0) ~item:"a" ~volume:5 ~at:(at 5);
+  Alcotest.(check (option int)) "stale named observation ignored" (Some 40)
+    (Peer_view.volume_of v ~site:(addr 0) ~item:"a");
+  Peer_view.observe_entry (Peer_view.entry v ~item:"a") ~site:(addr 1) ~volume:7 ~at:(at 20);
+  Alcotest.(check int) "one entry per item" 2 (List.length (Peer_view.known v ~item:"a"));
+  Alcotest.(check (list string)) "items" [ "a" ] (Peer_view.items v);
+  Alcotest.check_raises "no_entry refused"
+    (Invalid_argument "Peer_view.observe_entry: no_entry") (fun () ->
+      Peer_view.observe_entry Peer_view.no_entry ~site:(addr 0) ~volume:1 ~at:(at 1))
 
 let test_items () =
   let v = Peer_view.create () in
@@ -132,8 +117,7 @@ let suites =
         Alcotest.test_case "newer wins" `Quick test_newer_wins;
         Alcotest.test_case "stale ignored" `Quick test_stale_ignored;
         Alcotest.test_case "richest" `Quick test_richest;
-        Alcotest.test_case "forget site" `Quick test_forget_site;
-        Alcotest.test_case "forget restores footprint" `Quick test_forget_restores_footprint;
+        Alcotest.test_case "entry observes in place" `Quick test_entry;
         Alcotest.test_case "items" `Quick test_items;
       ]
       @ List.map Gen.to_alcotest qcheck_tests );

@@ -402,9 +402,9 @@ let test_setup_scales_with_interest () =
         topology = Topology.sharded ~spread:3 ();
       }
     in
-    let b0 = Gc.allocated_bytes () in
+    let b0 = Gen.allocated_bytes () in
     ignore (Sys.opaque_identity (Cluster.registry (Cluster.create config)));
-    (Gc.allocated_bytes () -. b0) /. float_of_int n
+    (Gen.allocated_bytes () -. b0) /. float_of_int n
   in
   let small = bytes_per_site 300 in
   let large = bytes_per_site 2400 in
@@ -428,9 +428,9 @@ let test_unread_setup_registers_no_series () =
       allocation = Config.All_at_base;
     }
   in
-  let b0 = Gc.allocated_bytes () in
+  let b0 = Gen.allocated_bytes () in
   ignore (Sys.opaque_identity (Cluster.create config));
-  let per_site = (Gc.allocated_bytes () -. b0) /. float_of_int n in
+  let per_site = (Gen.allocated_bytes () -. b0) /. float_of_int n in
   if per_site > 18_000. then
     Alcotest.failf "a never-read set-up allocated %.0f bytes per site, above 18,000" per_site
 
