@@ -56,13 +56,18 @@ let definitions t = t.definitions
    combinator whose callback would be a fresh closure per call. *)
 let entry_exn t item = Hashtbl.find t.entries item
 let entry t ~item = entry_exn t item
+
+(* Dead from the start and in no table, so every entry form refuses it
+   and nothing ever writes it. *)
+let no_entry = { (fresh_entry "" ~available:0 ~held:0) with defined = false }
+
+let entry_or_no_entry t ~item =
+  match entry_exn t item with e -> e | exception Not_found -> no_entry
+
 let entry_available e = if e.defined then e.available else 0
 
 let available t ~item =
   match entry_exn t item with e -> entry_available e | exception Not_found -> 0
-
-let available_or t ~item absent =
-  match entry_exn t item with e -> e.available | exception Not_found -> absent
 
 let held t ~item = match entry_exn t item with e -> e.held | exception Not_found -> 0
 

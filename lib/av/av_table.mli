@@ -47,6 +47,15 @@ type entry
 val entry : t -> item:string -> entry
 (** Raises [Not_found] when the item has no AV. *)
 
+val no_entry : entry
+(** A shared placeholder that is no item's entry: a holder keeps it for an
+    item without AV. Every entry form refuses it as it refuses a dead
+    entry, and {!entry_available} reads 0 on it. *)
+
+val entry_or_no_entry : t -> item:string -> entry
+(** {!entry}, or {!no_entry} when the item has no AV: what a holder of an
+    item's entry takes again once {!definitions} has moved. *)
+
 val entry_available : entry -> int
 val entry_hold : entry -> int -> (unit, string) result
 val entry_consume : entry -> int -> (unit, string) result
@@ -54,11 +63,6 @@ val entry_mint : entry -> int -> (unit, string) result
 
 val available : t -> item:string -> int
 (** Volume free to hold or grant away. 0 for undefined items. *)
-
-val available_or : t -> item:string -> int -> int
-(** [available_or t ~item absent] is {!available} on a defined item and
-    [absent] on an undefined one: {!is_defined} and {!available} in one
-    lookup. *)
 
 val held : t -> item:string -> int
 val total : t -> item:string -> int

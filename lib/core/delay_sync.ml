@@ -1,14 +1,24 @@
 open Avdb_net
+open Avdb_av
 
 (* A counter is linked into the version-ordered ring through [older] and
    [newer]; a counter never linked yet points at itself, so unlinking it
-   is a no-op. *)
+   is a no-op. It also keeps two memos of its item, each taken on first
+   use and taken again once its source has moved, as a site's item
+   records do: [subs], the item's subscriber array, for the topology
+   version [subs_version] (never taken under full replication, where
+   every peer subscribes); and [av], the item's AV entry or
+   [Av_table.no_entry], for the AV table's definitions count [av_defs]. *)
 type counter = {
   item : string;
   mutable version : int;
   mutable cum : int;
   mutable older : counter;
   mutable newer : counter;
+  mutable subs : int array;
+  mutable subs_version : int;  (* -1 until [subs] is first taken *)
+  mutable av : Av_table.entry;
+  mutable av_defs : int;  (* -1 until [av] is first taken *)
 }
 
 (* One origin's applied stamp on one item. *)
@@ -21,14 +31,13 @@ module Origins = Map.Make (Int)
    a table's sixteen-slot minimum would dominate the item's record. *)
 type stamps = stamp Origins.t
 
-(* The highest version applied from one origin. *)
-type high = { mutable high : int }
-
-(* What this site knows of one peer's hold on its counters. [acked]: the
-   peer holds every counter stamped up to it. [sent]: the [seq] at the
-   last notice sent to it, so every counter on the peer's items stamped up
-   to it has gone out once. *)
-type peer = { mutable acked : int; mutable sent : int }
+(* What this site knows of one peer site, as sender and as receiver: one
+   entry per peer, found once. [acked]: the peer holds every counter
+   stamped up to it. [sent]: the [seq] at the last notice sent to it, so
+   every counter on the peer's items stamped up to it has gone out once.
+   [high]: the highest version applied from the peer, the one ack a
+   notice to it carries. *)
+type peer = { site : int; mutable acked : int; mutable sent : int; mutable high : int }
 
 type t = {
   counters : (string, counter) Hashtbl.t;
@@ -39,22 +48,42 @@ type t = {
   mutable settled : int;  (* [seq] at the last ring restoration *)
   mutable seq : int;
   mutable flushed : int;  (* every change <= this was broadcast once *)
-  peers : peer Int_table.t;
+  peers : peer Int_table.t;  (* by site *)
   mutable rr : int;  (* fanout rotation cursor *)
   mutable rot_left : int;  (* fanout flushes still owed this rotation *)
-  mutable audience : Address.t list;
+  mutable audience : peer list;
+  (* What [audience] was built for: under partial replication the
+     topology version and the counter count; under full replication
+     [full_audience] and the topology's site count. *)
   mutable audience_topology : int;
   mutable audience_count : int;
-  applied : high Int_table.t;  (* by origin *)
 }
 
 type counters = (string * int * int) list
 
+let unlinked item =
+  let rec c =
+    {
+      item;
+      version = 0;
+      cum = 0;
+      older = c;
+      newer = c;
+      subs = [||];
+      subs_version = -1;
+      av = Av_table.no_entry;
+      av_defs = -1;
+    }
+  in
+  c
+
+let no_counter = unlinked ""
+let full_audience = -2
+
 let create () =
-  let rec ring = { item = ""; version = 0; cum = 0; older = ring; newer = ring } in
   {
     counters = Hashtbl.create 16;
-    ring;
+    ring = unlinked "";
     dirty = [];
     settled = 0;
     seq = 0;
@@ -65,12 +94,12 @@ let create () =
     audience = [];
     audience_topology = -1;
     audience_count = -1;
-    applied = Int_table.create 8;
   }
 
 (* --- sender --- *)
 
 let queue_counter t c ~delta =
+  if c == no_counter then invalid_arg "Delay_sync.queue_counter: no_counter";
   t.seq <- t.seq + 1;
   if c.version <= t.settled then t.dirty <- c :: t.dirty;
   c.version <- t.seq;
@@ -84,7 +113,7 @@ let queue t ~item ~delta =
   match Hashtbl.find t.counters item with
   | c -> queue_counter t c ~delta
   | exception Not_found ->
-      let rec c = { item; version = 0; cum = 0; older = c; newer = c } in
+      let c = unlinked item in
       Hashtbl.add t.counters item c;
       queue_counter t c ~delta
 
@@ -98,6 +127,30 @@ let version t ~item =
 
 let cum t ~item = match Hashtbl.find_opt t.counters item with Some c -> c.cum | None -> 0
 let owes_flush t = t.seq > t.flushed || t.rot_left > 0
+
+(* The counter's subscriber memo: the item's subscriber array, taken again
+   when the topology version moves. *)
+let subs topology c =
+  let v = Topology.version topology in
+  if c.subs_version <> v then begin
+    c.subs <- Topology.subscriber_array topology ~item:c.item;
+    c.subs_version <- v
+  end;
+  c.subs
+
+(* The counter's AV memo: the item's entry, taken again when the table's
+   definitions move. *)
+let av_entry av c =
+  let defs = Av_table.definitions av in
+  if c.av_defs <> defs then begin
+    c.av <- Av_table.entry_or_no_entry av ~item:c.item;
+    c.av_defs <- defs
+  end;
+  c.av
+
+(* Whether [site] replicates the counter's item. *)
+let reaches topology c ~site =
+  Topology.is_full topology || Topology.subscribes (subs topology c) ~site
 
 let start_flush t ~force ~fanout audience =
   let new_deltas = t.seq > t.flushed in
@@ -114,173 +167,169 @@ let start_flush t ~force ~fanout audience =
       t.rot_left <- 0;
       audience
 
+(* Moves each counter, in list order, to the ring's newest end. *)
+let rec relink ring = function
+  | [] -> ()
+  | c :: rest ->
+      c.older.newer <- c.newer;
+      c.newer.older <- c.older;
+      c.older <- ring.older;
+      c.newer <- ring;
+      ring.older.newer <- c;
+      ring.older <- c;
+      relink ring rest
+
 (* Move the dirty counters, oldest stamp first, to the ring's newest end.
    Each is stamped after every counter still in place, so the ring comes
    out in version order. *)
 let settle t =
   if t.dirty <> [] then begin
-    let moved = List.sort (fun a b -> Int.compare a.version b.version) t.dirty in
-    let ring = t.ring in
-    List.iter
-      (fun c ->
-        c.older.newer <- c.newer;
-        c.newer.older <- c.older;
-        c.older <- ring.older;
-        c.newer <- ring;
-        ring.older.newer <- c;
-        ring.older <- c)
-      moved;
+    relink t.ring (List.sort (fun a b -> Int.compare a.version b.version) t.dirty);
     t.dirty <- []
   end;
   t.settled <- t.seq
 
-(* The counters stamped after [floor] on items [keep] accepts, in the
-   wire form, name-sorted. *)
-let slice t ~floor ~keep =
+(* From [c] down the ring to the first counter stamped at or before
+   [floor], each counter consed onto [acc], oldest first. *)
+let rec walk_newer ring ~floor c acc =
+  if c == ring || c.version <= floor then acc else walk_newer ring ~floor c.older (c :: acc)
+
+(* The counters stamped after [floor], name-sorted: the slice a payload
+   is cut from. *)
+let newer_than t ~floor =
   settle t;
-  let rec walk c acc =
-    if c == t.ring || c.version <= floor then acc
-    else walk c.older (if keep c.item then (c.item, c.version, c.cum) :: acc else acc)
-  in
-  List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) (walk t.ring.older [])
+  List.sort (fun a b -> String.compare a.item b.item) (walk_newer t.ring ~floor t.ring.older [])
 
-let every _ = true
-let unflushed t =
-  List.map (fun (item, _, cum) -> (item, cum)) (slice t ~floor:t.flushed ~keep:every)
+let unflushed t = List.map (fun c -> (c.item, c.cum)) (newer_than t ~floor:t.flushed)
 
-let conveyed t ~peer =
-  match Int_table.find t.peers (Address.to_int peer) with
-  | p -> p.acked
-  | exception Not_found -> 0
-
-let peer t site =
+let peer t ~site =
   match Int_table.find t.peers site with
   | p -> p
   | exception Not_found ->
-      let p = { acked = 0; sent = 0 } in
+      let p = { site; acked = 0; sent = 0; high = 0 } in
       Int_table.add t.peers site p;
       p
 
-let note_conveyed t ~peer:addr ~upto =
-  if upto > 0 then begin
-    let p = peer t (Address.to_int addr) in
-    if upto > p.acked then p.acked <- upto
-  end
+let peer_address p = Address.of_int p.site
+let peer_high p = p.high
+let note_conveyed p ~upto = if upto > p.acked then p.acked <- upto
 
 (* Whether a counter on an item [site] replicates is stamped after [mark]:
    the dirty list, then the ring newest first down to [mark]. A dirty
    counter met again in the ring is merely checked twice, and one met at a
    stamp at or below [mark] ends the walk rightly: every settled counter
-   is stamped before it. Allocates nothing. *)
+   is stamped before it. Reads each counter's subscriber memo; allocates
+   nothing. *)
 let rec dirty_news topology ~site ~mark = function
   | [] -> false
   | c :: rest ->
-      (c.version > mark && Topology.interested topology ~site ~item:c.item)
+      (c.version > mark && Topology.subscribes (subs topology c) ~site)
       || dirty_news topology ~site ~mark rest
 
 let rec ring_news ring topology ~site ~mark c =
   c != ring
   && c.version > mark
-  && (Topology.interested topology ~site ~item:c.item
-     || ring_news ring topology ~site ~mark c.older)
+  && (Topology.subscribes (subs topology c) ~site || ring_news ring topology ~site ~mark c.older)
 
 (* News for a peer: a counter on its items stamped after both its ack and
    the last notice sent to it. Under full replication every counter is on
    its items, and the newest is stamped [seq]. *)
-let has_news t topology ~site ~mark =
+let has_news t topology p =
+  let mark = Int.max p.acked p.sent in
   mark < t.seq
   && (Topology.is_full topology
-     || dirty_news topology ~site ~mark t.dirty
-     || ring_news t.ring topology ~site ~mark t.ring.older)
+     || dirty_news topology ~site:p.site ~mark t.dirty
+     || ring_news t.ring topology ~site:p.site ~mark t.ring.older)
 
-(* The targets a flush notifies, each with its entry: every one when
-   forced, otherwise those with news. Allocates nothing when none has
-   news, once every target has an entry. *)
+(* The targets a flush notifies: every one when forced, otherwise those
+   with news. Allocates nothing when none has news. *)
 let[@tail_mod_cons] rec notified t ~force topology = function
   | [] -> []
-  | addr :: rest ->
-      let site = Address.to_int addr in
-      let p = peer t site in
-      if force || has_news t topology ~site ~mark:(Int.max p.acked p.sent) then
-        (addr, p) :: notified t ~force topology rest
+  | p :: rest ->
+      if force || has_news t topology p then p :: notified t ~force topology rest
       else notified t ~force topology rest
 
-(* The entries of a name-sorted [slice] stamped after [upto] on items
-   whose subscriber array ([subs], aligned with [slice] from index [i])
-   holds [site]. *)
-let[@tail_mod_cons] rec pick ~site ~upto subs i = function
+(* The counters of a name-sorted [slice] stamped after [upto] on items
+   [site] replicates, in the wire form: a payload. *)
+let[@tail_mod_cons] rec pick topology ~site ~upto = function
   | [] -> []
-  | ((_, version, _) as c) :: rest ->
-      if version > upto && Topology.subscribes subs.(i) ~site then
-        c :: pick ~site ~upto subs (i + 1) rest
-      else pick ~site ~upto subs (i + 1) rest
+  | c :: rest ->
+      if c.version > upto && reaches topology c ~site then
+        (c.item, c.version, c.cum) :: pick topology ~site ~upto rest
+      else pick topology ~site ~upto rest
 
-(* The entries of a name-sorted [slice] stamped after [upto]: a payload
-   under full replication. *)
-let[@tail_mod_cons] rec newer ~upto = function
-  | [] -> []
-  | ((_, version, _) as c) :: rest ->
-      if version > upto then c :: newer ~upto rest else newer ~upto rest
+(* The payload's [av_info]: the available AV on the item of every counter
+   of [slice] that [picked], [pick]'s payload from it, holds and whose
+   item has AV, read through the counters' AV memos, in payload order.
+   [picked] is in slice order and shares each counter's item, so a
+   pointer comparison tells which counters it holds. *)
+let[@tail_mod_cons] rec levels av slice picked =
+  match (slice, picked) with
+  | [], _ | _, [] -> []
+  | c :: rest, (item, _, _) :: more ->
+      if item != c.item then levels av rest picked
+      else
+        let e = av_entry av c in
+        if e == Av_table.no_entry then levels av rest more
+        else (item, Av_table.entry_available e) :: levels av rest more
 
 let rec min_ack floor = function
   | [] -> floor
-  | (_, p) :: rest -> min_ack (Int.min floor p.acked) rest
+  | p :: rest -> min_ack (Int.min floor p.acked) rest
 
-(* Sends each notified target its payload out of [slice] and raises its
-   sent mark. A function of its own rather than a closure, so that a
-   flush allocates only its target list, the slice and the payloads. *)
-let rec send_each t ~force topology ~slice ~subs send = function
-  | [] -> ()
-  | (addr, p) :: rest ->
+(* Sends each notified target its payload out of [slice], raises its sent
+   mark and returns whether any went out. A function of its own rather
+   than a closure, so that a flush allocates only its target list, the
+   slice and the payloads. *)
+let rec send_each t ~force topology av ~slice ctx send sent = function
+  | [] -> sent
+  | p :: rest -> (
       let upto = if force then 0 else p.acked in
-      (match
-         if Topology.is_full topology then newer ~upto slice
-         else pick ~site:(Address.to_int addr) ~upto subs 0 slice
-       with
-      | [] -> ()
+      match pick topology ~site:p.site ~upto slice with
+      | [] -> send_each t ~force topology av ~slice ctx send sent rest
       | counters ->
           p.sent <- t.seq;
-          send addr counters);
-      send_each t ~force topology ~slice ~subs send rest
+          send ctx p counters (levels av slice counters);
+          send_each t ~force topology av ~slice ctx send true rest)
 
-let payloads t ~force topology targets send =
+let payloads t ~force topology av targets ctx send =
   match notified t ~force topology targets with
-  | [] -> ()
+  | [] -> false
   | notified ->
-      let slice = slice t ~floor:(if force then 0 else min_ack max_int notified) ~keep:every in
-      (* Under partial replication, each counter's subscribers, resolved
-         once for every target. *)
-      let subs =
-        if Topology.is_full topology then [||]
-        else
-          Array.of_list
-            (List.map (fun (item, _, _) -> Topology.subscriber_array topology ~item) slice)
-      in
-      send_each t ~force topology ~slice ~subs send notified
+      let slice = newer_than t ~floor:(if force then 0 else min_ack max_int notified) in
+      send_each t ~force topology av ~slice ctx send false notified
 
-let payload t topology peer =
-  let upto = conveyed t ~peer in
-  if t.seq <= upto then []
-  else if Topology.is_full topology then slice t ~floor:upto ~keep:every
-  else
-    let site = Address.to_int peer in
-    slice t ~floor:upto ~keep:(fun item -> Topology.interested topology ~site ~item)
+let payload t topology addr =
+  let site = Address.to_int addr in
+  let upto = match Int_table.find t.peers site with p -> p.acked | exception Not_found -> 0 in
+  if t.seq <= upto then [] else pick topology ~site ~upto (newer_than t ~floor:upto)
 
 let audience t topology ~self =
-  let v = Topology.version topology and n = Hashtbl.length t.counters in
-  if v <> t.audience_topology || n <> t.audience_count then begin
-    let seen = Hashtbl.create 16 in
-    Hashtbl.iter
-      (fun item _ ->
-        List.iter
-          (fun i -> if i <> self then Hashtbl.replace seen i ())
-          (Topology.subscribers topology ~item))
-      t.counters;
-    t.audience <-
-      Hashtbl.fold (fun i () acc -> Address.of_int i :: acc) seen []
-      |> List.sort Address.compare;
-    t.audience_topology <- v;
-    t.audience_count <- n
+  if Topology.is_full topology then begin
+    let members = Topology.n_sites topology in
+    if t.audience_topology <> full_audience || t.audience_count <> members then begin
+      let rec every_member i acc =
+        if i < 0 then acc
+        else every_member (i - 1) (if i = self then acc else peer t ~site:i :: acc)
+      in
+      t.audience <- every_member (members - 1) [];
+      t.audience_topology <- full_audience;
+      t.audience_count <- members
+    end
+  end
+  else begin
+    let v = Topology.version topology and n = Hashtbl.length t.counters in
+    if v <> t.audience_topology || n <> t.audience_count then begin
+      let sites =
+        Hashtbl.fold
+          (fun _ c acc ->
+            Array.fold_left (fun acc i -> if i = self then acc else i :: acc) acc (subs topology c))
+          t.counters []
+      in
+      t.audience <- List.map (fun site -> peer t ~site) (List.sort_uniq Int.compare sites);
+      t.audience_topology <- v;
+      t.audience_count <- n
+    end
   end;
   t.audience
 
@@ -316,10 +365,7 @@ let applied_total stamps = Origins.fold (fun _ st acc -> acc + st.s_cum) stamps 
 let fold_stamps stamps ~init ~f =
   Origins.fold (fun origin st acc -> f acc origin st.s_version st.s_cum) stamps init
 
-let applied_high t ~origin =
-  match Int_table.find t.applied origin with o -> o.high | exception Not_found -> 0
+let raise_high p version = if version > p.high then p.high <- version
 
-let raise_high t ~origin version =
-  match Int_table.find t.applied origin with
-  | o -> if version > o.high then o.high <- version
-  | exception Not_found -> if version > 0 then Int_table.add t.applied origin { high = version }
+let applied_high t ~origin =
+  match Int_table.find t.peers origin with p -> p.high | exception Not_found -> 0

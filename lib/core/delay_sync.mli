@@ -16,6 +16,17 @@
     counter stamped at or before the last build sits in the ring in
     ascending version order; every later one is on the dirty list, once.
 
+    A counter keeps its item's subscriber array and AV entry, each taken
+    on first use and again once the topology version or the AV table's
+    definitions have moved, so a flush tests who replicates an item and
+    reads its AV level without resolving the item by name.
+
+    {b Peers.} Each peer site has one {!peer} entry, for both directions:
+    its acknowledgement and sent mark as a receiver of this site's
+    counters, and the highest version applied from it as an origin. A
+    flush audience is a list of these entries, so a flush resolves no peer
+    by site either.
+
     {b Receiver.} Per origin site, the highest version applied from it: a
     complete cumulative acknowledgement, because every payload carries the
     origin's whole unacknowledged backlog. The last [(version, cum)]
@@ -24,8 +35,8 @@
     record), so a receiver that has found the item reads and advances
     them with int-keyed lookups only.
 
-    Counters, applied stamps and high-water marks survive crashes
-    (trusted metadata, like the AV table). *)
+    Counters, peer entries and applied stamps survive crashes (trusted
+    metadata, like the AV table). *)
 
 type t
 
@@ -53,9 +64,14 @@ val counter : t -> item:string -> counter
     creates a counter, so {!count}, {!audience} and {!own_state} never see
     one that no delta stamped. *)
 
+val no_counter : counter
+(** A shared placeholder that is no item's counter: a holder keeps it
+    until it takes the item's {!counter}. {!queue_counter} refuses it. *)
+
 val queue_counter : t -> counter -> delta:int -> unit
 (** {!queue} on a counter already found: the same stamps, without the
-    name lookup. [queue] is a lookup followed by this. *)
+    name lookup. [queue] is a lookup followed by this. Raises
+    [Invalid_argument] on {!no_counter}. *)
 
 val seq : t -> int
 (** The latest sequence number (0 before the first {!queue}). *)
@@ -73,12 +89,24 @@ val owes_flush : t -> bool
 (** Whether a flush is owed: a change since the last {!start_flush}, or
     a [sync_fanout] rotation that has not yet reached every peer. *)
 
-val start_flush :
-  t ->
-  force:bool ->
-  fanout:int option ->
-  Avdb_net.Address.t list ->
-  Avdb_net.Address.t list
+type peer
+(** What this site knows of one peer site: the peer's acknowledgement of
+    this site's counters and its sent mark, and the highest version
+    applied from the peer. One entry per peer site, made on first use and
+    never removed, so an entry, once found, is the peer's for the life of
+    the [t]. *)
+
+val peer : t -> site:int -> peer
+(** The site's entry, made on the first call for the site: one int-keyed
+    lookup. *)
+
+val peer_address : peer -> Avdb_net.Address.t
+
+val peer_high : peer -> int
+(** The highest version applied from the peer ({!applied_high}): the one
+    ack a notice to the peer carries. *)
+
+val start_flush : t -> force:bool -> fanout:int option -> peer list -> peer list
 (** [start_flush t ~force ~fanout audience] marks every counter as
     broadcast and returns the peers this flush notifies: all of
     [audience] when [force] or without a fanout, otherwise the next [k]
@@ -89,7 +117,7 @@ val unflushed : t -> (string * int) list
 (** [(item, cum)] for the counters changed since the last {!start_flush},
     name-sorted. *)
 
-val note_conveyed : t -> peer:Avdb_net.Address.t -> upto:int -> unit
+val note_conveyed : peer -> upto:int -> unit
 (** Record that the peer holds every counter stamped up to [upto] (the
     ack on the peer's notice, or the seq a piggyback covered when its
     reply arrives); lower values than the peer's current ack are
@@ -99,29 +127,38 @@ val payloads :
   t ->
   force:bool ->
   Topology.t ->
-  Avdb_net.Address.t list ->
-  (Avdb_net.Address.t -> counters -> unit) ->
-  unit
-(** [payloads t ~force topology targets send] calls [send peer counters]
-    for each target, in order, that has news, and raises its sent mark.
-    Its payload is the counters stamped after the peer's acknowledgement
-    (after 0 when [force]) on items the peer replicates
-    ({!Topology.interested}). Unforced, a target has news when one of
-    those counters is stamped after its sent mark too; the test walks only
-    the counters newer than both numbers and allocates nothing. Forced,
-    every target with a non-empty payload is sent it. Builds one slice of
-    the counters newer than the smallest acknowledgement among the
-    targets sent to, and under partial replication resolves each of
-    those counters' subscribers once for all of them. *)
+  Avdb_av.Av_table.t ->
+  peer list ->
+  'a ->
+  ('a -> peer -> counters -> (string * int) list -> unit) ->
+  bool
+(** [payloads t ~force topology av targets ctx send] calls
+    [send ctx peer counters av_info] for each target, in order, that has
+    news, raises its sent mark, and returns whether it called [send].
+    The payload is the counters stamped after the peer's acknowledgement
+    (after 0 when [force]) on items the peer replicates, and [av_info]
+    the available AV ([av]'s level) on those of its items that have AV,
+    in the same order. Unforced, a target has news when one of those
+    counters is stamped after its sent mark too; the test walks only the
+    counters newer than both numbers, reads their subscriber memos and
+    allocates nothing. Forced, every target with a non-empty payload is
+    sent it. Builds one name-sorted slice of the counters newer than the
+    smallest acknowledgement among the targets sent to; every payload is
+    cut from it through the counters' memos, so nothing is resolved by
+    item name or by site. [send] takes its context as [ctx], so a caller
+    that passes a top-level function allocates no closure. *)
 
 val payload : t -> Topology.t -> Avdb_net.Address.t -> counters
 (** The single-peer, unforced payload (an AV-request or grant
     piggyback). *)
 
-val audience : t -> Topology.t -> self:int -> Avdb_net.Address.t list
-(** The union of the subscribers of every counter's item, [self]
-    excluded, sorted: the flush audience under partial replication.
-    Cached until the topology version or the counter count changes. *)
+val audience : t -> Topology.t -> self:int -> peer list
+(** The peers a flush considers, [self] excluded, in site order: under full
+    replication every one of the topology's {!Topology.n_sites} sites,
+    cached until that count changes; under partial replication the union
+    of the subscribers of every counter's item, read from the counters'
+    subscriber memos and cached until the topology version or the counter
+    count changes. *)
 
 val own_state : t -> want:(string -> bool) -> (string * int * int) list
 (** [(item, version, cum)] for every counter on a wanted item, in no
@@ -166,13 +203,13 @@ val applied_total : stamps -> int
 val fold_stamps : stamps -> init:'a -> f:('a -> int -> int -> int -> 'a) -> 'a
 (** [f acc origin version cum] over every origin's stamp, by origin. *)
 
-val raise_high : t -> origin:int -> int -> unit
-(** Raise [origin]'s high-water mark to a version applied or seeded from
+val raise_high : peer -> int -> unit
+(** Raise the peer's high-water mark to a version applied or seeded from
     it: once per applied batch, to the batch's highest version, and once
     per seeded stamp. Lower values are ignored. *)
 
 val applied_high : t -> origin:int -> int
 (** The highest version applied from [origin]; 0 before the first. A
     complete cumulative acknowledgement of [origin]'s counters up to it,
-    and the one ack a notice to [origin] carries. O(1) expected: one
-    int-keyed lookup. *)
+    and the one ack a notice to [origin] carries ({!peer_high}). O(1)
+    expected: one int-keyed lookup. *)

@@ -34,15 +34,29 @@ let flush_epochs = Site_epoch.flush_epochs
 let epoch_applied = Site_epoch.epoch_applied
 let epoch_unsealed = Site_epoch.epoch_unsealed
 
-(* Heap words reachable from the site's replica + protocol state: stock
-   rows, AV ledger, peer view, sync sender/receiver tables and the
-   per-item records with their peer memos. Deliberately excludes the WAL
-   and audit history (they grow with applied-update count, not with the
-   catalogue) — this is the quantity partial replication bounds by the
-   interest set. *)
+(* Heap words the site owns among those reachable from its replica +
+   protocol state: stock rows, AV ledger, peer view, sync sender/receiver
+   tables and the per-item records with their peer memos. Deliberately
+   excludes the WAL and audit history (they grow with applied-update
+   count, not with the catalogue) — this is the quantity partial
+   replication bounds by the interest set. Structure every site shares
+   (the topology with its subscriber arrays, the catalogue with its item
+   names, the placeholders a record holds before it takes a handle) is
+   reachable from each site but owned by none. [Obj.reachable_words]
+   counts a block once per call, so the words reachable from the shared
+   roots alone are taken off. *)
 let live_words t =
+  let shared =
+    Obj.repr
+      ( t.shared.topology,
+        t.shared.catalogue,
+        Peer_view.no_entry,
+        Av_table.no_entry,
+        Delay_sync.no_counter )
+  in
   Obj.reachable_words
-    (Obj.repr (Database.table t.db stock_table, t.av, t.view, t.sync, t.items))
+    (Obj.repr (shared, Database.table t.db stock_table, t.av, t.view, t.sync, t.items))
+  - Obj.reachable_words shared
 
 let pending_sync_deltas t = Delay_sync.unflushed t.sync
 
@@ -160,9 +174,9 @@ let update_body t item delta finish =
               match s.s_epoch with
               | Some st -> Site_epoch.epoch_update t st ~delta ~finish
               | None -> (
-                  match av_entry t s with
-                  | Some av -> Site_delay.delay_update t s av ~delta ~finish
-                  | None -> Site_immediate.immediate_update t s ~delta ~finish)))
+                  let av = av_entry t s in
+                  if av == Av_table.no_entry then Site_immediate.immediate_update t s ~delta ~finish
+                  else Site_delay.delay_update t s av ~delta ~finish)))
 
 let batch_body t deltas () finish =
   if is_down t || (config t).Config.mode = Config.Centralized then
@@ -175,7 +189,7 @@ let batch_body t deltas () finish =
           | exception Not_found -> Some (Update.Unknown_item item)
           | s ->
               if is_quarantined t ~item then Some Update.Unreachable
-              else if Option.is_none (av_entry t s) then Some (Update.Not_regular item)
+              else if av_entry t s == Av_table.no_entry then Some (Update.Not_regular item)
               else None)
         deltas
     in

@@ -84,20 +84,22 @@ type epoch_item = {
    again when it can have gone stale:
    - [s_row], the stock row's amount column, when recovery replaced the
      database or the stock table removed a row ([Database.handle_live]);
-   - [s_av], the AV entry or [None] for an item without AV, when
-     [Av_table.definitions] moved from [s_av_defs], after a define or an
-     undefine through the public [Site.av_table];
+   - [s_av], the AV entry or [Av_table.no_entry] for an item without
+     AV, when [Av_table.definitions] moved from [s_av_defs], after a
+     define or an undefine through the public [Site.av_table];
    - [s_counter], the sync counter, and [s_view], the peer-view entry,
      never: neither is ever removed, so each is taken once, from the
-     item's first queue and first observation on.
+     item's first queue and first observation on. Until then each holds
+     a shared placeholder ([Delay_sync.no_counter], [Peer_view.no_entry])
+     rather than an option, which would box every taken handle.
    Records are never removed either, so [s_stamps], the counters applied
    here from each origin, survive crashes with the record. *)
 type stored = {
   s_item : string;
   mutable s_row : Database.handle;
   mutable s_av_defs : int;  (* -1 until [s_av] is first resolved *)
-  mutable s_av : Av_table.entry option;
-  mutable s_counter : Delay_sync.counter option;
+  mutable s_av : Av_table.entry;
+  mutable s_counter : Delay_sync.counter;  (* [no_counter] until the first queue *)
   mutable s_stamps : Delay_sync.stamps;  (* [no_stamps] until the first apply or seed *)
   mutable s_view : Peer_view.entry;  (* [no_entry] until the first observation *)
   s_epoch : epoch_item option;  (* [Some] exactly for an epoch-class item *)
@@ -289,8 +291,8 @@ let stored t ~item =
           s_item = item;
           s_row = row_handle t ~item;
           s_av_defs = -1;
-          s_av = None;
-          s_counter = None;
+          s_av = Av_table.no_entry;
+          s_counter = Delay_sync.no_counter;
           s_stamps = Delay_sync.no_stamps;
           s_view = Peer_view.no_entry;
           s_epoch = Hashtbl.find_opt t.epochs item;
@@ -337,15 +339,12 @@ let peers_for t s =
     s.s_peers
   end
 
-(* The item's AV entry, or [None] when it has no AV: the checking
-   function's Delay-or-Immediate test. *)
+(* The item's AV entry, or [Av_table.no_entry] when it has no AV: the
+   checking function's Delay-or-Immediate test. *)
 let av_entry t s =
   let defs = Av_table.definitions t.av in
   if s.s_av_defs <> defs then begin
-    s.s_av <-
-      (match Av_table.entry t.av ~item:s.s_item with
-      | e -> Some e
-      | exception Not_found -> None);
+    s.s_av <- Av_table.entry_or_no_entry t.av ~item:s.s_item;
     s.s_av_defs <- defs
   end;
   s.s_av

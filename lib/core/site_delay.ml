@@ -16,14 +16,6 @@ let av_ok what = function
 
 (* --- lazy sync --- *)
 
-(* The available AV on every counter's item that has AV defined. *)
-let[@tail_mod_cons] rec sync_av_info av = function
-  | [] -> []
-  | (item, _, _) :: rest -> (
-      match Av_table.available_or av ~item (-1) with
-      | -1 -> sync_av_info av rest
-      | volume -> (item, volume) :: sync_av_info av rest)
-
 (* The notice's [av_info] entries that no counter resolved, observed by
    name. *)
 let rec observe_named t ~src = function
@@ -36,6 +28,7 @@ let rec observe_named t ~src = function
 type receipt = {
   r_src : Address.t;
   r_origin : int;
+  r_peer : Delay_sync.peer;  (* the origin's entry *)
   r_lossy : bool;  (* [Mutation.Lossy_sync]: stamp fresh counters, apply none *)
   mutable r_txn : Database.txn option;  (* begun at the first fresh counter applied *)
   mutable r_fresh : int;  (* fresh counters met *)
@@ -60,13 +53,13 @@ let receipt_txn t r =
    record. The counter's freshness and delta come from the record's
    stamps, the delta is added through its row handle, and the [av_info]
    entry riding with the counter is observed through its peer-view entry:
-   [sync_av_info] builds [av_info] from the same counters, so its entries
-   come in counter order. Each fresh counter's stamp advances on the way
-   back up, once the batch has committed at the bottom; [receive] returns
-   whether it did. A fresh counter on an item with no row here aborts the
-   whole batch. The origin's high-water mark is raised once, to the
-   highest version in the batch: a stale counter is stamped at or below
-   it already. *)
+   the sender's [Delay_sync.payloads] builds [av_info] from the same
+   counters, so its entries come in counter order. Each fresh counter's
+   stamp advances on the way back up, once the batch has committed at the
+   bottom; [receive] returns whether it did. A fresh counter on an item
+   with no row here aborts the whole batch. The origin's high-water mark,
+   on its entry, is raised once, to the highest version in the batch: a
+   stale counter is stamped at or below it already. *)
 let rec receive t r counters av_info =
   match counters with
   | [] ->
@@ -82,7 +75,7 @@ let rec receive t r counters av_info =
                 [
                   ("from", Address.to_string r.r_src); ("items", string_of_int r.r_fresh);
                 ]);
-      Delay_sync.raise_high t.sync ~origin:r.r_origin r.r_high;
+      Delay_sync.raise_high r.r_peer r.r_high;
       true
   | (item, version, cum) :: rest -> (
       r.r_high <- Int.max r.r_high version;
@@ -132,22 +125,40 @@ let rec receive t r counters av_info =
             false
           end)
 
+(* [p] is the origin's entry. *)
+let receive_from t p ~src ~av_info counters =
+  match counters with
+  | [] -> observe_named t ~src av_info
+  | _ :: _ ->
+      ignore
+        (receive t
+           {
+             r_src = src;
+             r_origin = Address.to_int src;
+             r_peer = p;
+             r_lossy = Mutation.enabled Mutation.Lossy_sync;
+             r_txn = None;
+             r_fresh = 0;
+             r_high = 0;
+           }
+           counters av_info)
+
+(* Counters piggybacked on AV traffic: the origin's entry is found only
+   when there are some. *)
 let apply_sync_counters t ~src ~av_info counters =
   if not (is_down t) then
     match counters with
     | [] -> observe_named t ~src av_info
     | _ :: _ ->
-        ignore
-          (receive t
-             {
-               r_src = src;
-               r_origin = Address.to_int src;
-               r_lossy = Mutation.enabled Mutation.Lossy_sync;
-               r_txn = None;
-               r_fresh = 0;
-               r_high = 0;
-             }
-             counters av_info)
+        receive_from t (Delay_sync.peer t.sync ~site:(Address.to_int src)) ~src ~av_info counters
+
+(* One notice to [p], from [Delay_sync.payloads]: a top-level function, so
+   that a flush allocates no closure for it. Each notice acknowledges the
+   receiver's own counters, the one entry of this site's applied state
+   the receiver reads. *)
+let send_notice t p counters av_info =
+  Rpc.notify t.shared.rpc ~src:t.addr ~dst:(Delay_sync.peer_address p)
+    (Protocol.Sync_counters { counters; av_info; ack = Delay_sync.peer_high p })
 
 let flush_sync ?(force = false) t =
   (* A peer is notified only when it has news: a counter on its items
@@ -166,29 +177,15 @@ let flush_sync ?(force = false) t =
     (* The audience: every peer under full replication; under partial
        replication only the union of the counters' items' subscribers — a
        forced convergence flush included, so nothing here is O(N) per
-       event unless the interest sets themselves are. *)
-    let audience =
-      if Topology.is_full (topology t) then peers t
-      else Delay_sync.audience t.sync (topology t) ~self:(site_index t)
-    in
+       event unless the interest sets themselves are. Both are cached, so
+       a flush in which no target has news allocates nothing. *)
+    let audience = Delay_sync.audience t.sync (topology t) ~self:(site_index t) in
     let targets =
       Delay_sync.start_flush t.sync ~force ~fanout:(config t).Config.sync_fanout audience
     in
-    let sent = ref false in
     (* Under partial replication a counter goes only to peers that
-       subscribe to its item: they alone have a row to apply it to. Each
-       notice acknowledges the receiver's own counters, the one entry of
-       this site's applied state the receiver reads. *)
-    Delay_sync.payloads t.sync ~force (topology t) targets (fun peer counters ->
-        sent := true;
-        Rpc.notify t.shared.rpc ~src:t.addr ~dst:peer
-          (Protocol.Sync_counters
-             {
-               counters;
-               av_info = sync_av_info t.av counters;
-               ack = Delay_sync.applied_high t.sync ~origin:(Address.to_int peer);
-             }));
-    if !sent then begin
+       subscribe to its item: they alone have a row to apply it to. *)
+    if Delay_sync.payloads t.sync ~force (topology t) t.av targets t send_notice then begin
       t.metrics.Update.Metrics.sync_batches_sent <-
         t.metrics.Update.Metrics.sync_batches_sent + 1;
       if tracing t then
@@ -200,11 +197,11 @@ let flush_sync ?(force = false) t =
 (* Stamp a committed local delta on the item's sync counter, which the
    item's first queue creates and the record keeps from then on. *)
 let queue_sync t s ~delta =
-  match s.s_counter with
-  | Some c -> Delay_sync.queue_counter t.sync c ~delta
-  | None ->
-      Delay_sync.queue t.sync ~item:s.s_item ~delta;
-      s.s_counter <- Some (Delay_sync.counter t.sync ~item:s.s_item)
+  if s.s_counter == Delay_sync.no_counter then begin
+    Delay_sync.queue t.sync ~item:s.s_item ~delta;
+    s.s_counter <- Delay_sync.counter t.sync ~item:s.s_item
+  end
+  else Delay_sync.queue_counter t.sync s.s_counter ~delta
 
 (* Apply a committed local delta to the replicated stock value and queue it
    for lazy propagation. Only called after AV accounting has authorised the
@@ -239,11 +236,13 @@ and schedule_sync_flush t =
 
 let handle_sync t ~src ~counters ~av_info ~ack =
   if not (is_down t) then begin
-    (* The sender's cumulative ack of OUR counters: it holds everything of
+    (* The sender's entry, found once for its ack and its counters. The
+       ack is its cumulative ack of OUR counters: it holds everything of
        ours up to that version, so our later flushes to it shrink to the
        true backlog. *)
-    Delay_sync.note_conveyed t.sync ~peer:src ~upto:ack;
-    apply_sync_counters t ~src ~av_info counters
+    let p = Delay_sync.peer t.sync ~site:(Address.to_int src) in
+    Delay_sync.note_conveyed p ~upto:ack;
+    receive_from t p ~src ~av_info counters
   end
 
 (* A join snapshot's counters, already folded into its rows: later
@@ -258,7 +257,7 @@ let seed_sync t sync_state =
             Delay_sync.restamp s.s_stamps (Delay_sync.stamp s.s_stamps ~origin) ~origin ~version
               ~cum
       | exception Not_found -> ());
-      Delay_sync.raise_high t.sync ~origin version)
+      Delay_sync.raise_high (Delay_sync.peer t.sync ~site:origin) version)
     sync_state
 
 (* --- AV circulation: the donor's side --- *)
@@ -359,7 +358,7 @@ let request_av t ~span ~donor ~item ~amount ~sync k =
    omit them. It carries the donor's own counters and its AV levels for
    every item, and [granted] lands in the local available pool. *)
 let absorb_grant t ~donor ~item ~upto ~granted ~donor_available ~av_levels ~sync =
-  Delay_sync.note_conveyed t.sync ~peer:donor ~upto;
+  Delay_sync.note_conveyed (Delay_sync.peer t.sync ~site:(Address.to_int donor)) ~upto;
   apply_sync_counters t ~src:donor ~av_info:[] sync;
   List.iter
     (fun (item, volume) -> Peer_view.observe t.view ~site:donor ~item ~volume ~at:(now t))
@@ -558,9 +557,9 @@ let batch_update t ~deltas ~finish =
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
     |> List.map (fun (item, delta) ->
            let s = stored t ~item in
-           match av_entry t s with
-           | Some av -> (s, av, delta)
-           | None -> invalid_arg ("Site.batch_update: no AV on " ^ item))
+           let av = av_entry t s in
+           if av == Av_table.no_entry then invalid_arg ("Site.batch_update: no AV on " ^ item)
+           else (s, av, delta))
   in
   let apply_all () =
     let txn = Database.begin_txn t.db in

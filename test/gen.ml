@@ -39,6 +39,17 @@ let allocated_bytes () =
   let _, promoted, major = Gc.counters () in
   (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
 
+(* Bytes [f ()] allocates, the readings' own allocation taken off: exact
+   for a small [f], down to 0. *)
+let allocated f =
+  let measure f =
+    Gc.minor ();
+    let b0 = allocated_bytes () in
+    f ();
+    allocated_bytes () -. b0
+  in
+  measure f -. measure ignore
+
 (* --- storage values --- *)
 
 let value_gen =

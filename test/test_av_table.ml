@@ -15,9 +15,6 @@ let test_define () =
   Alcotest.(check int) "available" 40 (Av_table.available t ~item:"productA");
   Alcotest.(check int) "held" 0 (Av_table.held t ~item:"productA");
   Alcotest.(check int) "undefined available is 0" 0 (Av_table.available t ~item:"productB");
-  Alcotest.(check int) "available_or, defined" 40 (Av_table.available_or t ~item:"productA" (-1));
-  Alcotest.(check int) "available_or, undefined" (-1)
-    (Av_table.available_or t ~item:"productB" (-1));
   (match Av_table.define t ~item:"productA" ~volume:1 with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "double define accepted");

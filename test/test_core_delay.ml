@@ -558,6 +558,17 @@ let notify engine rpc ~src ~dst counters av_info =
     (Protocol.Sync_counters { counters; av_info; ack = 0 });
   ignore (Engine.run engine)
 
+(* Site 0 of a hand-built cluster as a bare node that keeps every notice
+   it gets: the returned function reads the latest. *)
+let spy rpc =
+  let got = ref [] in
+  Rpc.serve rpc (Address.of_int 0)
+    ~handler:(fun ~src:_ ~span:_ _ ~reply:_ -> ())
+    ~notice:(fun ~src:_ (Protocol.Sync_counters { counters; av_info; ack }) ->
+      got := (counters, av_info, ack) :: !got)
+    ();
+  fun () -> match !got with notice :: _ -> notice | [] -> Alcotest.fail "no notice reached site 0"
+
 (* A notice whose fresh counters name a stored item and then one the
    receiver has no row for applies none of them: its transaction aborts,
    and neither the item's stamp nor the origin's high-water mark (the ack
@@ -579,12 +590,7 @@ let test_unstored_item_aborts_notice () =
     }
   in
   let engine, rpc, shared = hand_built config in
-  (* Site 0 is a bare node that keeps the ack of every notice it gets. *)
-  let acks = ref [] in
-  Rpc.serve rpc (Address.of_int 0)
-    ~handler:(fun ~src:_ ~span:_ _ ~reply:_ -> ())
-    ~notice:(fun ~src:_ (Protocol.Sync_counters { ack; _ }) -> acks := ack :: !acks)
-    ();
+  let last = spy rpc in
   let receiver = Site.create shared ~addr:(Address.of_int 1) ~av_init:[ ("a", 50) ] in
   let level item =
     Peer_view.volume_of (Site.peer_view receiver) ~site:(Address.of_int 0) ~item
@@ -595,7 +601,8 @@ let test_unstored_item_aborts_notice () =
     Site.submit_update receiver ~item:"a" ~delta:1 (fun _ -> ());
     Site.flush_sync ~force:true receiver;
     ignore (Engine.run engine);
-    match !acks with ack :: _ -> ack | [] -> Alcotest.fail "no notice reached site 0"
+    let _, _, ack = last () in
+    ack
   in
   Alcotest.(check (option int)) "no row for b" None (Site.amount_of receiver ~item:"b");
   notify engine rpc ~src:0 ~dst:1 [ ("a", 1, 5); ("b", 2, 7) ] [ ("a", 40); ("b", 30) ];
@@ -617,6 +624,106 @@ let test_unstored_item_aborts_notice () =
   Alcotest.(check (option int)) "a's level observed again" (Some 35) (level "a");
   Alcotest.(check (option int)) "b's level observed again" (Some 20) (level "b");
   Alcotest.(check int) "the high-water mark rose" 3 (ack_to_site_0 ())
+
+let two_site_config =
+  {
+    Config.default with
+    Config.n_sites = 2;
+    products = [ Product.regular "a" ~initial_amount:100; Product.regular "b" ~initial_amount:100 ];
+    sync_interval = None;
+    tracing = false;
+  }
+
+(* A sync counter keeps its item's AV entry, taken again when the table's
+   definitions move. After an undefine and a redefine through
+   [Site.av_table], and level changes through each entry, a notice's
+   [av_info] must still read the table as a by-name lookup does: a forced
+   flush carries both counters, and an item without AV has no entry. *)
+let test_notice_av_info_follows_definitions () =
+  let engine, rpc, shared = hand_built two_site_config in
+  let last = spy rpc in
+  let site = Site.create shared ~addr:(Address.of_int 1) ~av_init:[ ("a", 50); ("b", 50) ] in
+  let av = Site.av_table site in
+  let by_name counters =
+    List.filter_map
+      (fun (item, _, _) ->
+        if Av_table.is_defined av ~item then Some (item, Av_table.available av ~item) else None)
+      counters
+  in
+  let flush_after changes =
+    List.iter
+      (fun (item, delta) -> Site.submit_update site ~item ~delta (fun _ -> ()))
+      changes;
+    ignore (Engine.run engine);
+    Site.flush_sync ~force:true site;
+    ignore (Engine.run engine);
+    let counters, av_info, _ = last () in
+    Alcotest.(check (list (pair string int))) "av_info reads the table" (by_name counters) av_info;
+    av_info
+  in
+  Alcotest.(check (list (pair string int)))
+    "both levels" [ ("a", 49); ("b", 48) ]
+    (flush_after [ ("a", -1); ("b", -2) ]);
+  Av_table.undefine av ~item:"b";
+  Alcotest.(check (list (pair string int))) "b has no AV" [ ("a", 46) ] (flush_after [ ("a", -3) ]);
+  Av_table.define av ~item:"b" ~volume:7;
+  Alcotest.(check (list (pair string int)))
+    "b's new entry" [ ("a", 46); ("b", 3) ]
+    (flush_after [ ("b", -4) ])
+
+(* A notice's ack is its target's entry's high-water mark: the highest
+   version applied from the target, which no stale counter lowers and a
+   crash and recovery keep. *)
+let test_notice_ack_is_applied_high () =
+  let engine, rpc, shared = hand_built two_site_config in
+  let last = spy rpc in
+  let site = Site.create shared ~addr:(Address.of_int 1) ~av_init:[ ("a", 50); ("b", 50) ] in
+  let ack_after what =
+    Site.submit_update site ~item:"a" ~delta:1 (fun _ -> ());
+    Site.flush_sync site;
+    ignore (Engine.run engine);
+    let _, _, ack = last () in
+    Alcotest.(check int) what ack
+      (Int.max
+         (Site.applied_sync_version site ~origin:0 ~item:"a")
+         (Site.applied_sync_version site ~origin:0 ~item:"b"));
+    ack
+  in
+  Alcotest.(check int) "nothing applied yet" 0 (ack_after "before any counter");
+  notify engine rpc ~src:0 ~dst:1 [ ("a", 2, 5); ("b", 3, 1) ] [];
+  Alcotest.(check int) "the batch's highest" 3 (ack_after "after a batch");
+  notify engine rpc ~src:0 ~dst:1 [ ("a", 1, 4) ] [];
+  Alcotest.(check int) "a stale counter lowers nothing" 3 (ack_after "after a stale counter");
+  Site.crash site;
+  Site.recover site;
+  Alcotest.(check int) "kept across the crash" 3 (ack_after "after recovery");
+  notify engine rpc ~src:0 ~dst:1 [ ("b", 6, 2) ] [];
+  Alcotest.(check int) "raised after recovery" 6 (ack_after "after a later batch");
+  (* a: 5 from site 0 and the five local changes that carried the acks *)
+  Alcotest.(check (option int)) "every fresh counter applied" (Some 110)
+    (Site.amount_of site ~item:"a");
+  Alcotest.(check (option int)) "b too" (Some 102) (Site.amount_of site ~item:"b")
+
+(* An unforced flush in which no target has news allocates nothing, under
+   full replication as under partial: the audience is cached, the news
+   test reads the counters' memos and the peers' entries, and nothing is
+   built for a notice until one goes out. Each cluster has flushed once,
+   forced, so every peer holds every counter. *)
+let test_quiet_flush_allocates_nothing () =
+  let check what topology =
+    let cluster = Cluster.create { (small_config ~n_sites:4 ()) with Config.topology } in
+    ignore (submit cluster 1 ~delta:(-5));
+    ignore (submit cluster 1 ~delta:3);
+    Cluster.flush_all_syncs cluster;
+    let site = Cluster.site cluster 1 in
+    let sent = Avdb_net.Stats.total_sent (Cluster.net_stats cluster) in
+    Alcotest.(check (float 0.)) what 0. (Gen.allocated (fun () -> Site.flush_sync site));
+    Alcotest.(check int) (what ^ ": no notice") sent
+      (Avdb_net.Stats.total_sent (Cluster.net_stats cluster))
+  in
+  check "full replication" Topology.flat;
+  check "partial replication"
+    { Topology.flat with Topology.replication = Topology.Explicit [ ("widget", [ 1; 2 ]) ] }
 
 (* A received notice finds each counter's item once, as its record, and
    reads and advances the applied stamps and the peer view through it;
@@ -743,6 +850,12 @@ let suites =
           test_local_update_allocates_little;
         Alcotest.test_case "a notice naming an unstored item applies nothing" `Quick
           test_unstored_item_aborts_notice;
+        Alcotest.test_case "a notice's AV levels follow definitions" `Quick
+          test_notice_av_info_follows_definitions;
+        Alcotest.test_case "a notice's ack is the applied high" `Quick
+          test_notice_ack_is_applied_high;
+        Alcotest.test_case "a flush without news allocates nothing" `Quick
+          test_quiet_flush_allocates_nothing;
         Alcotest.test_case "a received notice allocates little" `Quick
           test_received_notice_allocates_little;
       ]

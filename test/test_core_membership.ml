@@ -134,6 +134,59 @@ let test_join_with_base_down () =
   | Some (_, Error Update.Unreachable) -> ()
   | _ -> Alcotest.fail "expected Unreachable join failure"
 
+(* A sync counter keeps its item's subscriber array, taken again when the
+   topology version moves. A site that joins an item's explicit
+   subscribers after the item's counter exists must therefore be notified
+   by the unforced flushes the item's next change arms: the very next one
+   without a fanout; at fanout 1, the one the rotation owes it, since its
+   first flush goes to site 0. *)
+let test_joiner_gets_existing_counter () =
+  let check fanout =
+    let cluster =
+      Cluster.create
+        {
+          Config.default with
+          Config.n_sites = 3;
+          products =
+            [
+              Product.regular "widget" ~initial_amount:90;
+              Product.regular "gadget" ~initial_amount:60;
+            ];
+          (* widget on sites 0 (its base) and 1, gadget on 0 and 2 *)
+          topology =
+            {
+              Topology.flat with
+              Topology.replication = Topology.Explicit [ ("widget", [ 1 ]); ("gadget", [ 2 ]) ];
+            };
+          sync_interval = Some (Time.of_ms 20.);
+          sync_fanout = fanout;
+          seed = 83;
+        }
+    in
+    let label what =
+      Printf.sprintf "%s (fanout %s)" what
+        (match fanout with Some k -> string_of_int k | None -> "none")
+    in
+    (* site 1's widget counter exists, and has been flushed, before the
+       join *)
+    ignore (run_update cluster 1 "widget" 5);
+    let idx = join ~interest:[ "widget" ] cluster in
+    let joiner = Cluster.site cluster idx in
+    Alcotest.(check (option int))
+      (label "snapshot") (Some 95)
+      (Site.amount_of joiner ~item:"widget");
+    let sent = Avdb_net.Stats.total_sent (Cluster.net_stats cluster) in
+    (* [run_update] runs the flushes the change arms, all unforced *)
+    ignore (run_update cluster 1 "widget" 3);
+    Alcotest.(check (option int)) (label "joiner has the change") (Some 98)
+      (Site.amount_of joiner ~item:"widget");
+    Alcotest.(check int) (label "joiner's stamp") 2
+      (Site.applied_sync_version joiner ~origin:1 ~item:"widget");
+    Alcotest.(check int) (label "one notice each to site 0 and the joiner") 2
+      (Avdb_net.Stats.total_sent (Cluster.net_stats cluster) - sent)
+  in
+  check None;
+  check (Some 1)
 
 let test_thousand_joins_near_linear () =
   (* Regression: add_retailer used to Array.append the site store, and the
@@ -217,6 +270,8 @@ let suites =
           test_joiner_participates_in_immediate_updates;
         Alcotest.test_case "join with base down" `Quick test_join_with_base_down;
         Alcotest.test_case "1000 joins near-linear" `Slow test_thousand_joins_near_linear;
+        Alcotest.test_case "a joiner gets an existing counter" `Quick
+          test_joiner_gets_existing_counter;
       ]
       @ List.map Gen.to_alcotest qcheck_tests );
   ]

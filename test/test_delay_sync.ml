@@ -3,12 +3,16 @@
    every counter stamped after the peer's acknowledgement on an item the
    peer replicates, name-sorted, and an unforced flush notifies a peer
    only when that payload holds a counter stamped after the highest one
-   already sent to it. The receiver keeps each item's stamps apart, as a
-   site's records do; they and the per-origin high-water marks are
-   checked against a plain (origin, item) map. *)
+   already sent to it. A notice's [av_info] must be the AV table read by
+   name, and its ack the receiver side's high-water mark for its target,
+   whatever joins, AV definitions and level changes the counters' memos
+   have seen. The receiver keeps each item's stamps apart, as a site's
+   records do; they and the per-origin high-water marks are checked
+   against a plain (origin, item) map. *)
 
 open Avdb_core
 module Address = Avdb_net.Address
+module Av_table = Avdb_av.Av_table
 
 let items = Array.init 8 (fun i -> Printf.sprintf "item%d" i)
 let n_sites = 5
@@ -23,6 +27,9 @@ type op =
   | Receive of int * (int * int * int) list * bool
       (** origin, (item index, version, cum), committed *)
   | Seed of int * int * int * int  (** origin, item index, version, cum *)
+  | Av of int * int
+      (** item index, amount: 0 undefines a defined item's AV or defines
+          an undefined one's; otherwise a deposit or withdrawal *)
 
 let pp_op = function
   | Delta (i, d) -> Printf.sprintf "delta(%d,%d)" i d
@@ -38,6 +45,7 @@ let pp_op = function
            (List.map (fun (i, v, c) -> Printf.sprintf "%d@%d=%d" i v c) cs))
         ok
   | Seed (o, i, v, c) -> Printf.sprintf "seed(%d,%d@%d=%d)" o i v c
+  | Av (i, a) -> Printf.sprintf "av(%d,%d)" i a
 
 let op_gen =
   let open QCheck.Gen in
@@ -58,6 +66,7 @@ let op_gen =
       (3, map3 (fun o cs ok -> Receive (o, cs, ok)) origin counters bool);
       (1, map (fun (o, i, (v, c)) -> Seed (o, i, v, c))
            (triple origin item (pair (int_range 1 40) (int_range (-50) 50))));
+      (2, map2 (fun i a -> Av (i, a)) item (int_range (-3) 3));
     ]
 
 let fail fmt = Printf.ksprintf failwith fmt
@@ -66,12 +75,23 @@ let show_counters cs =
   String.concat ";" (List.map (fun (i, v, c) -> Printf.sprintf "%s@%d=%d" i v c) cs)
 
 (* Runs one script, raising [Failure] at the first disagreement. *)
-let run ops =
+let run ~full ops =
   let topology =
-    Topology.create (Topology.sharded ~spread:2 ()) ~n_sites ~items:(Array.to_list items)
+    Topology.create
+      (if full then Topology.flat else Topology.sharded ~spread:2 ())
+      ~n_sites ~items:(Array.to_list items)
   in
   let s = Delay_sync.create () in
   let keep peer item = Topology.interested topology ~site:(Address.to_int peer) ~item in
+  (* AV on every other item to begin with *)
+  let av = Av_table.create () in
+  Array.iteri (fun i item -> if i mod 2 = 0 then Av_table.define av ~item ~volume:10) items;
+  let by_name cs =
+    List.filter_map
+      (fun (item, _, _) ->
+        if Av_table.is_defined av ~item then Some (item, Av_table.available av ~item) else None)
+      cs
+  in
   (* reference sender *)
   let counters = Hashtbl.create 8 and seq = ref 0 and flushed = ref 0 in
   let acks = Hashtbl.create 8 in
@@ -106,7 +126,7 @@ let run ops =
         Hashtbl.replace counters item (!seq, c + d)
     | Ack_vector (p, k) ->
         let upto = Int.max 0 (!seq - k) in
-        Delay_sync.note_conveyed s ~peer:(Address.of_int p) ~upto;
+        Delay_sync.note_conveyed (Delay_sync.peer s ~site:p) ~upto;
         raise_ack p upto
     | Grant_reply p ->
         let peer = Address.of_int p in
@@ -114,7 +134,7 @@ let run ops =
         let want = reference ~upto:(ack p) peer in
         if got <> want then
           fail "piggyback to %d: got [%s], want [%s]" p (show_counters got) (show_counters want);
-        Delay_sync.note_conveyed s ~peer ~upto:(Delay_sync.seq s);
+        Delay_sync.note_conveyed (Delay_sync.peer s ~site:p) ~upto:(Delay_sync.seq s);
         raise_ack p !seq
     | Flush (force, fanout) ->
         let unflushed =
@@ -124,14 +144,20 @@ let run ops =
           |> List.sort compare
         in
         if Delay_sync.unflushed s <> unflushed then fail "unflushed differs";
-        let audience = Delay_sync.audience s topology ~self in
+        let entries = Delay_sync.audience s topology ~self in
+        let audience = List.map Delay_sync.peer_address entries in
         let want_audience =
-          Hashtbl.fold (fun item _ acc -> Topology.subscribers topology ~item @ acc) counters []
+          (if full then List.init !n_joined Fun.id
+           else
+             Hashtbl.fold
+               (fun item _ acc -> Topology.subscribers topology ~item @ acc)
+               counters [])
           |> List.filter (fun i -> i <> self)
           |> List.sort_uniq compare |> List.map Address.of_int
         in
         if audience <> want_audience then fail "audience differs";
-        let targets = Delay_sync.start_flush s ~force ~fanout audience in
+        let chosen = Delay_sync.start_flush s ~force ~fanout entries in
+        let targets = List.map Delay_sync.peer_address chosen in
         flushed := !seq;
         (match fanout with
         | Some k when (not force) && k < List.length audience ->
@@ -139,7 +165,15 @@ let run ops =
             then fail "rotation picked %d of %d peers" (List.length targets) k
         | Some _ | None -> if targets <> audience then fail "unrotated flush skipped peers");
         let sent = ref [] in
-        Delay_sync.payloads s ~force topology targets (fun peer cs -> sent := (peer, cs) :: !sent);
+        let any =
+          Delay_sync.payloads s ~force topology av chosen () (fun () p cs av_info ->
+              let peer = Delay_sync.peer_address p in
+              if av_info <> by_name cs then fail "av_info to %d differs" (Address.to_int peer);
+              if Delay_sync.peer_high p <> Delay_sync.applied_high s ~origin:(Address.to_int peer)
+              then fail "ack to %d differs" (Address.to_int peer);
+              sent := (peer, cs) :: !sent)
+        in
+        if any <> (!sent <> []) then fail "payloads misreports what it sent";
         let want =
           List.filter_map
             (fun peer ->
@@ -188,15 +222,27 @@ let run ops =
             (fun (i, st, v, c) ->
               stamps.(i) <- Delay_sync.restamp stamps.(i) st ~origin:o ~version:v ~cum:c)
             fresh;
-          Delay_sync.raise_high s ~origin:o (List.fold_left (fun m (_, v, _) -> Int.max m v) 0 cs);
+          Delay_sync.raise_high (Delay_sync.peer s ~site:o)
+            (List.fold_left (fun m (_, v, _) -> Int.max m v) 0 cs);
           List.iter (fun (item, _, v, c) -> note_stamp o item v c) want
         end
     | Seed (o, i, v, c) ->
         stamps.(i) <-
           Delay_sync.restamp stamps.(i) (Delay_sync.stamp stamps.(i) ~origin:o) ~origin:o ~version:v
             ~cum:c;
-        Delay_sync.raise_high s ~origin:o v;
+        Delay_sync.raise_high (Delay_sync.peer s ~site:o) v;
         note_stamp o items.(i) v c
+    | Av (i, 0) ->
+        let item = items.(i) in
+        if Av_table.is_defined av ~item then Av_table.undefine av ~item
+        else Av_table.define av ~item ~volume:5
+    | Av (i, a) ->
+        let item = items.(i) in
+        if Av_table.is_defined av ~item then
+          ignore
+            (if a > 0 then Av_table.deposit av ~item a
+             else if Av_table.available av ~item >= -a then Av_table.withdraw av ~item (-a)
+             else Ok ())
   in
   (* Only reads that leave the ring alone, so that several changes can
      pile up between payload builds. *)
@@ -245,12 +291,19 @@ let run ops =
     ops;
   true
 
+let script = QCheck.make
+    ~print:(fun ops -> String.concat " " (List.map pp_op ops))
+    QCheck.Gen.(list_size (int_range 0 80) op_gen)
+
 let payloads_match_reference =
-  QCheck.Test.make ~name:"payloads and stamps match the reference" ~count:300
-    (QCheck.make
-       ~print:(fun ops -> String.concat " " (List.map pp_op ops))
-       QCheck.Gen.(list_size (int_range 0 80) op_gen))
-    run
+  QCheck.Test.make ~name:"payloads and stamps match the reference" ~count:300 script
+    (run ~full:false)
+
+(* The same under full replication, where a counter takes no subscriber
+   memo and the audience is every member. *)
+let full_payloads_match_reference =
+  QCheck.Test.make ~name:"full replication matches the reference" ~count:200 script
+    (run ~full:true)
 
 (* A counter changed again after a payload build must move to the ring's
    newest end: a peer acknowledged up to the build sees only it. *)
@@ -260,7 +313,7 @@ let restamp_after_build () =
   let flat = Topology.create Topology.flat ~n_sites:2 ~items:[ "a"; "b"; "c" ] in
   List.iter (fun item -> Delay_sync.queue s ~item ~delta:1) [ "a"; "b"; "c" ];
   Alcotest.(check int) "three counters" 3 (List.length (Delay_sync.payload s flat peer));
-  Delay_sync.note_conveyed s ~peer ~upto:(Delay_sync.seq s);
+  Delay_sync.note_conveyed (Delay_sync.peer s ~site:1) ~upto:(Delay_sync.seq s);
   Delay_sync.queue s ~item:"a" ~delta:5;
   Delay_sync.queue s ~item:"c" ~delta:1;
   Delay_sync.queue s ~item:"a" ~delta:1;
@@ -269,11 +322,64 @@ let restamp_after_build () =
     [ ("a", 6, 7); ("c", 5, 2) ]
     (Delay_sync.payload s flat peer)
 
+(* A flush with news builds its target list, one name-sorted slice of the
+   counters and each payload with its [av_info], and nothing per counter
+   beyond the slice's own cells: it reads each counter's subscriber array
+   and AV entry from the counter's memos instead of building a subscriber
+   array per flush. Site 0 holds counters on a, b and c; site 1 replicates
+   only b, site 2 only a and c. After a warm-up flush, a change on b is
+   news for site 1 alone, whose ack (0) puts all three counters in the
+   slice. *)
+let flush_allocates_its_payloads_only () =
+  let topology =
+    Topology.create
+      {
+        Topology.flat with
+        Topology.replication = Topology.Explicit [ ("a", [ 2 ]); ("b", [ 1 ]); ("c", [ 2 ]) ];
+      }
+      ~n_sites:3 ~items:[ "a"; "b"; "c" ]
+  in
+  let av = Av_table.create () in
+  List.iter (fun item -> Av_table.define av ~item ~volume:10) [ "a"; "b"; "c" ];
+  let s = Delay_sync.create () in
+  List.iter (fun item -> Delay_sync.queue s ~item ~delta:1) [ "a"; "b"; "c" ];
+  let targets = Delay_sync.audience s topology ~self:0 in
+  (* records the last notice without allocating *)
+  let notices = ref 0 and last = ref (-1) and levels = ref [] in
+  let send () p counters av_info =
+    incr notices;
+    last := Address.to_int (Delay_sync.peer_address p);
+    levels := av_info;
+    ignore counters
+  in
+  ignore (Delay_sync.payloads s ~force:false topology av targets () send);
+  Alcotest.(check int) "the warm-up notifies both" 2 !notices;
+  Delay_sync.queue s ~item:"b" ~delta:1;
+  (* settles b's change, so the flush below moves no counter *)
+  ignore (Delay_sync.unflushed s);
+  let words =
+    Gen.allocated (fun () ->
+        ignore (Delay_sync.payloads s ~force:false topology av targets () send))
+    /. 8.
+  in
+  Alcotest.(check int) "one more notice" 3 !notices;
+  Alcotest.(check int) "to site 1" 1 !last;
+  Alcotest.(check (list (pair string int))) "b's level" [ ("b", 10) ] !levels;
+  (* the target list's cell, the slice's three cells in stamp order (a,
+     c, b), [List.sort]'s 33 words putting them in name order (21 of
+     closures it builds on every call, three cells and the pair it returns
+     them in), b's wire entry (a 3-tuple and a cell) and its level (a
+     pair and a cell) *)
+  Alcotest.(check (float 0.)) "words allocated" (3. +. 9. +. 33. +. 7. +. 6.) words
+
 let suites =
   [
     ( "delay_sync",
       [
         Alcotest.test_case "restamp after build" `Quick restamp_after_build;
         Gen.to_alcotest payloads_match_reference;
+        Gen.to_alcotest full_payloads_match_reference;
+        Alcotest.test_case "a flush allocates its payloads only" `Quick
+          flush_allocates_its_payloads_only;
       ] );
   ]
