@@ -1,10 +1,12 @@
-(** management table (AV table).
+(** The allowable-volume management table (AV table).
 
     The table holds, per data item, the volume this site may subtract from
     the item's numeric datum without talking to anyone (§3.2 of the paper).
-    An item with {e no} AV entry is a non-regular product: updates to it
-    must go through Immediate Update (the checking function distinguishes
-    the two by exactly this lookup).
+    AV is defined on regular products only: an item with {e no} AV entry
+    is a non-regular product, whose updates must go through Immediate
+    Update (the checking function distinguishes the two by exactly this
+    lookup). A site defines its AV when it is created; no entry is ever
+    removed, so whether an item has AV never changes.
 
     Volumes are split into [available] and [held]: a Delay Update first
     {e holds} the volume it needs (or all it has, while it asks other sites
@@ -22,39 +24,24 @@ val define : t -> item:string -> volume:int -> unit
 (** Defines AV on an item with an initial volume. Raises
     [Invalid_argument] if already defined or [volume < 0]. *)
 
-val undefine : t -> item:string -> unit
-(** Removes the AV entry — the item becomes non-regular. *)
-
-val is_defined : t -> item:string -> bool
-(** The checking function's test: defined ⇒ Delay Update. *)
-
-val definitions : t -> int
-(** How many times an entry was defined or undefined (by {!define},
-    {!undefine} or {!decode}). A caller that keeps an {!entry}, or keeps
-    the fact that an item has none, resolves it again when this moves. *)
-
 (** {2 Entries}
 
     An entry is one item's AV, found once: the entry forms below are the
     bodies of the named operations of the same name, which look the entry
     up and call them, so both move the same volumes and fail with the same
-    errors. {!undefine} kills the entry: every entry form then fails as the
-    named form fails on an undefined item, and a later {!define} of the
-    item makes a new entry, which {!definitions} announces. *)
+    errors. Entries are never removed, so an entry, once found, is the
+    item's for the life of the table. *)
 
 type entry
 
-val entry : t -> item:string -> entry
-(** Raises [Not_found] when the item has no AV. *)
-
 val no_entry : entry
-(** A shared placeholder that is no item's entry: a holder keeps it for an
-    item without AV. Every entry form refuses it as it refuses a dead
-    entry, and {!entry_available} reads 0 on it. *)
+(** A shared placeholder that is no item's entry: what an item without
+    AV gets. Every entry form refuses it as the named form refuses an
+    undefined item, and {!entry_available} reads 0 on it. *)
 
 val entry_or_no_entry : t -> item:string -> entry
-(** {!entry}, or {!no_entry} when the item has no AV: what a holder of an
-    item's entry takes again once {!definitions} has moved. *)
+(** The item's entry, or {!no_entry} when it has no AV. A site's item
+    record takes it once, when the record is built. *)
 
 val entry_available : entry -> int
 val entry_hold : entry -> int -> (unit, string) result
@@ -101,7 +88,7 @@ val release_all : t -> unit
 
 (** {2 Conservation ledger}
 
-    Per-item process-lifetime counters (never serialised):
+    Per-item process-lifetime counters:
     [total = defined_volume + minted - consumed] holds at this site in the
     absence of transfers; summed across all sites it holds at quiescence
     whatever transfers occurred — unless a fault genuinely destroyed
@@ -119,18 +106,5 @@ val consumed : t -> item:string -> int
 val items : t -> string list
 (** Items with AV defined, sorted. *)
 
-val sum_total : t -> int
-(** Σ over items of [total] — used by conservation checks. *)
-
 val snapshot : t -> (string * int * int) list
-(** [(item, available, held)] sorted by item — for durability layers and
-    conservation checks. *)
-
-val encode : t -> string
-(** Single-string serialisation (one line per item). In-flight holds are
-    serialised as holds; a restoring site should [release] them, mirroring
-    how a restart abandons the transactions that held them. *)
-
-val decode : string -> (t, string) result
-
-val pp : Format.formatter -> t -> unit
+(** [(item, available, held)] sorted by item — for conservation checks. *)

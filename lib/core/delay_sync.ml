@@ -3,22 +3,20 @@ open Avdb_av
 
 (* A counter is linked into the version-ordered ring through [older] and
    [newer]; a counter never linked yet points at itself, so unlinking it
-   is a no-op. It also keeps two memos of its item, each taken on first
-   use and taken again once its source has moved, as a site's item
-   records do: [subs], the item's subscriber array, for the topology
-   version [subs_version] (never taken under full replication, where
-   every peer subscribes); and [av], the item's AV entry or
-   [Av_table.no_entry], for the AV table's definitions count [av_defs]. *)
+   is a no-op. It keeps [av], its item's AV entry or [Av_table.no_entry],
+   given when it is made, and [subs], the item's subscriber array, a memo
+   taken on first use and again once the topology version has moved past
+   [subs_version] (never taken under full replication, where every peer
+   subscribes). *)
 type counter = {
   item : string;
+  av : Av_table.entry;
   mutable version : int;
   mutable cum : int;
   mutable older : counter;
   mutable newer : counter;
   mutable subs : int array;
   mutable subs_version : int;  (* -1 until [subs] is first taken *)
-  mutable av : Av_table.entry;
-  mutable av_defs : int;  (* -1 until [av] is first taken *)
 }
 
 (* One origin's applied stamp on one item. *)
@@ -40,7 +38,7 @@ type stamps = stamp Origins.t
 type peer = { site : int; mutable acked : int; mutable sent : int; mutable high : int }
 
 type t = {
-  counters : (string, counter) Hashtbl.t;
+  mutable count : int;  (* counters queued at least once *)
   ring : counter;
       (* sentinel: [ring.newer] is the oldest counter, [ring.older] the
          newest *)
@@ -61,29 +59,19 @@ type t = {
 
 type counters = (string * int * int) list
 
-let unlinked item =
+let make_counter ~item ~av =
   let rec c =
-    {
-      item;
-      version = 0;
-      cum = 0;
-      older = c;
-      newer = c;
-      subs = [||];
-      subs_version = -1;
-      av = Av_table.no_entry;
-      av_defs = -1;
-    }
+    { item; av; version = 0; cum = 0; older = c; newer = c; subs = [||]; subs_version = -1 }
   in
   c
 
-let no_counter = unlinked ""
+let no_counter = make_counter ~item:"" ~av:Av_table.no_entry
 let full_audience = -2
 
 let create () =
   {
-    counters = Hashtbl.create 16;
-    ring = unlinked "";
+    count = 0;
+    ring = make_counter ~item:"" ~av:Av_table.no_entry;
     dirty = [];
     settled = 0;
     seq = 0;
@@ -98,34 +86,22 @@ let create () =
 
 (* --- sender --- *)
 
-let queue_counter t c ~delta =
-  if c == no_counter then invalid_arg "Delay_sync.queue_counter: no_counter";
+(* A new counter starts at version 0, which no settle has passed, so its
+   first queue counts it and puts it on the dirty list like any other. *)
+let queue t c ~delta =
+  if c == no_counter then invalid_arg "Delay_sync.queue: no_counter";
   t.seq <- t.seq + 1;
-  if c.version <= t.settled then t.dirty <- c :: t.dirty;
+  if c.version <= t.settled then begin
+    if c.version = 0 then t.count <- t.count + 1;
+    t.dirty <- c :: t.dirty
+  end;
   c.version <- t.seq;
   c.cum <- c.cum + delta
 
-(* A new counter starts at version 0, which no settle has passed, so
-   [queue_counter] puts it on the dirty list like any other. *)
-let queue t ~item ~delta =
-  (* Exception-style lookup: the steady state is always a hit, so skip
-     [find_opt]'s [Some]. *)
-  match Hashtbl.find t.counters item with
-  | c -> queue_counter t c ~delta
-  | exception Not_found ->
-      let c = unlinked item in
-      Hashtbl.add t.counters item c;
-      queue_counter t c ~delta
-
-let counter t ~item = Hashtbl.find t.counters item
-
 let seq t = t.seq
-let count t = Hashtbl.length t.counters
-
-let version t ~item =
-  match Hashtbl.find_opt t.counters item with Some c -> c.version | None -> 0
-
-let cum t ~item = match Hashtbl.find_opt t.counters item with Some c -> c.cum | None -> 0
+let count t = t.count
+let version c = c.version
+let cum c = c.cum
 let owes_flush t = t.seq > t.flushed || t.rot_left > 0
 
 (* The counter's subscriber memo: the item's subscriber array, taken again
@@ -137,16 +113,6 @@ let subs topology c =
     c.subs_version <- v
   end;
   c.subs
-
-(* The counter's AV memo: the item's entry, taken again when the table's
-   definitions move. *)
-let av_entry av c =
-  let defs = Av_table.definitions av in
-  if c.av_defs <> defs then begin
-    c.av <- Av_table.entry_or_no_entry av ~item:c.item;
-    c.av_defs <- defs
-  end;
-  c.av
 
 (* Whether [site] replicates the counter's item. *)
 let reaches topology c ~site =
@@ -260,18 +226,16 @@ let[@tail_mod_cons] rec pick topology ~site ~upto = function
 
 (* The payload's [av_info]: the available AV on the item of every counter
    of [slice] that [picked], [pick]'s payload from it, holds and whose
-   item has AV, read through the counters' AV memos, in payload order.
+   item has AV, read through the counters' AV entries, in payload order.
    [picked] is in slice order and shares each counter's item, so a
    pointer comparison tells which counters it holds. *)
-let[@tail_mod_cons] rec levels av slice picked =
+let[@tail_mod_cons] rec levels slice picked =
   match (slice, picked) with
   | [], _ | _, [] -> []
   | c :: rest, (item, _, _) :: more ->
-      if item != c.item then levels av rest picked
-      else
-        let e = av_entry av c in
-        if e == Av_table.no_entry then levels av rest more
-        else (item, Av_table.entry_available e) :: levels av rest more
+      if item != c.item then levels rest picked
+      else if c.av == Av_table.no_entry then levels rest more
+      else (item, Av_table.entry_available c.av) :: levels rest more
 
 let rec min_ack floor = function
   | [] -> floor
@@ -281,28 +245,38 @@ let rec min_ack floor = function
    mark and returns whether any went out. A function of its own rather
    than a closure, so that a flush allocates only its target list, the
    slice and the payloads. *)
-let rec send_each t ~force topology av ~slice ctx send sent = function
+let rec send_each t ~force topology ~slice ctx send sent = function
   | [] -> sent
   | p :: rest -> (
       let upto = if force then 0 else p.acked in
       match pick topology ~site:p.site ~upto slice with
-      | [] -> send_each t ~force topology av ~slice ctx send sent rest
+      | [] -> send_each t ~force topology ~slice ctx send sent rest
       | counters ->
           p.sent <- t.seq;
-          send ctx p counters (levels av slice counters);
-          send_each t ~force topology av ~slice ctx send true rest)
+          send ctx p counters (levels slice counters);
+          send_each t ~force topology ~slice ctx send true rest)
 
-let payloads t ~force topology av targets ctx send =
+let payloads t ~force topology targets ctx send =
   match notified t ~force topology targets with
   | [] -> false
   | notified ->
       let slice = newer_than t ~floor:(if force then 0 else min_ack max_int notified) in
-      send_each t ~force topology av ~slice ctx send false notified
+      send_each t ~force topology ~slice ctx send false notified
 
 let payload t topology addr =
   let site = Address.to_int addr in
   let upto = match Int_table.find t.peers site with p -> p.acked | exception Not_found -> 0 in
   if t.seq <= upto then [] else pick topology ~site ~upto (newer_than t ~floor:upto)
+
+(* [f] over every counter once, leaving the ring as it is: the ring's
+   counters, then the dirty ones a settle has not linked yet. A dirty
+   counter that was settled before its latest change is still linked,
+   and met in the ring. *)
+let fold_counters t init f =
+  let rec walk c acc = if c == t.ring then acc else walk c.newer (f c acc) in
+  List.fold_left
+    (fun acc c -> if c.older == c then f c acc else acc)
+    (walk t.ring.newer init) t.dirty
 
 let audience t topology ~self =
   if Topology.is_full topology then begin
@@ -318,13 +292,11 @@ let audience t topology ~self =
     end
   end
   else begin
-    let v = Topology.version topology and n = Hashtbl.length t.counters in
+    let v = Topology.version topology and n = t.count in
     if v <> t.audience_topology || n <> t.audience_count then begin
       let sites =
-        Hashtbl.fold
-          (fun _ c acc ->
+        fold_counters t [] (fun c acc ->
             Array.fold_left (fun acc i -> if i = self then acc else i :: acc) acc (subs topology c))
-          t.counters []
       in
       t.audience <- List.map (fun site -> peer t ~site) (List.sort_uniq Int.compare sites);
       t.audience_topology <- v;
@@ -334,9 +306,8 @@ let audience t topology ~self =
   t.audience
 
 let own_state t ~want =
-  Hashtbl.fold
-    (fun item c acc -> if want item then (item, c.version, c.cum) :: acc else acc)
-    t.counters []
+  fold_counters t [] (fun c acc ->
+      if want c.item then (c.item, c.version, c.cum) :: acc else acc)
 
 (* --- receiver --- *)
 

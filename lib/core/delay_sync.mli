@@ -14,12 +14,16 @@
     the counter changes after the last payload build, and the next build
     moves the dirty counters to the ring's newest end. Invariant: every
     counter stamped at or before the last build sits in the ring in
-    ascending version order; every later one is on the dirty list, once.
+    ascending version order; every later one is on the dirty list, once,
+    and also still in the ring if a build had linked it before.
 
-    A counter keeps its item's subscriber array and AV entry, each taken
-    on first use and again once the topology version or the AV table's
-    definitions have moved, so a flush tests who replicates an item and
-    reads its AV level without resolving the item by name.
+    The caller keeps each item's counter (a site keeps it in the item's
+    record), and [t] keeps no table of them: it reaches them through the
+    ring and the dirty list only. A counter holds its item's AV entry,
+    given when it is made, and its subscriber array, taken on first use
+    and again once the topology version has moved, so a flush tests who
+    replicates an item and reads its AV level without resolving the item
+    by name.
 
     {b Peers.} Each peer site has one {!peer} entry, for both directions:
     its acknowledgement and sent mark as a receiver of this site's
@@ -48,41 +52,38 @@ type counters = (string * int * int) list
 
 (** {2 Sender} *)
 
-val queue : t -> item:string -> delta:int -> unit
-(** Record one committed local delta: bumps the sequence number and
-    restamps the item's counter, which the item's first [queue] creates.
-    O(1); allocates only when the counter is new or is the item's first
-    change since the last payload build. *)
-
 type counter
-(** One item's counter, found once. Counters are never removed and
-    survive crashes, so a counter, once found, is the item's for the
-    life of the [t]. *)
+(** One item's counter. Counters are never removed and survive crashes,
+    so a counter, once made, is the item's for the life of the [t]. *)
 
-val counter : t -> item:string -> counter
-(** Raises [Not_found] before the item's first {!queue}: only a queue
-    creates a counter, so {!count}, {!audience} and {!own_state} never see
-    one that no delta stamped. *)
+val make_counter : item:string -> av:Avdb_av.Av_table.entry -> counter
+(** A new counter for [item], which keeps the item's AV entry
+    ([Av_table.no_entry] for an item without AV). Made at the item's
+    first local change: no [t] sees it before its first {!queue}, so
+    {!count}, {!audience} and {!own_state} never see one that no delta
+    stamped. Make one counter per item and queue it on one [t] only. *)
 
 val no_counter : counter
 (** A shared placeholder that is no item's counter: a holder keeps it
-    until it takes the item's {!counter}. {!queue_counter} refuses it. *)
+    until it makes the item's counter. Its {!version} and {!cum} read 0,
+    and {!queue} refuses it. *)
 
-val queue_counter : t -> counter -> delta:int -> unit
-(** {!queue} on a counter already found: the same stamps, without the
-    name lookup. [queue] is a lookup followed by this. Raises
-    [Invalid_argument] on {!no_counter}. *)
+val queue : t -> counter -> delta:int -> unit
+(** Record one committed local delta: bumps the sequence number and
+    restamps the counter. O(1); allocates only on the counter's first
+    change since the last payload build. Raises [Invalid_argument] on
+    {!no_counter}. *)
 
 val seq : t -> int
 (** The latest sequence number (0 before the first {!queue}). *)
 
 val count : t -> int
-(** Number of counters (items ever changed here). *)
+(** Number of counters queued (items ever changed here). *)
 
-val version : t -> item:string -> int
+val version : counter -> int
 (** Stamp of the item's latest local change; 0 if never changed. *)
 
-val cum : t -> item:string -> int
+val cum : counter -> int
 (** Cumulative net local delta on the item; 0 if never changed. *)
 
 val owes_flush : t -> bool
@@ -127,25 +128,24 @@ val payloads :
   t ->
   force:bool ->
   Topology.t ->
-  Avdb_av.Av_table.t ->
   peer list ->
   'a ->
   ('a -> peer -> counters -> (string * int) list -> unit) ->
   bool
-(** [payloads t ~force topology av targets ctx send] calls
+(** [payloads t ~force topology targets ctx send] calls
     [send ctx peer counters av_info] for each target, in order, that has
     news, raises its sent mark, and returns whether it called [send].
     The payload is the counters stamped after the peer's acknowledgement
     (after 0 when [force]) on items the peer replicates, and [av_info]
-    the available AV ([av]'s level) on those of its items that have AV,
-    in the same order. Unforced, a target has news when one of those
+    the available AV, read through each counter's entry, on those of its
+    items that have AV, in the same order. Unforced, a target has news when one of those
     counters is stamped after its sent mark too; the test walks only the
     counters newer than both numbers, reads their subscriber memos and
     allocates nothing. Forced, every target with a non-empty payload is
     sent it. Builds one name-sorted slice of the counters newer than the
     smallest acknowledgement among the targets sent to; every payload is
-    cut from it through the counters' memos, so nothing is resolved by
-    item name or by site. [send] takes its context as [ctx], so a caller
+    cut from it through the counters, so nothing is resolved by item name
+    or by site. [send] takes its context as [ctx], so a caller
     that passes a top-level function allocates no closure. *)
 
 val payload : t -> Topology.t -> Avdb_net.Address.t -> counters
@@ -161,8 +161,9 @@ val audience : t -> Topology.t -> self:int -> peer list
     count changes. *)
 
 val own_state : t -> want:(string -> bool) -> (string * int * int) list
-(** [(item, version, cum)] for every counter on a wanted item, in no
-    particular order. *)
+(** [(item, version, cum)] for every counter on a wanted item, each once,
+    in no particular order. Like {!audience}, it walks the ring and the
+    dirty list and leaves both as they are. *)
 
 (** {2 Receiver} *)
 

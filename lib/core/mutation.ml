@@ -58,4 +58,3 @@ let enable m = cell m := true
 let disable m = cell m := false
 let enabled m = !(cell m)
 let reset () = List.iter disable all
-let any_enabled () = List.exists enabled all

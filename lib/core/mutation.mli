@@ -52,5 +52,3 @@ val enabled : t -> bool
 
 val reset : unit -> unit
 (** Turns every flag off. *)
-
-val any_enabled : unit -> bool

@@ -303,11 +303,6 @@ let base_site_for t ~item = t.store.(Topology.base_index t.topology ~item)
 let schedule_at_site t ~site ~at f =
   ignore (Engine.schedule_at (shard_of_site t site).engine ~at f)
 
-let schedule_all t ~at f =
-  Array.iter
-    (fun sh -> ignore (Engine.schedule_at sh.engine ~at (fun () -> f ~shard:sh.rank)))
-    t.shards
-
 (* --- fault injection: network knobs are sender-side state, so every
    shard's network mirrors them; the [_at] variants install the change
    at the same virtual instant on every shard, which the common window

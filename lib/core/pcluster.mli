@@ -21,7 +21,7 @@
     with the domains quiescent — before the first {!run}, between runs,
     or from {!run}'s [on_round] barrier hook. Only the event handlers
     the shards execute (and the closures scheduled onto shard engines
-    via {!schedule_at_site} / {!schedule_all}) run on other domains, and
+    via {!schedule_at_site}) run on other domains, and
     each may touch only its own shard's sites and state. *)
 
 type t
@@ -95,10 +95,6 @@ val schedule_at_site :
 (** Schedules a closure on the owning shard of [site] at virtual time
     [at]; the closure runs on that shard's domain and must only touch
     that shard's state. *)
-
-val schedule_all : t -> at:Avdb_sim.Time.t -> (shard:int -> unit) -> unit
-(** Schedules a closure on {e every} shard at the same virtual instant —
-    the common window grid makes this an atomic cross-shard event. *)
 
 val add_retailer :
   ?interest:string list -> t -> (int * (unit, Update.reason) result -> unit) -> int

@@ -65,7 +65,7 @@ let pending_sync_deltas t = Delay_sync.unflushed t.sync
    outbound stamp minus what this site has applied from it is a monotone
    staleness distance — 0 exactly when every delta the origin ever
    queued has landed here. *)
-let sync_version t ~item = Delay_sync.version t.sync ~item
+let sync_version t ~item = Delay_sync.version (counter_of t ~item)
 let applied_sync_version t ~origin ~item =
   Delay_sync.applied_version (stamps_of t ~item) ~origin
 let last_sync_apply t = t.last_sync_apply
@@ -174,9 +174,9 @@ let update_body t item delta finish =
               match s.s_epoch with
               | Some st -> Site_epoch.epoch_update t st ~delta ~finish
               | None -> (
-                  let av = av_entry t s in
-                  if av == Av_table.no_entry then Site_immediate.immediate_update t s ~delta ~finish
-                  else Site_delay.delay_update t s av ~delta ~finish)))
+                  if s.s_av == Av_table.no_entry then
+                    Site_immediate.immediate_update t s ~delta ~finish
+                  else Site_delay.delay_update t s ~delta ~finish)))
 
 let batch_body t deltas () finish =
   if is_down t || (config t).Config.mode = Config.Centralized then
@@ -189,7 +189,7 @@ let batch_body t deltas () finish =
           | exception Not_found -> Some (Update.Unknown_item item)
           | s ->
               if is_quarantined t ~item then Some Update.Unreachable
-              else if av_entry t s == Av_table.no_entry then Some (Update.Not_regular item)
+              else if s.s_av == Av_table.no_entry then Some (Update.Not_regular item)
               else None)
         deltas
     in

@@ -30,6 +30,10 @@ val role : t -> role
 val base : t -> Avdb_net.Address.t
 val database : t -> Avdb_store.Database.t
 val av_table : t -> Avdb_av.Av_table.t
+(** The site's AV table, for reading and for moving volume. Only {!create}
+    defines AV: each item's record takes the item's entry once, so AV
+    defined on the table later would reach no record. *)
+
 val peer_view : t -> Avdb_av.Peer_view.t
 val metrics : t -> Update.Metrics.t
 val txn_log : t -> Avdb_txn.Txn_log.t

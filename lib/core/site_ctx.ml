@@ -80,25 +80,27 @@ type epoch_item = {
 (* One site's record of one item it stores, the only way the site reads
    or adds to the item's row: built on the item's first use (an update, a
    read, a prepare, a seal, a received sync counter or a join snapshot's
-   stamp), so building a site costs nothing more. Each handle is taken
-   again when it can have gone stale:
-   - [s_row], the stock row's amount column, when recovery replaced the
-     database or the stock table removed a row ([Database.handle_live]);
-   - [s_av], the AV entry or [Av_table.no_entry] for an item without
-     AV, when [Av_table.definitions] moved from [s_av_defs], after a
-     define or an undefine through the public [Site.av_table];
-   - [s_counter], the sync counter, and [s_view], the peer-view entry,
-     never: neither is ever removed, so each is taken once, from the
-     item's first queue and first observation on. Until then each holds
-     a shared placeholder ([Delay_sync.no_counter], [Peer_view.no_entry])
-     rather than an option, which would box every taken handle.
-   Records are never removed either, so [s_stamps], the counters applied
-   here from each origin, survive crashes with the record. *)
+   stamp), so building a site costs nothing more. It is the one place
+   the site keeps the item's handles:
+   - [s_row], the stock row's amount column, taken again when recovery
+     replaced the database or the stock table removed a row
+     ([Database.handle_live]);
+   - [s_av], the AV entry or [Av_table.no_entry] for an item without AV,
+     taken when the record is built: only [Site.create] defines AV, so
+     the entry never changes;
+   - [s_counter], the sync counter, made with [s_av] at the item's first
+     local change, and [s_view], the peer-view entry, taken at the
+     item's first observation: neither is ever removed, so each is taken
+     once. Until then each holds a shared placeholder
+     ([Delay_sync.no_counter], [Peer_view.no_entry]) rather than an
+     option, which would box every taken handle.
+   Records are never removed either, so [s_counter] and [s_stamps], the
+   counters applied here from each origin, survive crashes with the
+   record. *)
 type stored = {
   s_item : string;
   mutable s_row : Database.handle;
-  mutable s_av_defs : int;  (* -1 until [s_av] is first resolved *)
-  mutable s_av : Av_table.entry;
+  s_av : Av_table.entry;
   mutable s_counter : Delay_sync.counter;  (* [no_counter] until the first queue *)
   mutable s_stamps : Delay_sync.stamps;  (* [no_stamps] until the first apply or seed *)
   mutable s_view : Peer_view.entry;  (* [no_entry] until the first observation *)
@@ -290,8 +292,7 @@ let stored t ~item =
         {
           s_item = item;
           s_row = row_handle t ~item;
-          s_av_defs = -1;
-          s_av = Av_table.no_entry;
+          s_av = Av_table.entry_or_no_entry t.av ~item;
           s_counter = Delay_sync.no_counter;
           s_stamps = Delay_sync.no_stamps;
           s_view = Peer_view.no_entry;
@@ -304,8 +305,13 @@ let stored t ~item =
       Hashtbl.add t.items item s;
       s
 
-(* The item's applied sync stamps, read by name: none for an item with no
-   record. *)
+(* The item's sync counter and applied stamps, read by name: the
+   placeholders for an item with no record. *)
+let counter_of t ~item =
+  match Hashtbl.find t.items item with
+  | s -> s.s_counter
+  | exception Not_found -> Delay_sync.no_counter
+
 let stamps_of t ~item =
   match Hashtbl.find t.items item with
   | s -> s.s_stamps
@@ -338,16 +344,6 @@ let peers_for t s =
     end;
     s.s_peers
   end
-
-(* The item's AV entry, or [Av_table.no_entry] when it has no AV: the
-   checking function's Delay-or-Immediate test. *)
-let av_entry t s =
-  let defs = Av_table.definitions t.av in
-  if s.s_av_defs <> defs then begin
-    s.s_av <- Av_table.entry_or_no_entry t.av ~item:s.s_item;
-    s.s_av_defs <- defs
-  end;
-  s.s_av
 
 (* The checking function and the reads consult the table on every call,
    and in most runs it is empty: the length test spares the string hash. *)

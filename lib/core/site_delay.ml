@@ -185,7 +185,7 @@ let flush_sync ?(force = false) t =
     in
     (* Under partial replication a counter goes only to peers that
        subscribe to its item: they alone have a row to apply it to. *)
-    if Delay_sync.payloads t.sync ~force (topology t) t.av targets t send_notice then begin
+    if Delay_sync.payloads t.sync ~force (topology t) targets t send_notice then begin
       t.metrics.Update.Metrics.sync_batches_sent <-
         t.metrics.Update.Metrics.sync_batches_sent + 1;
       if tracing t then
@@ -195,13 +195,12 @@ let flush_sync ?(force = false) t =
   end
 
 (* Stamp a committed local delta on the item's sync counter, which the
-   item's first queue creates and the record keeps from then on. *)
+   item's first change makes, with the record's AV entry, and the record
+   keeps from then on. *)
 let queue_sync t s ~delta =
-  if s.s_counter == Delay_sync.no_counter then begin
-    Delay_sync.queue t.sync ~item:s.s_item ~delta;
-    s.s_counter <- Delay_sync.counter t.sync ~item:s.s_item
-  end
-  else Delay_sync.queue_counter t.sync s.s_counter ~delta
+  if s.s_counter == Delay_sync.no_counter then
+    s.s_counter <- Delay_sync.make_counter ~item:s.s_item ~av:s.s_av;
+  Delay_sync.queue t.sync s.s_counter ~delta
 
 (* Apply a committed local delta to the replicated stock value and queue it
    for lazy propagation. Only called after AV accounting has authorised the
@@ -383,8 +382,8 @@ let rec maybe_prefetch t s =
       if
         (not (is_down t))
         && (not s.s_refill)
-        && Av_table.is_defined t.av ~item
-        && Av_table.available t.av ~item < low
+        && s.s_av != Av_table.no_entry
+        && Av_table.entry_available s.s_av < low
       then begin
         match select_donor t s ~exclude:(Address.Set.singleton t.addr) with
         | None -> ()
@@ -392,7 +391,7 @@ let rec maybe_prefetch t s =
             s.s_refill <- true;
             t.metrics.Update.Metrics.prefetch_requests <-
               t.metrics.Update.Metrics.prefetch_requests + 1;
-            let want = (2 * low) - Av_table.available t.av ~item in
+            let want = (2 * low) - Av_table.entry_available s.s_av in
             let sp = span_start t ~category:"av" "av.prefetch" in
             span_field t sp "item" item;
             span_field_int t sp "want" want;
@@ -412,7 +411,7 @@ let rec maybe_prefetch t s =
                     span_end t sp))
       end
 
-(* Acquire [need] units of AV on the stored item [s], whose entry is [av],
+(* Acquire [need] units of AV on the stored item [s], which has AV,
    leaving exactly [need] held on success. A local hold goes through the
    entry, and [parent] is not optional, so it allocates no [Some]. On
    shortage, holds everything local and circulates AV from peers (the
@@ -421,12 +420,12 @@ let rec maybe_prefetch t s =
    ("remaining AV is stored at the local AV table"). On failure every
    volume gathered is released back to available - nothing is lost, and
    what peers sent stays at this site for future updates. *)
-let acquire_av t ~parent s av ~need k =
+let acquire_av t ~parent s ~need k =
   let item = s.s_item in
   if need < 0 then invalid_arg "Site.acquire_av: negative need";
   if need = 0 then k (Ok 0)
-  else if Av_table.entry_available av >= need then begin
-    av_ok "acquire_av hold" (Av_table.entry_hold av need);
+  else if Av_table.entry_available s.s_av >= need then begin
+    av_ok "acquire_av hold" (Av_table.entry_hold s.s_av need);
     k (Ok 0)
   end
   else begin
@@ -490,8 +489,8 @@ let acquire_av t ~parent s av ~need k =
 
 (* --- Delay Update (client side) --- *)
 
-(* [av] is the item's AV entry, as the checking function found it. *)
-let delay_update t s av ~delta ~finish =
+(* [s] is a stored item with AV, as the checking function found it. *)
+let delay_update t s ~delta ~finish =
   let item = s.s_item in
   let root = span_start t ~category:"update" "update.delay" in
   (* Fields go on the span only if it is headed for an export: attaching
@@ -518,7 +517,7 @@ let delay_update t s av ~delta ~finish =
     (* Positive deltas create AV; no communication at all. [mint] rather
        than [deposit]: new volume enters the conservation ledger here,
        whereas grants from peers merely move existing volume. *)
-    av_ok "delay_update mint" (Av_table.entry_mint av delta);
+    av_ok "delay_update mint" (Av_table.entry_mint s.s_av delta);
     apply_local_delta t s ~delta;
     finish (Update.Applied Update.Local)
   end
@@ -526,11 +525,11 @@ let delay_update t s av ~delta ~finish =
     let need = -delta in
     (* The continuation reads the item and the delta off [s] and [need]
        instead of capturing them: one closure word fewer per update. *)
-    acquire_av t ~parent:root s av ~need (function
+    acquire_av t ~parent:root s ~need (function
       | Error reason -> finish (Update.Rejected reason)
       | Ok rounds ->
           apply_local_delta t s ~delta:(-need);
-          av_ok "delay_update consume" (Av_table.entry_consume av need);
+          av_ok "delay_update consume" (Av_table.entry_consume s.s_av need);
           maybe_prefetch t s;
           finish
             (Update.Applied
@@ -545,8 +544,8 @@ let batch_update t ~deltas ~finish =
   let root = span_start t ~category:"update" "update.delay_batch" in
   span_field_int t root "items" (List.length deltas);
   let finish outcome = finish_in t root finish outcome in
-  (* Each item with its record and AV entry: the checking function has
-     found every item stored here and regular. *)
+  (* Each item with its record: the checking function has found every
+     item stored here and regular. *)
   let coalesced =
     let tbl = Hashtbl.create 8 in
     List.iter
@@ -557,28 +556,27 @@ let batch_update t ~deltas ~finish =
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
     |> List.map (fun (item, delta) ->
            let s = stored t ~item in
-           let av = av_entry t s in
-           if av == Av_table.no_entry then invalid_arg ("Site.batch_update: no AV on " ^ item)
-           else (s, av, delta))
+           if s.s_av == Av_table.no_entry then invalid_arg ("Site.batch_update: no AV on " ^ item)
+           else (s, delta))
   in
   let apply_all () =
     let txn = Database.begin_txn t.db in
     List.iter
-      (fun (s, _, delta) ->
+      (fun (s, delta) ->
         match Database.add_int_handle txn (row t s) delta with
         | (_ : int) -> ()
         | exception Invalid_argument e -> failwith ("Site.batch_update apply: " ^ e))
       coalesced;
     Database.commit txn;
     List.iter
-      (fun (s, av, delta) ->
+      (fun (s, delta) ->
         record_history t ~item:s.s_item ~delta ~path:"delay-batch";
         queue_sync t s ~delta;
-        if delta >= 0 then av_ok "batch_update mint" (Av_table.entry_mint av delta)
-        else av_ok "batch_update consume" (Av_table.entry_consume av (-delta)))
+        if delta >= 0 then av_ok "batch_update mint" (Av_table.entry_mint s.s_av delta)
+        else av_ok "batch_update consume" (Av_table.entry_consume s.s_av (-delta)))
       coalesced;
     schedule_sync_flush t;
-    List.iter (fun (s, _, _) -> maybe_prefetch t s) coalesced
+    List.iter (fun (s, _) -> maybe_prefetch t s) coalesced
   in
   let rec acquire_loop pending held total_rounds =
     match pending with
@@ -587,11 +585,11 @@ let batch_update t ~deltas ~finish =
         finish
           (Update.Applied
              (if total_rounds = 0 then Update.Local else Update.With_transfer total_rounds))
-    | (s, av, delta) :: rest ->
+    | (s, delta) :: rest ->
         if delta >= 0 then acquire_loop rest held total_rounds
         else begin
           let need = -delta in
-          acquire_av t ~parent:root s av ~need (function
+          acquire_av t ~parent:root s ~need (function
             | Ok rounds -> acquire_loop rest ((s.s_item, need) :: held) (total_rounds + rounds)
             | Error reason ->
                 List.iter

@@ -131,7 +131,9 @@ let rebuild_lost_rows t ~trust_txn_log =
       let placeholder () = Option.value ~default:initial (amount_of t ~item) in
       let expect =
         if regular then
-          initial + Delay_sync.cum t.sync ~item + Delay_sync.applied_total (stamps_of t ~item)
+          initial
+          + Delay_sync.cum (counter_of t ~item)
+          + Delay_sync.applied_total (stamps_of t ~item)
         else if not trust_txn_log then placeholder ()
         else if Product.is_epoch product then
           if Txn_log.epoch_floor t.txn_log ~item = 0 then initial + sealed_total t ~item

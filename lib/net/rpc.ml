@@ -15,8 +15,6 @@ type ('req, 'resp, 'note) envelope =
 
 type error = Timeout
 
-let pp_error ppf = function Timeout -> Format.pp_print_string ppf "timeout"
-
 type retry_policy = {
   max_attempts : int;
   base_backoff : Time.t;
@@ -26,9 +24,6 @@ type retry_policy = {
 
 let no_retry =
   { max_attempts = 1; base_backoff = Time.zero; backoff_multiplier = 2.; jitter = 0. }
-
-let default_retry =
-  { max_attempts = 4; base_backoff = Time.of_ms 25.; backoff_multiplier = 2.; jitter = 0.5 }
 
 let validate_retry p =
   if p.max_attempts < 1 then invalid_arg "Rpc: retry max_attempts must be >= 1";

@@ -29,8 +29,6 @@ type ('req, 'resp, 'note) t
 
 type error = Timeout  (** no response within the deadline(s) *)
 
-val pp_error : Format.formatter -> error -> unit
-
 type retry_policy = {
   max_attempts : int;  (** total send attempts, >= 1; 1 = no retry *)
   base_backoff : Avdb_sim.Time.t;  (** wait before the 2nd attempt *)
@@ -43,9 +41,6 @@ type retry_policy = {
 
 val no_retry : retry_policy
 (** Single attempt — the classic fire-and-wait call. *)
-
-val default_retry : retry_policy
-(** 4 attempts, 25 ms base backoff, doubling, 0.5 jitter. *)
 
 val create :
   engine:Avdb_sim.Engine.t ->

@@ -57,8 +57,6 @@ let begin_txn t =
   ignore (Wal.append t.wal (Wal.Begin id));
   { db = t; id; undos = []; finished = false }
 
-let txn_id txn = txn.id
-
 let check_live txn =
   if txn.finished then invalid_arg "Database: transaction already finished"
 

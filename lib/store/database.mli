@@ -30,7 +30,6 @@ val tables : t -> (string * Table.t) list
     operations on a finished transaction raise [Invalid_argument]. *)
 
 val begin_txn : t -> txn
-val txn_id : txn -> int
 
 val insert : txn -> table:string -> key:string -> Value.t array -> (unit, string) result
 val set_col : txn -> table:string -> key:string -> col:string -> Value.t -> (unit, string) result

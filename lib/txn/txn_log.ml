@@ -242,10 +242,6 @@ let record_epoch_promise t ~item ~epoch ~ballot ~at =
 let record_epoch_floor t ~item ~epoch ~at =
   if epoch > epoch_floor t ~item then append t (Epoch_floor { item; epoch; at })
 
-let find_intent t ~txid = Int_table.find_opt t.intents txid
-let intent_sealed t ~txid =
-  match Int_table.find_opt t.intents txid with Some e -> e.in_sealed | None -> false
-
 let intents t =
   Int_table.fold (fun _ e acc -> e :: acc) t.intents []
   |> List.sort (fun a b -> Int.compare a.in_txid b.in_txid)

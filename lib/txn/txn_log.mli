@@ -142,9 +142,6 @@ val record_epoch_promise :
 val record_epoch_floor : t -> item:string -> epoch:int -> at:Avdb_sim.Time.t -> unit
 (** Logged only when [epoch] exceeds the current floor. *)
 
-val find_intent : t -> txid:int -> intent_entry option
-val intent_sealed : t -> txid:int -> bool
-
 val intents : t -> intent_entry list
 (** Sorted by txid. *)
 

@@ -473,20 +473,6 @@ let test_sync_reorder_duplicate_safety () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
-(* The checking function reads a site's AV through the item's record, and
-   the record notices an entry undefined, or defined, through the public
-   AV table after it was built. *)
-let test_checking_follows_av_definitions () =
-  let cluster = make () in
-  let av = Site.av_table (Cluster.site cluster 1) in
-  let kind () = applied_kind (submit cluster 1 ~delta:(-1)) in
-  Alcotest.(check bool) "Delay while AV is defined" true (kind () = Update.Local);
-  Av_table.undefine av ~item:"widget";
-  Alcotest.(check bool) "Immediate once it is undefined" true (kind () = Update.Immediate);
-  Av_table.define av ~item:"widget" ~volume:5;
-  Alcotest.(check bool) "Delay again once it is defined" true (kind () = Update.Local);
-  Alcotest.(check int) "the new entry paid" 4 (Av_table.available av ~item:"widget")
-
 (* A local Delay update finds its item once, as its record, and writes
    through the record's handles; what it still allocates is its outcome,
    its closures and its WAL record. Firehose-shaped draws: 3 sites, 8
@@ -633,43 +619,6 @@ let two_site_config =
     sync_interval = None;
     tracing = false;
   }
-
-(* A sync counter keeps its item's AV entry, taken again when the table's
-   definitions move. After an undefine and a redefine through
-   [Site.av_table], and level changes through each entry, a notice's
-   [av_info] must still read the table as a by-name lookup does: a forced
-   flush carries both counters, and an item without AV has no entry. *)
-let test_notice_av_info_follows_definitions () =
-  let engine, rpc, shared = hand_built two_site_config in
-  let last = spy rpc in
-  let site = Site.create shared ~addr:(Address.of_int 1) ~av_init:[ ("a", 50); ("b", 50) ] in
-  let av = Site.av_table site in
-  let by_name counters =
-    List.filter_map
-      (fun (item, _, _) ->
-        if Av_table.is_defined av ~item then Some (item, Av_table.available av ~item) else None)
-      counters
-  in
-  let flush_after changes =
-    List.iter
-      (fun (item, delta) -> Site.submit_update site ~item ~delta (fun _ -> ()))
-      changes;
-    ignore (Engine.run engine);
-    Site.flush_sync ~force:true site;
-    ignore (Engine.run engine);
-    let counters, av_info, _ = last () in
-    Alcotest.(check (list (pair string int))) "av_info reads the table" (by_name counters) av_info;
-    av_info
-  in
-  Alcotest.(check (list (pair string int)))
-    "both levels" [ ("a", 49); ("b", 48) ]
-    (flush_after [ ("a", -1); ("b", -2) ]);
-  Av_table.undefine av ~item:"b";
-  Alcotest.(check (list (pair string int))) "b has no AV" [ ("a", 46) ] (flush_after [ ("a", -3) ]);
-  Av_table.define av ~item:"b" ~volume:7;
-  Alcotest.(check (list (pair string int)))
-    "b's new entry" [ ("a", 46); ("b", 3) ]
-    (flush_after [ ("b", -4) ])
 
 (* A notice's ack is its target's entry's high-water mark: the highest
    version applied from the target, which no stale counter lowers and a
@@ -844,14 +793,10 @@ let suites =
           test_sync_reorder_duplicate_safety;
         Alcotest.test_case "metrics accounting" `Quick test_metrics_accounting;
         Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
-        Alcotest.test_case "checking follows AV definitions" `Quick
-          test_checking_follows_av_definitions;
         Alcotest.test_case "a local update allocates little" `Quick
           test_local_update_allocates_little;
         Alcotest.test_case "a notice naming an unstored item applies nothing" `Quick
           test_unstored_item_aborts_notice;
-        Alcotest.test_case "a notice's AV levels follow definitions" `Quick
-          test_notice_av_info_follows_definitions;
         Alcotest.test_case "a notice's ack is the applied high" `Quick
           test_notice_ack_is_applied_high;
         Alcotest.test_case "a flush without news allocates nothing" `Quick

@@ -5,10 +5,11 @@
    only when that payload holds a counter stamped after the highest one
    already sent to it. A notice's [av_info] must be the AV table read by
    name, and its ack the receiver side's high-water mark for its target,
-   whatever joins, AV definitions and level changes the counters' memos
-   have seen. The receiver keeps each item's stamps apart, as a site's
-   records do; they and the per-origin high-water marks are checked
-   against a plain (origin, item) map. *)
+   whatever joins and level changes the counters have seen. The sender's
+   counters, and the receiver's stamps, are kept per item apart from the
+   [Delay_sync.t], as a site's records keep them; the state the [t]
+   reaches through its ring ([own_state], [count]) and the stamps and
+   per-origin high-water marks are checked against plain maps. *)
 
 open Avdb_core
 module Address = Avdb_net.Address
@@ -28,8 +29,8 @@ type op =
       (** origin, (item index, version, cum), committed *)
   | Seed of int * int * int * int  (** origin, item index, version, cum *)
   | Av of int * int
-      (** item index, amount: 0 undefines a defined item's AV or defines
-          an undefined one's; otherwise a deposit or withdrawal *)
+      (** item index, amount: a deposit when positive, otherwise a
+          withdrawal when the available AV covers it *)
 
 let pp_op = function
   | Delta (i, d) -> Printf.sprintf "delta(%d,%d)" i d
@@ -89,9 +90,12 @@ let run ~full ops =
   let by_name cs =
     List.filter_map
       (fun (item, _, _) ->
-        if Av_table.is_defined av ~item then Some (item, Av_table.available av ~item) else None)
+        if List.mem item (Av_table.items av) then Some (item, Av_table.available av ~item)
+        else None)
       cs
   in
+  (* each item's counter, made at its first change with its AV entry *)
+  let ctrs = Array.map (fun _ -> Delay_sync.no_counter) items in
   (* reference sender *)
   let counters = Hashtbl.create 8 and seq = ref 0 and flushed = ref 0 in
   let acks = Hashtbl.create 8 in
@@ -120,7 +124,9 @@ let run ~full ops =
     match op with
     | Delta (i, d) ->
         let item = items.(i) in
-        Delay_sync.queue s ~item ~delta:d;
+        if ctrs.(i) == Delay_sync.no_counter then
+          ctrs.(i) <- Delay_sync.make_counter ~item ~av:(Av_table.entry_or_no_entry av ~item);
+        Delay_sync.queue s ctrs.(i) ~delta:d;
         incr seq;
         let c = match Hashtbl.find_opt counters item with Some (_, c) -> c | None -> 0 in
         Hashtbl.replace counters item (!seq, c + d)
@@ -166,7 +172,7 @@ let run ~full ops =
         | Some _ | None -> if targets <> audience then fail "unrotated flush skipped peers");
         let sent = ref [] in
         let any =
-          Delay_sync.payloads s ~force topology av chosen () (fun () p cs av_info ->
+          Delay_sync.payloads s ~force topology chosen () (fun () p cs av_info ->
               let peer = Delay_sync.peer_address p in
               if av_info <> by_name cs then fail "av_info to %d differs" (Address.to_int peer);
               if Delay_sync.peer_high p <> Delay_sync.applied_high s ~origin:(Address.to_int peer)
@@ -232,28 +238,32 @@ let run ~full ops =
             ~cum:c;
         Delay_sync.raise_high (Delay_sync.peer s ~site:o) v;
         note_stamp o items.(i) v c
-    | Av (i, 0) ->
-        let item = items.(i) in
-        if Av_table.is_defined av ~item then Av_table.undefine av ~item
-        else Av_table.define av ~item ~volume:5
     | Av (i, a) ->
+        (* an item without AV refuses both *)
         let item = items.(i) in
-        if Av_table.is_defined av ~item then
-          ignore
-            (if a > 0 then Av_table.deposit av ~item a
-             else if Av_table.available av ~item >= -a then Av_table.withdraw av ~item (-a)
-             else Ok ())
+        ignore
+          (if a > 0 then Av_table.deposit av ~item a
+           else if Av_table.available av ~item >= -a then Av_table.withdraw av ~item (-a)
+           else Ok ())
   in
   (* Only reads that leave the ring alone, so that several changes can
-     pile up between payload builds. *)
+     pile up between payload builds: a counter changed again after one
+     sits both in the ring and on the dirty list, and [own_state] must
+     still give it once. *)
   let check_state () =
     if Delay_sync.seq s <> !seq || Delay_sync.count s <> Hashtbl.length counters then
       fail "seq or count differs";
     if !seq > !flushed && not (Delay_sync.owes_flush s) then fail "owes no flush";
+    let own = List.sort compare (Delay_sync.own_state s ~want:(fun _ -> true)) in
+    let want_own =
+      Hashtbl.fold (fun item (v, c) acc -> (item, v, c) :: acc) counters [] |> List.sort compare
+    in
+    if own <> want_own then
+      fail "own state [%s], want [%s]" (show_counters own) (show_counters want_own);
     Array.iteri
       (fun i item ->
         let v, c = Option.value ~default:(0, 0) (Hashtbl.find_opt counters item) in
-        if Delay_sync.version s ~item <> v || Delay_sync.cum s ~item <> c then
+        if Delay_sync.version ctrs.(i) <> v || Delay_sync.cum ctrs.(i) <> c then
           fail "counter %s differs" item;
         let total =
           Hashtbl.fold (fun (_, i) (_, c) acc -> if i = item then acc + c else acc) ref_stamps 0
@@ -306,17 +316,26 @@ let full_payloads_match_reference =
     (run ~full:true)
 
 (* A counter changed again after a payload build must move to the ring's
-   newest end: a peer acknowledged up to the build sees only it. *)
+   newest end: a peer acknowledged up to the build sees only it. Until
+   the next build it is both in the ring and on the dirty list, and the
+   sender's own state still holds it once. *)
 let restamp_after_build () =
   let s = Delay_sync.create () in
   let peer = Address.of_int 1 in
   let flat = Topology.create Topology.flat ~n_sites:2 ~items:[ "a"; "b"; "c" ] in
-  List.iter (fun item -> Delay_sync.queue s ~item ~delta:1) [ "a"; "b"; "c" ];
+  let counter item = Delay_sync.make_counter ~item ~av:Av_table.no_entry in
+  let a = counter "a" and b = counter "b" and c = counter "c" in
+  List.iter (fun c -> Delay_sync.queue s c ~delta:1) [ a; b; c ];
   Alcotest.(check int) "three counters" 3 (List.length (Delay_sync.payload s flat peer));
   Delay_sync.note_conveyed (Delay_sync.peer s ~site:1) ~upto:(Delay_sync.seq s);
-  Delay_sync.queue s ~item:"a" ~delta:5;
-  Delay_sync.queue s ~item:"c" ~delta:1;
-  Delay_sync.queue s ~item:"a" ~delta:1;
+  Delay_sync.queue s a ~delta:5;
+  Delay_sync.queue s c ~delta:1;
+  Delay_sync.queue s a ~delta:1;
+  Alcotest.(check (list (triple string int int)))
+    "each counter once"
+    [ ("a", 6, 7); ("b", 2, 1); ("c", 5, 2) ]
+    (List.sort compare (Delay_sync.own_state s ~want:(fun _ -> true)));
+  Alcotest.(check int) "still three" 3 (Delay_sync.count s);
   Alcotest.(check (list (triple string int int)))
     "restamped counters only, by name"
     [ ("a", 6, 7); ("c", 5, 2) ]
@@ -325,8 +344,8 @@ let restamp_after_build () =
 (* A flush with news builds its target list, one name-sorted slice of the
    counters and each payload with its [av_info], and nothing per counter
    beyond the slice's own cells: it reads each counter's subscriber array
-   and AV entry from the counter's memos instead of building a subscriber
-   array per flush. Site 0 holds counters on a, b and c; site 1 replicates
+   and AV entry from the counter instead of building a subscriber array
+   per flush. Site 0 holds counters on a, b and c; site 1 replicates
    only b, site 2 only a and c. After a warm-up flush, a change on b is
    news for site 1 alone, whose ack (0) puts all three counters in the
    slice. *)
@@ -342,7 +361,12 @@ let flush_allocates_its_payloads_only () =
   let av = Av_table.create () in
   List.iter (fun item -> Av_table.define av ~item ~volume:10) [ "a"; "b"; "c" ];
   let s = Delay_sync.create () in
-  List.iter (fun item -> Delay_sync.queue s ~item ~delta:1) [ "a"; "b"; "c" ];
+  let counters =
+    List.map
+      (fun item -> Delay_sync.make_counter ~item ~av:(Av_table.entry_or_no_entry av ~item))
+      [ "a"; "b"; "c" ]
+  in
+  List.iter (fun c -> Delay_sync.queue s c ~delta:1) counters;
   let targets = Delay_sync.audience s topology ~self:0 in
   (* records the last notice without allocating *)
   let notices = ref 0 and last = ref (-1) and levels = ref [] in
@@ -352,14 +376,14 @@ let flush_allocates_its_payloads_only () =
     levels := av_info;
     ignore counters
   in
-  ignore (Delay_sync.payloads s ~force:false topology av targets () send);
+  ignore (Delay_sync.payloads s ~force:false topology targets () send);
   Alcotest.(check int) "the warm-up notifies both" 2 !notices;
-  Delay_sync.queue s ~item:"b" ~delta:1;
+  Delay_sync.queue s (List.nth counters 1) ~delta:1;
   (* settles b's change, so the flush below moves no counter *)
   ignore (Delay_sync.unflushed s);
   let words =
     Gen.allocated (fun () ->
-        ignore (Delay_sync.payloads s ~force:false topology av targets () send))
+        ignore (Delay_sync.payloads s ~force:false topology targets () send))
     /. 8.
   in
   Alcotest.(check int) "one more notice" 3 !notices;

@@ -77,24 +77,6 @@ let test_sketch_merge_exact () =
     true
     (Sketch.memory_words big < 2048)
 
-(* --- Series --- *)
-
-let test_series () =
-  let s = Series.create ~name:"proposed" in
-  Series.add s ~x:100. ~y:25.;
-  Series.add s ~x:200. ~y:31.;
-  Alcotest.(check string) "name" "proposed" (Series.name s);
-  Alcotest.(check int) "length" 2 (Series.length s);
-  Alcotest.(check (list (pair (float 0.) (float 0.)))) "points in order"
-    [ (100., 25.); (200., 31.) ] (Series.points s);
-  Alcotest.(check (option (pair (float 0.) (float 0.)))) "last" (Some (200., 31.))
-    (Series.last s);
-  Alcotest.(check (list (float 0.))) "ys_at" [ 25. ] (Series.ys_at s ~x:100.);
-  let doubled = Series.map_y s ~f:(fun y -> 2. *. y) in
-  Alcotest.(check (list (pair (float 0.) (float 0.)))) "map_y"
-    [ (100., 50.); (200., 62.) ] (Series.points doubled);
-  Alcotest.(check string) "csv" "x,proposed\n100,25\n200,31\n" (Series.to_csv s)
-
 (* --- Ascii_table --- *)
 
 let test_table_render () =
@@ -220,7 +202,6 @@ let suites =
         Alcotest.test_case "sketch exact stats" `Quick test_sketch_exact_stats;
         Alcotest.test_case "sketch relative error" `Quick test_sketch_relative_error;
         Alcotest.test_case "sketch merge exact" `Quick test_sketch_merge_exact;
-        Alcotest.test_case "series" `Quick test_series;
         Alcotest.test_case "table render" `Quick test_table_render;
         Alcotest.test_case "table arity check" `Quick test_table_arity_check;
         Alcotest.test_case "table csv quoting" `Quick test_table_csv_quoting;
