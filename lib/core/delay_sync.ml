@@ -145,12 +145,36 @@ let rec relink ring = function
       ring.older <- c;
       relink ring rest
 
+(* Sorting short counter lists. [List.sort] builds its merge closures on
+   every call, more than the cells of a short result, so a list of at
+   most [short] counters sorts by insertion instead, in top-level
+   functions that allocate list cells only. The keys are unique
+   (versions are, and so are a site's item names), so the order is
+   [List.sort]'s. *)
+let short = 8
+
+let by_version a b = Int.compare a.version b.version
+let by_name a b = String.compare a.item b.item
+
+let[@tail_mod_cons] rec insert cmp c = function
+  | [] -> [ c ]
+  | d :: rest as l -> if cmp c d < 0 then c :: l else d :: insert cmp c rest
+
+let rec insertion cmp sorted = function
+  | [] -> sorted
+  | c :: rest -> insertion cmp (insert cmp c sorted) rest
+
+let sort_counters cmp = function
+  | ([] | [ _ ]) as l -> l
+  | l when List.compare_length_with l short > 0 -> List.sort cmp l
+  | l -> insertion cmp [] l
+
 (* Move the dirty counters, oldest stamp first, to the ring's newest end.
    Each is stamped after every counter still in place, so the ring comes
    out in version order. *)
 let settle t =
   if t.dirty <> [] then begin
-    relink t.ring (List.sort (fun a b -> Int.compare a.version b.version) t.dirty);
+    relink t.ring (sort_counters by_version t.dirty);
     t.dirty <- []
   end;
   t.settled <- t.seq
@@ -164,7 +188,7 @@ let rec walk_newer ring ~floor c acc =
    is cut from. *)
 let newer_than t ~floor =
   settle t;
-  List.sort (fun a b -> String.compare a.item b.item) (walk_newer t.ring ~floor t.ring.older [])
+  sort_counters by_name (walk_newer t.ring ~floor t.ring.older [])
 
 let unflushed t = List.map (fun c -> (c.item, c.cum)) (newer_than t ~floor:t.flushed)
 

@@ -322,9 +322,7 @@ let create shared ~addr ~av_init =
       view = Peer_view.create ();
       sel_state = Strategy.create_state ();
       rng = Rng.split (Engine.rng shared.engine);
-      locks =
-        Lock_manager.create ~engine:shared.engine
-          ~default_timeout:config.Config.lock_timeout ();
+      locks = Lock_manager.create ~engine:shared.engine ~timeout:config.Config.lock_timeout;
       participant = Two_phase.Participant.create ();
       participant_txns = Hashtbl.create 16;
       coordinators = Hashtbl.create 16;

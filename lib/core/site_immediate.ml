@@ -302,8 +302,7 @@ let tentative_write t s ~delta ~admit =
   else None
 
 let lock_item t ~txid ~item k =
-  Lock_manager.acquire t.locks ~owner:txid ~key:item Lock_manager.Exclusive
-    ~timeout:(config t).Config.lock_timeout (fenced t k)
+  Lock_manager.acquire t.locks ~owner:txid ~key:item (fenced t k)
 
 let handle_prepare t ~span ~txid ~coordinator ~cohort ~item ~delta ~reply =
   (* Participant span: open from the prepare through lock wait and
@@ -321,11 +320,7 @@ let handle_prepare t ~span ~txid ~coordinator ~cohort ~item ~delta ~reply =
      outcome poisons the txid: a late or duplicated prepare must never
      re-open it. *)
   let poisoned () =
-    Txn_log.is_refused t.txn_log ~txid
-    ||
-    match Txn_log.find t.txn_log ~txid with
-    | Some { Txn_log.outcome = Some _; _ } -> true
-    | Some _ | None -> false
+    Txn_log.is_refused t.txn_log ~txid || Txn_log.is_decided t.txn_log ~txid
   in
   (* A quarantined replica must not vote Ready: its row is untrusted and
      under repair. Refusing also freezes new commits on the item
@@ -698,5 +693,4 @@ let reset t =
   Hashtbl.reset t.participant_txns;
   Hashtbl.reset t.coordinators;
   Two_phase.Participant.reset t.participant;
-  t.locks <-
-    Lock_manager.create ~engine:(engine t) ~default_timeout:(config t).Config.lock_timeout ()
+  t.locks <- Lock_manager.create ~engine:(engine t) ~timeout:(config t).Config.lock_timeout

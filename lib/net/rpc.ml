@@ -30,12 +30,6 @@ let validate_retry p =
   if p.backoff_multiplier < 1. then invalid_arg "Rpc: backoff_multiplier must be >= 1";
   if p.jitter < 0. || p.jitter > 1. then invalid_arg "Rpc: jitter out of [0,1]"
 
-type ('req, 'resp) pending = {
-  continuation : ('resp, error) result -> unit;
-  mutable timeout_handle : Engine.handle option;
-  call_span : Avdb_obs.Span.id option;
-}
-
 (* Bounded at-most-once reply cache per served node: remembers replies so a
    retransmitted or network-duplicated request is answered from the cache
    instead of re-running the (possibly non-idempotent) handler. Only
@@ -53,9 +47,28 @@ type ('req, 'resp, 'note) t = {
   response_size : 'resp -> int;
   notice_size : 'note -> int;
   mutable next_id : int;
-  pending : ('req, 'resp) pending Int_table.t;
+  pending : ('req, 'resp, 'note) call Int_table.t;
   tracer : Avdb_obs.Tracer.t option;
   request_label : 'req -> string;
+}
+
+(* A call awaiting its response, a retransmission or its final timeout:
+   everything its sends, expiry and retries read, in one record. [ctx] is
+   the span its envelopes carry; [timer] is the pending timeout or
+   backoff pause. *)
+and ('req, 'resp, 'note) call = {
+  rpc : ('req, 'resp, 'note) t;
+  id : int;
+  src : Address.t;
+  dst : Address.t;
+  body : 'req;
+  timeout : Time.t;
+  retry : retry_policy;
+  call_span : Avdb_obs.Span.id option;
+  ctx : Avdb_obs.Span.id option;
+  continuation : ('resp, error) result -> unit;
+  mutable attempt : int;
+  mutable timer : Engine.handle;
 }
 
 let flat _ = 64
@@ -150,14 +163,14 @@ let serve t addr ~handler ?(notice = fun ~src:_ _ -> ()) () =
     | Response { id; body } -> (
         match Int_table.find t.pending id with
         | exception Not_found -> () (* after the timeout, or a duplicate: drop *)
-        | p ->
+        | c ->
             Int_table.remove t.pending id;
-            (match p.timeout_handle with Some h -> Engine.cancel t.engine h | None -> ());
-            (match (t.tracer, p.call_span) with
+            Engine.cancel t.engine c.timer;
+            (match (t.tracer, c.call_span) with
             | Some tracer, Some sp ->
                 Avdb_obs.Tracer.finish tracer ~at:(Engine.now t.engine) sp
             | _ -> ());
-            p.continuation (Ok body))
+            c.continuation (Ok body))
     | Notice body -> notice ~src body
   in
   Network.add_node t.net addr deliver
@@ -172,6 +185,53 @@ let backoff_delay t policy ~attempt =
   in
   let us = float_of_int (Time.to_us policy.base_backoff) *. scale *. factor in
   Time.of_us (int_of_float (Float.max 0. us))
+
+let fail_span c =
+  match (c.rpc.tracer, c.call_span) with
+  | Some tracer, Some sp ->
+      Avdb_obs.Tracer.warn tracer sp;
+      Avdb_obs.Tracer.set_field tracer sp "error" "timeout";
+      Avdb_obs.Tracer.finish tracer ~at:(Engine.now c.rpc.engine) sp
+  | _ -> ()
+
+let note_attempts c n =
+  match (c.rpc.tracer, c.call_span) with
+  | Some tracer, Some sp -> Avdb_obs.Tracer.set_field tracer sp "attempts" (string_of_int n)
+  | _ -> ()
+
+(* Puts the call's request on the wire and arms its timeout. *)
+let rec send_request c =
+  let t = c.rpc in
+  let may_repeat = c.retry.max_attempts > 1 || Network.duplicating t.net in
+  Network.send t.net ~src:c.src ~dst:c.dst ~size:(t.request_size c.body)
+    (Request { id = c.id; span = c.ctx; body = c.body; may_repeat });
+  c.timer <- Engine.schedule t.engine ~delay:c.timeout (fun () -> expire c)
+
+(* The attempt's deadline passed without a response: fail the call after
+   its last attempt, otherwise back off and send again. *)
+and expire c =
+  let t = c.rpc in
+  if Int_table.mem t.pending c.id then
+    if c.attempt >= c.retry.max_attempts then begin
+      Int_table.remove t.pending c.id;
+      if c.attempt > 1 then note_attempts c c.attempt;
+      fail_span c;
+      c.continuation (Error Timeout)
+    end
+    else begin
+      Stats.add_retry (Network.stats t.net) c.src;
+      note_attempts c (c.attempt + 1);
+      c.timer <-
+        Engine.schedule t.engine
+          ~delay:(backoff_delay t c.retry ~attempt:c.attempt)
+          (fun () -> resend c)
+    end
+
+and resend c =
+  if Int_table.mem c.rpc.pending c.id then begin
+    c.attempt <- c.attempt + 1;
+    send_request c
+  end
 
 let call t ~src ~dst ?timeout ?(retry = no_retry) ?span body continuation =
   validate_retry retry;
@@ -194,50 +254,28 @@ let call t ~src ~dst ?timeout ?(retry = no_retry) ?span body continuation =
     | Some _ | None -> None
   in
   let ctx = match call_span with Some _ -> call_span | None -> span in
-  let p = { continuation; timeout_handle = None; call_span } in
-  Int_table.replace t.pending id p;
+  let c =
+    {
+      rpc = t;
+      id;
+      src;
+      dst;
+      body;
+      timeout;
+      retry;
+      call_span;
+      ctx;
+      continuation;
+      attempt = 1;
+      timer = Engine.no_timer;
+    }
+  in
+  Int_table.replace t.pending id c;
   (* One logical call = one correspondence for the caller, regardless of
      retransmissions or outcome: failure is only ever detected by timeout
      now, so the request was genuinely put on the wire every time. *)
   Stats.add_correspondence (Network.stats t.net) src;
-  let fail_span () =
-    match (t.tracer, call_span) with
-    | Some tracer, Some sp ->
-        Avdb_obs.Tracer.warn tracer sp;
-        Avdb_obs.Tracer.set_field tracer sp "error" "timeout";
-        Avdb_obs.Tracer.finish tracer ~at:(Engine.now t.engine) sp
-    | _ -> ()
-  in
-  let note_attempts n =
-    match (t.tracer, call_span) with
-    | Some tracer, Some sp ->
-        Avdb_obs.Tracer.set_field tracer sp "attempts" (string_of_int n)
-    | _ -> ()
-  in
-  let rec attempt n =
-    let may_repeat = retry.max_attempts > 1 || Network.duplicating t.net in
-    Network.send t.net ~src ~dst ~size:(t.request_size body)
-      (Request { id; span = ctx; body; may_repeat });
-    p.timeout_handle <-
-      Some
-        (Engine.schedule t.engine ~delay:timeout (fun () ->
-             if Int_table.mem t.pending id then
-               if n >= retry.max_attempts then begin
-                 Int_table.remove t.pending id;
-                 if n > 1 then note_attempts n;
-                 fail_span ();
-                 p.continuation (Error Timeout)
-               end
-               else begin
-                 Stats.add_retry (Network.stats t.net) src;
-                 note_attempts (n + 1);
-                 p.timeout_handle <-
-                   Some
-                     (Engine.schedule t.engine ~delay:(backoff_delay t retry ~attempt:n)
-                        (fun () -> if Int_table.mem t.pending id then attempt (n + 1)))
-               end))
-  in
-  attempt 1
+  send_request c
 
 let notify t ~src ~dst body =
   Network.send t.net ~src ~dst ~size:(t.notice_size body) (Notice body)

@@ -1,226 +1,117 @@
 open Avdb_sim
 
-type mode = Shared | Exclusive
-
 type owner = int
 
-type waiter = {
-  w_owner : owner;
-  w_mode : mode;
-  continuation : (unit, [ `Timeout ]) result -> unit;
-  timeout_handle : Engine.handle;
-  mutable done_ : bool;  (* granted or timed out; a dead waiter is skipped *)
+(* A key's lock lives in the table while it is held: the grant that finds
+   the key free makes it, and the release that finds no waiter drops it
+   and sets its holder to [nobody], so a stale claim on it releases
+   nothing. Every waiter of a lock is live: a grant, an expiry or the
+   owner's [release_all] takes it out of the list. *)
+type lock = {
+  key : string;
+  mutable holder : owner;
+  mutable waiters : request list;  (* oldest first *)
 }
 
-type lock_state = { mutable holders : (owner * mode) list; mutable queue : waiter list }
-(* queue is oldest-first. *)
+and request = {
+  owner : owner;
+  lock : lock;
+  continuation : (unit, [ `Timeout ]) result -> unit;
+  mutable timer : Engine.handle;
+}
+
+let nobody = min_int
+
+module Keys = Hashtbl.Make (String)
+module Owners = Hashtbl.Make (Int)
 
 type t = {
   engine : Engine.t;
-  default_timeout : Time.t;
-  locks : (string, lock_state) Hashtbl.t;
-  by_owner : (owner, (string, unit) Hashtbl.t) Hashtbl.t;
+  timeout : Time.t;
+  locks : lock Keys.t;
+  claims : lock list Owners.t;
+      (* per owner: the locks it holds or waits on, newest first; a lock
+         may appear twice, or after it was freed *)
 }
 
-let create ~engine ?(default_timeout = Time.of_sec 1.) () =
-  { engine; default_timeout; locks = Hashtbl.create 64; by_owner = Hashtbl.create 16 }
+let create ~engine ~timeout =
+  { engine; timeout; locks = Keys.create 16; claims = Owners.create 16 }
 
-let state t key =
-  match Hashtbl.find_opt t.locks key with
-  | Some s -> s
-  | None ->
-      let s = { holders = []; queue = [] } in
-      Hashtbl.add t.locks key s;
-      s
+let claim t owner l =
+  match Owners.find t.claims owner with
+  | ls -> Owners.replace t.claims owner (l :: ls)
+  | exception Not_found -> Owners.add t.claims owner [ l ]
 
-let note_held t owner key =
-  let keys =
-    match Hashtbl.find_opt t.by_owner owner with
-    | Some k -> k
-    | None ->
-        let k = Hashtbl.create 4 in
-        Hashtbl.add t.by_owner owner k;
-        k
-  in
-  Hashtbl.replace keys key ()
+(* Grants [l] down its queue while the head can hold it: any waiter when
+   the lock is free, then each one whose owner holds it already. The
+   continuation may act on the table; the loop reads [l] afresh after it. *)
+let rec pump t l =
+  match l.waiters with
+  | r :: rest when l.holder = nobody || l.holder = r.owner ->
+      l.waiters <- rest;
+      l.holder <- r.owner;
+      Engine.cancel t.engine r.timer;
+      r.continuation (Ok ());
+      pump t l
+  | _ :: _ | [] -> ()
 
-let note_released t owner key =
-  match Hashtbl.find_opt t.by_owner owner with
-  | None -> ()
-  | Some keys ->
-      Hashtbl.remove keys key;
-      if Hashtbl.length keys = 0 then Hashtbl.remove t.by_owner owner
+let release t l =
+  l.holder <- nobody;
+  match l.waiters with [] -> Keys.remove t.locks l.key | _ :: _ -> pump t l
 
-let compatible mode holders =
-  match mode with
-  | Shared -> List.for_all (fun (_, m) -> m = Shared) holders
-  | Exclusive -> holders = []
+let expire r =
+  let l = r.lock in
+  l.waiters <- List.filter (fun w -> w != r) l.waiters;
+  r.continuation (Error `Timeout)
 
-(* Can a request be granted given current holders? Upgrade case: a Shared
-   holder asking Exclusive is grantable when it is the only holder. *)
-let grantable state ~owner ~mode =
-  let others = List.filter (fun (o, _) -> o <> owner) state.holders in
-  match List.assoc_opt owner state.holders with
-  | Some Exclusive -> true
-  | Some Shared -> ( match mode with Shared -> true | Exclusive -> others = [])
-  | None -> compatible mode others && compatible mode state.holders
+let acquire t ~owner ~key continuation =
+  match Keys.find t.locks key with
+  | exception Not_found ->
+      let l = { key; holder = owner; waiters = [] } in
+      Keys.add t.locks key l;
+      claim t owner l;
+      continuation (Ok ())
+  | { holder; waiters = []; _ } when holder = owner -> continuation (Ok ())
+  | l ->
+      let r = { owner; lock = l; continuation; timer = Engine.no_timer } in
+      r.timer <- Engine.schedule t.engine ~delay:t.timeout (fun () -> expire r);
+      l.waiters <- l.waiters @ [ r ];
+      claim t owner l
 
-let set_holder state owner mode =
-  let others = List.filter (fun (o, _) -> o <> owner) state.holders in
-  let current = List.assoc_opt owner state.holders in
-  let final =
-    match (current, mode) with Some Exclusive, _ -> Exclusive | _, m -> m
-  in
-  state.holders <- others @ [ (owner, final) ]
+let[@tail_mod_cons] rec drop_owner t owner = function
+  | [] -> []
+  | r :: rest when r.owner = owner ->
+      Engine.cancel t.engine r.timer;
+      drop_owner t owner rest
+  | r :: rest -> r :: drop_owner t owner rest
 
-(* Grant queued waiters in FIFO order; stop at the first non-grantable
-   waiter so exclusive requests cannot starve behind a shared stream. *)
-let rec pump t key state =
-  match state.queue with
+let rec drop_waiting t owner = function
   | [] -> ()
-  | w :: rest when w.done_ ->
-      state.queue <- rest;
-      pump t key state
-  | w :: rest ->
-      if grantable state ~owner:w.w_owner ~mode:w.w_mode then begin
-        state.queue <- rest;
-        w.done_ <- true;
-        Engine.cancel t.engine w.timeout_handle;
-        set_holder state w.w_owner w.w_mode;
-        note_held t w.w_owner key;
-        w.continuation (Ok ());
-        pump t key state
-      end
+  | l :: rest ->
+      l.waiters <- drop_owner t owner l.waiters;
+      drop_waiting t owner rest
 
-let acquire t ~owner ~key mode ?timeout continuation =
-  let timeout = Option.value timeout ~default:t.default_timeout in
-  let s = state t key in
-  let no_live_waiters = List.for_all (fun w -> w.done_) s.queue in
-  (* Grant immediately only when nobody is queued ahead (no barging past
-     waiting exclusives). *)
-  if no_live_waiters && grantable s ~owner ~mode then begin
-    set_holder s owner mode;
-    note_held t owner key;
-    continuation (Ok ())
-  end
-  else begin
-    let rec waiter =
-      lazy
-        {
-          w_owner = owner;
-          w_mode = mode;
-          continuation;
-          timeout_handle =
-            Engine.schedule t.engine ~delay:timeout (fun () ->
-                let w = Lazy.force waiter in
-                if not w.done_ then begin
-                  w.done_ <- true;
-                  continuation (Error `Timeout)
-                end);
-          done_ = false;
-        }
-    in
-    s.queue <- s.queue @ [ Lazy.force waiter ]
-  end
-
-let release t ~owner ~key =
-  match Hashtbl.find_opt t.locks key with
-  | None -> ()
-  | Some s ->
-      if List.mem_assoc owner s.holders then begin
-        s.holders <- List.filter (fun (o, _) -> o <> owner) s.holders;
-        note_released t owner key;
-        pump t key s;
-        if s.holders = [] && s.queue = [] then Hashtbl.remove t.locks key
-      end
+let rec release_held t owner = function
+  | [] -> ()
+  | l :: rest ->
+      if l.holder = owner then release t l;
+      release_held t owner rest
 
 let release_all t ~owner =
-  (* Drop queued requests first so releasing keys cannot re-grant them. *)
-  Hashtbl.iter
-    (fun _key s ->
-      List.iter
-        (fun w ->
-          if w.w_owner = owner && not w.done_ then begin
-            w.done_ <- true;
-            Engine.cancel t.engine w.timeout_handle
-          end)
-        s.queue)
-    t.locks;
-  match Hashtbl.find_opt t.by_owner owner with
-  | None -> ()
-  | Some keys ->
-      let key_list = Hashtbl.fold (fun k () acc -> k :: acc) keys [] in
-      List.iter (fun key -> release t ~owner ~key) key_list
+  match Owners.find t.claims owner with
+  | exception Not_found -> ()
+  | claimed ->
+      Owners.remove t.claims owner;
+      (* Drop queued requests first so releasing keys cannot grant them. *)
+      drop_waiting t owner claimed;
+      release_held t owner claimed
 
-let holders t ~key =
-  match Hashtbl.find_opt t.locks key with None -> [] | Some s -> s.holders
+let holder t ~key =
+  match Keys.find t.locks key with l -> Some l.holder | exception Not_found -> None
 
-let is_held t ~key = holders t ~key <> []
+let is_held t ~key = Keys.mem t.locks key
 
 let waiting t ~key =
-  match Hashtbl.find_opt t.locks key with
-  | None -> 0
-  | Some s -> List.length (List.filter (fun w -> not w.done_) s.queue)
-
-let wait_for_graph t =
-  let edges = Hashtbl.create 16 in
-  let add_edge waiter blocker =
-    if waiter <> blocker then begin
-      let existing = Option.value ~default:[] (Hashtbl.find_opt edges waiter) in
-      if not (List.mem blocker existing) then Hashtbl.replace edges waiter (blocker :: existing)
-    end
-  in
-  Hashtbl.iter
-    (fun _key s ->
-      let ahead = ref (List.map fst s.holders) in
-      List.iter
-        (fun w ->
-          if not w.done_ then begin
-            List.iter (add_edge w.w_owner) !ahead;
-            ahead := w.w_owner :: !ahead
-          end)
-        s.queue)
-    t.locks;
-  Hashtbl.fold (fun waiter blockers acc -> (waiter, List.sort compare blockers) :: acc) edges []
-  |> List.sort compare
-
-let find_deadlock t =
-  let graph = wait_for_graph t in
-  let successors o = Option.value ~default:[] (List.assoc_opt o graph) in
-  (* DFS with an explicit path to report the cycle. *)
-  let visited = Hashtbl.create 16 in
-  let rec dfs path path_set o =
-    if List.mem o path_set then begin
-      (* [path] is newest-first and starts with the re-visited [o]; the
-         cycle is everything after that head up to (and including) the
-         earlier occurrence of [o]. *)
-      let rec take = function
-        | [] -> []
-        | x :: rest -> if x = o then [ x ] else x :: take rest
-      in
-      let body = match path with [] -> [] | _newest :: rest -> take rest in
-      Some (List.rev body)
-    end
-    else if Hashtbl.mem visited o then None
-    else begin
-      Hashtbl.add visited o ();
-      let rec try_succ = function
-        | [] -> None
-        | next :: rest -> (
-            match dfs (next :: path) (o :: path_set) next with
-            | Some cycle -> Some cycle
-            | None -> try_succ rest)
-      in
-      try_succ (successors o)
-    end
-  in
-  let rec scan = function
-    | [] -> None
-    | (o, _) :: rest -> ( match dfs [ o ] [] o with Some c -> Some c | None -> scan rest)
-  in
-  scan graph
-
-let held_keys t ~owner =
-  match Hashtbl.find_opt t.by_owner owner with
-  | None -> []
-  | Some keys -> Hashtbl.fold (fun k () acc -> k :: acc) keys [] |> List.sort String.compare
+  match Keys.find t.locks key with
+  | l -> List.length l.waiters
+  | exception Not_found -> 0

@@ -1,62 +1,43 @@
-(** Key-granularity shared/exclusive locks with FIFO waiting.
+(** Key-granularity exclusive locks with FIFO waiting.
 
     Built for the event-driven simulation: [acquire] never blocks, it
     invokes a continuation when the lock is granted (possibly immediately)
-    or when the request times out. Deadlocks resolve through timeouts —
-    appropriate here because the paper's protocols (primary-copy Immediate
-    Update) acquire in a fixed site order and should not deadlock; the
-    timeout is a safety net that also covers crashed lock holders. *)
+    or when the request times out. Immediate Update takes exclusive locks
+    only. The only deadlocks this system can have span sites (two
+    coordinators of one item, each holding its own replica's lock while
+    its prepare waits at the other's), where no local wait-for graph sees
+    them; the timeout resolves them, and it also covers crashed lock
+    holders.
+
+    Per key the table keeps a holder and its waiters, and per owner the
+    locks it holds or waits on, so {!release_all} touches only those. A
+    free key keeps nothing. *)
 
 type t
 
-type mode = Shared | Exclusive
-
 type owner = int
 (** Opaque owner id — the caller chooses the numbering (e.g. transaction
-    ids). *)
+    ids). Any int but [min_int], which marks a free lock. *)
 
-val create : engine:Avdb_sim.Engine.t -> ?default_timeout:Avdb_sim.Time.t -> unit -> t
-(** [default_timeout] defaults to 1 s of virtual time. *)
+val create : engine:Avdb_sim.Engine.t -> timeout:Avdb_sim.Time.t -> t
+(** [timeout] is how long any request may wait before it fails. *)
 
 val acquire :
-  t ->
-  owner:owner ->
-  key:string ->
-  mode ->
-  ?timeout:Avdb_sim.Time.t ->
-  ((unit, [ `Timeout ]) result -> unit) ->
-  unit
-(** Requests the lock; the continuation fires exactly once. Re-acquiring a
-    lock already held at the same or weaker mode grants immediately; an
-    upgrade [Shared -> Exclusive] grants immediately when the owner is the
-    sole holder and otherwise queues. Grants are FIFO except that
-    compatible shared requests may be granted together. *)
-
-val release : t -> owner:owner -> key:string -> unit
-(** Releases one key; grants any newly-compatible waiters. Unknown
-    (owner, key) pairs are ignored. *)
+  t -> owner:owner -> key:string -> ((unit, [ `Timeout ]) result -> unit) -> unit
+(** Requests the key; the continuation fires exactly once, unless the
+    owner's {!release_all} drops the request first. The request is
+    granted at once when nobody waits for the key and it is free or
+    already held by [owner]. Otherwise it waits: a freed key goes to its
+    oldest waiter, together with the waiters right behind it of the same
+    owner, and a request still waiting after the table's timeout fails
+    with [`Timeout]. *)
 
 val release_all : t -> owner:owner -> unit
-(** Releases every key held by the owner and drops its queued requests. *)
+(** Drops the owner's waiting requests without granting them, then
+    releases every key it holds. Unknown owners are ignored. *)
 
-val holders : t -> key:string -> (owner * mode) list
+val holder : t -> key:string -> owner option
 val is_held : t -> key:string -> bool
+
 val waiting : t -> key:string -> int
-(** Number of queued (not yet granted) requests for the key. *)
-
-val held_keys : t -> owner:owner -> string list
-(** Sorted. *)
-
-(** {2 Deadlock detection}
-
-    Timeouts already guarantee progress; these hooks let a policy layer
-    (or a test) find cycles {e before} timers fire. *)
-
-val wait_for_graph : t -> (owner * owner list) list
-(** For every live waiter: the distinct owners it waits on — current
-    holders of its key plus live waiters queued ahead of it (grants are
-    FIFO). Sorted by waiter. *)
-
-val find_deadlock : t -> owner list option
-(** Some cycle [o1; o2; ...; on] (each waits on the next, [on] on [o1]),
-    or [None] when the wait-for graph is acyclic. *)
+(** Number of requests waiting for the key. *)

@@ -25,38 +25,76 @@ module Coordinator = struct
     | Completed of decision
     | Cleanup of decision
 
+  (* Votes and acks are flags over the participant array, one byte per
+     participant, counted as they are first set. A repeated address
+     counts once: [needed] is the number of distinct participants, and
+     an address always finds its first slot. *)
   type t = {
     txid : int;
-    participants : Address.Set.t;
+    participants : Address.t array;
+    needed : int;
+    flags : Bytes.t;
     base : Address.t;
     mutable phase : phase;
-    mutable votes : Address.Set.t;  (* Ready votes received *)
-    mutable acks : Address.Set.t;
-    mutable local_vote : vote;
+    mutable votes : int;  (* Ready votes received *)
+    mutable acks : int;
     mutable completed_emitted : bool;
   }
 
-  let create ~txid ~participants ~base =
+  let voted = 1
+  let acked = 2
+
+  let rec slot participants a i =
+    if i = Array.length participants then -1
+    else if Address.equal participants.(i) a then i
+    else slot participants a (i + 1)
+
+  (* The participants from slot [i] on that no earlier slot repeats. *)
+  let rec distinct participants i =
+    if i = Array.length participants then 0
+    else
+      Bool.to_int (slot participants participants.(i) 0 = i) + distinct participants (i + 1)
+
+  let make ~txid ~participants ~base phase ~completed_emitted =
+    let participants = Array.of_list participants in
     {
       txid;
-      participants = Address.Set.of_list participants;
+      participants;
+      needed = distinct participants 0;
+      flags = Bytes.make (Array.length participants) '\000';
       base;
-      phase = Init;
-      votes = Address.Set.empty;
-      acks = Address.Set.empty;
-      local_vote = Ready;
-      completed_emitted = false;
+      phase;
+      votes = 0;
+      acks = 0;
+      completed_emitted;
     }
 
+  let create ~txid ~participants ~base =
+    make ~txid ~participants ~base Init ~completed_emitted:false
+
   let txid t = t.txid
+  let no_participants t = Array.length t.participants = 0
+
+  (* Sets [flag] on [from]'s slot: true when [from] is a participant whose
+     flag was clear. *)
+  let mark t ~from flag =
+    match slot t.participants from 0 with
+    | -1 -> false
+    | i ->
+        let f = Bytes.get_uint8 t.flags i in
+        if f land flag <> 0 then false
+        else begin
+          Bytes.set_uint8 t.flags i (f lor flag);
+          true
+        end
 
   (* Completion is user-visible when the base acknowledges the decision.
      When the base is not a remote participant, the coordinator itself is
      the base: completion happens at decision time. *)
-  let base_is_remote t = Address.Set.mem t.base t.participants
+  let base_is_remote t = slot t.participants t.base 0 >= 0
 
   let decide t d =
-    if Address.Set.is_empty t.participants then begin
+    if no_participants t then begin
       t.phase <- Done d;
       let completed = if t.completed_emitted then [] else [ Completed d ] in
       t.completed_emitted <- true;
@@ -77,9 +115,8 @@ module Coordinator = struct
   let start t ~local_vote =
     match t.phase with
     | Init ->
-        t.local_vote <- local_vote;
         if local_vote = Refuse then decide t Abort
-        else if Address.Set.is_empty t.participants then decide t Commit
+        else if no_participants t then decide t Commit
         else begin
           t.phase <- Collecting_votes;
           [ Broadcast_prepare ]
@@ -89,13 +126,16 @@ module Coordinator = struct
 
   let on_vote t ~from v =
     match t.phase with
-    | Collecting_votes when Address.Set.mem from t.participants -> (
+    | Collecting_votes -> (
         match v with
-        | Refuse -> decide t Abort
+        | Refuse -> if slot t.participants from 0 >= 0 then decide t Abort else []
         | Ready ->
-            t.votes <- Address.Set.add from t.votes;
-            if Address.Set.equal t.votes t.participants then decide t Commit else [])
-    | Init | Collecting_votes | Collecting_acks _ | Done _ -> []
+            if mark t ~from voted then begin
+              t.votes <- t.votes + 1;
+              if t.votes = t.needed then decide t Commit else []
+            end
+            else [])
+    | Init | Collecting_acks _ | Done _ -> []
 
   let finish t d =
     t.phase <- Done d;
@@ -105,8 +145,8 @@ module Coordinator = struct
 
   let on_ack t ~from =
     match t.phase with
-    | Collecting_acks d when Address.Set.mem from t.participants ->
-        t.acks <- Address.Set.add from t.acks;
+    | Collecting_acks d when mark t ~from acked ->
+        t.acks <- t.acks + 1;
         let completed =
           if Address.equal from t.base && not t.completed_emitted then begin
             t.completed_emitted <- true;
@@ -114,8 +154,7 @@ module Coordinator = struct
           end
           else []
         in
-        if Address.Set.equal t.acks t.participants then completed @ finish t d
-        else completed
+        if t.acks = t.needed then completed @ finish t d else completed
     | Init | Collecting_votes | Collecting_acks _ | Done _ -> []
 
   let on_ack_timeout t =
@@ -128,17 +167,9 @@ module Coordinator = struct
      restart the ack round from scratch. [Completed] must never fire —
      the submitting client died with the old incarnation. *)
   let recovered ~txid ~participants ~base decision =
-    {
-      txid;
-      participants = Address.Set.of_list participants;
-      base;
-      phase =
-        (if participants = [] then Done decision else Collecting_acks decision);
-      votes = Address.Set.empty;
-      acks = Address.Set.empty;
-      local_vote = Ready;
-      completed_emitted = true;
-    }
+    make ~txid ~participants ~base
+      (if participants = [] then Done decision else Collecting_acks decision)
+      ~completed_emitted:true
 
   let rebroadcast t =
     match t.phase with
@@ -156,29 +187,29 @@ end
 module Participant = struct
   type action = Apply | Revert | Ignore
 
-  type t = { prepared : (int, unit) Hashtbl.t }
+  type t = { prepared : unit Int_table.t }
 
-  let create () = { prepared = Hashtbl.create 16 }
+  let create () = { prepared = Int_table.create 16 }
 
   let on_prepare t ~txid ~can_apply =
-    if Hashtbl.mem t.prepared txid then Ready
+    if Int_table.mem t.prepared txid then Ready
     else if can_apply then begin
-      Hashtbl.add t.prepared txid ();
+      Int_table.add t.prepared txid ();
       Ready
     end
     else Refuse
 
   let on_decision t ~txid d =
-    if not (Hashtbl.mem t.prepared txid) then Ignore
+    if not (Int_table.mem t.prepared txid) then Ignore
     else begin
-      Hashtbl.remove t.prepared txid;
+      Int_table.remove t.prepared txid;
       match d with Commit -> Apply | Abort -> Revert
     end
 
   let pending t =
-    Hashtbl.fold (fun txid () acc -> txid :: acc) t.prepared [] |> List.sort compare
+    Int_table.fold (fun txid () acc -> txid :: acc) t.prepared [] |> List.sort Int.compare
 
-  let forget t ~txid = Hashtbl.remove t.prepared txid
+  let forget t ~txid = Int_table.remove t.prepared txid
 
-  let reset t = Hashtbl.reset t.prepared
+  let reset t = Int_table.reset t.prepared
 end

@@ -72,7 +72,10 @@ type epochs = {
 module Items = Hashtbl.Make (String)
 
 type t = {
-  mutable records : record list;  (* newest-first for O(1) append *)
+  (* Slots [0, count) hold the log in append order; the rest is spare
+     capacity, filled with [spare] so it keeps no record alive. Appends
+     double the array when it is full. *)
+  mutable records : record array;
   mutable count : int;
   entries : entry Int_table.t;
   refused : unit Int_table.t;
@@ -80,9 +83,11 @@ type t = {
   items : epochs Items.t;
 }
 
+let spare = End { txid = -1; at = Time.zero }
+
 let create () =
   {
-    records = [];
+    records = [||];
     count = 0;
     entries = Int_table.create 32;
     refused = Int_table.create 8;
@@ -106,12 +111,21 @@ let epochs t item =
       Items.add t.items item e;
       e
 
-let records t = List.rev t.records
+let records t =
+  let rec from i acc = if i < 0 then acc else from (i - 1) (t.records.(i) :: acc) in
+  from (t.count - 1) []
+
 let length t = t.count
 
 let push t r =
-  t.records <- r :: t.records;
-  t.count <- t.count + 1
+  let n = t.count in
+  if n = Array.length t.records then begin
+    let grown = Array.make (Int.max 16 (2 * n)) spare in
+    Array.blit t.records 0 grown 0 n;
+    t.records <- grown
+  end;
+  t.records.(n) <- r;
+  t.count <- n + 1
 
 (* Index maintenance shared by live appends and replay. *)
 let index t = function
@@ -130,17 +144,15 @@ let index t = function
           ended = false;
         }
   | Outcome { txid; decision; at } -> (
-      match Int_table.find_opt t.entries txid with
-      | None -> ()
-      | Some e ->
-          if e.outcome = None then begin
-            e.outcome <- Some decision;
-            e.finished_at <- Some at
-          end)
+      match Int_table.find t.entries txid with
+      | { outcome = None; _ } as e ->
+          e.outcome <- Some decision;
+          e.finished_at <- Some at
+      | { outcome = Some _; _ } | (exception Not_found) -> ())
   | End { txid; _ } -> (
-      match Int_table.find_opt t.entries txid with
-      | None -> ()
-      | Some e -> e.ended <- true)
+      match Int_table.find t.entries txid with
+      | e -> e.ended <- true
+      | exception Not_found -> ())
   | Refused { txid; _ } -> Int_table.replace t.refused txid ()
   | Intent { txid; origin; item; delta; at } ->
       if not (Int_table.mem t.intents txid) then
@@ -185,14 +197,14 @@ let record_start t ~txid ~coordinator ~cohort ~item ~delta ~at =
 let record_outcome t ~txid outcome ~at =
   (* Idempotent: only the first outcome is durable. Unknown txids are
      ignored (the prepare may have been refused before logging). *)
-  match Int_table.find_opt t.entries txid with
-  | Some e when e.outcome = None -> append t (Outcome { txid; decision = outcome; at })
-  | Some _ | None -> ()
+  match Int_table.find t.entries txid with
+  | { outcome = None; _ } -> append t (Outcome { txid; decision = outcome; at })
+  | { outcome = Some _; _ } | (exception Not_found) -> ()
 
 let record_end t ~txid ~at =
-  match Int_table.find_opt t.entries txid with
-  | Some e when not e.ended -> append t (End { txid; at })
-  | Some _ | None -> ()
+  match Int_table.find t.entries txid with
+  | { ended = false; _ } -> append t (End { txid; at })
+  | { ended = true; _ } | (exception Not_found) -> ()
 
 let record_refused t ~txid ~at =
   if not (Int_table.mem t.refused txid) then append t (Refused { txid; at })
@@ -267,6 +279,11 @@ let max_contiguous_seal t ~item =
 
 let find t ~txid = Int_table.find_opt t.entries txid
 let is_refused t ~txid = Int_table.mem t.refused txid
+
+let is_decided t ~txid =
+  match Int_table.find t.entries txid with
+  | { outcome = Some _; _ } -> true
+  | { outcome = None; _ } | (exception Not_found) -> false
 
 let entries t =
   Int_table.fold (fun _ e acc -> e :: acc) t.entries []

@@ -174,6 +174,9 @@ val max_contiguous_seal : t -> item:string -> int
 val find : t -> txid:int -> entry option
 val is_refused : t -> txid:int -> bool
 
+val is_decided : t -> txid:int -> bool
+(** [txid] has a logged outcome. *)
+
 val entries : t -> entry list
 (** Sorted by txid. *)
 

@@ -390,11 +390,11 @@ let flush_allocates_its_payloads_only () =
   Alcotest.(check int) "to site 1" 1 !last;
   Alcotest.(check (list (pair string int))) "b's level" [ ("b", 10) ] !levels;
   (* the target list's cell, the slice's three cells in stamp order (a,
-     c, b), [List.sort]'s 33 words putting them in name order (21 of
-     closures it builds on every call, three cells and the pair it returns
-     them in), b's wire entry (a 3-tuple and a cell) and its level (a
-     pair and a cell) *)
-  Alcotest.(check (float 0.)) "words allocated" (3. +. 9. +. 33. +. 7. +. 6.) words
+     c, b), the insertion sort's five cells putting them in name order
+     (a short list builds no closures: one cell for a, two to put c
+     after it, two to put b between them), b's wire entry (a 3-tuple and
+     a cell) and its level (a pair and a cell) *)
+  Alcotest.(check (float 0.)) "words allocated" (3. +. 9. +. 15. +. 7. +. 6.) words
 
 let suites =
   [

@@ -310,6 +310,39 @@ let test_retry_answered_from_cache () =
   Alcotest.(check int) "handler executed once" 1 !served;
   Alcotest.(check bool) "the call retransmitted" true (Stats.total_retries (Rpc.stats rpc) >= 1)
 
+(* A call answered at once allocates 84 minor words a round trip on an
+   untraced transport without retries: the call record (13) with its
+   pending-table entry (4) and its timeout event (closure and entry, 9),
+   the two envelopes (5 and 3), two network sends with their delivery
+   events and boxed sizes (30), the engine run's result (4), and the
+   server's reply closure and its flag (16). Built of closures (the send
+   attempt, two span helpers and the timeout event) with an option around
+   the timeout handle, a round trip took 108. *)
+let test_round_trip_allocates_little () =
+  let engine, rpc = make ~latency:(Latency.Constant (t_us 10)) () in
+  serve_incr rpc (addr 0);
+  Rpc.serve rpc (addr 1) ~handler:(fun ~src:_ ~span:_ _ ~reply -> reply 0) ();
+  let answered = ref 0 in
+  let k = function Ok _ -> incr answered | Error Rpc.Timeout -> () in
+  let round_trip () =
+    Rpc.call rpc ~src:(addr 1) ~dst:(addr 0) 41 k;
+    ignore (Engine.run engine)
+  in
+  for _ = 1 to 100 do
+    round_trip ()
+  done;
+  let n = 1_000 in
+  let words =
+    Gen.allocated (fun () ->
+        for _ = 1 to n do
+          round_trip ()
+        done)
+    /. 8. /. float_of_int n
+  in
+  Alcotest.(check int) "every call answered" (100 + n) !answered;
+  if words > 84. then
+    Alcotest.failf "a round trip allocates %.1f minor words (at most 84)" words
+
 let suites =
   [
     ( "net.rpc",
@@ -333,5 +366,7 @@ let suites =
         Alcotest.test_case "response lost to partition" `Quick test_response_lost_to_partition;
         Alcotest.test_case "retry answered from the cache" `Quick
           test_retry_answered_from_cache;
+        Alcotest.test_case "a round trip allocates little" `Quick
+          test_round_trip_allocates_little;
       ] );
   ]
