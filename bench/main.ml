@@ -892,7 +892,7 @@ let exp_recovery () =
     rows;
   print_endline (Ascii_table.render table);
   note "the participant's gap is dominated by decision_timeout (%.0f ms default):"
-    (Avdb_sim.Time.to_ms Config.default.Config.decision_timeout);
+    (Avdb_sim.Time.to_ms Protocol.decision_timeout);
   note "it cannot distinguish a slow coordinator from a dead one any earlier.";
   (* Corruption repair: the same crash now also damages a durable log.
      WAL-only loss is rebuilt locally from the surviving metadata;
@@ -979,8 +979,8 @@ let exp_recovery () =
   note "local rebuilds cost no availability beyond the crash itself; the";
   note "quarantined replica waits max(prepare_timeout, ack_timeout) = %.0f ms"
     (Float.max
-       (Avdb_sim.Time.to_ms Config.default.Config.prepare_timeout)
-       (Avdb_sim.Time.to_ms Config.default.Config.ack_timeout));
+       (Avdb_sim.Time.to_ms Protocol.prepare_timeout)
+       (Avdb_sim.Time.to_ms Protocol.ack_timeout));
   note "before fetching its snapshot from the base, then rejoins the cohort."
 
 (* --- gated experiments ---

@@ -96,40 +96,48 @@ let named op t ~item amount =
       no_av item
   | e -> op e amount
 
+(* Everything available moves to held; nothing ever writes [no_entry],
+   which has nothing available. *)
+let entry_hold_all e =
+  let grabbed = e.available in
+  if grabbed > 0 then begin
+    e.available <- 0;
+    e.held <- e.held + grabbed
+  end;
+  grabbed
+
+let entry_release e amount =
+  let amount = check_amount amount in
+  if e == no_entry then no_av e.item
+  else if e.held < amount then
+    Error (Printf.sprintf "release exceeds hold on %S: held %d < %d" e.item e.held amount)
+  else begin
+    e.held <- e.held - amount;
+    e.available <- e.available + amount;
+    Ok ()
+  end
+
+let entry_deposit e amount =
+  let amount = check_amount amount in
+  if e == no_entry then no_av e.item
+  else begin
+    e.available <- e.available + amount;
+    Ok ()
+  end
+
+let entry_withdraw e amount =
+  let amount = check_amount amount in
+  if e == no_entry then no_av e.item
+  else if e.available < amount then
+    Error
+      (Printf.sprintf "withdraw exceeds AV on %S: available %d < %d" e.item e.available amount)
+  else begin
+    e.available <- e.available - amount;
+    Ok ()
+  end
+
 let hold t ~item amount = named entry_hold t ~item amount
-
-let hold_all t ~item =
-  match Hashtbl.find t item with
-  | exception Not_found -> 0
-  | e ->
-      let grabbed = e.available in
-      e.available <- 0;
-      e.held <- e.held + grabbed;
-      grabbed
-
-let release t ~item amount =
-  let amount = check_amount amount in
-  match Hashtbl.find t item with
-  | exception Not_found -> no_av item
-  | e ->
-      if e.held < amount then
-        Error (Printf.sprintf "release exceeds hold on %S: held %d < %d" item e.held amount)
-      else begin
-        e.held <- e.held - amount;
-        e.available <- e.available + amount;
-        Ok ()
-      end
-
 let consume t ~item amount = named entry_consume t ~item amount
-
-let deposit t ~item amount =
-  let amount = check_amount amount in
-  match Hashtbl.find t item with
-  | exception Not_found -> no_av item
-  | e ->
-      e.available <- e.available + amount;
-      Ok ()
-
 let mint t ~item amount = named entry_mint t ~item amount
 
 let release_all t =
@@ -146,20 +154,6 @@ let minted t ~item = match Hashtbl.find t item with e -> e.minted | exception No
 
 let consumed t ~item =
   match Hashtbl.find t item with e -> e.consumed_total | exception Not_found -> 0
-
-let withdraw t ~item amount =
-  let amount = check_amount amount in
-  match Hashtbl.find t item with
-  | exception Not_found -> no_av item
-  | e ->
-      if e.available < amount then
-        Error
-          (Printf.sprintf "withdraw exceeds AV on %S: available %d < %d" item e.available
-             amount)
-      else begin
-        e.available <- e.available - amount;
-        Ok ()
-      end
 
 let items t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t [] |> List.sort String.compare

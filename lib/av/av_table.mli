@@ -26,11 +26,11 @@ val define : t -> item:string -> volume:int -> unit
 
 (** {2 Entries}
 
-    An entry is one item's AV, found once: the entry forms below are the
-    bodies of the named operations of the same name, which look the entry
-    up and call them, so both move the same volumes and fail with the same
-    errors. Entries are never removed, so an entry, once found, is the
-    item's for the life of the table. *)
+    An entry is one item's AV, found once. Entries are never removed, so
+    an entry, once found, is the item's for the life of the table. The
+    named {!hold}, {!consume} and {!mint} look the entry up and call the
+    entry form of the same name, so both move the same volumes and fail
+    with the same errors; the other moves exist only as entry forms. *)
 
 type entry
 
@@ -44,9 +44,33 @@ val entry_or_no_entry : t -> item:string -> entry
     record takes it once, when the record is built. *)
 
 val entry_available : entry -> int
+
 val entry_hold : entry -> int -> (unit, string) result
+(** Moves volume from available to held. Fails on {!no_entry} or
+    insufficient available volume. *)
+
+val entry_hold_all : entry -> int
+(** Holds everything available (possibly 0); returns the amount newly
+    held. Used when local AV is short and the site is about to ask peers
+    ("the accelerator holds all the AV at the site"). 0 on {!no_entry}. *)
+
+val entry_release : entry -> int -> (unit, string) result
+(** Moves volume back from held to available (transaction gave up). *)
+
 val entry_consume : entry -> int -> (unit, string) result
+(** Destroys held volume — the negative update committed. *)
+
+val entry_deposit : entry -> int -> (unit, string) result
+(** Adds available volume {e transferred} from a peer (a grant received).
+    For volume created by a positive local update use {!entry_mint},
+    which also feeds the conservation ledger. *)
+
 val entry_mint : entry -> int -> (unit, string) result
+(** Adds {e newly created} available volume (a positive local update) and
+    records it in the conservation ledger. *)
+
+val entry_withdraw : entry -> int -> (unit, string) result
+(** Removes available volume to grant it to a peer. *)
 
 val available : t -> item:string -> int
 (** Volume free to hold or grant away. 0 for undefined items. *)
@@ -56,31 +80,13 @@ val total : t -> item:string -> int
 (** [available + held]. *)
 
 val hold : t -> item:string -> int -> (unit, string) result
-(** Moves volume from available to held. Fails if not defined or
-    insufficient available volume. *)
-
-val hold_all : t -> item:string -> int
-(** Holds everything available (possibly 0); returns the amount newly
-    held. Used when local AV is short and the site is about to ask peers
-    ("the accelerator holds all the AV at the site"). 0 for undefined. *)
-
-val release : t -> item:string -> int -> (unit, string) result
-(** Moves volume back from held to available (transaction gave up). *)
+(** {!entry_hold} on the item's entry; an undefined item fails. *)
 
 val consume : t -> item:string -> int -> (unit, string) result
-(** Destroys held volume — the negative update committed. *)
-
-val deposit : t -> item:string -> int -> (unit, string) result
-(** Adds available volume {e transferred} from a peer (a grant received).
-    Fails on undefined items. For volume created by a positive local
-    update use {!mint}, which also feeds the conservation ledger. *)
+(** {!entry_consume} on the item's entry. *)
 
 val mint : t -> item:string -> int -> (unit, string) result
-(** Adds {e newly created} available volume (a positive local update) and
-    records it in the conservation ledger. *)
-
-val withdraw : t -> item:string -> int -> (unit, string) result
-(** Removes available volume to grant it to a peer. *)
+(** {!entry_mint} on the item's entry. *)
 
 val release_all : t -> unit
 (** Returns every held volume on every item to available — crash recovery

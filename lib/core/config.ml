@@ -16,31 +16,17 @@ type t = {
   drop_probability : float;
   duplicate_probability : float;
   reorder_probability : float;
-  bandwidth_bytes_per_sec : int option;
   rpc_timeout : Time.t;
   rpc_retry : Rpc.retry_policy;
-  prepare_timeout : Time.t;
-  ack_timeout : Time.t;
-  lock_timeout : Time.t;
-  decision_timeout : Time.t;
-  rebroadcast_interval : Time.t;
-  rebroadcast_rounds : int;
   sync_interval : Time.t option;
   sync_fanout : int option;
   snapshot_interval : Time.t option;
-  record_history : bool;
   tracing : bool;
   trace_sample : float;
   trace_slow : Time.t option;
-  metrics_retention : int;
   prefetch_low : int option;
   topology : Topology.spec;
-  segment_frames : int;  (** log records per on-disk segment *)
-  epoch_interval : Time.t;
-      (** epoch-quorum progress-pump cadence: intent re-sends, epoch close
-          debounce and takeover escalation all tick at this interval *)
   epoch_batch : int;  (** intents that close an epoch early, before the tick *)
-  repair_interval : Time.t;  (** pacing of corruption-repair retries and watches *)
   domains : int;  (** execution domains: the shard count of {!Pcluster.create} *)
   seed : int;
 }
@@ -56,29 +42,17 @@ let default =
     drop_probability = 0.;
     duplicate_probability = 0.;
     reorder_probability = 0.;
-    bandwidth_bytes_per_sec = None;
     rpc_timeout = Time.of_ms 100.;
     rpc_retry = Rpc.no_retry;
-    prepare_timeout = Time.of_ms 250.;
-    ack_timeout = Time.of_ms 250.;
-    lock_timeout = Time.of_ms 50.;
-    decision_timeout = Time.of_ms 500.;
-    rebroadcast_interval = Time.of_ms 250.;
-    rebroadcast_rounds = 8;
     sync_interval = None;
     sync_fanout = None;
     snapshot_interval = None;
-    record_history = false;
     tracing = true;
     trace_sample = 1.;
     trace_slow = None;
-    metrics_retention = 512;
     prefetch_low = None;
     topology = Topology.flat;
-    segment_frames = 64;
-    epoch_interval = Time.of_ms 5.;
     epoch_batch = 8;
-    repair_interval = Time.of_ms 25.;
     domains = 1;
     seed = 42;
   }
@@ -95,22 +69,11 @@ let validate t =
   else if t.rpc_retry.Rpc.max_attempts < 1 then Error "rpc_retry.max_attempts must be >= 1"
   else if t.trace_sample < 0. || t.trace_sample > 1. then
     Error "trace_sample out of [0,1]"
-  else if t.metrics_retention < 1 then Error "metrics_retention must be >= 1"
   else if (match t.prefetch_low with Some low -> low < 1 | None -> false) then
     Error "prefetch_low must be >= 1"
-  else if (match t.bandwidth_bytes_per_sec with Some b -> b <= 0 | None -> false) then
-    Error "bandwidth must be positive"
   else if (match t.sync_fanout with Some k -> k < 1 | None -> false) then
     Error "sync_fanout must be >= 1"
-  else if Time.equal t.rebroadcast_interval Time.zero then
-    Error "rebroadcast_interval must be positive"
-  else if t.rebroadcast_rounds < 0 then Error "rebroadcast_rounds must be >= 0"
-  else if t.segment_frames < 1 then Error "segment_frames must be >= 1"
-  else if Time.equal t.epoch_interval Time.zero then
-    Error "epoch_interval must be positive"
   else if t.epoch_batch < 1 then Error "epoch_batch must be >= 1"
-  else if Time.equal t.repair_interval Time.zero then
-    Error "repair_interval must be positive"
   else if t.domains < 1 then Error "domains must be >= 1"
   else if t.domains > 1 && Time.equal (Latency.lower_bound t.latency) Time.zero then
     (* The conservative lookahead window is the latency lower bound; a

@@ -24,32 +24,12 @@ type t = {
           reply cache and the cumulative sync counters absorb these *)
   reorder_probability : float;
       (** per-message chance of bypassing the per-link FIFO guarantee *)
-  bandwidth_bytes_per_sec : int option;
-      (** finite per-link bandwidth: messages serialise behind each other
-          before the propagation delay; [None] = infinite (default) *)
   rpc_timeout : Avdb_sim.Time.t;
   rpc_retry : Avdb_net.Rpc.retry_policy;
       (** retransmission policy for AV requests, the centralized baseline,
           membership and the 2PC termination protocol; retransmissions
           reuse the request id so servers execute at most once. Default
           {!Avdb_net.Rpc.no_retry} (the paper's single-shot calls). *)
-  prepare_timeout : Avdb_sim.Time.t;  (** Immediate Update vote collection *)
-  ack_timeout : Avdb_sim.Time.t;  (** Immediate Update decision acks *)
-  lock_timeout : Avdb_sim.Time.t;  (** participant lock wait *)
-  decision_timeout : Avdb_sim.Time.t;
-      (** how long a prepared participant waits for the decision before
-          running the termination protocol (query the coordinator, then
-          the base and fellow cohort members; presume abort only when
-          the coordinator durably reports it never decided) *)
-  rebroadcast_interval : Avdb_sim.Time.t;
-      (** pacing of a recovered coordinator's decision re-broadcast while
-          acks are outstanding. Must be positive. *)
-  rebroadcast_rounds : int;
-      (** how many re-broadcast rounds a recovered coordinator attempts
-          before giving up the push path (≥ 0). Bounded so a permanently
-          down participant cannot keep the event queue alive forever; the
-          participants' pull-side termination protocol remains the safety
-          net. *)
   sync_interval : Avdb_sim.Time.t option;
       (** period of Delay Update's lazy delta broadcast; [None] disables *)
   sync_fanout : int option;
@@ -68,11 +48,6 @@ type t = {
           positive; [None] disables (default). Snapshots only fire while
           the event queue is non-empty, so an idle cluster still reaches
           quiescence *)
-  record_history : bool;
-      (** when true every applied local update also appends a row to a
-          ["history"] audit table (item, delta, path) in the same storage
-          engine — queryable with {!Avdb_store.Query} and recovered with
-          the WAL like any other table *)
   tracing : bool;
       (** when false the cluster's span tracer runs disabled: hot paths
           skip span construction entirely (near-zero cost) and exporters
@@ -89,10 +64,6 @@ type t = {
       (** spans at least this long are retained even when head sampling
           discarded their tree; [None] (default) disables the slow-span
           override *)
-  metrics_retention : int;
-      (** how many snapshots of each metric series the registry keeps
-          in memory (a per-series ring; ≥ 1, default 512). Bounds registry
-          memory at large N: older samples fall off the back. *)
   prefetch_low : int option;
       (** autonomous AV circulation (§3.4, extension): after a Delay
           Update leaves an item's available AV below this watermark, the
@@ -102,23 +73,10 @@ type t = {
       (** per-item base assignment, replica placement (interest sets) and
           optional hierarchical AV circulation — {!Topology.flat}
           reproduces the paper's single-base fully-replicated setup *)
-  segment_frames : int;
-      (** how many records each on-disk log segment holds before the
-          writer seals it and starts the next (≥ 1, default 64). Smaller
-          segments bound the blast radius of a corrupt or lost segment at
-          the cost of more header overhead. *)
-  epoch_interval : Avdb_sim.Time.t;
-      (** epoch-quorum commit progress-pump cadence (must be positive,
-          default 5 ms): a site with unsealed intents re-sends them every
-          tick, the sequencer debounces epoch closes by one tick, and
-          takeover candidacy escalates one rank every few ticks. *)
   epoch_batch : int;
       (** buffered intents that make the sequencer close the open epoch
           immediately instead of waiting for the next tick (≥ 1,
           default 8) — the batching lever of the epoch class. *)
-  repair_interval : Avdb_sim.Time.t;
-      (** pacing of corruption-repair donor retries and pending-transaction
-          watch polls after a storage fault. Must be positive. *)
   domains : int;
       (** how many OCaml domains execute the simulation (≥ 1, default 1):
           {!Pcluster.create} shards the sites across that many domains by

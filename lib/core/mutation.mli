@@ -23,8 +23,8 @@ type t =
   | Unilateral_abort
       (** a prepared participant whose decision timer fires aborts on its
           own instead of running the termination protocol — the unsafe
-          [Participant.abort_pending] path this repo removed; violates
-          2PC agreement and replica convergence *)
+          abort-pending path the participant once had; violates 2PC
+          agreement and replica convergence *)
   | Stale_reads
       (** the base serves {!Protocol.Read_request} from the initial
           catalogue amount instead of its live replica — authoritative

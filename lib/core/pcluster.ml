@@ -8,7 +8,7 @@
    shared between domains. The only cross-domain traffic is the
    lock-free mailbox of routed network messages: a send whose
    destination lives on another shard computes its full delivery instant
-   sender-side (latency draw, bandwidth, loss/duplication/reordering,
+   sender-side (latency draw, loss/duplication/reordering,
    FIFO clamp — all against the sender shard's link state and RNG) and
    pushes the envelope into the owner's inbox; the owner schedules it
    while draining at the next barrier. The lookahead window equals the
@@ -184,14 +184,13 @@ let create config =
             ~drop_probability:config.Config.drop_probability
             ~duplicate_probability:config.Config.duplicate_probability
             ~reorder_probability:config.Config.reorder_probability
-            ?bandwidth_bytes_per_sec:config.Config.bandwidth_bytes_per_sec
             ~default_timeout:config.Config.rpc_timeout
             ~request_size:Protocol.wire_size_request
             ~response_size:Protocol.wire_size_response
             ~notice_size:Protocol.wire_size_notice ~tracer
             ~request_label:Protocol.request_label ()
         in
-        let registry = Obs_registry.create ~retention:config.Config.metrics_retention () in
+        let registry = Obs_registry.create () in
         {
           rank;
           engine;

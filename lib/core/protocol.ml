@@ -100,8 +100,8 @@ type notice =
     }
 
 (* Rough wire sizes: a fixed header plus per-field costs; strings count
-   their bytes, ints 8. Only relative magnitudes matter for the bandwidth
-   model, not exact encodings. *)
+   their bytes, ints 8. They feed the byte counters, where only relative
+   magnitudes matter, not exact encodings. *)
 let header = 16
 
 (* A (item, version, cum) sync triple: the item's bytes plus two ints. *)
@@ -272,3 +272,12 @@ let pp_response ppf = function
 let pp_notice ppf = function
   | Sync_counters { counters; av_info = _; ack } ->
       Format.fprintf ppf "sync_counters(%d items, ack=%d)" (List.length counters) ack
+
+let prepare_timeout = Avdb_sim.Time.of_ms 250.
+let ack_timeout = Avdb_sim.Time.of_ms 250.
+let lock_timeout = Avdb_sim.Time.of_ms 50.
+let decision_timeout = Avdb_sim.Time.of_ms 500.
+let rebroadcast_interval = Avdb_sim.Time.of_ms 250.
+let rebroadcast_rounds = 8
+let repair_interval = Avdb_sim.Time.of_ms 25.
+let epoch_interval = Avdb_sim.Time.of_ms 5.

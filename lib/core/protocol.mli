@@ -204,8 +204,7 @@ type notice =
           grow with the number of origins its sender hears from. *)
 
 val wire_size_request : request -> int
-(** Rough serialized size in bytes, feeding the network byte counters and
-    the optional bandwidth model. *)
+(** Rough serialized size in bytes, feeding the network byte counters. *)
 
 val wire_size_response : response -> int
 val wire_size_notice : notice -> int
@@ -217,3 +216,44 @@ val request_label : request -> string
 val pp_request : Format.formatter -> request -> unit
 val pp_response : Format.formatter -> response -> unit
 val pp_notice : Format.formatter -> notice -> unit
+
+(** {2 Timings}
+
+    The protocols' fixed timeouts and retry cadences, in virtual time. *)
+
+val prepare_timeout : Avdb_sim.Time.t
+(** Immediate Update vote collection: by then every vote is in or the
+    coordinator aborts. *)
+
+val ack_timeout : Avdb_sim.Time.t
+(** Immediate Update decision acks, and each decision send's RPC timeout. *)
+
+val lock_timeout : Avdb_sim.Time.t
+(** A participant's wait for an item lock; a cross-site deadlock ends
+    when one waiter times out and votes abort. *)
+
+val decision_timeout : Avdb_sim.Time.t
+(** How long a prepared participant waits for the decision before running
+    the termination protocol: query the coordinator, then the base and
+    fellow cohort members; presume abort only when the coordinator durably
+    reports it never decided. *)
+
+val rebroadcast_interval : Avdb_sim.Time.t
+(** Pacing of a recovered coordinator's decision re-broadcast while acks
+    are outstanding. *)
+
+val rebroadcast_rounds : int
+(** How many re-broadcast rounds a recovered coordinator attempts before
+    giving up the push path. Bounded so a participant that stays down
+    cannot keep the event queue alive forever; the participants'
+    pull-side termination protocol remains the safety net. *)
+
+val repair_interval : Avdb_sim.Time.t
+(** Pacing of corruption-repair donor retries and pending-transaction
+    watch polls after a storage fault. *)
+
+val epoch_interval : Avdb_sim.Time.t
+(** Epoch-quorum commit progress-pump cadence: a site with unsealed
+    intents re-sends them every tick, the sequencer debounces epoch
+    closes by one tick, and takeover candidacy escalates one rank every
+    few ticks. *)

@@ -37,9 +37,9 @@ let epoch_unsealed = Site_epoch.epoch_unsealed
 (* Heap words the site owns among those reachable from its replica +
    protocol state: stock rows, AV ledger, peer view, sync sender/receiver
    tables and the per-item records with their peer memos. Deliberately
-   excludes the WAL and audit history (they grow with applied-update
-   count, not with the catalogue) — this is the quantity partial
-   replication bounds by the interest set. Structure every site shares
+   excludes the WAL (it grows with applied-update count, not with the
+   catalogue) — this is the quantity partial replication bounds by the
+   interest set. Structure every site shares
    (the topology with its subscriber arrays, the catalogue with its item
    names, the placeholders a record holds before it takes a handle) is
    reachable from each site but owned by none. [Obj.reachable_words]
@@ -80,7 +80,7 @@ let central_apply t ~item ~delta =
   | s ->
       let current = amount t s in
       if current + delta < 0 then (Protocol.Central_insufficient, current)
-      else (Protocol.Central_applied, commit_delta t s ~delta ~path:"central")
+      else (Protocol.Central_applied, commit_delta t s ~delta)
 
 let central_outcome item = function
   | Protocol.Central_applied -> Update.Applied Update.Central
@@ -265,8 +265,6 @@ let create shared ~addr ~av_init =
   let interest = Topology.interest shared.topology ~site:(Address.to_int addr) in
   let db = Database.create ~name:(Address.to_string addr) () in
   ignore (Database.create_table db ~name:stock_table stock_schema);
-  if config.Config.record_history then
-    ignore (Database.create_table db ~name:history_table history_schema);
   let txn = Database.begin_txn db in
   (* Partial replication starts here: only the products this site
      subscribes to get a local row — everything else is neither stored nor
@@ -322,8 +320,7 @@ let create shared ~addr ~av_init =
       view = Peer_view.create ();
       sel_state = Strategy.create_state ();
       rng = Rng.split (Engine.rng shared.engine);
-      locks = Lock_manager.create ~engine:shared.engine ~timeout:config.Config.lock_timeout;
-      participant = Two_phase.Participant.create ();
+      locks = Lock_manager.create ~engine:shared.engine ~timeout:Protocol.lock_timeout;
       participant_txns = Hashtbl.create 16;
       coordinators = Hashtbl.create 16;
       txn_log = Txn_log.create ();
@@ -335,7 +332,6 @@ let create shared ~addr ~av_init =
       sync = Delay_sync.create ();
       last_sync_apply = None;
       items = Hashtbl.create 8;
-      history_seq = 0;
       sync_flush_scheduled = false;
       next_txn_seq = 0;
       epoch = 0;

@@ -41,18 +41,6 @@ val txn_log : t -> Avdb_txn.Txn_log.t
 val stock_table : string
 (** Name of the replicated stock table (["stock"]). *)
 
-val history_table : string
-(** Name of the optional audit table (["history"]; exists only when
-    [record_history] is configured). Columns: item, delta, path
-    ("delay" | "delay-batch" | "immediate" | "central" | "epoch" |
-    "repair"). *)
-
-val history_key : int -> string
-(** Encode the [n]th audit row's key. Keys sort lexicographically in
-    insertion order: zero-padded six-digit decimals up to a million rows,
-    then one leading ['~'] per extra digit so longer keys follow every
-    shorter one. Exposed for the key-ordering test. *)
-
 val amount_of : t -> item:string -> int option
 (** Current local replica amount for an item, read through the item's
     record (built on its first read, as on its first update). [None] for
@@ -67,8 +55,8 @@ val live_words : t -> int
 (** Heap words reachable from the site's replica and protocol state
     (stock rows, AV ledger, peer view, sync counters, the per-item
     records of the items it has used or read, with their peer lists);
-    excludes the WAL and audit history, which grow with update count
-    rather than catalogue size. Under partial replication this is bounded
+    excludes the WAL, which grows with update count rather than
+    catalogue size. Under partial replication this is bounded
     by the interest set, not the global item count. *)
 
 val submit_update : t -> item:string -> delta:int -> (Update.result -> unit) -> unit

@@ -1,5 +1,5 @@
 (* The shared site context: the record every protocol module works on,
-   plus the span, fence, routing, row and history helpers they all use.
+   plus the span, fence, routing and row helpers they all use.
    Protocol state is grouped by the one module that mutates it; the others
    may read it. *)
 
@@ -118,7 +118,6 @@ type t = {
   mutable db : Database.t;
   metrics : Update.Metrics.t;
   mutable txn_log : Txn_log.t;  (* durable 2PC and epoch records *)
-  mutable history_seq : int;
   mutable next_txn_seq : int;
   (* Incarnation epoch, bumped by both crash and recover: every closure the
      site hands to the engine or the RPC layer is fenced on the epoch it
@@ -159,7 +158,6 @@ type t = {
   mutable sync_flush_scheduled : bool;
   (* Site_immediate. *)
   mutable locks : Lock_manager.t;
-  participant : Two_phase.Participant.t;
   participant_txns : (int, participant_txn) Hashtbl.t;
   coordinators : (int, coord) Hashtbl.t;
   (* Site_epoch. Epoch-class items this site subscribes to, keyed by item.
@@ -185,21 +183,12 @@ type t = {
 }
 
 let stock_table = "stock"
-let history_table = "history"
 
 let stock_schema =
   Schema.create
     [
       { Schema.name = "amount"; ty = Value.Tint };
       { Schema.name = "regular"; ty = Value.Tbool };
-    ]
-
-let history_schema =
-  Schema.create
-    [
-      { Schema.name = "item"; ty = Value.Tstr };
-      { Schema.name = "delta"; ty = Value.Tint };
-      { Schema.name = "path"; ty = Value.Tstr };
     ]
 
 let network t = Rpc.network t.shared.rpc
@@ -356,51 +345,10 @@ let fresh_txid t =
   t.next_txn_seq <- t.next_txn_seq + 1;
   txid
 
-(* History keys must sort lexicographically in insertion order (the audit
-   table iterates rows in key order). Zero-padded six-digit decimals do
-   that for the first million rows; past that, each extra digit is
-   announced by a leading '~' — which sorts after every digit — so longer
-   keys follow all shorter ones (plain "%06d" would interleave them).
-   Hand-rolled over [Printf.sprintf]: this sits on the applied-update hot
-   path and the format-string interpreter was measurable there. *)
-let history_key n =
-  if n < 0 then invalid_arg "Site.history_key: negative";
-  let digits =
-    let rec loop d v = if v < 10 then d else loop (d + 1) (v / 10) in
-    loop 1 n
-  in
-  let prefix = if digits > 6 then digits - 6 else 0 in
-  let width = if digits > 6 then digits else 6 in
-  let b = Bytes.make (prefix + width) '0' in
-  Bytes.fill b 0 prefix '~';
-  let rec fill i v =
-    Bytes.set b i (Char.unsafe_chr (Char.code '0' + (v mod 10)));
-    if v >= 10 then fill (i - 1) (v / 10)
-  in
-  fill (prefix + width - 1) n;
-  Bytes.unsafe_to_string b
-
-(* Audit trail: one row per locally-applied update when configured. Runs in
-   its own committed transaction right after the stock change - the WAL
-   orders them, so recovery keeps history and stock consistent. *)
-let record_history t ~item ~delta ~path =
-  if (config t).Config.record_history then begin
-    let txn = Database.begin_txn t.db in
-    let key = history_key t.history_seq in
-    t.history_seq <- t.history_seq + 1;
-    let row = [| Value.Str item; Value.Int delta; Value.Str path |] in
-    match Database.insert txn ~table:history_table ~key row with
-    | Ok () -> Database.commit txn
-    | Error e ->
-        Database.abort txn;
-        failwith ("Site.record_history: " ^ e)
-  end
-
-(* Add [delta] to the stored item's row in one committed transaction and
-   audit it under [path]: the new amount. *)
-let commit_delta t s ~delta ~path =
+(* Add [delta] to the stored item's row in one committed transaction:
+   the new amount. *)
+let commit_delta t s ~delta =
   let txn = Database.begin_txn t.db in
   let amount = Database.add_int_handle txn (row t s) delta in
   Database.commit txn;
-  record_history t ~item:s.s_item ~delta ~path;
   amount

@@ -212,7 +212,6 @@ let rec apply_local_delta t s ~delta =
       failwith (Printf.sprintf "Site.apply_local_delta %s: %s" s.s_item e)
   | exception Not_found ->
       failwith (Printf.sprintf "Site.apply_local_delta %s: no stock row" s.s_item));
-  record_history t ~item:s.s_item ~delta ~path:"delay";
   queue_sync t s ~delta;
   schedule_sync_flush t
 
@@ -261,51 +260,34 @@ let seed_sync t sync_state =
 
 (* --- AV circulation: the donor's side --- *)
 
-(* Piggybacks are free on an unmetered network but spend the link's
-   bandwidth on a metered one, where inflating an RPC can push it past its
-   own timeout. Budget: roughly a tenth of the bytes the link moves within
-   one RPC timeout, expressed as an entry count (an entry is an item name
-   plus an int or two). *)
-let piggyback_entry_budget t =
-  match (config t).Config.bandwidth_bytes_per_sec with
-  | None -> max_int
-  | Some b ->
-      int_of_float (Time.to_sec (config t).Config.rpc_timeout *. float_of_int b)
-      / (10 * 24)
-
-let rec list_take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: rest -> x :: list_take (n - 1) rest
-
 (* The donor's available AV across items, piggybacked on grants so one
    reply warms the requester's whole selection cache. Zero levels are
    included: learning a peer ran dry is exactly what steers selection
    away from it. *)
-let av_levels_snapshot t = list_take
-    (piggyback_entry_budget t)
-    (List.map (fun (item, available, _) -> (item, available)) (Av_table.snapshot t.av))
+let av_levels_snapshot t =
+  List.map (fun (item, available, _) -> (item, available)) (Av_table.snapshot t.av)
 
 (* Sync counters to piggyback on an AV request or grant towards [peer],
-   paired with the sequence number the payload covers (0 when nothing may
-   be concluded from it). All-or-nothing: a truncated payload must not be
-   sent, because the requester advances its conveyed-tracking on the
-   reply assuming the whole backlog went through. *)
+   paired with the sequence number the payload covers. The payload is the
+   peer's whole backlog, so the reply to a request lets the requester mark
+   everything up to that number conveyed. *)
 let sync_piggyback_for t peer =
   let payload = Delay_sync.payload t.sync (topology t) peer in
-  if List.length payload > piggyback_entry_budget t then ([], 0)
-  else (payload, Delay_sync.seq t.sync)
+  (payload, Delay_sync.seq t.sync)
 
+(* The donor reaches the item's AV through its record, found once; an item
+   it does not store has no entry and grants nothing. *)
 let handle_av_request t ~src ~span ~item ~amount ~requester_available ~sync ~reply =
   Peer_view.observe t.view ~site:src ~item ~volume:requester_available ~at:(now t);
   apply_sync_counters t ~src ~av_info:[] sync;
-  let available = Av_table.available t.av ~item in
+  let av = match stored t ~item with s -> s.s_av | exception Not_found -> Av_table.no_entry in
+  let available = Av_table.entry_available av in
   let granting = (config t).Config.strategy.Strategy.granting in
   let granted = Strategy.Granting.amount granting ~available ~requested:amount in
   let granted =
     if granted = 0 then 0
     else
-      match Av_table.withdraw t.av ~item granted with
+      match Av_table.entry_withdraw av granted with
       | Ok () -> granted
       | Error _ -> 0
   in
@@ -323,7 +305,7 @@ let handle_av_request t ~src ~span ~item ~amount ~requester_available ~sync ~rep
     (Protocol.Av_grant
        {
          granted;
-         donor_available = Av_table.available t.av ~item;
+         donor_available = Av_table.entry_available av;
          av_levels = av_levels_snapshot t;
          (* Unacknowledged piggyback: the requester's version checks make
             a replayed reply harmless, and its conveyed-tracking is never
@@ -345,28 +327,33 @@ let select_donor t s ~exclude =
       (Option.map Address.of_int (Topology.av_parent (topology t) ~site:(site_index t) ~item))
     ~view:t.view ~item ~exclude
 
-let request_av t ~span ~donor ~item ~amount ~sync k =
+let request_av t ~span ~donor s ~amount ~sync k =
   Rpc.call t.shared.rpc ~src:t.addr ~dst:donor ~timeout:(config t).Config.rpc_timeout
     ~retry:(retry_policy t) ~span
     (Protocol.Av_request
-       { item; amount; requester_available = Av_table.available t.av ~item; sync })
+       {
+         item = s.s_item;
+         amount;
+         requester_available = Av_table.entry_available s.s_av;
+         sync;
+       })
     k
 
 (* One grant reply, on demand or prefetch. It acknowledges the request's
    piggyback: counters up to [upto] reached [donor], so later flushes can
    omit them. It carries the donor's own counters and its AV levels for
-   every item, and [granted] lands in the local available pool. *)
-let absorb_grant t ~donor ~item ~upto ~granted ~donor_available ~av_levels ~sync =
+   every item, and [granted] lands in the stored item's available pool. *)
+let absorb_grant t ~donor s ~upto ~granted ~donor_available ~av_levels ~sync =
   Delay_sync.note_conveyed (Delay_sync.peer t.sync ~site:(Address.to_int donor)) ~upto;
   apply_sync_counters t ~src:donor ~av_info:[] sync;
   List.iter
     (fun (item, volume) -> Peer_view.observe t.view ~site:donor ~item ~volume ~at:(now t))
     av_levels;
-  Peer_view.observe t.view ~site:donor ~item ~volume:donor_available ~at:(now t);
+  Peer_view.observe t.view ~site:donor ~item:s.s_item ~volume:donor_available ~at:(now t);
   if granted > 0 then begin
     t.metrics.Update.Metrics.av_volume_received <-
       t.metrics.Update.Metrics.av_volume_received + granted;
-    av_ok "grant deposit" (Av_table.deposit t.av ~item granted)
+    av_ok "grant deposit" (Av_table.entry_deposit s.s_av granted)
   end
 
 (* Autonomous AV circulation (an extension of the paper's §3.4): when a
@@ -396,13 +383,12 @@ let rec maybe_prefetch t s =
             span_field t sp "item" item;
             span_field_int t sp "want" want;
             let sync, upto = sync_piggyback_for t donor in
-            request_av t ~span:sp ~donor ~item ~amount:want ~sync
+            request_av t ~span:sp ~donor s ~amount:want ~sync
               (fenced t (fun response ->
                 s.s_refill <- false;
                 match response with
                 | Ok (Protocol.Av_grant { granted; donor_available; av_levels; sync }) ->
-                    absorb_grant t ~donor ~item ~upto ~granted ~donor_available ~av_levels
-                      ~sync;
+                    absorb_grant t ~donor s ~upto ~granted ~donor_available ~av_levels ~sync;
                     span_field_int t sp "granted" granted;
                     span_end t sp;
                     if granted > 0 then maybe_prefetch t s
@@ -435,11 +421,11 @@ let acquire_av t ~parent s ~need k =
     let sp = span_start t ~parent ~category:"av" "av.acquire" in
     span_field t sp "item" item;
     span_field_int t sp "need" need;
-    let acquired = ref (Av_table.hold_all t.av ~item) in
+    let acquired = ref (Av_table.entry_hold_all s.s_av) in
     let tried = ref (Address.Set.singleton t.addr) in
     let rounds = ref 0 in
     let give_up reason =
-      av_ok "acquire_av release" (Av_table.release t.av ~item !acquired);
+      av_ok "acquire_av release" (Av_table.entry_release s.s_av !acquired);
       if tracing t then
         span_field t sp "reason" (Format.asprintf "%a" Update.pp_reason reason);
       span_warn t sp;
@@ -449,7 +435,7 @@ let acquire_av t ~parent s ~need k =
     let rec step () =
       if is_down t then give_up Update.Unreachable
       else if !acquired >= need then begin
-        av_ok "acquire_av release surplus" (Av_table.release t.av ~item (!acquired - need));
+        av_ok "acquire_av release surplus" (Av_table.entry_release s.s_av (!acquired - need));
         span_field_int t sp "rounds" !rounds;
         span_end t sp;
         k (Ok !rounds)
@@ -464,20 +450,19 @@ let acquire_av t ~parent s ~need k =
               t.metrics.Update.Metrics.av_requests_sent + 1;
             let sync, upto = sync_piggyback_for t donor in
             let asked_at = now t in
-            request_av t ~span:sp ~donor ~item ~amount:(need - !acquired) ~sync
+            request_av t ~span:sp ~donor s ~amount:(need - !acquired) ~sync
               (fenced t (fun response ->
                 (match response with
                 | Ok (Protocol.Av_grant { granted; donor_available; av_levels; sync }) ->
                     Avdb_metrics.Sketch.add t.metrics.Update.Metrics.grant_latency
                       (Time.to_ms (Time.diff (now t) asked_at));
-                    absorb_grant t ~donor ~item ~upto ~granted ~donor_available ~av_levels
-                      ~sync;
+                    absorb_grant t ~donor s ~upto ~granted ~donor_available ~av_levels ~sync;
                     if granted > 0 then begin
                       (* Mutation: credit the grant twice — volume conjured
                          out of thin air; exact conservation must convict. *)
                       if Mutation.enabled Mutation.Double_deposit then
-                        av_ok "acquire_av double deposit" (Av_table.deposit t.av ~item granted);
-                      av_ok "acquire_av hold grant" (Av_table.hold t.av ~item granted);
+                        av_ok "acquire_av double deposit" (Av_table.entry_deposit s.s_av granted);
+                      av_ok "acquire_av hold grant" (Av_table.entry_hold s.s_av granted);
                       acquired := !acquired + granted
                     end
                 | Ok _ | Error _ -> ());
@@ -570,7 +555,6 @@ let batch_update t ~deltas ~finish =
     Database.commit txn;
     List.iter
       (fun (s, delta) ->
-        record_history t ~item:s.s_item ~delta ~path:"delay-batch";
         queue_sync t s ~delta;
         if delta >= 0 then av_ok "batch_update mint" (Av_table.entry_mint s.s_av delta)
         else av_ok "batch_update consume" (Av_table.entry_consume s.s_av (-delta)))
@@ -590,11 +574,11 @@ let batch_update t ~deltas ~finish =
         else begin
           let need = -delta in
           acquire_av t ~parent:root s ~need (function
-            | Ok rounds -> acquire_loop rest ((s.s_item, need) :: held) (total_rounds + rounds)
+            | Ok rounds -> acquire_loop rest ((s, need) :: held) (total_rounds + rounds)
             | Error reason ->
                 List.iter
-                  (fun (item, need) ->
-                    av_ok "batch_update release" (Av_table.release t.av ~item need))
+                  (fun (s, need) ->
+                    av_ok "batch_update release" (Av_table.entry_release s.s_av need))
                   held;
                 finish (Update.Rejected reason))
         end

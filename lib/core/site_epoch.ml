@@ -87,10 +87,6 @@ let apply_seal t st ~epoch ~seal ~proposer =
       ignore (Database.add_int_handle txn h d))
     applied_intents;
   Database.commit txn;
-  List.iter
-    (fun (i : Txn_log.intent) ->
-      record_history t ~item ~delta:i.Txn_log.i_delta ~path:"epoch")
-    applied_intents;
   st.ei_applied <- epoch;
   st.ei_attempts <- 0;
   Hashtbl.remove st.ei_stash epoch;
@@ -173,7 +169,7 @@ let rec ensure_pump t st =
     && (Hashtbl.length st.ei_buffer > 0 || Hashtbl.length st.ei_stash > 0)
   then begin
     st.ei_pump <- true;
-    after t ~delay:(config t).Config.epoch_interval (fun () ->
+    after t ~delay:Protocol.epoch_interval (fun () ->
         st.ei_pump <- false;
         pump_step t st;
         ensure_pump t st)

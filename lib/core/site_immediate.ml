@@ -2,7 +2,8 @@
    coordinator and participant, the cooperative termination protocol,
    full-cohort adjudication, and the recovery half of 2PC — in-doubt
    reinstall, recovered coordinators and protocol-log replay. Owns the
-   lock manager, the participant machine and the live coordinations. *)
+   lock manager, the prepared participant transactions and the live
+   coordinations. *)
 
 open Avdb_sim
 open Avdb_net
@@ -12,26 +13,22 @@ open Site_ctx
 
 (* Finalise a prepared transaction at this participant (from a Decision
    message or the termination protocol). The decision ends the doubt, so
-   the pending termination check goes with it. *)
+   the pending termination check goes with it. A decision for a txid not
+   prepared here (refused, never prepared, or already finalised) changes
+   nothing. *)
 let finalize_participant t ~txid decision =
-  let action = Two_phase.Participant.on_decision t.participant ~txid decision in
-  if action <> Two_phase.Participant.Ignore then
-    match Hashtbl.find_opt t.participant_txns txid with
-    | Some p ->
-        Engine.cancel (engine t) p.p_check;
-        let commit = action = Two_phase.Participant.Apply in
-        if commit then begin
-          Database.commit p.p_txn;
-          record_history t ~item:p.p_item ~delta:p.p_delta ~path:"immediate"
-        end
-        else Database.abort p.p_txn;
-        Hashtbl.remove t.participant_txns txid;
-        Lock_manager.release_all t.locks ~owner:txid;
-        span_field t p.p_span "decision" (if commit then "commit" else "abort");
-        if not commit then span_warn t p.p_span;
-        span_end t p.p_span;
-        Txn_log.record_outcome t.txn_log ~txid decision ~at:(now t)
-    | None -> ()
+  match Hashtbl.find_opt t.participant_txns txid with
+  | Some p ->
+      Engine.cancel (engine t) p.p_check;
+      let commit = decision = Two_phase.Commit in
+      if commit then Database.commit p.p_txn else Database.abort p.p_txn;
+      Hashtbl.remove t.participant_txns txid;
+      Lock_manager.release_all t.locks ~owner:txid;
+      span_field t p.p_span "decision" (if commit then "commit" else "abort");
+      if not commit then span_warn t p.p_span;
+      span_end t p.p_span;
+      Txn_log.record_outcome t.txn_log ~txid decision ~at:(now t)
+  | None -> ()
 
 (* --- decision status: one lookup, two answers --- *)
 
@@ -196,7 +193,7 @@ let adjudicate ?span t ~txid ~fellows ~still_wanted ~decide =
                     | None ->
                         if !refused || !complete then decide Two_phase.Abort
                         else
-                          after t ~delay:(config t).Config.repair_interval (fun () ->
+                          after t ~delay:Protocol.repair_interval (fun () ->
                               sweep (n + 1))))
             fellows
         end
@@ -237,7 +234,7 @@ let warn_termination t p how =
 
 let rec schedule_termination_check t ~txid p =
   p.p_check <-
-    timer t ~delay:(config t).Config.decision_timeout (fun () ->
+    timer t ~delay:Protocol.decision_timeout (fun () ->
       match Hashtbl.find_opt t.participant_txns txid with
       | None -> () (* decided while a query was in flight *)
       | Some p ->
@@ -332,45 +329,35 @@ let handle_prepare t ~span ~txid ~coordinator ~cohort ~item ~delta ~reply =
   in
   match writable () with
   | None ->
-      ignore (Two_phase.Participant.on_prepare t.participant ~txid ~can_apply:false);
       refuse ();
       reply (Protocol.Vote { txid; vote = Two_phase.Refuse })
   | Some s ->
       lock_item t ~txid ~item (fun lock_result ->
-          let prepared =
-            (* re-check the poison: a refusal pledge given to a cohort
-               member while we waited for the lock binds this vote *)
-            match
-              tentative_write t s ~delta
-                ~admit:(Result.is_ok lock_result && not (poisoned ()))
-            with
-            | Some txn ->
-                let p =
-                  { p_txn = txn; p_coordinator = coordinator; p_cohort = cohort;
-                    p_item = item; p_delta = delta; p_span = psp; p_queries = 0;
-                    p_check = Engine.no_timer }
-                in
-                Hashtbl.replace t.participant_txns txid p;
-                Some p
-            | None -> None
-          in
-          let vote =
-            Two_phase.Participant.on_prepare t.participant ~txid ~can_apply:(prepared <> None)
-          in
-          if vote = Two_phase.Refuse then begin
-            Lock_manager.release_all t.locks ~owner:txid;
-            refuse ()
-          end
-          else begin
-            span_field t psp "vote" "ready";
-            (* The prepared record: logged in the same atomic event as the
-               Ready vote, so a crash can never leave us Ready-but-unlogged. *)
-            if Txn_log.find t.txn_log ~txid = None then
-              Txn_log.record_start t.txn_log ~txid ~coordinator ~cohort ~item ~delta
-                ~at:(now t);
-            Option.iter (schedule_termination_check t ~txid) prepared
-          end;
-          reply (Protocol.Vote { txid; vote }))
+          (* The vote is Ready exactly when the tentative write succeeded.
+             Re-check the poison: a refusal pledge given to a cohort member
+             while we waited for the lock binds this vote. *)
+          match
+            tentative_write t s ~delta ~admit:(Result.is_ok lock_result && not (poisoned ()))
+          with
+          | None ->
+              Lock_manager.release_all t.locks ~owner:txid;
+              refuse ();
+              reply (Protocol.Vote { txid; vote = Two_phase.Refuse })
+          | Some txn ->
+              let p =
+                { p_txn = txn; p_coordinator = coordinator; p_cohort = cohort;
+                  p_item = item; p_delta = delta; p_span = psp; p_queries = 0;
+                  p_check = Engine.no_timer }
+              in
+              Hashtbl.replace t.participant_txns txid p;
+              span_field t psp "vote" "ready";
+              (* The prepared record: logged in the same atomic event as the
+                 Ready vote, so a crash can never leave us Ready-but-unlogged. *)
+              if Txn_log.find t.txn_log ~txid = None then
+                Txn_log.record_start t.txn_log ~txid ~coordinator ~cohort ~item ~delta
+                  ~at:(now t);
+              schedule_termination_check t ~txid p;
+              reply (Protocol.Vote { txid; vote = Two_phase.Ready }))
 
 let handle_decision t ~txid ~decision ~reply =
   finalize_participant t ~txid decision;
@@ -379,12 +366,12 @@ let handle_decision t ~txid ~decision ~reply =
 (* --- coordinator --- *)
 
 (* Push [decision] to [cohort]; each acknowledgement advances [machine]
-   through [execute]. *)
+   through [execute]. Every participant gets the same body. *)
 let broadcast_decision t ?span ~txid ~cohort ~machine ~execute decision =
+  let body = Protocol.Decision { txid; decision } in
   List.iter
     (fun p ->
-      Rpc.call t.shared.rpc ~src:t.addr ~dst:p ~timeout:(config t).Config.ack_timeout ?span
-        (Protocol.Decision { txid; decision })
+      Rpc.call t.shared.rpc ~src:t.addr ~dst:p ~timeout:Protocol.ack_timeout ?span body
         (fenced t (fun response ->
              match response with
              | Ok (Protocol.Decision_ack _) ->
@@ -443,13 +430,15 @@ let immediate_update t s ~delta ~finish =
            a lost prepare is a Refuse vote, a lost decision is recovered by
            the participant's termination protocol. Each call's own timeout
            bounds the vote phase: by [prepare_timeout] every vote is in or
-           counted as a Refuse, so the phase needs no timer of its own. *)
+           counted as a Refuse, so the phase needs no timer of its own.
+           Every participant gets the same body. *)
+        let body =
+          Protocol.Prepare { txid; coordinator = t.addr; cohort = participant_addrs; item; delta }
+        in
         List.iter
           (fun p ->
-            Rpc.call t.shared.rpc ~src:t.addr ~dst:p
-              ~timeout:(config t).Config.prepare_timeout ~span:psp
-              (Protocol.Prepare
-                 { txid; coordinator = t.addr; cohort = participant_addrs; item; delta })
+            Rpc.call t.shared.rpc ~src:t.addr ~dst:p ~timeout:Protocol.prepare_timeout ~span:psp
+              body
               (fenced t (fun response ->
                    match response with
                    | Ok (Protocol.Vote { txid = _; vote }) ->
@@ -471,9 +460,7 @@ let immediate_update t s ~delta ~finish =
           (match coord.local_txn with
           | Some txn -> (
               match decision with
-              | Two_phase.Commit ->
-                  Database.commit txn;
-                  record_history t ~item ~delta ~path:"immediate"
+              | Two_phase.Commit -> Database.commit txn
               | Two_phase.Abort -> Database.abort txn)
           | None -> ());
           Lock_manager.release_all t.locks ~owner:txid
@@ -481,7 +468,7 @@ let immediate_update t s ~delta ~finish =
         broadcast_decision t ?span:!decision_span ~txid ~cohort:participant_addrs ~machine
           ~execute decision;
         coord.ack_timer <-
-          timer t ~delay:(config t).Config.ack_timeout (fun () ->
+          timer t ~delay:Protocol.ack_timeout (fun () ->
               execute (Two_phase.Coordinator.on_ack_timeout machine))
     | Two_phase.Coordinator.Completed decision ->
         close_phase prepare_span;
@@ -513,8 +500,8 @@ let immediate_update t s ~delta ~finish =
    record: re-acquire the exclusive lock (always free right after
    recovery — at most one in-doubt txn can exist per item, precisely
    because prepare holds the exclusive lock), redo the tentative write,
-   re-register with the 2PC machine and restart the termination checks
-   with a fresh budget. *)
+   re-register the prepared transaction and restart the termination
+   checks with a fresh budget. *)
 let reinstall_in_doubt t (e : Txn_log.entry) =
   let txid = e.Txn_log.txid and item = e.Txn_log.item and delta = e.Txn_log.delta in
   let s = stored t ~item in
@@ -522,7 +509,6 @@ let reinstall_in_doubt t (e : Txn_log.entry) =
       match tentative_write t s ~delta ~admit:(Result.is_ok lock_result) with
       | None -> failwith (Printf.sprintf "Site.recover: cannot re-apply in-doubt tx%d" txid)
       | Some txn ->
-          ignore (Two_phase.Participant.on_prepare t.participant ~txid ~can_apply:true);
           let psp = span_start t ~category:"2pc" "2pc.participant.recovered" in
           span_field_int t psp "txid" txid;
           span_field t psp "item" item;
@@ -575,7 +561,7 @@ let install_recovered_coordinator t ~txid ~cohort ~item decision =
     in
     let rec round n =
       if Hashtbl.mem t.coordinators txid && not (is_down t) then
-        if n >= (config t).Config.rebroadcast_rounds then begin
+        if n >= Protocol.rebroadcast_rounds then begin
           (* the pull path takes over *)
           if tracing t then
             span_instant t ~status:Avdb_obs.Span.Warn ~category:"2pc"
@@ -584,7 +570,7 @@ let install_recovered_coordinator t ~txid ~cohort ~item decision =
         end
         else begin
           execute (Two_phase.Coordinator.rebroadcast machine);
-          after t ~delay:(config t).Config.rebroadcast_interval (fun () -> round (n + 1))
+          after t ~delay:Protocol.rebroadcast_interval (fun () -> round (n + 1))
         end
     in
     round 0
@@ -627,7 +613,7 @@ let resolve_orphan t (e : Txn_log.entry) =
               ~fellows:(fellows t ~coordinator e.Txn_log.cohort)
               ~still_wanted:unresolved ~decide:record
         | In_doubt | Silent ->
-            after t ~delay:(config t).Config.repair_interval (fun () -> poll (attempt + 1)))
+            after t ~delay:Protocol.repair_interval (fun () -> poll (attempt + 1)))
   in
   poll 0
 
@@ -692,5 +678,4 @@ let replay_protocol_log t =
 let reset t =
   Hashtbl.reset t.participant_txns;
   Hashtbl.reset t.coordinators;
-  Two_phase.Participant.reset t.participant;
-  t.locks <- Lock_manager.create ~engine:(engine t) ~timeout:(config t).Config.lock_timeout
+  t.locks <- Lock_manager.create ~engine:(engine t) ~timeout:Protocol.lock_timeout

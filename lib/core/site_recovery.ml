@@ -13,16 +13,18 @@ open Site_ctx
 let arm_disk_fault t ~target spec =
   Fault_sink.arm (match target with `Wal -> t.wal_sink | `Txn -> t.txn_sink) spec
 
+(* Log records per on-disk segment: a smaller segment bounds the blast
+   radius of a corrupt or lost one at the cost of more header overhead. *)
+let segment_frames = 64
+
 let crash t =
   (* Capture what the disk held at the instant of death, with any armed
      faults applied. Guarded on [armed]: serialising the log files costs real
      work and a fault-free crash must stay free. *)
   if Fault_sink.armed t.wal_sink then
-    Fault_sink.crash t.wal_sink ~segment_frames:(config t).Config.segment_frames
-      ~text:(Wal.to_string (Database.wal t.db));
+    Fault_sink.crash t.wal_sink ~segment_frames ~text:(Wal.to_string (Database.wal t.db));
   if Fault_sink.armed t.txn_sink then
-    Fault_sink.crash t.txn_sink ~segment_frames:(config t).Config.segment_frames
-      ~text:(Txn_log.to_string t.txn_log);
+    Fault_sink.crash t.txn_sink ~segment_frames ~text:(Txn_log.to_string t.txn_log);
   if tracing t then
     span_instant t ~status:Avdb_obs.Span.Warn ~category:"fault" "fault.crash"
       ~fields:[ ("epoch", string_of_int t.epoch) ];
@@ -107,8 +109,6 @@ let sealed_total t ~item =
 let rebuild_lost_rows t ~trust_txn_log =
   if Database.table_opt t.db stock_table = None then
     ignore (Database.create_table t.db ~name:stock_table stock_schema);
-  if (config t).Config.record_history && Database.table_opt t.db history_table = None
-  then ignore (Database.create_table t.db ~name:history_table history_schema);
   let committed_by_item =
     lazy
       (let tbl = Hashtbl.create 16 in
@@ -195,7 +195,7 @@ let rec watch_pending t ~item ~txid ~coordinator ~donor ~delta ~via_donor ~attem
   if attempt >= max_repair_attempts then repair_gave_up t ~item "pending_txn"
   else if (not (is_down t)) && Hashtbl.mem t.quarantined item then begin
     let again via_donor =
-      after t ~delay:(config t).Config.repair_interval (fun () ->
+      after t ~delay:Protocol.repair_interval (fun () ->
           watch_pending t ~item ~txid ~coordinator ~donor ~delta ~via_donor
             ~attempt:(attempt + 1) ~k)
     in
@@ -205,7 +205,7 @@ let rec watch_pending t ~item ~txid ~coordinator ~donor ~delta ~via_donor ~attem
     let who = if via_donor then `Fellow donor else `Coordinator coordinator in
     Site_immediate.ask_decision t ~txid who (function
       | Site_immediate.Outcome Two_phase.Commit ->
-          ignore (commit_delta t (stored t ~item) ~delta ~path:"repair");
+          ignore (commit_delta t (stored t ~item) ~delta);
           k ()
       | Site_immediate.Outcome Two_phase.Abort | Site_immediate.Abort_safe -> k ()
       | Site_immediate.Lost -> again true
@@ -227,7 +227,7 @@ let rec repair_item t ~item ~attempt =
     | _ ->
         let donor = List.nth donors (attempt mod List.length donors) in
         let retry () =
-          after t ~delay:(config t).Config.repair_interval (fun () ->
+          after t ~delay:Protocol.repair_interval (fun () ->
               repair_item t ~item ~attempt:(attempt + 1))
         in
         let sp = span_start t ~category:"storage" "storage.repair_fetch" in
@@ -279,13 +279,7 @@ let schedule_repairs t =
        crash run without retries, so by then the donor holds every
        pre-crash transaction either in its committed row or in its
        pending list — nothing slips between snapshot and watches. *)
-    let cfg = config t in
-    let delay =
-      Time.of_ms
-        (Float.max
-           (Time.to_ms cfg.Config.prepare_timeout)
-           (Time.to_ms cfg.Config.ack_timeout))
-    in
+    let delay = Time.max Protocol.prepare_timeout Protocol.ack_timeout in
     Hashtbl.iter
       (fun item () -> after t ~delay (fun () -> repair_item t ~item ~attempt:0))
       t.quarantined
@@ -340,11 +334,6 @@ let recover t =
     if t.amnesia then quarantine_non_regular t;
     rebuild_lost_rows t ~trust_txn_log:(not t.amnesia)
   end;
-  (* Resume the audit sequence after the recovered rows to keep keys
-     unique (history rows are never deleted). *)
-  (match Database.table_opt t.db history_table with
-  | Some tbl -> t.history_seq <- Table.size tbl
-  | None -> ());
   (* Per-incarnation protocol state, one reset per module. *)
   Site_immediate.reset t;
   Site_delay.reset t;

@@ -21,10 +21,8 @@ let link_key src dst = (Address.to_int src lsl 24) lor Address.to_int dst
 
 (* Per directed link, created on the link's first send. FIFO guarantee:
    the last scheduled delivery instant, which no later message on the
-   link undercuts. With finite bandwidth: when the link finishes
-   transmitting its current backlog; the next message starts serialising
-   after that. Both start at zero, which bounds nothing. *)
-type link = { mutable last_delivery : Time.t; mutable busy_until : Time.t }
+   link undercuts. It starts at zero, which bounds nothing. *)
+type link = { mutable last_delivery : Time.t }
 
 type 'a t = {
   engine : Engine.t;
@@ -32,13 +30,11 @@ type 'a t = {
   mutable drop_probability : float;
   mutable duplicate_probability : float;
   mutable reorder_probability : float;
-  bandwidth_bytes_per_sec : int option;
   rng : Rng.t;
   (* Indexed by [Address.to_int]; [None] for an unregistered address. *)
   mutable nodes : 'a node option array;
   stats : Stats.t;
   links : link Int_table.t;
-  link_overrides : (Pair.t, Latency.t) Hashtbl.t;
   mutable partitions : Pair_set.t;
   (* Parallel mode: addresses owned by other shards. The route returns
      the destination shard's inbox-push for an address it owns; delivery
@@ -53,22 +49,17 @@ let check_probability what p =
   p
 
 let create ~engine ?(latency = Latency.default) ?(drop_probability = 0.)
-    ?(duplicate_probability = 0.) ?(reorder_probability = 0.) ?bandwidth_bytes_per_sec () =
-  (match bandwidth_bytes_per_sec with
-  | Some b when b <= 0 -> invalid_arg "Network.create: bandwidth must be positive"
-  | Some _ | None -> ());
+    ?(duplicate_probability = 0.) ?(reorder_probability = 0.) () =
   {
     engine;
     latency;
     drop_probability = check_probability "drop_probability" drop_probability;
     duplicate_probability = check_probability "duplicate_probability" duplicate_probability;
     reorder_probability = check_probability "reorder_probability" reorder_probability;
-    bandwidth_bytes_per_sec;
     rng = Rng.split (Engine.rng engine);
     nodes = [||];
     stats = Stats.create ();
     links = Int_table.create 64;
-    link_overrides = Hashtbl.create 8;
     partitions = Pair_set.empty;
     remote_route = (fun _ -> None);
   }
@@ -121,19 +112,12 @@ let set_reorder_probability t p =
 
 let duplicating t = t.duplicate_probability > 0.
 
-let set_link_latency t a b latency = Hashtbl.replace t.link_overrides (Pair.make a b) latency
-
-(* Both lookups below build a pair; while no override or partition exists
-   (every run but a few scripted ones) they return without it. *)
-let link_latency t ~src ~dst =
-  if Hashtbl.length t.link_overrides = 0 then t.latency
-  else
-    Option.value ~default:t.latency (Hashtbl.find_opt t.link_overrides (Pair.make src dst))
-
 let is_down t addr = (node t addr).down
 let partition t a b = t.partitions <- Pair_set.add (Pair.make a b) t.partitions
 let heal t a b = t.partitions <- Pair_set.remove (Pair.make a b) t.partitions
 
+(* The lookup builds a pair; while no partition exists (every run but a
+   few scripted ones) it returns without it. *)
 let is_partitioned t a b =
   (not (Pair_set.is_empty t.partitions)) && Pair_set.mem (Pair.make a b) t.partitions
 
@@ -141,31 +125,17 @@ let link t key =
   match Int_table.find t.links key with
   | l -> l
   | exception Not_found ->
-      let l = { last_delivery = Time.zero; busy_until = Time.zero } in
+      let l = { last_delivery = Time.zero } in
       Int_table.add t.links key l;
       l
 
 (* Delivery-instant computation, shared by the local and cross-shard
-   paths: bandwidth serialisation, one latency sample, then either the
-   reorder injection (bypasses the FIFO clamp) or the per-link FIFO
-   clamp. Returns the primary delivery instant; the caller asks for the
-   duplicate separately so the two paths stay draw-for-draw identical. *)
-let delivery_time t ~src ~dst ~size ~latency_model =
-  let now = Engine.now t.engine in
-  (* Finite bandwidth: serialise behind the link's backlog first. *)
-  let departure =
-    match t.bandwidth_bytes_per_sec with
-    | None -> now
-    | Some bandwidth ->
-        let l = link t (link_key src dst) in
-        let transmit_us = size * 1_000_000 / bandwidth in
-        let finished =
-          Time.add (Time.max now l.busy_until) (Time.of_us (Stdlib.max 1 transmit_us))
-        in
-        l.busy_until <- finished;
-        finished
-  in
-  let natural = Time.add departure (Latency.sample latency_model t.rng) in
+   paths: one latency sample, then either the reorder injection (bypasses
+   the FIFO clamp) or the per-link FIFO clamp. Returns the primary
+   delivery instant; the caller asks for the duplicate separately so the
+   two paths stay draw-for-draw identical. *)
+let delivery_time t ~src ~dst =
+  let natural = Time.add (Engine.now t.engine) (Latency.sample t.latency t.rng) in
   (* The [> 0.] guards keep disabled injections from consuming RNG draws,
      so seeded runs are bit-identical with the features off. *)
   if t.reorder_probability > 0. && Rng.bernoulli t.rng t.reorder_probability then begin
@@ -173,7 +143,7 @@ let delivery_time t ~src ~dst ~size ~latency_model =
        sample and bypass the FIFO clamp, so messages sent after it may
        overtake it on the same link. *)
     Stats.on_reordered t.stats src;
-    Time.add natural (Latency.sample latency_model t.rng)
+    Time.add natural (Latency.sample t.latency t.rng)
   end
   else begin
     let l = link t (link_key src dst) in
@@ -189,8 +159,7 @@ let send_local t ~src ~dst dst_node ~size payload =
     || (t.drop_probability > 0. && Rng.bernoulli t.rng t.drop_probability)
   then Stats.on_dropped t.stats src
   else begin
-    let latency_model = link_latency t ~src ~dst in
-    let deliver_at = delivery_time t ~src ~dst ~size ~latency_model in
+    let deliver_at = delivery_time t ~src ~dst in
     (* One closure shared by the primary delivery and the duplicate: the
        event reads its instant from the engine clock, so nothing per-copy
        needs capturing. *)
@@ -209,14 +178,14 @@ let send_local t ~src ~dst dst_node ~size payload =
       Stats.on_duplicated t.stats src;
       ignore
         (Engine.schedule_at t.engine
-           ~at:(Time.add deliver_at (Latency.sample latency_model t.rng))
+           ~at:(Time.add deliver_at (Latency.sample t.latency t.rng))
            event)
     end
   end
 
 (* Cross-shard send: everything the sender's shard owns — src down state,
-   the (mirrored) partition set, loss/duplication/reordering draws,
-   bandwidth and FIFO state for the outgoing link — is applied here, and
+   the (mirrored) partition set, loss/duplication/reordering draws and
+   FIFO state for the outgoing link — is applied here, and
    the fully computed delivery instant travels with the message. The one
    check the sender cannot make is whether [dst] is down *at send time*
    (that state lives in the destination shard); the destination re-checks
@@ -229,12 +198,11 @@ let send_remote t ~src ~dst ~size payload push =
     || (t.drop_probability > 0. && Rng.bernoulli t.rng t.drop_probability)
   then Stats.on_dropped t.stats src
   else begin
-    let latency_model = link_latency t ~src ~dst in
-    let deliver_at = delivery_time t ~src ~dst ~size ~latency_model in
+    let deliver_at = delivery_time t ~src ~dst in
     push ~at:deliver_at ~src payload;
     if t.duplicate_probability > 0. && Rng.bernoulli t.rng t.duplicate_probability then begin
       Stats.on_duplicated t.stats src;
-      push ~at:(Time.add deliver_at (Latency.sample latency_model t.rng)) ~src payload
+      push ~at:(Time.add deliver_at (Latency.sample t.latency t.rng)) ~src payload
     end
   end
 

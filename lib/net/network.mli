@@ -19,7 +19,6 @@ val create :
   ?drop_probability:float ->
   ?duplicate_probability:float ->
   ?reorder_probability:float ->
-  ?bandwidth_bytes_per_sec:int ->
   unit ->
   'a t
 (** [latency] defaults to {!Latency.default}; [drop_probability] (default
@@ -27,13 +26,9 @@ val create :
     (default [0.]) delivers an extra copy of the message one extra latency
     sample later; [reorder_probability] (default [0.]) exempts the message
     from the per-link FIFO guarantee and delays it by one extra latency
-    sample, so later messages can overtake it. With
-    [bandwidth_bytes_per_sec] set, each directed link also serialises
-    messages: a message of [size] bytes occupies the link for
-    [size / bandwidth] before its propagation delay starts, so bursts
-    queue behind each other. [None] (default) models infinite bandwidth.
-    The network draws its randomness from a stream split off the engine's
-    root RNG at creation. *)
+    sample, so later messages can overtake it. Bandwidth is infinite: a
+    message's size never delays it. The network draws its randomness
+    from a stream split off the engine's root RNG at creation. *)
 
 val engine : 'a t -> Avdb_sim.Engine.t
 val stats : 'a t -> Stats.t
@@ -46,14 +41,6 @@ val remove_node : 'a t -> Address.t -> unit
 
 val nodes : 'a t -> Address.t list
 (** Registered addresses, sorted. *)
-
-val set_link_latency : 'a t -> Address.t -> Address.t -> Latency.t -> unit
-(** Overrides the latency model for both directions between two nodes
-    (e.g. a WAN link between distant sites); other links keep the
-    network-wide default. *)
-
-val link_latency : 'a t -> src:Address.t -> dst:Address.t -> Latency.t
-(** The model governing one directed link. *)
 
 val send : 'a t -> src:Address.t -> dst:Address.t -> ?size:int -> 'a -> unit
 (** Queues a message for delivery. [size] (default 64 bytes) only feeds the
@@ -68,7 +55,7 @@ val set_remote_route :
 (** Installs the resolver for addresses owned by other shards. When
     {!send}'s destination is not registered locally, the resolver is
     consulted; [Some push] makes the send compute its full delivery
-    instant sender-side (bandwidth, latency draw, FIFO clamp, loss /
+    instant sender-side (latency draw, FIFO clamp, loss /
     duplication / reordering — all against this shard's link state and
     RNG) and hand [(at, src, payload)] to [push], which is expected to
     enqueue it on the owning shard's mailbox. [None] falls through to the

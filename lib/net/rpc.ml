@@ -74,12 +74,11 @@ and ('req, 'resp, 'note) call = {
 let flat _ = 64
 
 let create ~engine ?latency ?drop_probability ?duplicate_probability ?reorder_probability
-    ?bandwidth_bytes_per_sec ?(default_timeout = Time.of_ms 100.) ?(request_size = flat)
-    ?(response_size = flat) ?(notice_size = flat) ?tracer
-    ?(request_label = fun _ -> "request") () =
+    ?(default_timeout = Time.of_ms 100.) ?(request_size = flat) ?(response_size = flat)
+    ?(notice_size = flat) ?tracer ?(request_label = fun _ -> "request") () =
   let net =
     Network.create ~engine ?latency ?drop_probability ?duplicate_probability
-      ?reorder_probability ?bandwidth_bytes_per_sec ()
+      ?reorder_probability ()
   in
   {
     net;

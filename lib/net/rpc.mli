@@ -48,7 +48,6 @@ val create :
   ?drop_probability:float ->
   ?duplicate_probability:float ->
   ?reorder_probability:float ->
-  ?bandwidth_bytes_per_sec:int ->
   ?default_timeout:Avdb_sim.Time.t ->
   ?request_size:('req -> int) ->
   ?response_size:('resp -> int) ->
@@ -59,8 +58,7 @@ val create :
   ('req, 'resp, 'note) t
 (** Builds the underlying network too. [default_timeout] defaults to
     100 ms of virtual time. The three [*_size] estimators feed the byte
-    counters and the optional bandwidth model; each defaults to a flat
-    64 bytes. The fault-injection probabilities are forwarded to
+    counters; each defaults to a flat 64 bytes. The fault-injection probabilities are forwarded to
     {!Network.create}.
 
     With a [tracer], every {!call} opens a client span ["call:<label>"]

@@ -283,89 +283,3 @@ let recover ?name wal =
       ignore (Wal.append db.wal r))
     (Wal.records wal);
   db
-
-let save_file t ~path =
-  let tmp = path ^ ".tmp" in
-  match
-    let oc = open_out_bin tmp in
-    (try output_string oc (Wal.to_string t.wal)
-     with e ->
-       close_out_noerr oc;
-       raise e);
-    close_out oc;
-    Sys.rename tmp path
-  with
-  | () -> Ok ()
-  | exception Sys_error e -> Error e
-
-(* Group-commit persistence: a sink remembers how much of the WAL it has
-   already written and appends only the new suffix on each flush, so many
-   transactions committed between flushes cost one write. Contrast with
-   [save_file], which re-serialises the whole log every time. *)
-module Sink = struct
-  type sink = { path : string; mutable flushed_upto : int; buf : Buffer.t }
-
-  let open_ t ~path =
-    match
-      let oc = open_out_bin path in
-      (try output_string oc (Wal.to_string t.wal)
-       with e ->
-         close_out_noerr oc;
-         raise e);
-      close_out oc
-    with
-    | () -> Ok { path; flushed_upto = Wal.length t.wal; buf = Buffer.create 1024 }
-    | exception Sys_error e -> Error e
-
-  let flush sink t =
-    let len = Wal.length t.wal in
-    if len < sink.flushed_upto then
-      (* The log was truncated or compacted below the flushed point; the
-         appended file no longer prefixes the log, so rewrite it whole. *)
-      match
-        let oc = open_out_bin sink.path in
-        (try output_string oc (Wal.to_string t.wal)
-         with e ->
-           close_out_noerr oc;
-           raise e);
-        close_out oc
-      with
-      | () ->
-          sink.flushed_upto <- len;
-          Ok ()
-      | exception Sys_error e -> Error e
-    else if len = sink.flushed_upto then Ok ()
-    else begin
-      Buffer.clear sink.buf;
-      Wal.encode_suffix_into sink.buf t.wal ~from:sink.flushed_upto;
-      match
-        let oc = open_out_gen [ Open_append; Open_binary ] 0o644 sink.path in
-        (try output_string oc (Buffer.contents sink.buf)
-         with e ->
-           close_out_noerr oc;
-           raise e);
-        close_out oc
-      with
-      | () ->
-          sink.flushed_upto <- len;
-          Ok ()
-      | exception Sys_error e -> Error e
-    end
-end
-
-let load_file ?name ~path () =
-  match
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let contents = really_input_string ic len in
-    close_in ic;
-    contents
-  with
-  | exception Sys_error e -> Error e
-  | contents -> (
-      match Wal.of_string contents with
-      | Error c -> Error (Printf.sprintf "%s:%d: %s" path c.Corruption.offset c.reason)
-      | Ok wal -> (
-          match recover ?name wal with
-          | db -> Ok db
-          | exception Failure e -> Error e))

@@ -104,30 +104,3 @@ val recover : ?name:string -> Wal.t -> t
 (** Rebuilds a database from a log: replays [Create_table] records and the
     operations of committed transactions, in log order. The rebuilt
     database's own WAL is a copy of the input log. *)
-
-(** {2 Disk persistence}
-
-    The write-ahead log {e is} the durable format: saving writes the log
-    as text, loading recovers from it. *)
-
-val save_file : t -> path:string -> (unit, string) result
-(** Writes the WAL to [path] (atomically: temp file + rename). *)
-
-(** Group-commit persistence: open a sink once, then [flush] after a batch
-    of transactions — each flush appends only the WAL suffix written since
-    the previous one, so a batch of commits costs a single file append.
-    The file always equals {!save_file}'s output for the flushed prefix;
-    {!load_file} reads it back (a torn tail from a crash mid-append is
-    dropped by recovery as usual). If the log was truncated or compacted
-    below the flushed point, the next flush rewrites the file whole. *)
-module Sink : sig
-  type sink
-
-  val open_ : t -> path:string -> (sink, string) result
-  (** Creates/overwrites [path] with the current log. *)
-
-  val flush : sink -> t -> (unit, string) result
-end
-
-val load_file : ?name:string -> path:string -> unit -> (t, string) result
-(** Reads a log written by {!save_file} and {!recover}s from it. *)

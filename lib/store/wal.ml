@@ -14,16 +14,10 @@ type t = {
      double the array when it is full. *)
   mutable records : record array;
   mutable count : int;
-  (* Serialisation cache: [enc] holds the encoding of the first [enc_upto]
-     records, so repeated [to_string]/[output] calls after appends encode
-     only the new suffix instead of the whole history. Invalidated by
-     [truncate] (the only operation that rewrites history). *)
-  enc : Buffer.t;
-  mutable enc_upto : int;
 }
 
 let spare = Abort (-1)
-let create () = { records = [||]; count = 0; enc = Buffer.create 256; enc_upto = 0 }
+let create () = { records = [||]; count = 0 }
 
 let append t r =
   let n = t.count in
@@ -49,9 +43,7 @@ let nth t i =
 let truncate t n =
   if n < 0 || n > t.count then invalid_arg "Wal.truncate";
   Array.fill t.records n (t.count - n) spare;
-  t.count <- n;
-  Buffer.reset t.enc;
-  t.enc_upto <- 0
+  t.count <- n
 
 let committed_txids t =
   let tbl = Hashtbl.create 64 in
@@ -222,23 +214,13 @@ let decode_record line =
       Ok (Apply { txid; table; key; col; before; after })
   | _ -> Error ("Wal.decode_record: malformed line " ^ line)
 
-(* Group commit's flush primitive: records [from, length) as one encoded
-   chunk, O(suffix) not O(log). Each record after the log's very first is
-   preceded by its '\n' separator, so appending successive chunks to a file
-   reproduces [to_string] byte for byte. *)
-let encode_suffix_into buf t ~from =
-  if from < 0 || from > t.count then invalid_arg "Wal.encode_suffix_into";
-  for i = from to t.count - 1 do
+let to_string t =
+  let buf = Buffer.create 256 in
+  for i = 0 to t.count - 1 do
     if i > 0 then Buffer.add_char buf '\n';
     encode_record_into buf t.records.(i)
-  done
-
-(* Brings the cache up to date, encoding records [enc_upto, count) onto
-   the tail of [enc], then copies it out. *)
-let to_string t =
-  encode_suffix_into t.enc t ~from:t.enc_upto;
-  t.enc_upto <- t.count;
-  Buffer.contents t.enc
+  done;
+  Buffer.contents buf
 
 let of_string s =
   let t = create () in

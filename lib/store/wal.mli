@@ -50,17 +50,7 @@ val encode_record_into : Buffer.t -> record -> unit
 val decode_record : string -> (record, string) result
 
 val to_string : t -> string
-(** One record per line. Incremental: the log caches the encoding of its
-    stable prefix, so calling this after every few appends costs the new
-    suffix (plus a copy), not a full re-encode. [truncate] drops the
-    cache. *)
-
-val encode_suffix_into : Buffer.t -> t -> from:int -> unit
-(** Appends records [from, length t) — group commit's flush primitive,
-    O(length t - from).
-    Chunks written for successive [from] positions concatenate to exactly
-    {!to_string}: every record after the log's first carries a leading
-    newline separator. *)
+(** One record per line, encoded afresh on each call. *)
 
 val of_string : string -> (t, Corruption.t) result
 (** Parses a serialised log. An undecodable {e final} line is treated as a

@@ -183,33 +183,3 @@ module Coordinator = struct
 
   let is_done t = match t.phase with Done _ -> true | _ -> false
 end
-
-module Participant = struct
-  type action = Apply | Revert | Ignore
-
-  type t = { prepared : unit Int_table.t }
-
-  let create () = { prepared = Int_table.create 16 }
-
-  let on_prepare t ~txid ~can_apply =
-    if Int_table.mem t.prepared txid then Ready
-    else if can_apply then begin
-      Int_table.add t.prepared txid ();
-      Ready
-    end
-    else Refuse
-
-  let on_decision t ~txid d =
-    if not (Int_table.mem t.prepared txid) then Ignore
-    else begin
-      Int_table.remove t.prepared txid;
-      match d with Commit -> Apply | Abort -> Revert
-    end
-
-  let pending t =
-    Int_table.fold (fun txid () acc -> txid :: acc) t.prepared [] |> List.sort Int.compare
-
-  let forget t ~txid = Int_table.remove t.prepared txid
-
-  let reset t = Int_table.reset t.prepared
-end

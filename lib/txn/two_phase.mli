@@ -1,4 +1,4 @@
-(** Primary-copy two-phase commit state machines (§3.3, Immediate Update).
+(** Primary-copy two-phase commit's coordinator (§3.3, Immediate Update).
 
     The paper's Immediate Update: the requesting accelerator coordinates;
     it locks locally, sends lock/prepare requests to every other site
@@ -7,10 +7,13 @@
     accelerator at the base" — i.e. user-visible completion is the base
     site's acknowledgement, while lock cleanup waits for all of them.
 
-    Both roles are pure state machines: they receive events and return
-    actions for the embedding site to execute (send messages, apply or
-    revert the operation). This keeps the protocol logic independently
-    testable from networking and storage. *)
+    The coordinator is a pure state machine: it receives events and
+    returns actions for the embedding site to execute (send messages,
+    report completion, release resources). This keeps the protocol logic
+    independently testable from networking and storage. A participant
+    needs no machine: it votes Ready exactly when its tentative write
+    succeeded, and its site's table of prepared transactions is all the
+    state a decision consults. *)
 
 type decision = Commit | Abort
 
@@ -73,36 +76,4 @@ module Coordinator : sig
 
   val decision : t -> decision option
   val is_done : t -> bool
-end
-
-module Participant : sig
-  type t
-
-  (** What the embedding site must do with the tentatively-applied
-      operation. *)
-  type action = Apply | Revert | Ignore
-
-  val create : unit -> t
-
-  val on_prepare : t -> txid:int -> can_apply:bool -> vote
-  (** Registers the transaction and votes. [can_apply = false] (lock or
-      validation failure) votes [Refuse] and forgets the txid. A repeated
-      prepare for a known txid re-votes identically (idempotent). *)
-
-  val on_decision : t -> txid:int -> decision -> action
-  (** [Ignore] for unknown transactions (e.g. refused earlier, or a
-      duplicate decision). *)
-
-  val pending : t -> int list
-  (** Transactions prepared but undecided, sorted. *)
-
-  val forget : t -> txid:int -> unit
-  (** Drop one registration (e.g. a refused or stale txid). Prepared
-      transactions must {e not} be forgotten unilaterally — they resolve
-      through the termination protocol.  *)
-
-  val reset : t -> unit
-  (** Fresh incarnation after a crash: clears every registration.
-      Recovery re-installs the prepared (in-doubt) ones from the durable
-      transaction log before processing any new message. *)
 end

@@ -5,6 +5,10 @@ let make () =
   Av_table.define t ~item:"productA" ~volume:40;
   t
 
+(* The item's entry, through which release, deposit, withdraw and
+   hold-all move volume. *)
+let entry t ~item = Av_table.entry_or_no_entry t ~item
+
 let ok tag = function Ok () -> () | Error e -> Alcotest.failf "%s: %s" tag e
 let expect_error tag = function Error _ -> () | Ok () -> Alcotest.failf "%s: expected error" tag
 
@@ -33,6 +37,10 @@ let test_no_entry () =
   expect_error "hold on no_entry" (Av_table.entry_hold e 1);
   expect_error "consume on no_entry" (Av_table.entry_consume e 0);
   expect_error "mint on no_entry" (Av_table.entry_mint e 1);
+  expect_error "release on no_entry" (Av_table.entry_release e 0);
+  expect_error "deposit on no_entry" (Av_table.entry_deposit e 1);
+  expect_error "withdraw on no_entry" (Av_table.entry_withdraw e 0);
+  Alcotest.(check int) "hold_all on no_entry holds 0" 0 (Av_table.entry_hold_all e);
   Alcotest.(check int) "nothing available" 0 (Av_table.entry_available e);
   expect_error "the named form refuses the item too" (Av_table.mint t ~item:"productB" 1);
   Alcotest.(check int) "the defined item is untouched" 40
@@ -56,34 +64,39 @@ let test_hold_insufficient () =
 
 let test_hold_release () =
   let t = make () in
+  let e = entry t ~item:"productA" in
   ok "hold" (Av_table.hold t ~item:"productA" 25);
-  ok "release part" (Av_table.release t ~item:"productA" 10);
+  ok "release part" (Av_table.entry_release e 10);
   Alcotest.(check int) "held" 15 (Av_table.held t ~item:"productA");
   Alcotest.(check int) "available" 25 (Av_table.available t ~item:"productA");
-  expect_error "release too much" (Av_table.release t ~item:"productA" 16);
-  ok "release rest" (Av_table.release t ~item:"productA" 15);
+  expect_error "release too much" (Av_table.entry_release e 16);
+  ok "release rest" (Av_table.entry_release e 15);
   Alcotest.(check int) "all back" 40 (Av_table.available t ~item:"productA")
 
 let test_hold_all () =
   let t = make () in
+  let e = entry t ~item:"productA" in
   ok "pre-hold" (Av_table.hold t ~item:"productA" 5);
-  Alcotest.(check int) "grabs the rest" 35 (Av_table.hold_all t ~item:"productA");
+  Alcotest.(check int) "grabs the rest" 35 (Av_table.entry_hold_all e);
   Alcotest.(check int) "available empty" 0 (Av_table.available t ~item:"productA");
   Alcotest.(check int) "held everything" 40 (Av_table.held t ~item:"productA");
-  Alcotest.(check int) "hold_all again is 0" 0 (Av_table.hold_all t ~item:"productA");
-  Alcotest.(check int) "undefined hold_all is 0" 0 (Av_table.hold_all t ~item:"nope")
+  Alcotest.(check int) "hold_all again is 0" 0 (Av_table.entry_hold_all e);
+  Alcotest.(check int) "undefined hold_all is 0" 0
+    (Av_table.entry_hold_all (entry t ~item:"nope"))
 
 let test_deposit_withdraw () =
   let t = make () in
-  ok "deposit" (Av_table.deposit t ~item:"productA" 30);
+  let e = entry t ~item:"productA" in
+  ok "deposit" (Av_table.entry_deposit e 30);
   Alcotest.(check int) "deposited" 70 (Av_table.available t ~item:"productA");
-  ok "withdraw" (Av_table.withdraw t ~item:"productA" 50);
+  ok "withdraw" (Av_table.entry_withdraw e 50);
   Alcotest.(check int) "withdrawn" 20 (Av_table.available t ~item:"productA");
-  expect_error "overdraw" (Av_table.withdraw t ~item:"productA" 21);
-  expect_error "withdraw undefined" (Av_table.withdraw t ~item:"nope" 1)
+  expect_error "overdraw" (Av_table.entry_withdraw e 21);
+  expect_error "withdraw undefined" (Av_table.entry_withdraw (entry t ~item:"nope") 1)
 
 let test_negative_amounts_rejected () =
   let t = make () in
+  let e = entry t ~item:"productA" in
   List.iter
     (fun (tag, f) ->
       match f () with
@@ -91,10 +104,10 @@ let test_negative_amounts_rejected () =
       | _ -> Alcotest.failf "%s accepted negative" tag)
     [
       ("hold", fun () -> ignore (Av_table.hold t ~item:"productA" (-1)));
-      ("release", fun () -> ignore (Av_table.release t ~item:"productA" (-1)));
+      ("release", fun () -> ignore (Av_table.entry_release e (-1)));
       ("consume", fun () -> ignore (Av_table.consume t ~item:"productA" (-1)));
-      ("deposit", fun () -> ignore (Av_table.deposit t ~item:"productA" (-1)));
-      ("withdraw", fun () -> ignore (Av_table.withdraw t ~item:"productA" (-1)));
+      ("deposit", fun () -> ignore (Av_table.entry_deposit e (-1)));
+      ("withdraw", fun () -> ignore (Av_table.entry_withdraw e (-1)));
     ]
 
 let test_paper_example () =
@@ -104,10 +117,11 @@ let test_paper_example () =
   Av_table.define site1 ~item:"productA" ~volume:20;
   let delta = 30 in
   Alcotest.(check bool) "short" true (Av_table.available site1 ~item:"productA" < delta);
-  let grabbed = Av_table.hold_all site1 ~item:"productA" in
+  let e = entry site1 ~item:"productA" in
+  let grabbed = Av_table.entry_hold_all e in
   Alcotest.(check int) "holds all 20" 20 grabbed;
   (* transfer arrives *)
-  ok "deposit grant" (Av_table.deposit site1 ~item:"productA" 30);
+  ok "deposit grant" (Av_table.entry_deposit e 30);
   ok "hold shortage" (Av_table.hold site1 ~item:"productA" (delta - grabbed));
   ok "consume for update" (Av_table.consume site1 ~item:"productA" delta);
   Alcotest.(check int) "paper: AV at site1 becomes 20" 20
@@ -147,8 +161,8 @@ let qcheck_tests =
         ])
   in
   [
-    (* The entry forms are the named forms' bodies: the same results,
-       failures included, and the same volumes and ledger. *)
+    (* The named forms call the entry forms: the same results, failures
+       included, and the same volumes and ledger. *)
     Test.make ~name:"entry ops move what named ops move" ~count:300
       (make
          ~print:(fun l -> string_of_int (List.length l))
@@ -191,25 +205,26 @@ let qcheck_tests =
       (fun ops ->
         let t = Av_table.create () in
         Av_table.define t ~item:"x" ~volume:100;
+        let e = entry t ~item:"x" in
         let deposited = ref 0 and consumed = ref 0 and withdrawn = ref 0 in
         List.iter
           (fun op ->
             match op with
             | `Hold n -> ignore (Av_table.hold t ~item:"x" n)
-            | `Release n -> ignore (Av_table.release t ~item:"x" n)
+            | `Release n -> ignore (Av_table.entry_release e n)
             | `Consume n -> (
                 match Av_table.consume t ~item:"x" n with
                 | Ok () -> consumed := !consumed + n
                 | Error _ -> ())
             | `Deposit n -> (
-                match Av_table.deposit t ~item:"x" n with
+                match Av_table.entry_deposit e n with
                 | Ok () -> deposited := !deposited + n
                 | Error _ -> ())
             | `Withdraw n -> (
-                match Av_table.withdraw t ~item:"x" n with
+                match Av_table.entry_withdraw e n with
                 | Ok () -> withdrawn := !withdrawn + n
                 | Error _ -> ())
-            | `Hold_all -> ignore (Av_table.hold_all t ~item:"x"))
+            | `Hold_all -> ignore (Av_table.entry_hold_all e))
           ops;
         Av_table.available t ~item:"x" >= 0
         && Av_table.held t ~item:"x" >= 0

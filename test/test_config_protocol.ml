@@ -22,9 +22,6 @@ let test_rejections () =
             [ Product.regular "a" ~initial_amount:1; Product.regular "a" ~initial_amount:2 ];
         } );
       ("prefetch < 1", { Config.default with Config.prefetch_low = Some 0 });
-      ( "zero rebroadcast interval",
-        { Config.default with Config.rebroadcast_interval = Avdb_sim.Time.zero } );
-      ("negative rebroadcast rounds", { Config.default with Config.rebroadcast_rounds = -1 });
     ]
   in
   List.iter

@@ -423,28 +423,6 @@ let test_lossy_sync_eventually_converges () =
   Alcotest.(check bool) "converged despite loss" true (converged ())
 
 
-let test_bandwidth_limited_cluster () =
-  (* A narrow pipe slows transfers but changes no outcomes. *)
-  let run bandwidth =
-    let cfg = { (config ()) with Config.bandwidth_bytes_per_sec = bandwidth } in
-    let cluster = Cluster.create cfg in
-    let result = ref None in
-    (* exceed local AV so a transfer (and its bytes) must happen *)
-    Site.submit_update (Cluster.site cluster 1) ~item:"product0" ~delta:(-50) (fun r ->
-        result := Some r);
-    Cluster.run cluster;
-    (Option.get !result, Time.to_us (Engine.now (Cluster.engine cluster)),
-     Avdb_net.Stats.site (Cluster.net_stats cluster) (Avdb_net.Address.of_int 1))
-  in
-  let fast_result, fast_time, fast_stats = run None in
-  let slow_result, slow_time, slow_stats = run (Some 1_000) in
-  Alcotest.(check bool) "applied on fast net" true (Update.is_applied fast_result);
-  Alcotest.(check bool) "applied on slow net" true (Update.is_applied slow_result);
-  Alcotest.(check bool) "narrow pipe is slower" true (slow_time > fast_time);
-  Alcotest.(check bool) "bytes accounted from wire sizes" true
-    (fast_stats.Avdb_net.Stats.bytes_sent > 0
-    && fast_stats.Avdb_net.Stats.bytes_sent = slow_stats.Avdb_net.Stats.bytes_sent)
-
 let suites =
   [
     ( "core.cluster",
@@ -475,7 +453,6 @@ let suites =
         Alcotest.test_case "partition heals and converges" `Quick test_partition_heals_and_converges;
         Alcotest.test_case "determinism under loss" `Quick test_determinism_under_loss;
         Alcotest.test_case "lossy sync eventually converges" `Quick test_lossy_sync_eventually_converges;
-        Alcotest.test_case "bandwidth-limited cluster" `Quick test_bandwidth_limited_cluster;
         Alcotest.test_case "downtime catch-up via counters" `Quick test_downtime_catchup_via_counters;
         Alcotest.test_case "delay update after recovery" `Quick
           (write_after_recovery Product.regular Update.Local);

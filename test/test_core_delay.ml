@@ -61,12 +61,12 @@ let test_fig1_transfer () =
   let cluster = make () in
   let av i = Site.av_table (Cluster.site cluster i) in
   let force_ok = function Ok () -> () | Error e -> Alcotest.fail e in
-  force_ok (Av_table.withdraw (av 0) ~item:"widget" 34);
-  force_ok (Av_table.deposit (av 0) ~item:"widget" 40);
-  force_ok (Av_table.withdraw (av 1) ~item:"widget" 33);
-  force_ok (Av_table.deposit (av 1) ~item:"widget" 20);
-  force_ok (Av_table.withdraw (av 2) ~item:"widget" 33);
-  force_ok (Av_table.deposit (av 2) ~item:"widget" 40);
+  force_ok (Av_table.entry_withdraw (Av_table.entry_or_no_entry (av 0) ~item:"widget") 34);
+  force_ok (Av_table.entry_deposit (Av_table.entry_or_no_entry (av 0) ~item:"widget") 40);
+  force_ok (Av_table.entry_withdraw (Av_table.entry_or_no_entry (av 1) ~item:"widget") 33);
+  force_ok (Av_table.entry_deposit (Av_table.entry_or_no_entry (av 1) ~item:"widget") 20);
+  force_ok (Av_table.entry_withdraw (Av_table.entry_or_no_entry (av 2) ~item:"widget") 33);
+  force_ok (Av_table.entry_deposit (Av_table.entry_or_no_entry (av 2) ~item:"widget") 40);
   let result = submit cluster 1 ~delta:(-30) in
   (match applied_kind result with
   | Update.With_transfer 1 -> ()

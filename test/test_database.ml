@@ -201,71 +201,6 @@ let test_compact_rejects_active_txn () =
   | () -> Alcotest.fail "compact with active txn accepted");
   Database.abort txn
 
-let test_save_load_file () =
-  let db = make () in
-  let txn = Database.begin_txn db in
-  ignore (Database.insert txn ~table:"stock" ~key:"p" (row 42 true));
-  ignore (Database.insert txn ~table:"stock" ~key:"q" (row 7 false));
-  Database.commit txn;
-  let path = Filename.temp_file "avdb_test" ".wal" in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      (match Database.save_file db ~path with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e);
-      match Database.load_file ~path () with
-      | Error e -> Alcotest.fail e
-      | Ok loaded ->
-          Alcotest.(check bool) "loaded equals saved" true
-            (Table.equal_contents (Database.table db "stock") (Database.table loaded "stock"));
-          (* And the loaded instance is a working database. *)
-          let txn = Database.begin_txn loaded in
-          ignore (Database.add_int txn ~table:"stock" ~key:"p" ~col:"amount" 1);
-          Database.commit txn;
-          Alcotest.(check int) "usable after load" 43 (amount loaded "p"))
-
-let test_load_missing_file () =
-  match Database.load_file ~path:"/nonexistent/avdb.wal" () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "loaded a missing file"
-
-let test_load_corrupt_file () =
-  (* Corruption in the middle of the log — a bad line with records after
-     it — must fail the whole load: the history cannot be trusted. *)
-  let path = Filename.temp_file "avdb_test" ".wal" in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc "not|a|valid|record\nC|1";
-      close_out oc;
-      match Database.load_file ~path () with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "loaded corrupt data")
-
-let test_load_torn_tail () =
-  (* An undecodable *final* line is a tail torn by a crash mid-append:
-     the decoded prefix must be recovered, not rejected. *)
-  let db = make () in
-  let txn = Database.begin_txn db in
-  ignore (Database.insert txn ~table:"stock" ~key:"p" (row 47 true));
-  Database.commit txn;
-  let path = Filename.temp_file "avdb_test" ".wal" in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      (match Database.save_file db ~path with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e);
-      (* Simulate the crash: append half a record. *)
-      let oc = open_out_gen [ Open_append ] 0o644 path in
-      output_string oc "\nU|9|stock|p|amo";
-      close_out oc;
-      match Database.load_file ~path () with
-      | Error e -> Alcotest.fail ("torn tail should recover: " ^ e)
-      | Ok loaded -> Alcotest.(check int) "prefix state recovered" 47 (amount loaded "p"))
-
 let test_wal_mid_record_truncation () =
   (* Truncation mid-record (not just mid-line): the serialised bytes are
      cut inside an encoded record, leaving a shorter, undecodable final
@@ -293,89 +228,6 @@ let test_wal_mid_record_truncation () =
   match Wal.of_string cut_mid with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "mid-log corruption accepted"
-
-let with_temp_wal f =
-  let path = Filename.temp_file "avdb_test" ".wal" in
-  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) (fun () -> f path)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
-let test_sink_group_commit () =
-  (* Batched appends: each flush writes only the suffix since the last one,
-     and after every flush the file is byte-identical to a full
-     [save_file] of the same log. *)
-  let db = make () in
-  with_temp_wal (fun path ->
-      let sink = match Database.Sink.open_ db ~path with Ok s -> s | Error e -> Alcotest.fail e in
-      for batch = 0 to 4 do
-        for i = 0 to 2 do
-          let key = Printf.sprintf "k%d_%d" batch i in
-          let txn = Database.begin_txn db in
-          ignore (Database.insert txn ~table:"stock" ~key (row (batch + i) true));
-          Database.commit txn
-        done;
-        (match Database.Sink.flush sink db with Ok () -> () | Error e -> Alcotest.fail e);
-        with_temp_wal (fun full_path ->
-            (match Database.save_file db ~path:full_path with
-            | Ok () -> ()
-            | Error e -> Alcotest.fail e);
-            Alcotest.(check string)
-              (Printf.sprintf "flush %d equals save_file" batch)
-              (read_file full_path) (read_file path))
-      done;
-      match Database.load_file ~path () with
-      | Error e -> Alcotest.fail e
-      | Ok loaded ->
-          Alcotest.(check bool) "loaded equals live" true
-            (Table.equal_contents (Database.table db "stock") (Database.table loaded "stock")))
-
-let test_sink_torn_tail () =
-  (* A crash mid-append after several group commits: the torn final line is
-     dropped and everything flushed before it recovers. *)
-  let db = make () in
-  with_temp_wal (fun path ->
-      let sink = match Database.Sink.open_ db ~path with Ok s -> s | Error e -> Alcotest.fail e in
-      let txn = Database.begin_txn db in
-      ignore (Database.insert txn ~table:"stock" ~key:"p" (row 47 true));
-      Database.commit txn;
-      let txn = Database.begin_txn db in
-      ignore (Database.add_int txn ~table:"stock" ~key:"p" ~col:"amount" 3);
-      Database.commit txn;
-      (match Database.Sink.flush sink db with Ok () -> () | Error e -> Alcotest.fail e);
-      let oc = open_out_gen [ Open_append ] 0o644 path in
-      output_string oc "\nU|9|stock|p|amo";
-      close_out oc;
-      match Database.load_file ~path () with
-      | Error e -> Alcotest.fail ("torn tail should recover: " ^ e)
-      | Ok loaded -> Alcotest.(check int) "flushed state recovered" 50 (amount loaded "p"))
-
-let test_sink_rewrite_after_compact () =
-  (* Compaction truncates the log below the flushed point; the next flush
-     must detect it and rewrite the file whole rather than append. *)
-  let db = make () in
-  with_temp_wal (fun path ->
-      let sink = match Database.Sink.open_ db ~path with Ok s -> s | Error e -> Alcotest.fail e in
-      for i = 0 to 9 do
-        let txn = Database.begin_txn db in
-        ignore (Database.insert txn ~table:"stock" ~key:("k" ^ string_of_int i) (row i true));
-        Database.commit txn
-      done;
-      (match Database.Sink.flush sink db with Ok () -> () | Error e -> Alcotest.fail e);
-      Database.compact db;
-      let txn = Database.begin_txn db in
-      ignore (Database.add_int txn ~table:"stock" ~key:"k0" ~col:"amount" 100);
-      Database.commit txn;
-      (match Database.Sink.flush sink db with Ok () -> () | Error e -> Alcotest.fail e);
-      match Database.load_file ~path () with
-      | Error e -> Alcotest.fail ("post-compact flush should load: " ^ e)
-      | Ok loaded ->
-          Alcotest.(check int) "post-compact state" 100 (amount loaded "k0");
-          Alcotest.(check bool) "all rows present" true
-            (Table.equal_contents (Database.table db "stock") (Database.table loaded "stock")))
 
 let fresh = make
 
@@ -504,14 +356,7 @@ let suites =
         Alcotest.test_case "recover double crash" `Quick test_recover_double_crash;
         Alcotest.test_case "compact" `Quick test_compact;
         Alcotest.test_case "compact rejects active txn" `Quick test_compact_rejects_active_txn;
-        Alcotest.test_case "save/load file" `Quick test_save_load_file;
-        Alcotest.test_case "load missing file" `Quick test_load_missing_file;
-        Alcotest.test_case "load corrupt file" `Quick test_load_corrupt_file;
-        Alcotest.test_case "load torn tail" `Quick test_load_torn_tail;
         Alcotest.test_case "wal mid-record truncation" `Quick test_wal_mid_record_truncation;
-        Alcotest.test_case "sink group commit" `Quick test_sink_group_commit;
-        Alcotest.test_case "sink torn tail" `Quick test_sink_torn_tail;
-        Alcotest.test_case "sink rewrite after compact" `Quick test_sink_rewrite_after_compact;
         Alcotest.test_case "handle not live after recover" `Quick
           test_handle_not_live_after_recover;
       ]

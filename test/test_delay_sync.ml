@@ -240,10 +240,10 @@ let run ~full ops =
         note_stamp o items.(i) v c
     | Av (i, a) ->
         (* an item without AV refuses both *)
-        let item = items.(i) in
+        let e = Av_table.entry_or_no_entry av ~item:items.(i) in
         ignore
-          (if a > 0 then Av_table.deposit av ~item a
-           else if Av_table.available av ~item >= -a then Av_table.withdraw av ~item (-a)
+          (if a > 0 then Av_table.entry_deposit e a
+           else if Av_table.entry_available e >= -a then Av_table.entry_withdraw e (-a)
            else Ok ())
   in
   (* Only reads that leave the ring alone, so that several changes can

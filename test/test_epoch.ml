@@ -202,7 +202,6 @@ let prop_domains_deterministic =
           {
             (mk_config ~n_sites:8 ~n_epoch:2 ~seed ()) with
             Config.domains = 4;
-            record_history = true;
           }
         in
         let p = Pcluster.create config in

@@ -227,75 +227,6 @@ let test_self_send () =
   Alcotest.(check (list (triple int int string))) "self delivery" [ (1, 1, "self") ] !received
 
 
-let test_link_latency_override () =
-  let engine = Engine.create ~seed:7 () in
-  let net = Network.create ~engine ~latency:(Latency.Constant (t_us 10)) () in
-  let arrivals = ref [] in
-  for i = 0 to 2 do
-    Network.add_node net (addr i) (fun ~src:_ payload ->
-        arrivals := (payload, Time.to_us (Engine.now engine)) :: !arrivals)
-  done;
-  (* Make 0 <-> 2 a WAN link. *)
-  Network.set_link_latency net (addr 0) (addr 2) (Latency.Constant (t_us 500));
-  Network.send net ~src:(addr 0) ~dst:(addr 1) "lan";
-  Network.send net ~src:(addr 0) ~dst:(addr 2) "wan";
-  Network.send net ~src:(addr 2) ~dst:(addr 0) "wan-back";
-  ignore (Engine.run engine);
-  let at payload = List.assoc payload !arrivals in
-  Alcotest.(check int) "default link" 10 (at "lan");
-  Alcotest.(check int) "overridden link" 500 (at "wan");
-  Alcotest.(check int) "override is symmetric" 500 (at "wan-back")
-
-let test_link_latency_query () =
-  let engine = Engine.create ~seed:7 () in
-  let net : unit Network.t = Network.create ~engine ~latency:(Latency.Constant (t_us 10)) () in
-  Network.set_link_latency net (addr 0) (addr 1) (Latency.Constant (t_us 99));
-  (match Network.link_latency net ~src:(addr 1) ~dst:(addr 0) with
-  | Latency.Constant d -> Alcotest.(check int) "queried override" 99 (Time.to_us d)
-  | _ -> Alcotest.fail "wrong model");
-  match Network.link_latency net ~src:(addr 0) ~dst:(addr 2) with
-  | Latency.Constant d -> Alcotest.(check int) "default elsewhere" 10 (Time.to_us d)
-  | _ -> Alcotest.fail "wrong model"
-
-
-let test_bandwidth_serialises_bursts () =
-  let engine = Engine.create ~seed:7 () in
-  (* 1000 bytes/s, zero latency: a 100-byte message takes 100ms on the wire. *)
-  let net =
-    Network.create ~engine ~latency:(Latency.Constant Time.zero)
-      ~bandwidth_bytes_per_sec:1000 ()
-  in
-  let arrivals = ref [] in
-  for i = 0 to 1 do
-    Network.add_node net (addr i) (fun ~src:_ payload ->
-        arrivals := (payload, Time.to_ms (Engine.now engine)) :: !arrivals)
-  done;
-  Network.send net ~src:(addr 0) ~dst:(addr 1) ~size:100 "first";
-  Network.send net ~src:(addr 0) ~dst:(addr 1) ~size:100 "second";
-  ignore (Engine.run engine);
-  let at payload = List.assoc payload !arrivals in
-  Alcotest.(check (float 0.01)) "first after its transmit time" 100. (at "first");
-  Alcotest.(check (float 0.01)) "second queued behind first" 200. (at "second")
-
-let test_bandwidth_per_link_independent () =
-  let engine = Engine.create ~seed:7 () in
-  let net =
-    Network.create ~engine ~latency:(Latency.Constant Time.zero)
-      ~bandwidth_bytes_per_sec:1000 ()
-  in
-  let arrivals = ref [] in
-  for i = 0 to 2 do
-    Network.add_node net (addr i) (fun ~src:_ payload ->
-        arrivals := (payload, Time.to_ms (Engine.now engine)) :: !arrivals)
-  done;
-  Network.send net ~src:(addr 0) ~dst:(addr 1) ~size:100 "to1";
-  Network.send net ~src:(addr 0) ~dst:(addr 2) ~size:100 "to2";
-  ignore (Engine.run engine);
-  let at payload = List.assoc payload !arrivals in
-  (* Different directed links do not share the pipe in this model. *)
-  Alcotest.(check (float 0.01)) "link to 1" 100. (at "to1");
-  Alcotest.(check (float 0.01)) "link to 2" 100. (at "to2")
-
 let test_infinite_bandwidth_default () =
   let engine = Engine.create ~seed:7 () in
   let net = Network.create ~engine ~latency:(Latency.Constant (t_us 10)) () in
@@ -309,12 +240,6 @@ let test_infinite_bandwidth_default () =
   ignore (Engine.run engine);
   Alcotest.(check int) "all delivered" 50 !count;
   Alcotest.(check int) "no serialisation delay" 10 (Time.to_us (Engine.now engine))
-
-let test_bandwidth_validation () =
-  let engine = Engine.create ~seed:7 () in
-  match Network.create ~engine ~bandwidth_bytes_per_sec:0 () with
-  | exception Invalid_argument _ -> ()
-  | (_ : unit Network.t) -> Alcotest.fail "zero bandwidth accepted"
 
 let qcheck_tests =
   let open QCheck in
@@ -362,12 +287,7 @@ let suites =
         Alcotest.test_case "stats counting" `Quick test_stats_counting;
         Alcotest.test_case "nodes listing" `Quick test_nodes_listing;
         Alcotest.test_case "self send" `Quick test_self_send;
-        Alcotest.test_case "link latency override" `Quick test_link_latency_override;
-        Alcotest.test_case "link latency query" `Quick test_link_latency_query;
-        Alcotest.test_case "bandwidth serialises bursts" `Quick test_bandwidth_serialises_bursts;
-        Alcotest.test_case "bandwidth per-link" `Quick test_bandwidth_per_link_independent;
         Alcotest.test_case "infinite bandwidth default" `Quick test_infinite_bandwidth_default;
-        Alcotest.test_case "bandwidth validation" `Quick test_bandwidth_validation;
       ]
       @ List.map Gen.to_alcotest qcheck_tests );
   ]

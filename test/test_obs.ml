@@ -446,12 +446,12 @@ let force_ok = function Ok () -> () | Error e -> Alcotest.fail e
 let run_forced_transfer ?(config = small_config ()) () =
   let cluster = Cluster.create config in
   let av i = Site.av_table (Cluster.site cluster i) in
-  force_ok (Av_table.withdraw (av 0) ~item:"widget" 34);
-  force_ok (Av_table.deposit (av 0) ~item:"widget" 40);
-  force_ok (Av_table.withdraw (av 1) ~item:"widget" 33);
-  force_ok (Av_table.deposit (av 1) ~item:"widget" 20);
-  force_ok (Av_table.withdraw (av 2) ~item:"widget" 33);
-  force_ok (Av_table.deposit (av 2) ~item:"widget" 40);
+  force_ok (Av_table.entry_withdraw (Av_table.entry_or_no_entry (av 0) ~item:"widget") 34);
+  force_ok (Av_table.entry_deposit (Av_table.entry_or_no_entry (av 0) ~item:"widget") 40);
+  force_ok (Av_table.entry_withdraw (Av_table.entry_or_no_entry (av 1) ~item:"widget") 33);
+  force_ok (Av_table.entry_deposit (Av_table.entry_or_no_entry (av 1) ~item:"widget") 20);
+  force_ok (Av_table.entry_withdraw (Av_table.entry_or_no_entry (av 2) ~item:"widget") 33);
+  force_ok (Av_table.entry_deposit (Av_table.entry_or_no_entry (av 2) ~item:"widget") 40);
   let result = ref None in
   Site.submit_update (Cluster.site cluster 1) ~item:"widget" ~delta:(-30) (fun r ->
       result := Some r);
@@ -599,7 +599,10 @@ let test_invariant_probe () =
   Alcotest.(check int) "clean cluster has no violations" 0
     (warns (Cluster.tracer cluster));
   (* Conjure 5 units of AV out of thin air: conservation must trip. *)
-  force_ok (Av_table.deposit (Site.av_table (Cluster.site cluster 0)) ~item:"widget" 5);
+  force_ok
+    (Av_table.entry_deposit
+       (Av_table.entry_or_no_entry (Site.av_table (Cluster.site cluster 0)) ~item:"widget")
+       5);
   Cluster.snapshot_now cluster;
   let sp = span_named (Cluster.tracer cluster) "invariant.av_conservation" in
   Alcotest.(check bool) "violation span is a warning" true

@@ -4,7 +4,6 @@ open Avdb_txn
 let addr = Address.of_int
 
 module C = Two_phase.Coordinator
-module P = Two_phase.Participant
 
 let action =
   let pp ppf = function
@@ -113,47 +112,6 @@ let test_double_start_rejected () =
   match C.start c ~local_vote:Two_phase.Ready with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "double start accepted"
-
-(* --- Participant --- *)
-
-let test_participant_lifecycle () =
-  let p = P.create () in
-  Alcotest.(check bool) "votes ready" true (P.on_prepare p ~txid:1 ~can_apply:true = Two_phase.Ready);
-  Alcotest.(check bool) "votes refuse" true
-    (P.on_prepare p ~txid:2 ~can_apply:false = Two_phase.Refuse);
-  Alcotest.(check (list int)) "pending tracks ready only" [ 1 ] (P.pending p);
-  Alcotest.(check bool) "commit -> apply" true (P.on_decision p ~txid:1 Two_phase.Commit = P.Apply);
-  Alcotest.(check (list int)) "cleared" [] (P.pending p);
-  Alcotest.(check bool) "unknown decision ignored" true
-    (P.on_decision p ~txid:2 Two_phase.Abort = P.Ignore);
-  Alcotest.(check bool) "duplicate decision ignored" true
-    (P.on_decision p ~txid:1 Two_phase.Commit = P.Ignore)
-
-let test_participant_abort () =
-  let p = P.create () in
-  ignore (P.on_prepare p ~txid:5 ~can_apply:true);
-  Alcotest.(check bool) "abort -> revert" true (P.on_decision p ~txid:5 Two_phase.Abort = P.Revert)
-
-let test_participant_idempotent_prepare () =
-  let p = P.create () in
-  ignore (P.on_prepare p ~txid:5 ~can_apply:true);
-  Alcotest.(check bool) "re-prepare same vote" true
-    (P.on_prepare p ~txid:5 ~can_apply:false = Two_phase.Ready);
-  Alcotest.(check (list int)) "still one pending" [ 5 ] (P.pending p)
-
-let test_participant_forget_and_reset () =
-  let p = P.create () in
-  ignore (P.on_prepare p ~txid:1 ~can_apply:true);
-  ignore (P.on_prepare p ~txid:2 ~can_apply:true);
-  P.forget p ~txid:1;
-  Alcotest.(check (list int)) "forgotten" [ 2 ] (P.pending p);
-  Alcotest.(check bool) "decision for forgotten ignored" true
-    (P.on_decision p ~txid:1 Two_phase.Commit = P.Ignore);
-  P.reset p;
-  Alcotest.(check (list int)) "reset empties" [] (P.pending p);
-  (* a fresh incarnation re-installs in-doubt txns from the durable log *)
-  ignore (P.on_prepare p ~txid:2 ~can_apply:true);
-  Alcotest.(check (list int)) "re-installed" [ 2 ] (P.pending p)
 
 (* --- recovered coordinator --- *)
 
@@ -564,10 +522,6 @@ let suites =
         Alcotest.test_case "coordinator is base" `Quick test_coordinator_is_base;
         Alcotest.test_case "duplicate/foreign votes" `Quick test_duplicate_and_foreign_votes_ignored;
         Alcotest.test_case "double start rejected" `Quick test_double_start_rejected;
-        Alcotest.test_case "participant lifecycle" `Quick test_participant_lifecycle;
-        Alcotest.test_case "participant abort" `Quick test_participant_abort;
-        Alcotest.test_case "participant idempotent prepare" `Quick test_participant_idempotent_prepare;
-        Alcotest.test_case "participant forget/reset" `Quick test_participant_forget_and_reset;
         Alcotest.test_case "recovered coordinator" `Quick test_recovered_coordinator;
         Alcotest.test_case "recovered coordinator, no participants" `Quick
           test_recovered_coordinator_no_participants;
