@@ -37,6 +37,7 @@ let no_entry = fresh_entry "" 0
 let entry_or_no_entry t ~item =
   match Hashtbl.find t item with e -> e | exception Not_found -> no_entry
 
+let entry_item e = e.item
 let entry_available e = e.available
 
 let available t ~item =

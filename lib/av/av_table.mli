@@ -43,6 +43,9 @@ val entry_or_no_entry : t -> item:string -> entry
 (** The item's entry, or {!no_entry} when it has no AV. A site's item
     record takes it once, when the record is built. *)
 
+val entry_item : entry -> string
+(** The item the entry is for; [""] on {!no_entry}. *)
+
 val entry_available : entry -> int
 
 val entry_hold : entry -> int -> (unit, string) result

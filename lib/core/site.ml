@@ -37,9 +37,9 @@ let epoch_unsealed = Site_epoch.epoch_unsealed
 (* Heap words the site owns among those reachable from its replica +
    protocol state: stock rows, AV ledger, peer view, sync sender/receiver
    tables and the per-item records with their peer memos. Deliberately
-   excludes the WAL (it grows with applied-update count, not with the
-   catalogue) — this is the quantity partial replication bounds by the
-   interest set. Structure every site shares
+   excludes the WAL: its checkpoint bounds it, but lets it reach at
+   least 1,024 records whatever the catalogue — this is the quantity
+   partial replication bounds by the interest set. Structure every site shares
    (the topology with its subscriber arrays, the catalogue with its item
    names, the placeholders a record holds before it takes a handle) is
    reachable from each site but owned by none. [Obj.reachable_words]
@@ -317,6 +317,10 @@ let create shared ~addr ~av_init =
       base_addr;
       db;
       av;
+      av_levels =
+        lazy
+          (Array.of_list
+             (List.map (fun item -> Av_table.entry_or_no_entry av ~item) (Av_table.items av)));
       view = Peer_view.create ();
       sel_state = Strategy.create_state ();
       rng = Rng.split (Engine.rng shared.engine);

@@ -142,6 +142,10 @@ type t = {
   items : (string, stored) Hashtbl.t;
   (* Site_delay. *)
   av : Av_table.t;
+  av_levels : Av_table.entry array Lazy.t;
+      (* every AV entry, sorted by item: what a grant reply reports,
+         taken at the first grant since only [Site.create] defines AV,
+         so building a site sorts nothing *)
   view : Peer_view.t;
   sel_state : Strategy.selection_state;
   rng : Rng.t;

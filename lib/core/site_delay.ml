@@ -265,7 +265,9 @@ let seed_sync t sync_state =
    included: learning a peer ran dry is exactly what steers selection
    away from it. *)
 let av_levels_snapshot t =
-  List.map (fun (item, available, _) -> (item, available)) (Av_table.snapshot t.av)
+  Array.fold_right
+    (fun av levels -> (Av_table.entry_item av, Av_table.entry_available av) :: levels)
+    (Lazy.force t.av_levels) []
 
 (* Sync counters to piggyback on an AV request or grant towards [peer],
    paired with the sequence number the payload covers. The payload is the

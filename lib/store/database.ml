@@ -10,6 +10,7 @@ type t = {
   tables : (string, Table.t) Hashtbl.t;
   mutable next_txid : int;
   mutable active : int;
+  mutable checkpoint_at : int;  (* the WAL length that makes the next checkpoint due *)
 }
 
 type txn = { db : t; id : int; mutable undos : undo list; mutable finished : bool }
@@ -22,6 +23,14 @@ type handle = { db_number : int; cell : Table.handle }
 (* Atomic: sites on different domains create databases concurrently. *)
 let numbers = Atomic.make 0
 
+(* A checkpoint is due once the records appended since the last one reach
+   [checkpoint_multiple] times that snapshot's size, and at least
+   [checkpoint_floor]. A snapshot costs a copy of every row, so the
+   multiple spreads it over 64 appends a row, and the log holds at most
+   about 65 snapshots' worth of records. *)
+let checkpoint_multiple = 64
+let checkpoint_floor = 1024
+
 let create ?(name = "db") () =
   {
     number = Atomic.fetch_and_add numbers 1;
@@ -30,6 +39,7 @@ let create ?(name = "db") () =
     tables = Hashtbl.create 8;
     next_txid = 0;
     active = 0;
+    checkpoint_at = checkpoint_floor;
   }
 
 let name t = t.name
@@ -142,6 +152,34 @@ let delete txn ~table ~key =
       txn.undos <- Undo_delete { table; key; row } :: txn.undos;
       Ok ()
 
+(* Folds the log into a snapshot written in place: each table's creation,
+   then one committed transaction inserting a copy of every live row (a
+   handle write changes the stored row in place, and must not change the
+   snapshot). Then the records before the snapshot go. *)
+let compact t =
+  if t.active > 0 then invalid_arg "Database.compact: transactions active";
+  let start = Wal.length t.wal in
+  let log r = ignore (Wal.append t.wal r) in
+  let txid = t.next_txid in
+  t.next_txid <- txid + 1;
+  let tables = tables t in
+  List.iter
+    (fun (table, tbl) ->
+      log (Wal.Create_table { table; columns = Schema.columns (Table.schema tbl) }))
+    tables;
+  log (Wal.Begin txid);
+  List.iter
+    (fun (table, tbl) ->
+      Table.iter tbl (fun key row -> log (Wal.Insert { txid; table; key; row = Array.copy row })))
+    tables;
+  log (Wal.Commit txid);
+  Wal.drop_before t.wal start;
+  let size = Wal.length t.wal - start in
+  t.checkpoint_at <- Wal.length t.wal + Int.max checkpoint_floor (checkpoint_multiple * size)
+
+(* Called after each write that can leave no transaction open. *)
+let checkpoint_if_due t = if t.active = 0 && Wal.length t.wal >= t.checkpoint_at then compact t
+
 (* Autocommit fast path for the single hottest mutation: one row lookup
    (Table.add_int_swap) instead of the get_col/set_col pair, no undo list,
    no txn record, and a single [Wal.Apply] record instead of the
@@ -154,6 +192,7 @@ let log_apply t ~table ~key ~col ~before ~after =
   let txid = t.next_txid in
   t.next_txid <- txid + 1;
   ignore (Wal.append t.wal (Wal.Apply { txid; table; key; col; before; after }));
+  checkpoint_if_due t;
   int_of after
 
 let apply_int t ~table ~key ~col delta =
@@ -189,7 +228,8 @@ let get_col t ~table ~key ~col =
 
 let finish txn =
   txn.finished <- true;
-  txn.db.active <- txn.db.active - 1
+  txn.db.active <- txn.db.active - 1;
+  checkpoint_if_due txn.db
 
 let commit txn =
   check_live txn;
@@ -219,28 +259,6 @@ let abort txn =
   finish txn
 
 let active_txns t = t.active
-
-let compact t =
-  if t.active > 0 then invalid_arg "Database.compact: transactions active";
-  let snapshot = Wal.create () in
-  let txid = t.next_txid in
-  t.next_txid <- t.next_txid + 1;
-  List.iter
-    (fun (tname, tbl) ->
-      ignore
-        (Wal.append snapshot
-           (Wal.Create_table { table = tname; columns = Schema.columns (Table.schema tbl) })))
-    (tables t);
-  ignore (Wal.append snapshot (Wal.Begin txid));
-  List.iter
-    (fun (tname, tbl) ->
-      Table.iter tbl (fun key row ->
-          ignore (Wal.append snapshot (Wal.Insert { txid; table = tname; key; row }))))
-    (tables t);
-  ignore (Wal.append snapshot (Wal.Commit txid));
-  (* Swap the snapshot in as the new history. *)
-  Wal.truncate t.wal 0;
-  List.iter (fun r -> ignore (Wal.append t.wal r)) (Wal.records snapshot)
 
 let recover ?name wal =
   let db = create ?name () in

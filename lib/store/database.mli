@@ -92,11 +92,15 @@ val abort : txn -> unit
 val active_txns : t -> int
 
 val compact : t -> unit
-(** Checkpoints the write-ahead log: replaces it with a minimal snapshot
-    (table creations plus one committed transaction inserting every live
-    row), discarding all history. Recovery from the compacted log yields
-    exactly the current state. Raises [Invalid_argument] while any
-    transaction is active. *)
+(** Checkpoints the write-ahead log: appends a snapshot (each table's
+    creation, then one committed transaction inserting a copy of every
+    live row) and drops every record before it ({!Wal.drop_before}).
+    Recovery from the checkpointed log yields exactly the current state.
+    A database checkpoints itself after each write that leaves no
+    transaction open ({!apply_int}, {!apply_int_handle}, {!commit},
+    {!abort}) once the records appended since its last snapshot reach 64
+    times that snapshot's size, and at least 1,024. Raises
+    [Invalid_argument] while any transaction is active. *)
 
 (** {2 Recovery} *)
 

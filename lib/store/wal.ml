@@ -9,15 +9,17 @@ type record =
   | Apply of { txid : int; table : string; key : string; col : string; before : Value.t; after : Value.t }
 
 type t = {
-  (* Slots [0, count) hold the log in append order; the rest is spare
-     capacity, filled with [spare] so it keeps no record alive. Appends
-     double the array when it is full. *)
+  (* Slots [0, count) hold the retained log in append order, slot [i]
+     holding the record at log sequence number [first + i]; the rest is
+     spare capacity, filled with [spare] so it keeps no record alive.
+     Appends double the array when it is full. *)
   mutable records : record array;
   mutable count : int;
+  mutable first : int;
 }
 
 let spare = Abort (-1)
-let create () = { records = [||]; count = 0 }
+let create () = { records = [||]; count = 0; first = 0 }
 
 let append t r =
   let n = t.count in
@@ -28,22 +30,33 @@ let append t r =
   end;
   t.records.(n) <- r;
   t.count <- n + 1;
-  n
+  t.first + n
 
-let length t = t.count
+let length t = t.first + t.count
+let first t = t.first
 
 let records t =
   let rec from i acc = if i < 0 then acc else from (i - 1) (t.records.(i) :: acc) in
   from (t.count - 1) []
 
-let nth t i =
-  if i < 0 || i >= t.count then invalid_arg "Wal.nth";
-  t.records.(i)
+let nth t lsn =
+  if lsn < t.first || lsn >= length t then invalid_arg "Wal.nth";
+  t.records.(lsn - t.first)
 
-let truncate t n =
-  if n < 0 || n > t.count then invalid_arg "Wal.truncate";
-  Array.fill t.records n (t.count - n) spare;
-  t.count <- n
+let truncate t lsn =
+  if lsn < t.first || lsn > length t then invalid_arg "Wal.truncate";
+  let keep = lsn - t.first in
+  Array.fill t.records keep (t.count - keep) spare;
+  t.count <- keep
+
+let drop_before t lsn =
+  if lsn < t.first || lsn > length t then invalid_arg "Wal.drop_before";
+  let dropped = lsn - t.first in
+  let kept = t.count - dropped in
+  Array.blit t.records dropped t.records 0 kept;
+  Array.fill t.records kept dropped spare;
+  t.count <- kept;
+  t.first <- lsn
 
 let committed_txids t =
   let tbl = Hashtbl.create 64 in

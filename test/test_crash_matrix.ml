@@ -208,16 +208,24 @@ let check_no_quarantine cluster =
       (Site.quarantined_items (Cluster.site cluster i))
   done
 
+(* Arms a WAL fault on [victim], its log checkpointed first when
+   [checkpoint]: recovery then reads a snapshot plus an empty tail, and a
+   fault that reaches the snapshot must cost no more than one that reaches
+   the same records of an unfolded log. *)
+let arm_wal ~checkpoint victim spec =
+  if checkpoint then Avdb_store.Database.compact (Site.database victim);
+  Site.arm_disk_fault victim ~target:`Wal spec
+
 (* A torn tail is damage past the last synced frame: recovery keeps the
    whole prefix, loses nothing, rebuilds nothing. *)
-let test_storage_wal_torn_tail () =
+let test_storage_wal_torn_tail ~checkpoint () =
   let cluster = make_cluster () in
   let engine = Cluster.engine cluster in
   let victim = Cluster.site cluster 1 in
   Site.submit_update victim ~item:regular ~delta:(-5) ignore;
   ignore
     (Engine.schedule_at engine ~at:(Time.of_ms 50.) (fun () ->
-         Site.arm_disk_fault victim ~target:`Wal Avdb_store.Disk_fault.Torn_tail;
+         arm_wal ~checkpoint victim Avdb_store.Disk_fault.Torn_tail;
          Site.crash victim));
   ignore (Engine.schedule_at engine ~at:(Time.of_ms 200.) (fun () -> Site.recover victim));
   Cluster.run cluster;
@@ -231,7 +239,7 @@ let test_storage_wal_torn_tail () =
 (* Lost fsync silently drops applied WAL rows. The durable sync
    counters still bound every committed delta exactly, so recovery
    reconstructs the regular row locally — no repair traffic at all. *)
-let test_storage_wal_lost_fsync_rebuild () =
+let test_storage_wal_lost_fsync_rebuild ~checkpoint () =
   let cluster = make_cluster () in
   let engine = Cluster.engine cluster in
   let victim = Cluster.site cluster 1 in
@@ -243,8 +251,7 @@ let test_storage_wal_lost_fsync_rebuild () =
     [ 0.; 5.; 10. ];
   ignore
     (Engine.schedule_at engine ~at:(Time.of_ms 50.) (fun () ->
-         Site.arm_disk_fault victim ~target:`Wal
-           (Avdb_store.Disk_fault.Lost_fsync { frames = 6 });
+         arm_wal ~checkpoint victim (Avdb_store.Disk_fault.Lost_fsync { frames = 6 });
          Site.crash victim));
   ignore (Engine.schedule_at engine ~at:(Time.of_ms 200.) (fun () -> Site.recover victim));
   Cluster.run cluster;
@@ -258,7 +265,7 @@ let test_storage_wal_lost_fsync_rebuild () =
 (* A bit flip inside the synced WAL prefix of a committed participant:
    the CRC catches it, the lost 2PC row is rebuilt from the (intact)
    protocol log's committed outcomes — still a purely local recovery. *)
-let test_storage_wal_bit_flip () =
+let test_storage_wal_bit_flip ~checkpoint () =
   let cluster = make_cluster () in
   let engine = Cluster.engine cluster in
   let victim = Cluster.site cluster 2 in
@@ -266,8 +273,7 @@ let test_storage_wal_bit_flip () =
   Site.submit_update (Cluster.site cluster 1) ~item ~delta:(-5) (fun _ -> incr fired);
   ignore
     (Engine.schedule_at engine ~at:(Time.of_ms 50.) (fun () ->
-         Site.arm_disk_fault victim ~target:`Wal
-           (Avdb_store.Disk_fault.Bit_flip { pos = 0.5 });
+         arm_wal ~checkpoint victim (Avdb_store.Disk_fault.Bit_flip { pos = 0.5 });
          Site.crash victim));
   ignore (Engine.schedule_at engine ~at:(Time.of_ms 200.) (fun () -> Site.recover victim));
   Cluster.run cluster;
@@ -283,7 +289,7 @@ let test_storage_wal_bit_flip () =
    wrong offset, the stamped sequence number exposes it, and the base's
    row is rebuilt from its protocol log — authoritative reads stay
    exact. *)
-let test_storage_wal_misdirect_at_base () =
+let test_storage_wal_misdirect_at_base ~checkpoint () =
   let cluster = make_cluster () in
   let engine = Cluster.engine cluster in
   let victim = Cluster.site cluster 0 in
@@ -291,8 +297,7 @@ let test_storage_wal_misdirect_at_base () =
   Site.submit_update (Cluster.site cluster 1) ~item ~delta:(-5) (fun _ -> incr fired);
   ignore
     (Engine.schedule_at engine ~at:(Time.of_ms 50.) (fun () ->
-         Site.arm_disk_fault victim ~target:`Wal
-           (Avdb_store.Disk_fault.Misdirect { pos = 0.1 });
+         arm_wal ~checkpoint victim (Avdb_store.Disk_fault.Misdirect { pos = 0.1 });
          Site.crash victim));
   ignore (Engine.schedule_at engine ~at:(Time.of_ms 200.) (fun () -> Site.recover victim));
   Cluster.run cluster;
@@ -652,7 +657,7 @@ let test_epoch_quarantined_subscriber_applies_nothing () =
    row folded in, so a lost WAL row cannot be rebuilt from seals: a joiner
    that took its epoch state from a snapshot quarantines the item at
    recovery and repairs it from a donor instead. *)
-let test_epoch_wal_loss_above_floor () =
+let test_epoch_wal_loss_above_floor ~checkpoint () =
   let cluster = make_epoch_cluster () in
   let write site =
     Site.submit_update (Cluster.site cluster site) ~item:epoch_item ~delta:(-10) ignore
@@ -668,7 +673,7 @@ let test_epoch_wal_loss_above_floor () =
     (Txn_log.epoch_floor (Site.txn_log joiner) ~item:epoch_item > 0);
   write j;
   epoch_quiesce cluster;
-  Site.arm_disk_fault joiner ~target:`Wal (Avdb_store.Disk_fault.Lost_segment { pos = 0. });
+  arm_wal ~checkpoint joiner (Avdb_store.Disk_fault.Lost_segment { pos = 0. });
   Site.crash joiner;
   Site.recover joiner;
   Alcotest.(check bool) "quarantined, not rebuilt" true
@@ -726,13 +731,14 @@ let suites =
           test_participant_crash_in_doubt;
         Alcotest.test_case "coordinator crash with partial votes" `Quick
           test_coordinator_crash_partial_votes;
-        Alcotest.test_case "storage: WAL torn tail" `Quick test_storage_wal_torn_tail;
-        Alcotest.test_case "storage: WAL lost fsync, local rebuild" `Quick
-          test_storage_wal_lost_fsync_rebuild;
-        Alcotest.test_case "storage: WAL bit flip at participant" `Quick
-          test_storage_wal_bit_flip;
-        Alcotest.test_case "storage: WAL misdirect at base" `Quick
-          test_storage_wal_misdirect_at_base;
+        Alcotest.test_case "storage: WAL torn tail" `Quick (test_storage_wal_torn_tail ~checkpoint:false);
+        Alcotest.test_case "storage: WAL torn tail, checkpointed" `Quick (test_storage_wal_torn_tail ~checkpoint:true);
+        Alcotest.test_case "storage: WAL lost fsync, local rebuild" `Quick (test_storage_wal_lost_fsync_rebuild ~checkpoint:false);
+        Alcotest.test_case "storage: WAL lost fsync, local rebuild, checkpointed" `Quick (test_storage_wal_lost_fsync_rebuild ~checkpoint:true);
+        Alcotest.test_case "storage: WAL bit flip at participant" `Quick (test_storage_wal_bit_flip ~checkpoint:false);
+        Alcotest.test_case "storage: WAL bit flip at participant, checkpointed" `Quick (test_storage_wal_bit_flip ~checkpoint:true);
+        Alcotest.test_case "storage: WAL misdirect at base" `Quick (test_storage_wal_misdirect_at_base ~checkpoint:false);
+        Alcotest.test_case "storage: WAL misdirect at base, checkpointed" `Quick (test_storage_wal_misdirect_at_base ~checkpoint:true);
         Alcotest.test_case "storage: txn-log segment loss, repair" `Quick
           test_storage_txn_log_lost_segment;
         Alcotest.test_case "storage: coordinator loses its outcome" `Quick
@@ -752,8 +758,8 @@ let suites =
         Alcotest.test_case "epoch: a two-epoch gap is pulled" `Quick test_epoch_gap_pulled;
         Alcotest.test_case "epoch: quarantined subscriber applies nothing" `Quick
           test_epoch_quarantined_subscriber_applies_nothing;
-        Alcotest.test_case "epoch: WAL loss above a snapshot floor repairs" `Quick
-          test_epoch_wal_loss_above_floor;
+        Alcotest.test_case "epoch: WAL loss above a snapshot floor repairs" `Quick (test_epoch_wal_loss_above_floor ~checkpoint:false);
+        Alcotest.test_case "epoch: WAL loss above a snapshot floor repairs, checkpointed" `Quick (test_epoch_wal_loss_above_floor ~checkpoint:true);
         Alcotest.test_case "epoch: a ballot-0 retry keeps its value" `Quick
           test_epoch_ballot0_retry_keeps_value;
         Alcotest.test_case "epoch: seal broadcast loss" `Quick

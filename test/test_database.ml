@@ -178,9 +178,10 @@ let test_compact () =
   ignore (Database.delete t_del ~table:"stock" ~key:"k1");
   Database.commit t_del;
   let before = Table.copy (Database.table db "stock") in
-  let long_log = Wal.length (Database.wal db) in
+  let long_log = List.length (Wal.records (Database.wal db)) in
   Database.compact db;
-  Alcotest.(check bool) "log shrank" true (Wal.length (Database.wal db) < long_log);
+  Alcotest.(check bool) "log shrank" true
+    (List.length (Wal.records (Database.wal db)) < long_log);
   Alcotest.(check bool) "state untouched" true
     (Table.equal_contents before (Database.table db "stock"));
   let recovered = Database.recover (Database.wal db) in
@@ -294,6 +295,73 @@ let run_ops db ops ~handles_allowed =
           if ending = `Commit then Database.commit txn else Database.abort txn)
     ops
 
+(* A snapshot holds copies of the rows: a handle write after the
+   checkpoint changes the stored row in place, and must not change what
+   the snapshot recovers. *)
+let test_compact_copies_rows () =
+  let db = with_keys [ "p" ] in
+  Database.compact db;
+  let wal = Database.wal db in
+  let snapshot_end = Wal.length wal in
+  let h = Database.handle db ~table:"stock" ~key:"p" ~col:"amount" in
+  ignore (Database.apply_int_handle db h 5);
+  Wal.truncate wal snapshot_end;
+  Alcotest.(check int) "the snapshot's row" 100 (amount (Database.recover wal) "p")
+
+(* Writes inside an open transaction never checkpoint, however long the
+   log grows; the commit that closes it does. *)
+let test_checkpoint_waits_for_open_txn () =
+  let db = with_keys [ "p"; "q" ] in
+  let wal = Database.wal db in
+  let txn = Database.begin_txn db in
+  ignore (Database.add_int txn ~table:"stock" ~key:"q" ~col:"amount" 7);
+  for _ = 1 to 2000 do
+    ignore (Database.apply_int db ~table:"stock" ~key:"p" ~col:"amount" 1)
+  done;
+  Alcotest.(check int) "nothing folded while open" 0 (Wal.first wal);
+  let open_end = Wal.length wal in
+  Database.commit txn;
+  Alcotest.(check int) "folded up to the commit" (open_end + 1) (Wal.first wal);
+  (* Create_table, Begin, two Inserts, Commit *)
+  Alcotest.(check int) "only the snapshot is retained" 5 (List.length (Wal.records wal));
+  let recovered = Database.recover wal in
+  Alcotest.(check int) "p" 2100 (amount recovered "p");
+  Alcotest.(check int) "q" 107 (amount recovered "q")
+
+(* A long autocommit run checkpoints on its own: every write's LSN is
+   above the last, the retained log stays bounded, and recovery from it,
+   in memory and through its text, equals the live state. *)
+let test_checkpointed_recovery () =
+  let keys = List.init 8 (fun i -> "k" ^ string_of_int i) in
+  let db = with_keys keys in
+  let wal = Database.wal db in
+  let handles =
+    Array.of_list (List.map (fun key -> Database.handle db ~table:"stock" ~key ~col:"amount") keys)
+  in
+  let last = ref (Wal.length wal - 1) and longest = ref 0 in
+  for i = 0 to 9_999 do
+    (if i mod 97 = 0 then begin
+       let txn = Database.begin_txn db in
+       ignore (Database.add_int_handle txn handles.(i mod 8) 3);
+       if i mod 2 = 0 then Database.commit txn else Database.abort txn
+     end
+     else ignore (Database.apply_int_handle db handles.(i mod 8) (1 + (i mod 5))));
+    let lsn = Wal.length wal - 1 in
+    if lsn <= !last then Alcotest.failf "LSN %d after %d" lsn !last;
+    last := lsn;
+    longest := Int.max !longest (List.length (Wal.records wal))
+  done;
+  Alcotest.(check bool) "checkpointed" true (Wal.first wal > 0);
+  Alcotest.(check bool) "the retained log stays bounded" true (!longest <= 1024 + 20);
+  let live = Database.table db "stock" in
+  Alcotest.(check bool) "recovered in memory" true
+    (Table.equal_contents live (Database.table (Database.recover wal) "stock"));
+  match Wal.of_string (Wal.to_string wal) with
+  | Error e -> Alcotest.failf "of_string failed: %s" (Corruption.to_string e)
+  | Ok reread ->
+      Alcotest.(check bool) "recovered through the text" true
+        (Table.equal_contents live (Database.table (Database.recover reread) "stock"))
+
 let qcheck_tests =
   (* Random committed/aborted transaction mix: recovery must equal the live
      state exactly. The script shape (key, delta, commit?) is shared. *)
@@ -359,6 +427,10 @@ let suites =
         Alcotest.test_case "wal mid-record truncation" `Quick test_wal_mid_record_truncation;
         Alcotest.test_case "handle not live after recover" `Quick
           test_handle_not_live_after_recover;
+        Alcotest.test_case "compact copies rows" `Quick test_compact_copies_rows;
+        Alcotest.test_case "checkpoint waits for an open txn" `Quick
+          test_checkpoint_waits_for_open_txn;
+        Alcotest.test_case "checkpointed recovery" `Quick test_checkpointed_recovery;
       ]
       @ List.map Gen.to_alcotest qcheck_tests );
   ]

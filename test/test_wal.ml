@@ -93,10 +93,11 @@ let test_committed_txids () =
   Alcotest.(check bool) "txn 0 committed" true (Hashtbl.mem committed 0);
   Alcotest.(check bool) "txn 1 not committed" false (Hashtbl.mem committed 1)
 
-(* Compaction truncates a log grown through several doublings back to
-   nothing and re-appends the snapshot into the same array: recovery from
-   the compacted log, in memory and through its text, rebuilds exactly the
-   compacted state, and no dropped record survives in the log. *)
+(* Compaction appends the snapshot to a log grown through several
+   doublings and drops everything before it, keeping the LSNs: recovery
+   from the compacted log, in memory and through its text, rebuilds
+   exactly the compacted state, and no dropped record survives in the
+   log. *)
 let test_compact_then_recover () =
   let db = Database.create ~name:"wal" () in
   let schema = Schema.create [ { Schema.name = "amount"; ty = Value.Tint } ] in
@@ -113,9 +114,10 @@ let test_compact_then_recover () =
   let wal = Database.wal db in
   Alcotest.(check int) "grown log" 1013 (Wal.length wal);
   Database.compact db;
-  (* Create_table, Begin, ten Inserts, Commit *)
-  Alcotest.(check int) "snapshot length" 13 (Wal.length wal);
-  Alcotest.(check int) "records = length" 13 (List.length (Wal.records wal));
+  (* Create_table, Begin, ten Inserts, Commit, from LSN 1013 on *)
+  Alcotest.(check int) "snapshot first" 1013 (Wal.first wal);
+  Alcotest.(check int) "snapshot length" 1026 (Wal.length wal);
+  Alcotest.(check int) "records = retained" 13 (List.length (Wal.records wal));
   let expected = Database.table db "stock" in
   let recovered = Database.recover wal in
   Alcotest.(check bool) "recovered from the compacted log" true
@@ -126,6 +128,34 @@ let test_compact_then_recover () =
       Alcotest.(check (list wal_record)) "text roundtrip" (Wal.records wal) (Wal.records reread);
       Alcotest.(check bool) "recovered through the text" true
         (Table.equal_contents expected (Database.table (Database.recover reread) "stock"))
+
+(* Dropping a folded prefix keeps every record's LSN: appends go on from
+   the old length, [nth] reads by LSN, and [nth], [truncate] and
+   [drop_before] below the first retained LSN raise. *)
+let test_drop_keeps_lsns () =
+  let w = Wal.create () in
+  List.iter (fun r -> ignore (Wal.append w r)) sample_records;
+  let n = List.length sample_records in
+  Wal.drop_before w 6;
+  Alcotest.(check int) "first retained" 6 (Wal.first w);
+  Alcotest.(check int) "length counts the dropped" n (Wal.length w);
+  Alcotest.(check (list wal_record)) "records are the retained ones"
+    (List.filteri (fun i _ -> i >= 6) sample_records)
+    (Wal.records w);
+  Alcotest.check wal_record "nth by LSN" (List.nth sample_records 7) (Wal.nth w 7);
+  Alcotest.(check int) "the next LSN" n (Wal.append w (Wal.Commit 9));
+  let raises name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s below the first retained LSN" name
+  in
+  raises "nth" (fun () -> ignore (Wal.nth w 5));
+  raises "truncate" (fun () -> Wal.truncate w 5);
+  raises "drop_before" (fun () -> Wal.drop_before w 5);
+  Wal.truncate w 6;
+  Alcotest.(check int) "truncated to the first retained" 6 (Wal.length w);
+  Alcotest.(check (list wal_record)) "nothing retained" [] (Wal.records w);
+  Alcotest.(check string) "serialises the retained log" "" (Wal.to_string w)
 
 let qcheck_tests =
   (* record/value generators are shared with the other storage suites *)
@@ -197,6 +227,7 @@ let suites =
         Alcotest.test_case "truncate" `Quick test_truncate;
         Alcotest.test_case "committed txids" `Quick test_committed_txids;
         Alcotest.test_case "compact then recover" `Quick test_compact_then_recover;
+        Alcotest.test_case "drop keeps LSNs" `Quick test_drop_keeps_lsns;
       ]
       @ List.map Gen.to_alcotest qcheck_tests );
   ]
