@@ -1,7 +1,7 @@
 (* A trading day at retailer site 1: Poisson customer orders drain stock
    under Delay Update while the maker keeps producing; at close of business
-   the local database answers inventory queries (the query layer runs on
-   the site's replica - no network involved, the whole point of autonomy).
+   the report reads the site's own replica of the stock table (no network
+   involved - the whole point of autonomy).
 
    Run with: dune exec examples/inventory_report.exe *)
 
@@ -61,33 +61,29 @@ let () =
     (Cluster.total_correspondences cluster);
 
   let stock = Database.table (Site.database retailer) Site.stock_table in
-  let ok = function Ok v -> v | Error e -> failwith e in
+  let amount = Schema.index (Table.schema stock) "amount" in
+  (* (sku, amount), fewest units first; [Table.fold] visits the SKUs in
+     key order and the sort is stable, so ties stay in key order *)
+  let by_amount =
+    Table.fold stock ~init:[] ~f:(fun acc sku row -> (sku, Value.as_int row.(amount)) :: acc)
+    |> List.rev
+    |> List.stable_sort (fun (_, a) (_, b) -> Int.compare a b)
+  in
+  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 by_amount in
+  let skus = List.length by_amount in
+  let print_rows = List.iter (fun (sku, n) -> Printf.printf "    %-6s %3d units\n" sku n) in
 
   print_endline "Inventory report (queried on the retailer's local replica):";
-  Printf.printf "  total units on hand: %d\n" (ok (Query.sum_int stock ~col:"amount" ()));
-  Printf.printf "  distinct SKUs:       %d\n" (ok (Query.count stock ()));
-  (match ok (Query.avg_int stock ~col:"amount" ()) with
-  | Some avg -> Printf.printf "  average per SKU:     %.1f\n" avg
-  | None -> ());
+  Printf.printf "  total units on hand: %d\n" total;
+  Printf.printf "  distinct SKUs:       %d\n" skus;
+  if skus > 0 then
+    Printf.printf "  average per SKU:     %.1f\n" (float_of_int total /. float_of_int skus);
 
   print_endline "\n  Low-stock SKUs (amount < 40, worst first):";
-  let low =
-    ok
-      (Query.select stock
-         ~where:(Query.Lt ("amount", Value.Int 40))
-         ~order_by:(Query.Asc "amount") ())
-  in
-  List.iter
-    (fun r ->
-      Printf.printf "    %-6s %3d units\n" r.Query.key (Value.as_int r.Query.values.(0)))
-    low;
+  print_rows (List.filter (fun (_, n) -> n < 40) by_amount);
 
   print_endline "\n  Top 3 best-stocked SKUs:";
-  let top = ok (Query.select stock ~order_by:(Query.Desc "amount") ~limit:3 ()) in
-  List.iter
-    (fun r ->
-      Printf.printf "    %-6s %3d units\n" r.Query.key (Value.as_int r.Query.values.(0)))
-    top;
+  print_rows (List.filteri (fun i _ -> i < 3) (List.rev by_amount));
 
   print_endline "\n  AV standing at the retailer (available/held):";
   let av = Site.av_table retailer in

@@ -344,10 +344,18 @@ let is_quarantined t ~item = Hashtbl.length t.quarantined > 0 && Hashtbl.mem t.q
 
 (* Transaction ids for Immediate Update must be globally unique; reserve a
    large per-site range keyed by the address. *)
+let txids_per_site = 1_000_000
+
 let fresh_txid t =
-  let txid = (Address.to_int t.addr * 1_000_000) + t.next_txn_seq in
+  let txid = (Address.to_int t.addr * txids_per_site) + t.next_txn_seq in
   t.next_txn_seq <- t.next_txn_seq + 1;
   txid
+
+(* The inverse of [fresh_txid] on a txid this site allocated: keep the
+   allocator above it. *)
+let reserve_txid t txid =
+  let seq = txid - (Address.to_int t.addr * txids_per_site) in
+  if seq >= t.next_txn_seq then t.next_txn_seq <- seq + 1
 
 (* Add [delta] to the stored item's row in one committed transaction:
    the new amount. *)

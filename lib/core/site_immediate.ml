@@ -630,12 +630,7 @@ let resolve_orphan t (e : Txn_log.entry) =
 let replay_protocol_log t =
   (* keep the txid allocator above everything we ever coordinated; epoch
      intents draw from the same allocator *)
-  let reserve ~origin txid =
-    if Address.equal origin t.addr then begin
-      let seq = txid - (Address.to_int t.addr * 1_000_000) in
-      if seq >= t.next_txn_seq then t.next_txn_seq <- seq + 1
-    end
-  in
+  let reserve ~origin txid = if Address.equal origin t.addr then reserve_txid t txid in
   List.iter
     (fun (e : Txn_log.entry) -> reserve ~origin:e.Txn_log.coordinator e.Txn_log.txid)
     (Txn_log.entries t.txn_log);

@@ -101,6 +101,9 @@ let set_col txn ~table ~key ~col value =
   check_live txn;
   let* tbl = find_table txn table in
   let* before = Table.get_col tbl ~key ~col in
+  (* Validated before logging, as [insert] is: recovery replays every
+     record of a committed transaction. *)
+  let* () = Schema.validate_value (Table.schema tbl) col value in
   ignore
     (Wal.append txn.db.wal (Wal.Update { txid = txn.id; table; key; col; before; after = value }));
   let* _old = Table.set_col tbl ~key ~col value in

@@ -19,6 +19,11 @@ let index t name = Hashtbl.find t.by_name name
 let index_opt t name = Hashtbl.find_opt t.by_name name
 let column_ty t name = t.cols.(index t name).ty
 
+let validate_value t name v =
+  let ty = column_ty t name in
+  if Value.type_of v = ty then Ok ()
+  else Error (Printf.sprintf "column %S expects %s" name (Value.ty_name ty))
+
 let validate_row t row =
   if Array.length row <> arity t then
     Error

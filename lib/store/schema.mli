@@ -16,6 +16,10 @@ val index : t -> string -> int
 val index_opt : t -> string -> int option
 val column_ty : t -> string -> Value.ty
 
+val validate_value : t -> string -> Value.t -> (unit, string) result
+(** Checks a value against a column's type. Raises [Not_found] on an
+    unknown column. *)
+
 val validate_row : t -> Value.t array -> (unit, string) result
 (** Checks arity and per-column types. *)
 

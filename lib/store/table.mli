@@ -33,10 +33,10 @@ val delete : t -> key:string -> Value.t array option
 (** {2 Column handles}
 
     A handle is one column of one stored row, resolved once: reading or
-    adding through it walks no B-tree and looks up no column name. It
+    adding through it looks up neither the key nor the column name. It
     holds the stored row itself, so it sees every write made by name
     ({!set_col}, {!add_int}, an aborted transaction's undo) and its own
-    writes are seen by name, indexes included.
+    writes are seen by name.
 
     A handle stays live until the table removes a row, any row: a removed
     row's array is no longer stored, and a key inserted again gets a new
@@ -69,38 +69,18 @@ val handle_add : handle -> int -> Value.t
 val mem : t -> key:string -> bool
 val size : t -> int
 val keys : t -> string list
-(** Sorted (the row store is an ordered B-tree). *)
-
-val range : t -> lo:string -> hi:string -> (string * Value.t array) list
-(** Rows with [lo <= key <= hi] in key order, as defensive copies. *)
+(** In ascending [String.compare] order, the order {!iter} and {!fold}
+    visit the rows in: a snapshot or an export built from them does not
+    depend on the order the rows were inserted in. *)
 
 val iter : t -> (string -> Value.t array -> unit) -> unit
+
 val fold : t -> init:'a -> f:('a -> string -> Value.t array -> 'a) -> 'a
+(** {!iter} and [fold] hand over the stored row arrays, not copies: a
+    caller that keeps one past a later write copies it first. *)
 
 val copy : t -> t
-(** Deep copy (snapshot), including secondary indexes. *)
-
-(** {2 Secondary indexes}
-
-    An index maps a column's values to the keys of the rows holding them,
-    ordered by {!Value.compare}. Indexes are maintained automatically by
-    every mutation ([insert], [set_col], [add_int], [delete]). *)
-
-val create_index : t -> col:string -> (unit, string) result
-(** Builds an index over existing rows. Fails on unknown columns or if
-    the index already exists. *)
-
-val drop_index : t -> col:string -> unit
-val indexed_columns : t -> string list
-(** Sorted. *)
-
-val lookup_eq : t -> col:string -> Value.t -> string list option
-(** Keys of rows whose column equals the value, sorted — [None] when the
-    column has no index. *)
-
-val lookup_range : t -> col:string -> ?lo:Value.t -> ?hi:Value.t -> unit -> string list option
-(** Keys of rows with [lo <= column <= hi] (either bound optional),
-    ordered by column value then key — [None] when not indexed. *)
+(** Deep copy (snapshot). *)
 
 val equal_contents : t -> t -> bool
-(** Same keys and equal rows, schemas compared by column names/types. *)
+(** Same keys and equal rows; the schemas are not compared. *)

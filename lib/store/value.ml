@@ -26,19 +26,6 @@ let equal a b =
   | Bool x, Bool y -> Bool.equal x y
   | (Int _ | Float _ | Str _ | Bool _), _ -> false
 
-let compare a b =
-  match (a, b) with
-  | Int x, Int y -> Int.compare x y
-  | Float x, Float y -> Float.compare x y
-  | Str x, Str y -> String.compare x y
-  | Bool x, Bool y -> Bool.compare x y
-  | Int _, _ -> -1
-  | _, Int _ -> 1
-  | Float _, _ -> -1
-  | _, Float _ -> 1
-  | Str _, _ -> -1
-  | _, Str _ -> 1
-
 let add_int v d =
   match v with
   | Int n -> Int (n + d)

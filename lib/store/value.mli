@@ -12,7 +12,6 @@ val type_of : t -> ty
 val ty_name : ty -> string
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val add_int : t -> int -> t
 (** [add_int (Int n) d = Int (n + d)]; [add_int (Float x) d] adds onto the

@@ -189,8 +189,9 @@ val aborted : t -> int
 val in_flight : t -> int
 
 val max_txid : t -> int
-(** Largest txid ever started here, or [-1] on an empty log — recovery
-    re-seeds the txid allocator above it. *)
+(** Largest txid among the entries, or [-1] on an empty log. An observer:
+    recovery does not read it, and keeps a site's txid allocator above
+    the txids its own entries and intents carry instead. *)
 
 (** {2 Serialisation}
 

@@ -11,9 +11,9 @@
 # test/golden/probes.sha256 holds one digest per output file, and CI checks
 # a fresh run against it with `sha256sum -c`. test/golden/text/ holds whole
 # copies of the readable outputs (fig6, table1, the nemesis and sim
-# summaries), which CI diffs against the fresh run so a failure shows what
-# moved. After a change that alters behaviour on purpose, regenerate both
-# from the repository root:
+# summaries, the examples' reports), which CI diffs against the fresh run
+# so a failure shows what moved. After a change that alters behaviour on
+# purpose, regenerate both from the repository root:
 #
 #   scripts/same_seed_probes.sh /tmp/probes
 #   (cd /tmp/probes && find . -type f | LC_ALL=C sort | sed 's|^\./||' \
@@ -21,7 +21,8 @@
 #   rm -rf test/golden/text && mkdir -p test/golden/text/bench
 #   cp /tmp/probes/bench/BENCH_fig6.report.txt \
 #     /tmp/probes/bench/BENCH_table1.report.txt test/golden/text/bench/
-#   cp /tmp/probes/nemesis-*.txt /tmp/probes/sim-*.txt test/golden/text/
+#   cp /tmp/probes/nemesis-*.txt /tmp/probes/sim-*.txt \
+#     /tmp/probes/example-*.txt test/golden/text/
 #
 # Output paths are relative to OUT_DIR, so no probe prints where it ran. A
 # probe that exits non-zero records its status at the end of its output

@@ -259,6 +259,21 @@ let test_handle_not_live_after_recover () =
   | exception Not_found -> ()
   | _ -> Alcotest.fail "a handle on a missing key"
 
+(* A write the table rejects logs nothing, so every record of a committed
+   transaction replays. *)
+let test_rejected_set_col_logs_nothing () =
+  let db = with_keys [ "p" ] in
+  let wal = Database.wal db in
+  let txn = Database.begin_txn db in
+  let logged = Wal.length wal in
+  Alcotest.(check bool) "a wrong-typed set_col fails" true
+    (Result.is_error (Database.set_col txn ~table:"stock" ~key:"p" ~col:"amount" (Value.Str "x")));
+  Alcotest.(check int) "and logs nothing" logged (Wal.length wal);
+  ignore (Database.set_col txn ~table:"stock" ~key:"p" ~col:"amount" (Value.Int 78));
+  Database.commit txn;
+  Alcotest.(check bool) "recovery equals the live table" true
+    (Table.equal_contents (Database.table db "stock") (Database.table (Database.recover wal) "stock"))
+
 (* One random operation on key [k]: an autocommit apply, or a transaction
    adding [delta] that commits or aborts; by name or through a handle. *)
 type op = { k : int; delta : int; kind : [ `Apply | `Commit | `Abort ]; by_handle : bool }
@@ -431,6 +446,8 @@ let suites =
         Alcotest.test_case "checkpoint waits for an open txn" `Quick
           test_checkpoint_waits_for_open_txn;
         Alcotest.test_case "checkpointed recovery" `Quick test_checkpointed_recovery;
+        Alcotest.test_case "rejected set_col logs nothing" `Quick
+          test_rejected_set_col_logs_nothing;
       ]
       @ List.map Gen.to_alcotest qcheck_tests );
   ]

@@ -29,19 +29,6 @@ let test_coercions () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "as_int on string should raise"
 
-let test_compare_total_order () =
-  let values =
-    [ Value.Int 1; Value.Int 2; Value.Float 0.5; Value.Str "a"; Value.Str "b"; Value.Bool false ]
-  in
-  List.iter
-    (fun a ->
-      List.iter
-        (fun b ->
-          let c1 = Value.compare a b and c2 = Value.compare b a in
-          Alcotest.(check int) "antisymmetric" (Stdlib.compare c1 0) (Stdlib.compare 0 c2))
-        values)
-    values
-
 let test_encode_decode () =
   let roundtrip value =
     match Value.decode (Value.encode value) with
@@ -101,7 +88,6 @@ let suites =
         Alcotest.test_case "types" `Quick test_types;
         Alcotest.test_case "add_int" `Quick test_add_int;
         Alcotest.test_case "coercions" `Quick test_coercions;
-        Alcotest.test_case "compare total order" `Quick test_compare_total_order;
         Alcotest.test_case "encode/decode" `Quick test_encode_decode;
         Alcotest.test_case "decode errors" `Quick test_decode_errors;
       ]
